@@ -24,7 +24,7 @@ from .mpnn import (
     MpnnSpec,
     run_mpnn,
     wrap_comb_aggr,
-    _resolve_degree_family,
+    _resolve_layer,
 )
 from .surd import ONE, ZERO, ExactScalar, activate
 from .wl import wl_partitions
@@ -65,7 +65,7 @@ def pre_weight_matrix(g: LabelledGraph, family: str, params: LayerParams) -> tup
     message-passing engine, so it doubles as an independent cross-check of
     the engine in the trials.
     """
-    w1, w2, _, p, g_fn, h_fn, _ = _resolve_degree_family(family, params)
+    w1, w2, _, p, g_fn, h_fn, _ = _resolve_layer(family, params)
     if w1 is not None and w1 is not w2:
         raise ValueError(f"{family} has an independent self weight; no single pre-weight matrix")
     scaled = [row_scale(g.label_of(v), h_fn.value(g.degree(v))) for v in range(1, g.n + 1)]
@@ -192,7 +192,7 @@ _CASE_TABLE: dict[str, dict] = {
 
 def _expected_shared_row(case_id: str, family: str, params: LayerParams, g: LabelledGraph) -> Row:
     """The claimed common pre-weight row of the forced pair, from the closed form."""
-    _, _, _, p, g_fn, h_fn, _ = _resolve_degree_family(family, params)
+    _, _, _, p, g_fn, h_fn, _ = _resolve_layer(family, params)
     if case_id == "g1-dgnn12":
         # both endpoints see two degree-2 neighbours of the middle label
         value = g_fn.value(2) * h_fn.value(2) * 2

@@ -67,7 +67,8 @@ class CompareVerdict:
     first_violation: tuple[int, int, int] | None = None
 
     def __post_init__(self):
-        assert self.holds == (self.first_violation is None)
+        if self.holds != (self.first_violation is None):
+            raise ValueError("a verdict holds exactly when it has no violation")
 
     def to_json(self) -> dict:
         out: dict = {"holds": self.holds}

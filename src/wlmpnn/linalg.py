@@ -110,7 +110,8 @@ def right_inverse(matrix: Sequence[Row]) -> Matrix:
 
     Solved by Gauss-Jordan elimination of [uniq | I]; free variables are set
     to zero.  Raises ValueError when the unique rows are linearly dependent.
-    The returned product is re-verified exactly before returning.
+    The returned product is re-verified exactly before returning; a failed
+    verification raises ArithmeticError.
     """
     uniq, _ = unique_rows(tuple(matrix))
     m = len(uniq)
@@ -141,7 +142,8 @@ def right_inverse(matrix: Sequence[Row]) -> Matrix:
             out[col][j] = aug[i][width + j]
     u = as_matrix(out)
     product = mat_mul(tuple(uniq), u)
-    assert product == identity(m), "right inverse verification failed"
+    if product != identity(m):
+        raise ArithmeticError("right inverse verification failed")
     return u
 
 

@@ -3,25 +3,30 @@
 A network is a declarative MpnnSpec: a round count, an f-mode (``zero``
 erases degree information, ``degree`` passes endpoint degrees to every
 message), and one layer per round.  Layers are either a builtin family with
-exact parameters or custom message/update closures.  Execution sums each
-vertex's messages over its neighbourhood and applies the update, entirely
-in the surd field, and records the labelling and induced partition per
-round.
+exact parameters or custom message/update closures.  Execution runs
+entirely in the surd field and records the labelling and induced partition
+per round.
 
-Degree-aware builtins all share the closed form
+Every builtin family is one closed form
 
-    diag(g) (A + pI) diag(h) L W2 + L W1 + B
+    sigma(L W1 + diag(g) (A + pI) diag(h) L W2 + B)
 
-with degree-determined positive g and h; the message carries the self term
-scaled by 1/d_v so that summation over the d_v neighbours reproduces it
-exactly once.
+with degree-determined positive g and h; gnn is the case g = h = 1, p = 0
+and gnn-minus the case g = h = 1, W1 = 0, B = -q.  run_mpnn evaluates a
+builtin round in that form once per vertex: L W1 and L W2 once per distinct
+label, g and h once per distinct degree, then plain neighbour sums.
+Custom layers run edge by edge: each vertex sums its messages over its
+neighbourhood and applies the update.  builtin_layer gives the same
+per-edge view of a builtin family for the network transformations; its
+degree-aware messages carry the self term scaled by 1/d_v, so the d_v
+messages add it back exactly once.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from .graphs import Label, LabelledGraph, Labelling, Partition, partition_of
 from .linalg import Matrix, Row, matrix_from_text, matrix_to_text, row_add, row_mat, row_scale
@@ -146,7 +151,27 @@ def degree_fn_from_name(name: str) -> DegreeFn:
         return simple[name]()
     if name.startswith("blend_inv_sqrt(") and name.endswith(")"):
         return DegreeFn.blend_inv_sqrt(parse_scalar(name[len("blend_inv_sqrt(") : -1]))
+    if name.startswith("table(") and name.endswith(")"):
+        return _parse_table(name)
     raise SpecValidationError(f"unknown degree function {name!r}")
+
+
+def _parse_table(name: str) -> DegreeFn:
+    """Inverse of ``DegreeFn.descriptor`` for tables: ``table(1:1; 2:1/2)``."""
+    values: dict[int, ExactScalar] = {}
+    body = name[len("table(") : -1].strip()
+    for entry in body.split(";") if body else ():
+        degree, sep, value = entry.partition(":")
+        try:
+            if not sep:
+                raise ValueError("expected degree:value")
+            d = int(degree)
+            if d < 1 or d in values:
+                raise ValueError(f"degree {d} is not positive or repeats")
+            values[d] = parse_scalar(value)
+        except ValueError as exc:
+            raise SpecValidationError(f"bad entry {entry.strip()!r} in degree function {name!r}: {exc}") from exc
+    return DegreeFn.from_table(values)
 
 
 # -- layer descriptors ---------------------------------------------------------
@@ -248,8 +273,28 @@ def _reject_extras(family: str, params: LayerParams, *names: str):
         _require(getattr(params, name) is None, f"{family} does not take the parameter {name}")
 
 
-def _resolve_degree_family(family: str, params: LayerParams):
-    """Normalize any degree-aware builtin into (w1, w2, bias, p, g, h, sigma)."""
+def _resolve_layer(family: str, params: LayerParams):
+    """Validate a builtin layer and normalize it to (w1, w2, bias, p, g, h, sigma).
+
+    The tuple is the closed form sigma(L W1 + diag(g)(A+pI)diag(h) L W2 + B);
+    w1 and bias are None where the family has no such term.
+    """
+    _require(params.sigma in ("relu", "sign", "none"), f"unknown activation {params.sigma!r}")
+    if family == "gnn":
+        _require(params.w1 is not None and params.w2 is not None, "gnn requires W1 and W2")
+        _reject_extras(family, params, "p", "q", "r", "g_fn", "h_fn")
+        one = DegreeFn.one()
+        return params.w1, params.w2, params.bias, ZERO, one, one, params.sigma
+    if family == "gnn-minus":
+        _require(params.w2 is not None, "gnn-minus requires the weight matrix")
+        _require(params.w1 is None and params.bias is None, "gnn-minus has a single weight matrix and -q bias")
+        _require(params.p is not None and params.q is not None, "gnn-minus requires p and q")
+        _reject_extras(family, params, "r", "g_fn", "h_fn")
+        _unit_interval(params.p, "p")
+        _unit_interval(params.q, "q")
+        one = DegreeFn.one()
+        bias = (-params.q,) * (len(params.w2[0]) if params.w2 else 0)
+        return None, params.w2, bias, params.p, one, one, params.sigma
     if family == "gcn-kipf":
         _require(params.w2 is not None, "gcn-kipf requires the weight matrix")
         _require(params.w1 is None and params.bias is None, "gcn-kipf fixes W1 = 0 and no bias")
@@ -279,83 +324,75 @@ def _resolve_degree_family(family: str, params: LayerParams):
         _reject_extras(family, params, "q", "r")
         _unit_interval(params.p, "p")
         return params.w1, params.w2, params.bias, params.p, params.g_fn, params.h_fn, params.sigma
-    raise SpecValidationError(f"unknown degree-aware family {family!r}")
-
-
-def builtin_layer(family: str, params: LayerParams) -> tuple[MsgFn, UpdFn]:
-    """Message/update pair for a builtin family; raises on missing or extra parameters."""
-    sigma = params.sigma
-    if sigma not in ("relu", "sign", "none"):
-        raise SpecValidationError(f"unknown activation {sigma!r}")
-    if family == "gnn":
-        _require(params.w1 is not None and params.w2 is not None, "gnn requires W1 and W2")
-        _reject_extras(family, params, "p", "q", "r", "g_fn", "h_fn")
-        w1, w2, bias = params.w1, params.w2, params.bias
-
-        def msg(x, y, fv, fu):
-            return row_mat(y, w2)
-
-        def upd(x, m):
-            out = row_add(row_mat(x, w1), m)
-            if bias is not None:
-                out = row_add(out, bias)
-            return tuple(activate(v, sigma) for v in out)
-
-        return msg, upd
-    if family == "gnn-minus":
-        _require(params.w2 is not None, "gnn-minus requires the weight matrix")
-        _require(params.w1 is None and params.bias is None, "gnn-minus has a single weight matrix and -q bias")
-        _require(params.p is not None and params.q is not None, "gnn-minus requires p and q")
-        _reject_extras(family, params, "r", "g_fn", "h_fn")
-        _unit_interval(params.p, "p")
-        _unit_interval(params.q, "q")
-        w2, p, q = params.w2, params.p, params.q
-
-        def msg(x, y, fv, fu):
-            return row_mat(y, w2)
-
-        def upd(x, m):
-            pre = row_add(row_scale(row_mat(x, w2), p), m)
-            return tuple(activate(v - q, sigma) for v in pre)
-
-        return msg, upd
-    if family in DEGREE_FAMILIES:
-        w1, w2, bias, p, g_fn, h_fn, sigma = _resolve_degree_family(family, params)
-        return _degree_functions(w1, w2, bias, p, g_fn, h_fn, sigma)
     raise SpecValidationError(f"unknown family {family!r}")
 
 
-def _degree_functions(w1, w2, bias, p, g_fn: DegreeFn, h_fn: DegreeFn, sigma: str):
-    xw2_cache: dict[Label, Row] = {}
-    gh_cache: dict[int, ExactScalar] = {}
-    p_is_zero = p.is_zero
+def builtin_layer(family: str, params: LayerParams) -> tuple[MsgFn, UpdFn]:
+    """Per-edge message/update pair for a builtin family; raises on missing or
+    extra parameters.  run_mpnn itself evaluates builtin layers in closed form."""
+    w1, w2, bias, p, g_fn, h_fn, sigma = _resolve_layer(family, params)
+    if family in ANONYMOUS_FAMILIES:
+        return _anonymous_functions(w1, w2, bias, p, sigma)
+    return _degree_functions(w1, w2, bias, p, g_fn, h_fn, sigma)
 
-    def xw2(x: Label) -> Row:
-        out = xw2_cache.get(x)
+
+def _memo_row_mat(m: Matrix) -> Callable[[Label], Row]:
+    """x -> x @ m, computed once per distinct x."""
+    cache: dict[Label, Row] = {}
+
+    def product(x: Label) -> Row:
+        out = cache.get(x)
         if out is None:
-            out = row_mat(x, w2)
-            xw2_cache[x] = out
+            out = cache[x] = row_mat(x, m)
         return out
+
+    return product
+
+
+def _anonymous_functions(w1, w2, bias, p, sigma: str):
+    """g = h = 1: the message is y W2 and the update adds the self terms."""
+    xw2 = _memo_row_mat(w2)
+
+    def msg(x, y, fv, fu):
+        return xw2(y)
+
+    def upd(x, m):
+        out = m
+        if w1 is not None:
+            out = row_add(row_mat(x, w1), out)
+        if not p.is_zero:
+            out = row_add(row_scale(xw2(x), p), out)
+        if bias is not None:
+            out = row_add(out, bias)
+        return tuple(activate(v, sigma) for v in out)
+
+    return msg, upd
+
+
+def _degree_functions(w1, w2, bias, p, g_fn: DegreeFn, h_fn: DegreeFn, sigma: str):
+    xw1 = _memo_row_mat(w1) if w1 is not None else None
+    xw2 = _memo_row_mat(w2)
+    pair_factor: dict[tuple[int, int], ExactScalar] = {}  # (d_v, d_u) -> g(d_v) h(d_u)
+    self_factor: dict[int, tuple[ExactScalar, ExactScalar]] = {}  # d_v -> (p g(d_v) h(d_v), 1/d_v)
+    p_is_zero = p.is_zero
 
     def msg(x, y, dv, du):
         if dv < 1 or du < 1:
             raise SpecValidationError("degree-aware family run without degree information")
-        gv = g_fn.value(dv)
-        neighbour = row_scale(xw2(y), gv * h_fn.value(du))
-        self_part: Row | None = None
-        if w1 is not None:
-            self_part = row_mat(x, w1)
+        coeff = pair_factor.get((dv, du))
+        if coeff is None:
+            coeff = pair_factor[dv, du] = g_fn.value(dv) * h_fn.value(du)
+        neighbour = row_scale(xw2(y), coeff)
+        if xw1 is None and p_is_zero:
+            return neighbour
+        factors = self_factor.get(dv)
+        if factors is None:
+            factors = self_factor[dv] = (p * g_fn.value(dv) * h_fn.value(dv), ExactScalar(Fraction(1, dv)))
+        factor, renorm = factors
+        self_part = xw1(x) if xw1 is not None else None
         if not p_is_zero:
-            key = dv
-            factor = gh_cache.get(key)
-            if factor is None:
-                factor = p * gv * h_fn.value(dv)
-                gh_cache[key] = factor
             scaled = row_scale(xw2(x), factor)
             self_part = scaled if self_part is None else row_add(self_part, scaled)
-        if self_part is None:
-            return neighbour
-        renorm = ExactScalar(Fraction(1, dv))
         return row_add(row_scale(self_part, renorm), neighbour)
 
     def upd(x, m):
@@ -385,6 +422,78 @@ def _check_builtin_dims(layer: BuiltinLayer, width: int) -> None:
         raise DimensionError(f"{layer.family} bias width {len(params.bias)} does not match output")
 
 
+def propagate(g: LabelledGraph, rows: Sequence[Row], p: ExactScalar) -> list[Row]:
+    """Row v of (A + pI) @ rows: p * rows[v] plus the sum of v's neighbour rows."""
+    p_zero, p_one = p.is_zero, p == ONE
+    out = []
+    for v in range(1, g.n + 1):
+        if p_zero:
+            acc = None
+        elif p_one:
+            acc = rows[v - 1]
+        else:
+            acc = row_scale(rows[v - 1], p)
+        for u in g.neighbors(v):
+            acc = rows[u - 1] if acc is None else row_add(acc, rows[u - 1])
+        out.append(acc)
+    return out
+
+
+def _tabulate(fn: DegreeFn, degrees: Sequence[int]) -> dict[int, ExactScalar] | None:
+    """fn on each distinct degree, or None when it is 1 on all of them."""
+    table = {d: fn.value(d) for d in set(degrees)}
+    return None if all(v == ONE for v in table.values()) else table
+
+
+def _closed_form_round(g: LabelledGraph, rows: Sequence[Label], form) -> list[Label]:
+    """One builtin round: pre_v = g(d_v) (p hy_v + sum of hy_u over neighbours)
+    + x_v W1 + B with hy_u = h(d_u) x_u W2, then the activation."""
+    w1, w2, bias, p, g_fn, h_fn, sigma = form
+    degrees = g.degrees()
+    xw2 = list(map(_memo_row_mat(w2), rows))
+    h_of = _tabulate(h_fn, degrees)
+    hy = xw2 if h_of is None else [row_scale(r, h_of[d]) for r, d in zip(xw2, degrees)]
+    pre = propagate(g, hy, p)
+    g_of = _tabulate(g_fn, degrees)
+    if g_of is not None:
+        pre = [row_scale(r, g_of[d]) for r, d in zip(pre, degrees)]
+    if w1 is not None:
+        xw1 = xw2 if w1 is w2 else map(_memo_row_mat(w1), rows)
+        pre = [row_add(r, s) for r, s in zip(pre, xw1)]
+    if bias is not None:
+        pre = [row_add(r, bias) for r in pre]
+    return [tuple(activate(v, sigma) for v in r) for r in pre]
+
+
+def _per_edge_round(g: LabelledGraph, labelling: Labelling, layer: CustomLayer, f_values, round_index: int):
+    """One custom round: sum every vertex's messages, then apply the update."""
+    aggregated: list[Label] = []
+    msg_width: int | None = None
+    for v in range(1, g.n + 1):
+        x = labelling.row_of(v)
+        acc: Row | None = None
+        for u in g.neighbors(v):
+            part = layer.msg(x, labelling.row_of(u), f_values[v - 1], f_values[u - 1])
+            if msg_width is None:
+                msg_width = len(part)
+            elif len(part) != msg_width:
+                raise DimensionError(
+                    f"round {round_index}: message width {len(part)} != {msg_width}"
+                )
+            acc = part if acc is None else row_add(acc, part)
+        aggregated.append(acc)
+    new_rows: list[Label] = []
+    out_width: int | None = None
+    for v in range(1, g.n + 1):
+        row = layer.upd(labelling.row_of(v), aggregated[v - 1])
+        if out_width is None:
+            out_width = len(row)
+        elif len(row) != out_width:
+            raise DimensionError(f"round {round_index}: update width {len(row)} != {out_width}")
+        new_rows.append(tuple(row))
+    return new_rows
+
+
 def run_mpnn(g: LabelledGraph, spec: MpnnSpec) -> RunTrace:
     """Execute the network on the graph, exactly, recording every round."""
     if spec.f_mode == "zero":
@@ -401,31 +510,10 @@ def run_mpnn(g: LabelledGraph, spec: MpnnSpec) -> RunTrace:
     for round_index, layer in enumerate(spec.layers, start=1):
         if isinstance(layer, BuiltinLayer):
             _check_builtin_dims(layer, labelling.dim)
-        msg, upd = _layer_functions(layer)
-        aggregated: list[Label] = []
-        msg_width: int | None = None
-        for v in range(1, g.n + 1):
-            x = labelling.row_of(v)
-            acc: Row | None = None
-            for u in g.neighbors(v):
-                part = msg(x, labelling.row_of(u), f_values[v - 1], f_values[u - 1])
-                if msg_width is None:
-                    msg_width = len(part)
-                elif len(part) != msg_width:
-                    raise DimensionError(
-                        f"round {round_index}: message width {len(part)} != {msg_width}"
-                    )
-                acc = part if acc is None else row_add(acc, part)
-            aggregated.append(acc)
-        new_rows: list[Label] = []
-        out_width: int | None = None
-        for v in range(1, g.n + 1):
-            row = upd(labelling.row_of(v), aggregated[v - 1])
-            if out_width is None:
-                out_width = len(row)
-            elif len(row) != out_width:
-                raise DimensionError(f"round {round_index}: update width {len(row)} != {out_width}")
-            new_rows.append(tuple(row))
+            form = _resolve_layer(layer.family, layer.params)
+            new_rows = _closed_form_round(g, labelling.rows, form)
+        else:
+            new_rows = _per_edge_round(g, labelling, layer, f_values, round_index)
         labelling = Labelling(tuple(new_rows))
         labellings.append(labelling)
         partitions.append(partition_of(labelling))
@@ -491,7 +579,7 @@ def anonymize_h_const(spec: MpnnSpec) -> MpnnSpec:
             if layer.family in DEGREE_FAMILIES:
                 raise SpecValidationError(f"{layer.family} does not have h constantly 1")
             raise SpecValidationError(f"{layer.family} is not a degree-aware builtin")
-        w1, w2, bias, p, g_fn, h_fn, sigma = _resolve_degree_family(layer.family, layer.params)
+        w1, w2, bias, p, g_fn, h_fn, sigma = _resolve_layer(layer.family, layer.params)
         if not h_fn.is_one:
             raise SpecValidationError("h is not constantly 1")
 

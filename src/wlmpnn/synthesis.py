@@ -67,13 +67,12 @@ from .linalg import (
     outer,
     rank,
     right_inverse,
-    row_add,
     row_mat,
     row_scale,
     rows_linearly_independent,
     unique_rows,
 )
-from .mpnn import BuiltinLayer, DegreeFn, LayerParams, MpnnSpec
+from .mpnn import BuiltinLayer, DegreeFn, LayerParams, MpnnSpec, propagate
 from .surd import ONE, ZERO, ExactScalar, activate
 from .wl import wl_partitions
 
@@ -239,10 +238,6 @@ class RoundSynthesis:
     row_independent: bool
     wl_class_count: int
 
-    @property
-    def projected(self) -> bool:
-        return self.repair != "none"
-
     def to_json(self) -> dict:
         return {
             "W": matrix_to_text(self.weight),
@@ -343,17 +338,6 @@ def _prepared_initial(g: LabelledGraph) -> tuple[Labelling, bool]:
     if rows_linearly_independent(uniq):
         return labelling, False
     return one_hot_labelling(partition_of(labelling)), True
-
-
-def _propagate(g: LabelledGraph, rows: Sequence[Row], p: ExactScalar) -> list[Row]:
-    """Row v of (A + pI) @ rows: p * rows[v] + sum of neighbour rows."""
-    out = []
-    for v in range(1, g.n + 1):
-        acc = row_scale(rows[v - 1], p)
-        for u in g.neighbors(v):
-            acc = row_add(acc, rows[u - 1])
-        out.append(acc)
-    return out
 
 
 def _uniform_q(n: int) -> ExactScalar:
@@ -572,7 +556,7 @@ def synthesize_gnn_minus(
             ) from exc
         m = len(uniq)
         onehot = [tuple(ONE if j == classes[v] else ZERO for j in range(m)) for v in range(g.n)]
-        counts = _propagate(g, onehot, p)
+        counts = propagate(g, onehot, p)
         c_rows, _ = unique_rows(counts)
         sep = _separation(tuple(c_rows), sigma)
         q = _uniform_q(g.n) if uniform_q else sep.q
@@ -657,7 +641,8 @@ def synthesize_dgnn6(
                 raise ValueError(f"{name}({d}) must be positive")
     m_p = compute_mp(g, g_fn)
     p = (m_p + ONE) * ExactScalar(Fraction(1, 2))
-    assert m_p < p < ONE
+    if not m_p < p < ONE:
+        raise ArithmeticError(f"trade-off parameter p = {p} is not strictly between m_p = {m_p} and 1")
     g_values = [g_fn.value(d) for d in degrees]
     h_values = [h_fn.value(d) for d in degrees]
     labelling, reencoded = _prepared_initial(g)
@@ -674,11 +659,11 @@ def synthesize_dgnn6(
             basis_rows = [
                 tuple(ONE if j == scaled_class[v] else ZERO for j in range(m)) for v in range(g.n)
             ]
-            pre = _propagate(g, basis_rows, p)
+            pre = propagate(g, basis_rows, p)
             v_map: Matrix | None = u_matrix
         else:
             route = "direct"
-            pre = _propagate(g, scaled, p)
+            pre = propagate(g, scaled, p)
             v_map = None
         target = [row_scale(pre[v], g_values[v]) for v in range(g.n)]
         width = len(target[0])

@@ -18,6 +18,7 @@ from wlmpnn.mpnn import (
     SpecValidationError,
     anonymize_h_const,
     builtin_layer,
+    degree_fn_from_name,
     degree_probe_spec,
     lift_plus_one,
     run_mpnn,
@@ -272,6 +273,93 @@ def test_general_dgnn_round_trips_with_degree_functions():
             h_fn=DegreeFn.one(),
         ),
     )
-    spec = MpnnSpec(f_mode="degree", layers=(layer,))
-    rebuilt = spec_from_json(spec_to_json(spec))
-    assert run_mpnn(g, rebuilt).labellings[1].rows == run_mpnn(g, spec).labellings[1].rows
+    tabulated = BuiltinLayer(
+        "general-dgnn",
+        LayerParams(
+            w2=identity(3),
+            p=ONE,
+            g_fn=DegreeFn.from_table({1: ONE, 2: S(Fraction(1, 2)), 3: S.sqrt(3, Fraction(1, 3)) + ONE}),
+            h_fn=DegreeFn.blend_inv_sqrt(S(Fraction(1, 3))),
+        ),
+    )
+    spec = MpnnSpec(f_mode="degree", layers=(layer, tabulated))
+    payload = json.loads(json.dumps(spec_to_json(spec)))
+    assert payload["layers"][1]["g"] == "table(1:1; 2:1/2; 3:1 + 1/3*sqrt(3))"
+    rebuilt = spec_from_json(payload)
+    assert rebuilt == spec
+    assert run_mpnn(g, rebuilt).labellings == run_mpnn(g, spec).labellings
+
+
+@pytest.mark.parametrize(
+    "name", ["table(1:1; 1:2)", "table(0:1)", "table(1)", "table(x:1)", "table(1:; 2:1)"]
+)
+def test_malformed_degree_table_is_a_spec_error(name):
+    with pytest.raises(SpecValidationError, match="degree function"):
+        degree_fn_from_name(name)
+
+
+def test_empty_degree_table_round_trips():
+    assert degree_fn_from_name(DegreeFn.from_table({}).descriptor()) == DegreeFn.from_table({})
+
+
+# -- closed-form evaluation against the per-edge view ---------------------------------------
+
+
+def _random_matrix(rng, rows, cols):
+    return tuple(
+        tuple(S(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))) for _ in range(cols))
+        for _ in range(rows)
+    )
+
+
+def _random_layer(rng, family, width, out, max_degree):
+    sigma = rng.choice(["relu", "sign", "none"])
+    w = _random_matrix(rng, width, out)
+    bias = _random_matrix(rng, 1, out)[0]
+    if family in ("gcn-kipf", "dgnn1", "dgnn2", "dgnn3", "dgnn4", "dgnn5"):
+        kwargs = {} if family == "gcn-kipf" else {"bias": bias}
+        return LayerParams(w2=w, sigma=sigma, **kwargs)
+    if family == "dgnn6":
+        r = S(Fraction(rng.randint(1, 4), 4))
+        return LayerParams(w2=w, bias=bias, r=r, p=S(Fraction(rng.randint(0, 4), 4)), sigma=sigma)
+    if family == "gnn":
+        return LayerParams(w1=_random_matrix(rng, width, out), w2=w, bias=bias, sigma=sigma)
+    if family == "gnn-minus":
+        p, q = (S(Fraction(rng.randint(0, 4), 4)) for _ in range(2))
+        return LayerParams(w2=w, p=p, q=q, sigma=sigma)
+    # general-dgnn: own self weight, a bias, p != 0 and distinct g and h, one of them tabulated
+    h_table = {d: S.sqrt(d + 1, Fraction(1, rng.randint(1, 3))) for d in range(1, max_degree + 1)}
+    return LayerParams(
+        w1=_random_matrix(rng, width, out),
+        w2=w,
+        bias=bias,
+        p=S(Fraction(rng.randint(1, 4), 4)),
+        sigma=sigma,
+        g_fn=rng.choice([DegreeFn.inv_d(), DegreeFn.inv_sqrt_d(), DegreeFn.blend_inv_sqrt(S(Fraction(1, 3)))]),
+        h_fn=DegreeFn.from_table(h_table),
+    )
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["gcn-kipf", "dgnn1", "dgnn2", "dgnn3", "dgnn4", "dgnn5", "dgnn6", "gnn", "gnn-minus", "general-dgnn"],
+)
+def test_closed_form_matches_per_edge_closures(family):
+    for seed in range(6):
+        rng = random.Random(f"{family}:{seed}")
+        # two-letter alphabet: repeated labels; edge density 0.35: mixed degrees
+        g = sample_graph(rng.randint(4, 9), 0.35, 300 + seed, alphabet=rng.choice((2, 3)))
+        width, layers = g.label_dim, []
+        for _ in range(3):
+            out = rng.randint(1, 3)
+            layers.append(BuiltinLayer(family, _random_layer(rng, family, width, out, g.n - 1)))
+            width = out
+        f_mode = "zero" if family in ("gnn", "gnn-minus") else "degree"
+        spec = MpnnSpec(f_mode=f_mode, layers=tuple(layers))
+        per_edge = MpnnSpec(
+            f_mode=f_mode,
+            layers=tuple(CustomLayer(*builtin_layer(layer.family, layer.params)) for layer in layers),
+        )
+        closed, reference = run_mpnn(g, spec), run_mpnn(g, per_edge)
+        assert closed.labellings == reference.labellings
+        assert closed.partitions == reference.partitions

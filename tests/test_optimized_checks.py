@@ -1,0 +1,64 @@
+"""Verification checks are explicit raises, so ``python -O`` keeps them."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SCRIPT = """
+import sys
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+
+from wlmpnn import linalg, synthesis
+from wlmpnn.cases import builtin_graph
+from wlmpnn.compare import CompareVerdict
+from wlmpnn.linalg import as_matrix, identity, right_inverse, zeros
+from wlmpnn.surd import ExactScalar
+
+m = as_matrix([[1, 2, 0], [3, 4, 1]])
+if linalg.mat_mul(m, right_inverse(m)) != identity(2):
+    sys.exit("right_inverse returned a wrong inverse")
+cert = synthesis.synthesize_dgnn6(builtin_graph("fig1"), 1, "relu")
+if not (cert.m_p < cert.p < 1):
+    sys.exit("dgnn6 trade-off parameter out of range")
+
+# a product that is not the identity must still fail the re-verification
+real_mat_mul = linalg.mat_mul
+linalg.mat_mul = lambda a, b: zeros(len(a), len(b[0]))
+try:
+    right_inverse(m)
+except ArithmeticError:
+    pass
+else:
+    sys.exit("right_inverse accepted a wrong product")
+linalg.mat_mul = real_mat_mul
+
+# an m_p >= 1 puts p = (m_p + 1)/2 outside (m_p, 1)
+synthesis.compute_mp = lambda g, g_fn: ExactScalar(2)
+try:
+    synthesis.synthesize_dgnn6(builtin_graph("fig1"), 1, "relu")
+except ArithmeticError:
+    pass
+else:
+    sys.exit("synthesize_dgnn6 accepted p outside (m_p, 1)")
+
+try:
+    CompareVerdict(holds=True, first_violation=(1, 2, 3))
+except ValueError:
+    pass
+else:
+    sys.exit("CompareVerdict accepted a holding verdict with a violation")
+print("checks held")
+"""
+
+
+def test_checks_survive_python_optimize():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "checks held"
