@@ -46,11 +46,11 @@ from .synthesis import (
     SynthesisError,
     compute_mp,
     relu_separation,
-    right_inverse,
     sign_separation,
     synthesize_dgnn6,
     synthesize_gnn_minus,
 )
+from .linalg import right_inverse
 from .compare import CompareVerdict, ShiftSpec, compare_traces, equally_strong, report, weaker
 from .cases import (
     CaseReport,

@@ -7,9 +7,15 @@ linearly independent over the rationals, so equality is a coefficient
 comparison, the zero test is exact, and the field is closed under the four
 ring operations, inversion and the sign/ReLU activations used by the engines.
 
+A value is stored as integer numerators keyed by radicand over one common
+positive denominator, in lowest terms, so each addition or multiplication
+works on plain integers and reduces once, by a single multi-argument gcd,
+instead of once per term.  ``ExactScalar.terms`` still presents the
+coefficients as one reduced ``Fraction`` per radicand.
+
 Sign determination of a provably nonzero value uses certified dyadic
-interval enclosures of each square root, doubling the working precision
-until the enclosure excludes zero.
+interval enclosures of each square root, scaled to integers, doubling the
+working precision until the enclosure excludes zero.
 """
 from __future__ import annotations
 
@@ -20,7 +26,7 @@ from typing import Iterable, Union
 
 _SIGN_START_BITS = 64
 _SIGN_MAX_BITS = 1 << 22
-_MAX_INVERT_PRIMES = 12
+_MAX_CONJUGATE_PRIMES = 12
 
 Rational = Fraction
 Coercible = Union["ExactScalar", int, Fraction]
@@ -61,31 +67,31 @@ def _prime_factors(squarefree: int) -> tuple[int, ...]:
 
 
 class ExactScalar:
-    """Immutable element of the multi-quadratic field described above."""
+    """Immutable element of the multi-quadratic field described above.
 
-    __slots__ = ("_terms", "_hash", "_sign")
+    ``_num`` maps each squarefree radicand to a nonzero integer numerator
+    and ``_den`` is the one positive denominator they share, in lowest
+    terms: ``gcd(_den, *_num.values()) == 1``.  Zero is ``({}, 1)``.  The
+    form is canonical, so equality compares the two fields directly.
+    """
+
+    __slots__ = ("_num", "_den", "_hash", "_sign")
 
     def __init__(self, value: Coercible = 0):
         if isinstance(value, ExactScalar):
-            terms = dict(value._terms)
+            num, den = value._num, value._den
+        elif type(value) is int:
+            num, den = ({1: value} if value else {}), 1
         else:
             q = Fraction(value)
-            terms = {1: q} if q else {}
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_sign", None)
+            num, den = ({1: q.numerator} if q else {}), q.denominator
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_hash(self, None)
+        _set_sign(self, None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("ExactScalar is immutable")
-
-    @classmethod
-    def _make(cls, terms: dict[int, Fraction]) -> "ExactScalar":
-        """Trusted constructor: radicands already squarefree, no zero coefficients."""
-        out = cls.__new__(cls)
-        object.__setattr__(out, "_terms", terms)
-        object.__setattr__(out, "_hash", None)
-        object.__setattr__(out, "_sign", None)
-        return out
 
     @classmethod
     def sqrt(cls, radicand: int, coeff: Coercible = 1) -> "ExactScalar":
@@ -113,25 +119,29 @@ class ExactScalar:
                 acc[free] = newc
             else:
                 acc.pop(free, None)
-        return cls._make(acc)
+        # over the lcm of reduced denominators the numerators are already coprime to it
+        den = math.lcm(*(c.denominator for c in acc.values())) if acc else 1
+        return _make({r: c.numerator * (den // c.denominator) for r, c in acc.items()}, den)
 
     # -- inspection -------------------------------------------------------
 
     @property
     def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
+        den = self._den
+        return {r: Fraction(c, den) for r, c in self._num.items()}
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     @property
     def is_rational(self) -> bool:
-        return all(r == 1 for r in self._terms)
+        num = self._num
+        return not num or (len(num) == 1 and 1 in num)
 
     @property
     def rational_part(self) -> Fraction:
-        return self._terms.get(1, Fraction(0))
+        return Fraction(self._num.get(1, 0), self._den)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
@@ -155,22 +165,43 @@ class ExactScalar:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for r, c in other._terms.items():
-            newc = out.get(r, Fraction(0)) + c
+        if type(other) is not ExactScalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        n2 = other._num
+        if not n2:
+            return self
+        n1 = self._num
+        if not n1:
+            return other
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            g, s1, s2, den = d1, 1, 1, d1
+        else:
+            g = math.gcd(d1, d2)
+            s1, s2 = d2 // g, d1 // g
+            den = d1 * s1
+        out = {r: c * s1 for r, c in n1.items()} if s1 != 1 else dict(n1)
+        get = out.get
+        for r, c in n2.items():
+            newc = get(r, 0) + c * s2
             if newc:
                 out[r] = newc
             else:
-                out.pop(r, None)
-        return ExactScalar._make(out)
+                del out[r]
+        # over den = d1*d2/g every common factor of the numerators and den divides g
+        if g != 1:
+            g = math.gcd(g, *out.values())
+            if g != 1:
+                out = {r: c // g for r, c in out.items()}
+                den //= g
+        return _make(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactScalar._make({r: -c for r, c in self._terms.items()})
+        return _make({r: -c for r, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -185,28 +216,48 @@ class ExactScalar:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out: dict[int, Fraction] = {}
-        for r1, c1 in self._terms.items():
-            for r2, c2 in other._terms.items():
-                if r1 == 1:
-                    r, c = r2, c1 * c2
-                elif r2 == 1:
-                    r, c = r1, c1 * c2
-                elif r1 == r2:
-                    r, c = 1, c1 * c2 * r1
-                else:
-                    g = math.gcd(r1, r2)
-                    r = (r1 // g) * (r2 // g)
-                    c = c1 * c2 * g
-                newc = out.get(r, Fraction(0)) + c
-                if newc:
-                    out[r] = newc
-                else:
-                    out.pop(r, None)
-        return ExactScalar._make(out)
+        if type(other) is not ExactScalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        n1, n2 = self._num, other._num
+        if not n1 or not n2:
+            return ZERO
+        gcd = math.gcd
+        if len(n2) == 1 and 1 in n2:
+            k = n2[1]
+            out = {r: c * k for r, c in n1.items()}
+        elif len(n1) == 1 and 1 in n1:
+            k = n1[1]
+            out = {r: c * k for r, c in n2.items()}
+        else:
+            out = {}
+            get = out.get
+            pairs = n2.items()
+            for r1, c1 in n1.items():
+                for r2, c2 in pairs:
+                    if r1 == 1:
+                        r, c = r2, c1 * c2
+                    elif r2 == 1:
+                        r, c = r1, c1 * c2
+                    elif r1 == r2:
+                        r, c = 1, c1 * c2 * r1
+                    else:
+                        g = gcd(r1, r2)
+                        r = (r1 // g) * (r2 // g)
+                        c = c1 * c2 * g
+                    newc = get(r, 0) + c
+                    if newc:
+                        out[r] = newc
+                    else:
+                        del out[r]
+        den = self._den * other._den
+        if den != 1:
+            g = gcd(den, *out.values())
+            if g != 1:
+                out = {r: c // g for r, c in out.items()}
+                den //= g
+        return _make(out, den)
 
     __rmul__ = __mul__
 
@@ -224,31 +275,23 @@ class ExactScalar:
         return out
 
     def invert(self) -> "ExactScalar":
-        """Multiplicative inverse, computed via the product of sign-flip conjugates.
+        """Multiplicative inverse: the product of the other sign-flip
+        conjugates, divided by the (rational) product of all of them.
 
-        The radicands of self may span at most 12 distinct primes (2**12
-        conjugates bound the cost at desk scale).
+        The radicands of self may span at most 12 distinct primes (see
+        ``conjugates``).
         """
-        if not self._terms:
+        num = self._num
+        if not num:
             raise ZeroDivisionError("division by zero in the surd field")
         if self.is_rational:
-            return ExactScalar(Fraction(1) / self.rational_part)
-        primes = sorted({p for r in self._terms if r != 1 for p in _prime_factors(r)})
-        if len(primes) > _MAX_INVERT_PRIMES:
-            raise ValueError(f"radicands span {len(primes)} primes; inversion limit is {_MAX_INVERT_PRIMES}")
-        masks = {
-            r: sum(1 << i for i, p in enumerate(primes) if r % p == 0)
-            for r in self._terms
-        }
+            c = num[1]
+            return _make({1: self._den if c > 0 else -self._den}, abs(c))
         conj_product = ONE
-        for flip in range(1, 1 << len(primes)):
-            conj = ExactScalar._make({
-                r: (-c if (masks[r] & flip).bit_count() & 1 else c)
-                for r, c in self._terms.items()
-            })
+        for conj in conjugates(self)[1:]:
             conj_product = conj_product * conj
         norm = self * conj_product
-        if not norm.is_rational or norm.rational_part == 0:
+        if not norm.is_rational or norm.is_zero:
             raise ArithmeticError(f"conjugate norm of {self} is not a nonzero rational: {norm}")
         return conj_product * ExactScalar(Fraction(1) / norm.rational_part)
 
@@ -267,51 +310,57 @@ class ExactScalar:
     # -- equality, ordering, sign -----------------------------------------
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._terms == other._terms
+        if type(other) is not ExactScalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        if self._hash is None:
+        h = self._hash
+        if h is None:
             if self.is_rational:
                 h = hash(self.rational_part)
             else:
-                h = hash(tuple(sorted(self._terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return self._hash
+                h = hash(tuple(sorted(self.terms.items())))
+            _set_hash(self, h)
+        return h
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}."""
-        if self._sign is None:
-            object.__setattr__(self, "_sign", self._compute_sign())
-        return self._sign
+        s = self._sign
+        if s is None:
+            s = self._compute_sign()
+            _set_sign(self, s)
+        return s
 
     def _compute_sign(self) -> int:
-        if not self._terms:
+        """Sign of sum(c*sqrt(r)), the numerator over the positive denominator.
+
+        At b bits each sqrt(r) lies in [isqrt(r << 2b), isqrt(r << 2b) + 1]
+        / 2**b, so scaled integer bounds on the sum decide the sign once
+        they do not straddle zero.
+        """
+        num = self._num
+        if not num:
             return 0
-        if len(self._terms) == 1:
-            ((_, c),) = self._terms.items()
-            return 1 if c > 0 else -1
+        if len(num) == 1:
+            for c in num.values():
+                return 1 if c > 0 else -1
+        rational = num.get(1, 0)
+        irrational = [(r, c) for r, c in num.items() if r != 1]
+        isqrt = math.isqrt
         bits = _SIGN_START_BITS
         while bits <= _SIGN_MAX_BITS:
-            lo = Fraction(0)
-            hi = Fraction(0)
-            scale = 1 << bits
-            for r, c in self._terms.items():
-                if r == 1:
-                    lo += c
-                    hi += c
-                    continue
-                root_floor = math.isqrt(r << (2 * bits))
-                root_lo = Fraction(root_floor, scale)
-                root_hi = Fraction(root_floor + 1, scale)
+            lo = hi = rational << bits
+            for r, c in irrational:
+                root = isqrt(r << (2 * bits))
                 if c > 0:
-                    lo += c * root_lo
-                    hi += c * root_hi
+                    lo += c * root
+                    hi += c * (root + 1)
                 else:
-                    lo += c * root_hi
-                    hi += c * root_lo
+                    lo += c * (root + 1)
+                    hi += c * root
             if lo > 0:
                 return 1
             if hi < 0:
@@ -346,18 +395,20 @@ class ExactScalar:
     # -- conversion / text --------------------------------------------------
 
     def __float__(self) -> float:
-        return float(sum(float(c) * math.sqrt(r) for r, c in self._terms.items()))
+        den = self._den
+        return float(sum((c / den) * math.sqrt(r) for r, c in self._num.items()))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def to_text(self) -> str:
         """Canonical text form: terms by radicand ascending, rational part first."""
-        if not self._terms:
+        if not self._num:
             return "0"
+        terms = self.terms
         parts: list[str] = []
-        for r in sorted(self._terms):
-            c = self._terms[r]
+        for r in sorted(terms):
+            c = terms[r]
             mag = abs(c)
             num = f"{mag.numerator}" if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
             if r == 1:
@@ -376,6 +427,64 @@ class ExactScalar:
 
     def __repr__(self):
         return f"ExactScalar({self.to_text()!r})"
+
+
+_new = object.__new__
+_set_num = ExactScalar._num.__set__
+_set_den = ExactScalar._den.__set__
+_set_hash = ExactScalar._hash.__set__
+_set_sign = ExactScalar._sign.__set__
+
+
+def _make(num: dict[int, int], den: int) -> ExactScalar:
+    """Trusted constructor: radicands squarefree, numerators nonzero, lowest terms."""
+    out = _new(ExactScalar)
+    _set_num(out, num)
+    _set_den(out, den)
+    _set_hash(out, None)
+    _set_sign(out, None)
+    return out
+
+
+def conjugates(x: ExactScalar) -> list[ExactScalar]:
+    """Every sign-flip conjugate of x, x itself first.
+
+    With p_1..p_k the primes of x's radicands, flip f (a k-bit mask)
+    negates each term whose radicand has an odd number of the flipped
+    primes.  More than 12 primes (4,096 conjugates) raises ValueError.
+    """
+    num, den = x._num, x._den
+    primes = sorted({p for r in num if r != 1 for p in _prime_factors(r)})
+    if len(primes) > _MAX_CONJUGATE_PRIMES:
+        raise ValueError(f"radicands span {len(primes)} primes; the conjugate limit is {_MAX_CONJUGATE_PRIMES}")
+    masked = [
+        (r, c, sum(1 << i for i, p in enumerate(primes) if r % p == 0))
+        for r, c in num.items()
+    ]
+    out = [x]
+    for flip in range(1, 1 << len(primes)):
+        out.append(_make({r: -c if (mask & flip).bit_count() & 1 else c for r, c, mask in masked}, den))
+    return out
+
+
+def floor_exact(x: ExactScalar) -> int:
+    """The exact floor of x."""
+    num, den = x._num, x._den
+    if not num:
+        return 0
+    if len(num) == 1:
+        ((r, c),) = num.items()
+        if r == 1:
+            return c // den
+        # |c|*sqrt(r) is irrational, so floor(-y) = -floor(y) - 1
+        root = math.isqrt(c * c * r) // den
+        return root if c > 0 else -root - 1
+    guess = math.floor(float(x))
+    while x < guess:
+        guess -= 1
+    while x >= guess + 1:
+        guess += 1
+    return guess
 
 
 _TERM_RE = re.compile(r"^(?P<sign>-)?(?:(?P<coeff>\d+(?:/\d+)?)\*?)?(?:sqrt\((?P<radicand>\d+)\))?$")
@@ -414,7 +523,12 @@ def parse_scalar(text: str) -> ExactScalar:
         m = _TERM_RE.match(chunk)
         if not m or (m.group("coeff") is None and m.group("radicand") is None):
             raise ValueError(f"malformed term {chunk!r} in scalar {text!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        coeff = Fraction(1)
+        if m.group("coeff"):
+            numerator, _, denominator = m.group("coeff").partition("/")
+            if denominator and int(denominator) == 0:
+                raise ValueError(f"zero denominator in term {chunk!r} of scalar {text!r}")
+            coeff = Fraction(int(numerator), int(denominator or 1))
         if m.group("sign"):
             coeff = -coeff
         radicand = int(m.group("radicand")) if m.group("radicand") else 1

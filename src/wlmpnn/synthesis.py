@@ -73,7 +73,7 @@ from .linalg import (
     unique_rows,
 )
 from .mpnn import BuiltinLayer, DegreeFn, LayerParams, MpnnSpec, propagate
-from .surd import ONE, ZERO, ExactScalar, activate
+from .surd import ONE, ZERO, ExactScalar, activate, floor_exact
 from .wl import wl_partitions
 
 
@@ -180,16 +180,20 @@ def sign_separation(c: Sequence[Row]) -> SeparationResult:
 
 # -- the p lower bound for degree-normalized synthesis -------------------------
 
-_MP_CACHE: dict = {}
-
-
 def compute_mp(g: LabelledGraph, g_fn: DegreeFn) -> ExactScalar:
     """Largest forbidden trade-off value for the degree scaling g on this graph.
 
-    Enumerates, over ratios alpha of distinct g values and i, j in {0..n},
-    the values alpha*j - i, (i - alpha*j)/alpha and (alpha*j - i)/(1 - alpha)
-    that land in [0, 1), and returns their maximum (0 when none exist, e.g.
-    on regular graphs).  All comparisons are exact.
+    The maximum, over ratios alpha of distinct g values and i, j in {0..n},
+    of the values alpha*j - i, (i - alpha*j)/alpha and (alpha*j - i)/(1 - alpha)
+    that land in [0, 1), or 0 when none do (e.g. on regular graphs).  All
+    comparisons are exact.
+
+    The ratios come in pairs alpha, 1/alpha, and (i - alpha*j)/alpha is
+    (1/alpha)*i - j, so the second form repeats the first; the third form
+    is symmetric under alpha -> 1/alpha with i and j swapped, so it is
+    taken for alpha < 1 only.  For fixed alpha and j each remaining form
+    lands in [0, 1) on an interval of i whose best end is a floor of
+    alpha*j or alpha*(j+1), so the work is O(n) per ratio, not O(n^2).
     """
     degrees = tuple(sorted(set(g.degrees())))
     values = {}
@@ -198,9 +202,6 @@ def compute_mp(g: LabelledGraph, g_fn: DegreeFn) -> ExactScalar:
         if value.sign() <= 0:
             raise ValueError(f"g must be positive on present degrees; g({d}) = {value}")
         values[d] = value
-    key = (g.n, degrees, tuple(values[d].to_text() for d in degrees))
-    if key in _MP_CACHE:
-        return _MP_CACHE[key]
     ratios: dict[ExactScalar, None] = {}
     for a in degrees:
         for b in degrees:
@@ -209,16 +210,21 @@ def compute_mp(g: LabelledGraph, g_fn: DegreeFn) -> ExactScalar:
     best = ZERO
     n = g.n
     for alpha in ratios:
-        inv_alpha = alpha.invert()
-        inv_one_minus = (ONE - alpha).invert()
+        below_one = alpha < ONE
+        inv_one_minus = (ONE - alpha).invert() if below_one else None
+        multiples = [alpha * k for k in range(n + 2)]
+        floors = [floor_exact(m) for m in multiples]
         for j in range(n + 1):
-            alpha_j = alpha * j
-            for i in range(n + 1):
-                head = alpha_j - i
-                for candidate in (head, (ExactScalar(i) - alpha_j) * inv_alpha, head * inv_one_minus):
-                    if candidate.sign() >= 0 and (candidate - ONE).sign() < 0 and candidate > best:
-                        best = candidate
-    _MP_CACHE[key] = best
+            alpha_j = multiples[j]
+            # alpha*j - i lies in [0, 1) only for i = floor(alpha*j)
+            candidates = [alpha_j - floors[j]] if floors[j] <= n else []
+            # (alpha*j - i)/(1 - alpha) lies in [0, 1) for i in (alpha*(j+1) - 1, alpha*j];
+            # the smallest such i, floor(alpha*(j+1)), gives the largest value
+            if below_one and floors[j + 1] <= min(n, floors[j]):
+                candidates.append((alpha_j - floors[j + 1]) * inv_one_minus)
+            for candidate in candidates:
+                if candidate > best:
+                    best = candidate
     return best
 
 

@@ -20,7 +20,7 @@ from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 from .graphs import Label, LabelledGraph, Labelling, Partition, partition_of
-from .surd import ExactScalar, _prime_factors
+from .surd import ExactScalar, conjugates, floor_exact
 
 ENCODING_GUARD = 10**6
 
@@ -138,15 +138,6 @@ def cantor_tuple(values: Sequence[int]) -> int:
     return reduce(cantor_pair, values)
 
 
-def _floor_exact(x: ExactScalar) -> int:
-    guess = math.floor(float(x))
-    while x < guess:
-        guess -= 1
-    while x >= guess + 1:
-        guess += 1
-    return guess
-
-
 def _simplest_in_open(lo: ExactScalar, hi: ExactScalar) -> Fraction:
     """Smallest-denominator rational strictly between lo and hi (Stern-Brocot walk)."""
     if not lo < hi:
@@ -155,7 +146,7 @@ def _simplest_in_open(lo: ExactScalar, hi: ExactScalar) -> Fraction:
         return Fraction(0)
     if hi.sign() <= 0:
         return -_simplest_in_open(-hi, -lo)
-    floor_lo = _floor_exact(lo)
+    floor_lo = floor_exact(lo)
     candidate = floor_lo + 1
     if lo < candidate < hi:
         return Fraction(candidate)
@@ -164,26 +155,12 @@ def _simplest_in_open(lo: ExactScalar, hi: ExactScalar) -> Fraction:
     shifted_hi = hi - candidate + 1
     if shifted_lo.is_zero:
         inv = shifted_hi.invert()
-        k = _floor_exact(inv) + 1
+        k = floor_exact(inv) + 1
         if inv >= k:
             k += 1
         return floor_lo + Fraction(1, k)
     inner = _simplest_in_open(shifted_hi.invert(), shifted_lo.invert())
     return floor_lo + 1 / inner
-
-
-def _conjugates(x: ExactScalar) -> list[ExactScalar]:
-    terms = x.terms
-    primes = sorted({p for r in terms if r != 1 for p in _prime_factors(r)})
-    masks = {r: sum(1 << i for i, p in enumerate(primes) if r % p == 0) for r in terms}
-    out = []
-    for flip in range(1 << len(primes)):
-        out.append(
-            ExactScalar.normalize(
-                (r, -c if (masks[r] & flip).bit_count() & 1 else c) for r, c in terms.items()
-            )
-        )
-    return out
 
 
 def scalar_representation(x: ExactScalar) -> tuple[tuple[int, ...], int, int, int, int]:
@@ -197,9 +174,9 @@ def scalar_representation(x: ExactScalar) -> tuple[tuple[int, ...], int, int, in
     if x.is_rational:
         q = x.rational_part
         return ((), q.numerator, 0, q.denominator, 1)
-    conjugates = _conjugates(x)
+    roots = conjugates(x)
     poly: list[ExactScalar] = [ExactScalar(1)]
-    for root in conjugates:
+    for root in roots:
         shifted = [ExactScalar(0)] + poly  # multiply by T
         for i, coeff in enumerate(poly):
             shifted[i] = shifted[i] - root * coeff
@@ -215,7 +192,7 @@ def scalar_representation(x: ExactScalar) -> tuple[tuple[int, ...], int, int, in
     ints = [a // content for a in ints]
     if ints[-1] < 0:
         ints = [-a for a in ints]
-    distinct = sorted(set(conjugates))
+    distinct = sorted(set(roots))
     pos = distinct.index(x)
     below = distinct[pos - 1] if pos > 0 else x - 1
     above = distinct[pos + 1] if pos + 1 < len(distinct) else x + 1

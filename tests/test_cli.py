@@ -120,6 +120,12 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_zero_denominator_scalar_exit_2(capsys):
+    assert run(["synth", "--graph", "fig1", "--target", "gnn-minus", "--sigma", "relu",
+                "--rounds", "3", "--p", "1/0"]) == 2
+    assert "error: zero denominator" in capsys.readouterr().err
+
+
 def test_bad_graph_file_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("n 2\nv 1 1: 1\nv 2 1: 1\ne 1 1\n")

@@ -1,4 +1,5 @@
 """Exact scalar field: canonical form, arithmetic, sign, inversion, text."""
+import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -173,3 +174,130 @@ def test_sign_agrees_with_float_when_clear(a):
     approx = float(a)
     if abs(approx) > 1e-6:
         assert a.sign() == (1 if approx > 0 else -1)
+
+
+# -- the integer representation ------------------------------------------------
+
+def test_parse_rejects_zero_denominator():
+    for bad in ("1/0", "sqrt(2) + 3/0*sqrt(5)", "-0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_scalar(bad)
+    assert parse_scalar("0/7 + 2/4") == S(Fraction(1, 2))
+
+
+def test_terms_are_reduced_fractions_per_radicand():
+    value = S.normalize([(1, Fraction(1, 6)), (2, Fraction(3, 4)), (3, Fraction(5, 3))])
+    assert value._den == 12
+    assert value._num == {1: 2, 2: 9, 3: 20}
+    assert value.terms == {1: Fraction(1, 6), 2: Fraction(3, 4), 3: Fraction(5, 3)}
+    assert S.normalize(value.terms.items()) == value
+
+
+def test_zero_is_canonical():
+    for zero in (S(0), S(Fraction(0, 5)), sqrt(2, Fraction(1, 3)) - sqrt(2, Fraction(1, 3)),
+                 S(Fraction(1, 2)) + S(Fraction(-1, 2)), ZERO * sqrt(3, Fraction(2, 9))):
+        assert zero._num == {} and zero._den == 1
+        assert zero == ZERO and hash(zero) == hash(0)
+
+
+# radicands sharing primes (2, 3, 5, 7), coefficients past 2**64
+wide_coefficients = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.builds(Fraction, st.integers(-(2**90), 2**90), st.integers(1, 2**80)),
+)
+wide_scalars = st.builds(
+    lambda pairs: S.normalize(pairs),
+    st.lists(st.tuples(st.sampled_from([1, 2, 3, 5, 6, 10, 14, 15, 21, 30]), wide_coefficients), max_size=4),
+)
+
+
+def _assert_canonical(x):
+    assert x._den > 0
+    assert all(c != 0 for c in x._num.values())
+    assert all(r >= 1 for r in x._num)
+    assert math.gcd(x._den, *x._num.values()) == 1
+    if not x._num:
+        assert x._den == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_scalars, wide_scalars)
+def test_canonical_form_after_every_operation(a, b):
+    results = [a, b, a + b, a - b, a * b, -a, a * 3, Fraction(2, 9) * b, a + Fraction(1, 6)]
+    if not b.is_zero:
+        results.append(a / b)
+    for x in results:
+        _assert_canonical(x)
+        assert S.normalize(x.terms.items()) == x
+
+
+def _to_sympy(x):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator) * sympy.sqrt(r) for r, c in x.terms.items()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_scalars, wide_scalars)
+def test_ring_operations_against_sympy(a, b):
+    sympy = pytest.importorskip("sympy")
+    sa, sb = _to_sympy(a), _to_sympy(b)
+    assert sympy.expand(_to_sympy(a + b) - (sa + sb)) == 0
+    assert sympy.expand(_to_sympy(a - b) - (sa - sb)) == 0
+    assert sympy.expand(_to_sympy(a * b) - sa * sb) == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(wide_scalars)
+def test_invert_against_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    if a.is_zero:
+        return
+    assert sympy.expand(_to_sympy(a.invert()) * _to_sympy(a)) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_scalars, wide_scalars)
+def test_sign_and_order_against_sympy(a, b):
+    sympy = pytest.importorskip("sympy")
+    assert a.sign() == int(sympy.sign(_to_sympy(a)))
+    assert (a < b) == (int(sympy.sign(_to_sympy(a) - _to_sympy(b))) < 0)
+    assert (a < b) == ((a - b).sign() < 0) == (b > a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_coefficients)
+def test_rational_hash_matches_fraction_hash(q):
+    assert hash(S(q)) == hash(q)
+    if q.denominator == 1:
+        assert hash(S(q.numerator)) == hash(q.numerator)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_scalars)
+def test_irrational_hash_is_the_sorted_terms_tuple(a):
+    # the hash of every irrational value stays that of its sorted (radicand, Fraction) pairs
+    if not a.is_rational:
+        assert hash(a) == hash(tuple(sorted(a.terms.items())))
+        assert hash(a) == hash(S.normalize(reversed(list(a.terms.items()))))
+
+
+def _sqrt2_convergents(count):
+    p, q = 1, 1
+    for _ in range(count):
+        p, q = p + 2 * q, p + q
+        yield p, q
+
+
+def test_sign_near_zero_doubles_precision():
+    # sqrt(2) - p/q differs from 0 by about 1/(2*sqrt(2)*q**2), far below 2**-64
+    checked = 0
+    for p, q in _sqrt2_convergents(200):
+        value = sqrt(2) - S(Fraction(p, q))
+        assert value.sign() == (1 if 2 * q * q > p * p else -1)
+        assert (S(Fraction(p, q)) < sqrt(2)) == (2 * q * q > p * p)
+        checked += q.bit_length() > 64
+    assert checked > 100
+    # the same gap beside a second irrational term: sqrt(3)*(sqrt(2) - p/q)
+    p, q = list(_sqrt2_convergents(120))[-1]
+    value = sqrt(6) - sqrt(3, Fraction(p, q))
+    assert value.sign() == (1 if 2 * q * q > p * p else -1)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from wlmpnn.cases import builtin_graph, make_graph
+from wlmpnn.cases import builtin_graph, make_graph, sample_graph
 from wlmpnn.graphs import partition_refines
 from wlmpnn.linalg import as_matrix, determinant, identity, mat_mul, right_inverse, unique_rows
 from wlmpnn.mpnn import DegreeFn, run_mpnn
@@ -154,6 +154,19 @@ def brute_force_mp(n, g_values):
     return max(candidates)
 
 
+def brute_force_mp_exact(n, g_values):
+    """The same enumeration over surd g values: every i, j and form, then max."""
+    ratios = {b / a for a in g_values for b in g_values if a != b}
+    best = ZERO
+    for alpha in ratios:
+        for i in range(n + 1):
+            for j in range(n + 1):
+                for value in (alpha * j - i, (S(i) - alpha * j) / alpha, (alpha * j - i) / (ONE - alpha)):
+                    if ZERO <= value < ONE and value > best:
+                        best = value
+    return best
+
+
 def test_compute_mp_cross_checked_by_second_enumeration():
     path3 = make_graph(3, [(1, 2), (2, 3)], [(1,), (1,), (1,)])
     g_fn = DegreeFn.from_table({1: ONE, 2: S(Fraction(1, 2))})
@@ -164,6 +177,39 @@ def test_compute_mp_cross_checked_by_second_enumeration():
     g_fn = DegreeFn.from_table({1: S(Fraction(2, 3)), 3: S(Fraction(1, 3))})
     oracle = brute_force_mp(4, [Fraction(2, 3), Fraction(1, 3)])
     assert compute_mp(star, g_fn) == S(oracle)
+    assert brute_force_mp_exact(4, [S(Fraction(2, 3)), S(Fraction(1, 3))]) == S(oracle)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_compute_mp_cross_checked_on_random_graphs(seed):
+    g = sample_graph(7, Fraction(2, 5), seed)
+    g_fn = DegreeFn.inv_sqrt_1pd()
+    values = [g_fn.value(d) for d in sorted(set(g.degrees()))]
+    assert compute_mp(g, g_fn) == brute_force_mp_exact(g.n, values)
+
+
+def test_compute_mp_cross_checked_with_tabulated_surd_g():
+    # multi-term ratios on both sides of 1; the maximum comes from the
+    # (alpha*j - i)/(1 - alpha) form, not from alpha*j - i
+    table = {1: ONE + S.sqrt(2), 2: S(2) - S.sqrt(2), 3: S(Fraction(1, 6)), 4: S(9)}
+    g = make_graph(6, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 6)], [(1,)] * 6)
+    assert set(g.degrees()) == set(table)
+    expected = brute_force_mp_exact(g.n, list(table.values()))
+    assert expected == parse_scalar("6/49 + 30/49*sqrt(2)")
+    assert compute_mp(g, DegreeFn.from_table(table)) == expected
+
+
+def test_compute_mp_rational_tables_with_edge_maxima():
+    # the (alpha*j - i)/(1 - alpha) form wins
+    star = make_graph(4, [(1, 2), (1, 3), (1, 4)], [(1,)] * 4)
+    oracle = brute_force_mp(4, [Fraction(9), Fraction(1, 6)])
+    assert oracle == Fraction(4, 53)
+    assert compute_mp(star, DegreeFn.from_table({1: S(9), 3: S(Fraction(1, 6))})) == S(oracle)
+    # a maximum at the edge i = n: alpha*j - i with alpha = 55/14, j = 1, i = 3
+    path3 = make_graph(3, [(1, 2), (2, 3)], [(1,), (1,), (1,)])
+    oracle = brute_force_mp(3, [Fraction(10, 7), Fraction(4, 11)])
+    assert oracle == Fraction(13, 14)
+    assert compute_mp(path3, DegreeFn.from_table({1: S(Fraction(10, 7)), 2: S(Fraction(4, 11))})) == S(oracle)
 
 
 def test_compute_mp_fig1_gcn_scaling_below_one():
