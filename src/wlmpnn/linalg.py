@@ -15,6 +15,10 @@ Row = tuple[ExactScalar, ...]
 Matrix = tuple[Row, ...]
 
 
+class DependentRowsError(ValueError):
+    """The unique rows of a matrix are linearly dependent."""
+
+
 def as_matrix(rows: Sequence[Sequence]) -> Matrix:
     out = []
     for row in rows:
@@ -109,7 +113,8 @@ def right_inverse(matrix: Sequence[Row]) -> Matrix:
     """U with uniq(matrix) @ U = I, for a matrix whose unique rows are independent.
 
     Solved by Gauss-Jordan elimination of [uniq | I]; free variables are set
-    to zero.  Raises ValueError when the unique rows are linearly dependent.
+    to zero.  Raises DependentRowsError, a ValueError, when the unique rows
+    are linearly dependent.
     The returned product is re-verified exactly before returning; a failed
     verification raises ArithmeticError.
     """
@@ -135,7 +140,7 @@ def right_inverse(matrix: Sequence[Row]) -> Matrix:
         if rank_so_far == m:
             break
     if rank_so_far < m:
-        raise ValueError("unique rows are linearly dependent; no right inverse exists")
+        raise DependentRowsError("unique rows are linearly dependent; no right inverse exists")
     out = [[ZERO] * m for _ in range(width)]
     for i, col in enumerate(pivots):
         for j in range(m):

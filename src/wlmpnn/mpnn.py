@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 from .graphs import Label, LabelledGraph, Labelling, Partition, partition_of
 from .linalg import Matrix, Row, matrix_from_text, matrix_to_text, row_add, row_mat, row_scale
-from .surd import ONE, ZERO, ExactScalar, activate, parse_scalar
+from .surd import ONE, ZERO, ExactScalar, activate, exact_sum, parse_scalar
 
 MsgFn = Callable[[Label, Label, int, int], Label]
 UpdFn = Callable[[Label, Label], Label]
@@ -423,19 +423,15 @@ def _check_builtin_dims(layer: BuiltinLayer, width: int) -> None:
 
 
 def propagate(g: LabelledGraph, rows: Sequence[Row], p: ExactScalar) -> list[Row]:
-    """Row v of (A + pI) @ rows: p * rows[v] plus the sum of v's neighbour rows."""
+    """Row v of (A + pI) @ rows: p * rows[v] plus the sum of v's neighbour
+    rows, each entry one exact_sum (graphs have no isolated vertices)."""
     p_zero, p_one = p.is_zero, p == ONE
     out = []
     for v in range(1, g.n + 1):
-        if p_zero:
-            acc = None
-        elif p_one:
-            acc = rows[v - 1]
-        else:
-            acc = row_scale(rows[v - 1], p)
-        for u in g.neighbors(v):
-            acc = rows[u - 1] if acc is None else row_add(acc, rows[u - 1])
-        out.append(acc)
+        parts = [rows[u - 1] for u in g.neighbors(v)]
+        if not p_zero:
+            parts.append(rows[v - 1] if p_one else row_scale(rows[v - 1], p))
+        out.append(tuple(map(exact_sum, zip(*parts, strict=True))))
     return out
 
 

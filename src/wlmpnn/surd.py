@@ -8,9 +8,13 @@ comparison, the zero test is exact, and the field is closed under the four
 ring operations, inversion and the sign/ReLU activations used by the engines.
 
 A value is stored as integer numerators keyed by radicand over one common
-positive denominator, in lowest terms, so each addition or multiplication
-works on plain integers and reduces once, by a single multi-argument gcd,
-instead of once per term.  ``ExactScalar.terms`` still presents the
+positive denominator, in lowest terms, so each addition, subtraction or
+multiplication works on plain integers and reduces once, by a single
+multi-argument gcd, instead of once per term.  ``exact_sum`` adds any
+number of values over the lcm of their denominators with one reduction.
+Text and hashes come from the same integers: ``to_text`` takes one gcd per
+term, and ``hash`` reproduces the hash of the reduced ``Fraction`` terms
+without building them.  Only ``ExactScalar.terms`` presents the
 coefficients as one reduced ``Fraction`` per radicand.
 
 Sign determination of a provably nonzero value uses certified dyadic
@@ -21,12 +25,14 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Union
 
 _SIGN_START_BITS = 64
 _SIGN_MAX_BITS = 1 << 22
 _MAX_CONJUGATE_PRIMES = 12
+_HASH_MODULUS = sys.hash_info.modulus
 
 Rational = Fraction
 Coercible = Union["ExactScalar", int, Fraction]
@@ -169,34 +175,7 @@ class ExactScalar:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        n2 = other._num
-        if not n2:
-            return self
-        n1 = self._num
-        if not n1:
-            return other
-        d1, d2 = self._den, other._den
-        if d1 == d2:
-            g, s1, s2, den = d1, 1, 1, d1
-        else:
-            g = math.gcd(d1, d2)
-            s1, s2 = d2 // g, d1 // g
-            den = d1 * s1
-        out = {r: c * s1 for r, c in n1.items()} if s1 != 1 else dict(n1)
-        get = out.get
-        for r, c in n2.items():
-            newc = get(r, 0) + c * s2
-            if newc:
-                out[r] = newc
-            else:
-                del out[r]
-        # over den = d1*d2/g every common factor of the numerators and den divides g
-        if g != 1:
-            g = math.gcd(g, *out.values())
-            if g != 1:
-                out = {r: c // g for r, c in out.items()}
-                den //= g
-        return _make(out, den)
+        return _add(self, other, 1)
 
     __radd__ = __add__
 
@@ -204,16 +183,17 @@ class ExactScalar:
         return _make({r: -c for r, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not ExactScalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _add(self, other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return _add(other, self, -1)
 
     def __mul__(self, other):
         if type(other) is not ExactScalar:
@@ -275,8 +255,9 @@ class ExactScalar:
         return out
 
     def invert(self) -> "ExactScalar":
-        """Multiplicative inverse: the product of the other sign-flip
-        conjugates, divided by the (rational) product of all of them.
+        """Multiplicative inverse.  A single term c*sqrt(r) inverts to
+        sqrt(r)/(c*r); a longer sum to the product of its other sign-flip
+        conjugates divided by the (rational) product of all of them.
 
         The radicands of self may span at most 12 distinct primes (see
         ``conjugates``).
@@ -284,9 +265,12 @@ class ExactScalar:
         num = self._num
         if not num:
             raise ZeroDivisionError("division by zero in the surd field")
-        if self.is_rational:
-            c = num[1]
-            return _make({1: self._den if c > 0 else -self._den}, abs(c))
+        if len(num) == 1:
+            ((r, c),) = num.items()
+            # (c/den)*sqrt(r) inverts to den*sqrt(r)/(c*r), and gcd(den, c) == 1
+            n, d = (self._den, c * r) if c > 0 else (-self._den, -c * r)
+            g = math.gcd(n, d)
+            return _make({r: n // g}, d // g)
         conj_product = ONE
         for conj in conjugates(self)[1:]:
             conj_product = conj_product * conj
@@ -317,12 +301,22 @@ class ExactScalar:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
+        """hash(q) for a rational q, else the hash of the sorted (radicand,
+        Fraction) pairs, computed from the integers as Fraction does."""
         h = self._hash
         if h is None:
-            if self.is_rational:
-                h = hash(self.rational_part)
+            num, den = self._num, self._den
+            if den % _HASH_MODULUS == 0:  # no inverse of den; Fraction gives such terms inf
+                terms = self.terms
+                h = hash(terms.get(1, 0)) if self.is_rational else hash(tuple(sorted(terms.items())))
             else:
-                h = hash(tuple(sorted(self.terms.items())))
+                dinv = pow(den, -1, _HASH_MODULUS)
+                if self.is_rational:
+                    h = _term_hash(num.get(1, 0), dinv)
+                else:
+                    # a tuple's hash depends only on its items' hashes, and
+                    # hash(_term_hash(c, dinv)) == hash(Fraction(c, den))
+                    h = hash(tuple((r, _term_hash(num[r], dinv)) for r in sorted(num)))
             _set_hash(self, h)
         return h
 
@@ -369,28 +363,32 @@ class ExactScalar:
         raise ArithmeticError(f"sign of {self} undecided at {_SIGN_MAX_BITS} bits")
 
     def __lt__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).sign() < 0
+        if type(other) is not ExactScalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _add(self, other, -1).sign() < 0
 
     def __le__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).sign() <= 0
+        if type(other) is not ExactScalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _add(self, other, -1).sign() <= 0
 
     def __gt__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).sign() > 0
+        if type(other) is not ExactScalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _add(self, other, -1).sign() > 0
 
     def __ge__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).sign() >= 0
+        if type(other) is not ExactScalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _add(self, other, -1).sign() >= 0
 
     # -- conversion / text --------------------------------------------------
 
@@ -403,20 +401,25 @@ class ExactScalar:
 
     def to_text(self) -> str:
         """Canonical text form: terms by radicand ascending, rational part first."""
-        if not self._num:
+        num, den = self._num, self._den
+        if not num:
             return "0"
-        terms = self.terms
+        gcd = math.gcd
         parts: list[str] = []
-        for r in sorted(terms):
-            c = terms[r]
-            mag = abs(c)
-            num = f"{mag.numerator}" if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+        for r in sorted(num):
+            c = num[r]
+            mag = -c if c < 0 else c
+            g = gcd(mag, den)
+            if den == g:
+                text = str(mag // g)
+            else:
+                text = f"{mag // g}/{den // g}"
             if r == 1:
-                body = num
-            elif mag == 1:
+                body = text
+            elif mag == den:
                 body = f"sqrt({r})"
             else:
-                body = f"{num}*sqrt({r})"
+                body = f"{text}*sqrt({r})"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -444,6 +447,67 @@ def _make(num: dict[int, int], den: int) -> ExactScalar:
     _set_hash(out, None)
     _set_sign(out, None)
     return out
+
+
+def _term_hash(c: int, dinv: int) -> int:
+    """hash(Fraction(c, den)) for dinv the inverse of den modulo the hash
+    modulus, up to -1, which hash() itself maps to -2 as Fraction does."""
+    h = (c if c >= 0 else -c) * dinv % _HASH_MODULUS
+    return h if c >= 0 else -h
+
+
+def _add(x: ExactScalar, y: ExactScalar, sign: int) -> ExactScalar:
+    """x + y for sign 1, x - y for sign -1, over den = d1*d2/gcd(d1, d2)."""
+    n2 = y._num
+    if not n2:
+        return x
+    n1 = x._num
+    if not n1:
+        return y if sign > 0 else -y
+    d1, d2 = x._den, y._den
+    if d1 == d2:
+        g, s1, s2, den = d1, 1, sign, d1
+    else:
+        g = math.gcd(d1, d2)
+        s1, s2 = d2 // g, sign * (d1 // g)
+        den = d1 * s1
+    out = {r: c * s1 for r, c in n1.items()} if s1 != 1 else dict(n1)
+    get = out.get
+    for r, c in n2.items():
+        newc = get(r, 0) + c * s2
+        if newc:
+            out[r] = newc
+        else:
+            del out[r]
+    # every common factor of the numerators and den divides g
+    if g != 1:
+        g = math.gcd(g, *out.values())
+        if g != 1:
+            out = {r: c // g for r, c in out.items()}
+            den //= g
+    return _make(out, den)
+
+
+def exact_sum(values: Iterable[ExactScalar]) -> ExactScalar:
+    """The sum of the given scalars, over the lcm of their denominators,
+    reduced once by one gcd instead of once per pairwise addition."""
+    values = [x for x in values if x._num]
+    if len(values) < 2:
+        return values[0] if values else ZERO
+    den = math.lcm(*(x._den for x in values))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for x in values:
+        scale = den // x._den
+        for r, c in x._num.items():
+            acc[r] = get(r, 0) + c * scale
+    out = {r: c for r, c in acc.items() if c}
+    if den != 1:
+        g = math.gcd(den, *out.values())
+        if g != 1:
+            out = {r: c // g for r, c in out.items()}
+            den //= g
+    return _make(out, den)
 
 
 def conjugates(x: ExactScalar) -> list[ExactScalar]:

@@ -57,6 +57,7 @@ from .graphs import (
     partition_refines_violation,
 )
 from .linalg import (
+    DependentRowsError,
     Matrix,
     Row,
     as_matrix,
@@ -657,20 +658,21 @@ def synthesize_dgnn6(
     rows = list(labelling.rows)
     for t in range(1, rounds + 1):
         scaled = [row_scale(rows[v], h_values[v]) for v in range(g.n)]
-        uniq_scaled, scaled_class = unique_rows(scaled)
-        if rows_linearly_independent(uniq_scaled):
+        try:
+            v_map: Matrix | None = right_inverse(scaled)
+        except DependentRowsError:
+            v_map = None
+        if v_map is not None:
             route = "paper"
-            u_matrix = right_inverse(scaled)
+            uniq_scaled, scaled_class = unique_rows(scaled)
             m = len(uniq_scaled)
             basis_rows = [
                 tuple(ONE if j == scaled_class[v] else ZERO for j in range(m)) for v in range(g.n)
             ]
             pre = propagate(g, basis_rows, p)
-            v_map: Matrix | None = u_matrix
         else:
             route = "direct"
             pre = propagate(g, scaled, p)
-            v_map = None
         target = [row_scale(pre[v], g_values[v]) for v in range(g.n)]
         width = len(target[0])
         wl_part = reference[t]

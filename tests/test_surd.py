@@ -1,5 +1,6 @@
 """Exact scalar field: canonical form, arithmetic, sign, inversion, text."""
 import math
+import sys
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wlmpnn.surd import ONE, ZERO, ExactScalar, activate, parse_scalar
+from wlmpnn.surd import ONE, ZERO, ExactScalar, activate, conjugates, exact_sum, parse_scalar
 
 S = ExactScalar
 
@@ -60,6 +61,9 @@ def test_mul_examples():
 def test_invert_examples():
     assert sqrt(2).invert() == sqrt(2, Fraction(1, 2))
     assert (ONE + sqrt(2)).invert() == sqrt(2) - ONE
+    assert sqrt(6, Fraction(3, 4)).invert() == sqrt(6, Fraction(2, 9))
+    assert sqrt(2, -4).invert() == sqrt(2, Fraction(-1, 8))
+    assert S(Fraction(-3, 5)).invert() == S(Fraction(-5, 3))
     with pytest.raises(ZeroDivisionError):
         ZERO.invert()
 
@@ -111,7 +115,8 @@ def test_activate():
 
 
 def test_text_round_trip_examples():
-    for text in ("0", "1/2", "-3", "1/2 + 1/4*sqrt(2)", "-1 + sqrt(2)", "2/7 - 5*sqrt(6)"):
+    for text in ("0", "1/2", "-3", "1/2 + 1/4*sqrt(2)", "-1 + sqrt(2)", "2/7 - 5*sqrt(6)",
+                 "1/3 + 1/2*sqrt(2) - 1/6*sqrt(3) - sqrt(5)"):
         assert parse_scalar(text).to_text() == text
 
 
@@ -301,3 +306,129 @@ def test_sign_near_zero_doubles_precision():
     p, q = list(_sqrt2_convergents(120))[-1]
     value = sqrt(6) - sqrt(3, Fraction(p, q))
     assert value.sign() == (1 if 2 * q * q > p * p else -1)
+
+
+# -- integer-native text, hash, subtraction, sums and single-term inversion ------
+
+def _reference_text(x):
+    """The canonical text built from the Fraction terms."""
+    terms = x.terms
+    if not terms:
+        return "0"
+    parts = []
+    for r in sorted(terms):
+        c = terms[r]
+        mag = abs(c)
+        num = f"{mag.numerator}" if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+        body = num if r == 1 else (f"sqrt({r})" if mag == 1 else f"{num}*sqrt({r})")
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def _reference_hash(x):
+    return hash(x.as_fraction()) if x.is_rational else hash(tuple(sorted(x.terms.items())))
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_scalars)
+def test_to_text_matches_fraction_formatter(a):
+    assert a.to_text() == _reference_text(a)
+    assert parse_scalar(a.to_text()) == a
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_scalars)
+def test_hash_matches_fraction_terms(a):
+    assert hash(a) == _reference_hash(a)
+
+
+def test_hash_when_denominator_is_a_multiple_of_the_modulus():
+    modulus = sys.hash_info.modulus
+    values = [
+        S(Fraction(1, modulus)),
+        S(Fraction(-5, 3 * modulus)),
+        S.normalize([(1, Fraction(1, modulus)), (2, Fraction(3, 2))]),
+        S.normalize([(1, 1), (2, Fraction(-7, modulus)), (3, Fraction(2, 5 * modulus))]),
+        # _den is a multiple of the modulus, but the sqrt(2) term reduces away from it
+        S.normalize([(2, Fraction(1, 2)), (3, Fraction(1, 2 * modulus))]),
+    ]
+    for value in values:
+        assert value._den % modulus == 0
+        assert hash(value) == _reference_hash(value)
+    # the sign of a term whose magnitude hashes to 1 maps -1 to -2, as Fraction does
+    assert hash(S(-1)) == hash(-1) == -2
+    assert hash(S(Fraction(-1, 1 + modulus))) == hash(Fraction(-1, 1 + modulus))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(wide_scalars, max_size=6))
+def test_exact_sum_matches_left_fold(values):
+    folded = ZERO
+    for x in values:
+        folded = folded + x
+    total = exact_sum(values)
+    assert total == folded
+    _assert_canonical(total)
+
+
+def test_exact_sum_edge_cases():
+    assert exact_sum([]) is ZERO
+    assert exact_sum(iter([sqrt(2)])) == sqrt(2)
+    mixed = [S(Fraction(1, 6)), sqrt(2, Fraction(3, 10)), sqrt(2, Fraction(-1, 15)), S(Fraction(1, 4))]
+    total = exact_sum(mixed)
+    assert total == S(Fraction(5, 12)) + sqrt(2, Fraction(7, 30))
+    assert total._den == 60
+    cancel = [sqrt(3, Fraction(1, 6)), S(Fraction(2, 9)), sqrt(3, Fraction(-1, 6)), S(Fraction(-2, 9))]
+    assert exact_sum(cancel)._num == {} and exact_sum(cancel)._den == 1
+    assert exact_sum([sqrt(2, Fraction(1, 4)), sqrt(2, Fraction(3, 4)), ZERO]) == sqrt(2)
+    assert exact_sum([sqrt(2, Fraction(1, 4)), sqrt(2, Fraction(3, 4))])._den == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_scalars, wide_scalars)
+def test_subtraction_matches_adding_the_negation(a, b):
+    assert a - b == a + (-b)
+    assert b - a == -(a - b)
+    assert 3 - a == S(3) + (-a)
+    assert a - Fraction(1, 7) == a + S(Fraction(-1, 7))
+    _assert_canonical(a - b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_scalars, wide_scalars)
+def test_comparisons_against_sympy(a, b):
+    sympy = pytest.importorskip("sympy")
+    s = int(sympy.sign(_to_sympy(a) - _to_sympy(b)))
+    assert (a < b) == (s < 0)
+    assert (a <= b) == (s <= 0)
+    assert (a > b) == (s > 0)
+    assert (a >= b) == (s >= 0)
+    assert (a <= a) and (a >= a) and not (a < a) and not (a > a)
+
+
+def _invert_by_conjugates(x):
+    """The inverse as the product of the other conjugates over the norm."""
+    product = ONE
+    for conj in conjugates(x)[1:]:
+        product = product * conj
+    return product * S(1 / (x * product).as_fraction())
+
+
+single_terms = st.builds(
+    lambda r, c: sqrt(r, c),
+    st.sampled_from([1, 2, 3, 6, 10, 30, 210]),
+    wide_coefficients.filter(bool),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(single_terms)
+def test_single_term_invert_matches_conjugates_and_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    inverse = a.invert()
+    assert inverse == _invert_by_conjugates(a)
+    _assert_canonical(inverse)
+    assert sympy.expand(_to_sympy(inverse) * _to_sympy(a)) == 1

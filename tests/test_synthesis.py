@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from wlmpnn import synthesis
 from wlmpnn.cases import builtin_graph, make_graph, sample_graph
 from wlmpnn.graphs import partition_refines
-from wlmpnn.linalg import as_matrix, determinant, identity, mat_mul, right_inverse, unique_rows
+from wlmpnn.linalg import DependentRowsError, as_matrix, determinant, identity, mat_mul, right_inverse, unique_rows
 from wlmpnn.mpnn import DegreeFn, run_mpnn
 from wlmpnn.surd import ONE, ZERO, ExactScalar, parse_scalar
 from wlmpnn.synthesis import (
@@ -42,6 +43,22 @@ def test_right_inverse_wide_matrix():
 def test_right_inverse_rejects_dependent_rows():
     with pytest.raises(ValueError, match="dependent"):
         right_inverse(M([[1, 1], [2, 2]]))
+
+
+def test_right_inverse_raises_its_own_error_for_dependent_rows():
+    assert issubclass(DependentRowsError, ValueError)
+    with pytest.raises(DependentRowsError):
+        right_inverse(M([[1, 2, 0], [1, 2, 0], [2, 4, 0]]))
+
+
+def test_dgnn6_takes_the_direct_route_only_for_dependent_rows(monkeypatch):
+    # any other failure inside right_inverse surfaces instead of picking a route
+    def failing(matrix):
+        raise ValueError("radicands span 13 primes; the conjugate limit is 12")
+
+    monkeypatch.setattr(synthesis, "right_inverse", failing)
+    with pytest.raises(ValueError, match="primes"):
+        synthesize_dgnn6(builtin_graph("fig1"), 2, "relu")
 
 
 def test_right_inverse_with_surd_entries():

@@ -1,5 +1,8 @@
 """Colour refinement: steps, termination, traces."""
 import json
+from fractions import Fraction
+
+import pytest
 
 from wlmpnn.cases import builtin_graph, sample_graph
 from wlmpnn.graphs import Partition, partition_of, partition_refines
@@ -94,3 +97,20 @@ def test_trace_json_shape():
     assert payload["stabilized_at"] == 3
     assert payload["rounds"][0] == [0, 0, 1, 2, 2, 1]
     assert payload["rounds"][-1] == payload["rounds"][-2]
+
+
+def test_wl_partitions_match_networkx_subgraph_hashes():
+    nx = pytest.importorskip("networkx")
+    rounds = 4
+    for seed in range(8):
+        g = sample_graph(6 + seed, Fraction(2, 5), seed=500 + seed, alphabet=3)
+        reference = wl_partitions(g, rounds)
+        graph = nx.Graph()
+        for v, cls in enumerate(reference[0].class_of, start=1):
+            # networkx joins neighbour labels without a separator, so every label has one width
+            graph.add_node(v, colour=f"{cls:04d}")
+        graph.add_edges_from(g.edges)
+        hashes = nx.weisfeiler_lehman_subgraph_hashes(graph, node_attr="colour", iterations=rounds)
+        for t in range(1, rounds + 1):
+            theirs = Partition.from_keys([hashes[v][t - 1] for v in range(1, g.n + 1)])
+            assert theirs == reference[t], (seed, t)
