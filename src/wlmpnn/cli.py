@@ -2,7 +2,8 @@
 
 Subcommands: ``wl run``, ``mpnn run``, ``compare``, ``synth``,
 ``cases verify``, ``cases list``.  Exit codes: 0 success, 1 a verdict or
-verification failed, 2 usage or input errors.  Graph arguments accept a
+verification failed (an internal check that fails prints ``internal
+error: ...``), 2 usage or input errors.  Graph arguments accept a
 builtin id (fig1, g1, g2, g3) or a graph file path.
 """
 from __future__ import annotations
@@ -246,6 +247,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, GraphFormatError, SpecValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # an internal verification failed, not the input
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:  # console-script target

@@ -14,23 +14,24 @@ Every builtin family is one closed form
 with degree-determined positive g and h; gnn is the case g = h = 1, p = 0
 and gnn-minus the case g = h = 1, W1 = 0, B = -q.  run_mpnn evaluates a
 builtin round in that form once per vertex: L W1 and L W2 once per distinct
-label, g and h once per distinct degree, then plain neighbour sums.
-Custom layers run edge by edge: each vertex sums its messages over its
-neighbourhood and applies the update.  builtin_layer gives the same
-per-edge view of a builtin family for the network transformations; its
-degree-aware messages carry the self term scaled by 1/d_v, so the d_v
-messages add it back exactly once.
+label, g and h once per distinct degree, then plain neighbour sums, each
+pre-activation entry one exact sum.  Custom layers run edge by edge: each
+vertex sums its messages over its neighbourhood and applies the update.
+builtin_layer gives the same per-edge view of a builtin family for the
+network transformations; its degree-aware messages carry the self term
+scaled by 1/d_v, so the d_v messages add it back exactly once.  That
+renormalized self term is computed once per (label, degree) and shared by
+every edge out of such a vertex.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .graphs import Label, LabelledGraph, Labelling, Partition, partition_of
 from .linalg import Matrix, Row, matrix_from_text, matrix_to_text, row_add, row_mat, row_scale
-from .surd import ONE, ZERO, ExactScalar, activate, exact_sum, parse_scalar
+from .surd import ONE, ZERO, ExactScalar, activate, exact_sum, inv_sqrt, parse_scalar, reciprocal
 
 MsgFn = Callable[[Label, Label, int, int], Label]
 UpdFn = Callable[[Label, Label], Label]
@@ -99,16 +100,17 @@ class DegreeFn:
         if self.kind == "one":
             return ONE
         if self.kind == "inv_d":
-            return ExactScalar(Fraction(1, degree))
+            return reciprocal(degree)
         if self.kind == "inv_sqrt_d":
-            return _inv_sqrt(Fraction(degree))
+            return inv_sqrt(degree)
         if self.kind == "inv_1pd":
-            return ExactScalar(Fraction(1, 1 + degree))
+            return reciprocal(1 + degree)
         if self.kind == "inv_sqrt_1pd":
-            return _inv_sqrt(Fraction(1 + degree))
+            return inv_sqrt(1 + degree)
         if self.kind == "blend_inv_sqrt":
-            blended = self.r.as_fraction() + (1 - self.r.as_fraction()) * degree
-            return _inv_sqrt(blended)
+            # r + (1-r)d = (a + (b-a)d)/b for r = a/b
+            a, b = self.r.as_fraction().as_integer_ratio()
+            return inv_sqrt(a + (b - a) * degree, b)
         if self.kind == "table":
             for d, v in self.table:
                 if d == degree:
@@ -130,13 +132,6 @@ class DegreeFn:
         if self.kind == "table":
             return "table(" + "; ".join(f"{d}:{v.to_text()}" for d, v in self.table) + ")"
         return self.kind
-
-
-def _inv_sqrt(q: Fraction) -> ExactScalar:
-    """(num/den)**(-1/2) = sqrt(num*den)/num, exact."""
-    if q <= 0:
-        raise ValueError(f"cannot take an inverse square root of {q}")
-    return ExactScalar.sqrt(q.numerator * q.denominator, Fraction(1, q.numerator))
 
 
 def degree_fn_from_name(name: str) -> DegreeFn:
@@ -373,8 +368,20 @@ def _degree_functions(w1, w2, bias, p, g_fn: DegreeFn, h_fn: DegreeFn, sigma: st
     xw1 = _memo_row_mat(w1) if w1 is not None else None
     xw2 = _memo_row_mat(w2)
     pair_factor: dict[tuple[int, int], ExactScalar] = {}  # (d_v, d_u) -> g(d_v) h(d_u)
-    self_factor: dict[int, tuple[ExactScalar, ExactScalar]] = {}  # d_v -> (p g(d_v) h(d_v), 1/d_v)
+    self_factor: dict[int, ExactScalar] = {}  # d_v -> p g(d_v) h(d_v)
+    self_term: dict[tuple[Label, int], Row] = {}  # (x, d_v) -> (x W1 + p g h x W2) / d_v
     p_is_zero = p.is_zero
+    has_self = xw1 is not None or not p_is_zero
+
+    def renormalized_self(x, dv):
+        part = xw1(x) if xw1 is not None else None
+        if not p_is_zero:
+            factor = self_factor.get(dv)
+            if factor is None:
+                factor = self_factor[dv] = p * g_fn.value(dv) * h_fn.value(dv)
+            scaled = row_scale(xw2(x), factor)
+            part = scaled if part is None else row_add(part, scaled)
+        return row_scale(part, reciprocal(dv))
 
     def msg(x, y, dv, du):
         if dv < 1 or du < 1:
@@ -383,17 +390,12 @@ def _degree_functions(w1, w2, bias, p, g_fn: DegreeFn, h_fn: DegreeFn, sigma: st
         if coeff is None:
             coeff = pair_factor[dv, du] = g_fn.value(dv) * h_fn.value(du)
         neighbour = row_scale(xw2(y), coeff)
-        if xw1 is None and p_is_zero:
+        if not has_self:
             return neighbour
-        factors = self_factor.get(dv)
-        if factors is None:
-            factors = self_factor[dv] = (p * g_fn.value(dv) * h_fn.value(dv), ExactScalar(Fraction(1, dv)))
-        factor, renorm = factors
-        self_part = xw1(x) if xw1 is not None else None
-        if not p_is_zero:
-            scaled = row_scale(xw2(x), factor)
-            self_part = scaled if self_part is None else row_add(self_part, scaled)
-        return row_add(row_scale(self_part, renorm), neighbour)
+        own = self_term.get((x, dv))
+        if own is None:
+            own = self_term[x, dv] = renormalized_self(x, dv)
+        return row_add(own, neighbour)
 
     def upd(x, m):
         out = m if bias is None else row_add(m, bias)
@@ -422,15 +424,17 @@ def _check_builtin_dims(layer: BuiltinLayer, width: int) -> None:
         raise DimensionError(f"{layer.family} bias width {len(params.bias)} does not match output")
 
 
-def propagate(g: LabelledGraph, rows: Sequence[Row], p: ExactScalar) -> list[Row]:
-    """Row v of (A + pI) @ rows: p * rows[v] plus the sum of v's neighbour
-    rows, each entry one exact_sum (graphs have no isolated vertices)."""
+def propagate(g: LabelledGraph, rows: Sequence[Row], p: ExactScalar, *plus: Sequence[Row]) -> list[Row]:
+    """Row v of (A + pI) @ rows + sum(plus): p * rows[v], the sum of v's
+    neighbour rows and row v of each of plus, each entry one exact_sum
+    (graphs have no isolated vertices)."""
     p_zero, p_one = p.is_zero, p == ONE
     out = []
     for v in range(1, g.n + 1):
         parts = [rows[u - 1] for u in g.neighbors(v)]
         if not p_zero:
             parts.append(rows[v - 1] if p_one else row_scale(rows[v - 1], p))
+        parts.extend(extra[v - 1] for extra in plus)
         out.append(tuple(map(exact_sum, zip(*parts, strict=True))))
     return out
 
@@ -443,21 +447,26 @@ def _tabulate(fn: DegreeFn, degrees: Sequence[int]) -> dict[int, ExactScalar] | 
 
 def _closed_form_round(g: LabelledGraph, rows: Sequence[Label], form) -> list[Label]:
     """One builtin round: pre_v = g(d_v) (p hy_v + sum of hy_u over neighbours)
-    + x_v W1 + B with hy_u = h(d_u) x_u W2, then the activation."""
+    + x_v W1 + B with hy_u = h(d_u) x_u W2, then the activation.  Each entry
+    of pre_v is one exact_sum: of every term when g is 1, else of the
+    g-scaled sum, x_v W1 and B."""
     w1, w2, bias, p, g_fn, h_fn, sigma = form
     degrees = g.degrees()
     xw2 = list(map(_memo_row_mat(w2), rows))
     h_of = _tabulate(h_fn, degrees)
     hy = xw2 if h_of is None else [row_scale(r, h_of[d]) for r, d in zip(xw2, degrees)]
-    pre = propagate(g, hy, p)
-    g_of = _tabulate(g_fn, degrees)
-    if g_of is not None:
-        pre = [row_scale(r, g_of[d]) for r, d in zip(pre, degrees)]
+    plus = []  # the rows x_v W1 and B
     if w1 is not None:
-        xw1 = xw2 if w1 is w2 else map(_memo_row_mat(w1), rows)
-        pre = [row_add(r, s) for r, s in zip(pre, xw1)]
+        plus.append(xw2 if w1 is w2 else list(map(_memo_row_mat(w1), rows)))
     if bias is not None:
-        pre = [row_add(r, bias) for r in pre]
+        plus.append([bias] * g.n)
+    g_of = _tabulate(g_fn, degrees)
+    if g_of is None:
+        pre = propagate(g, hy, p, *plus)
+    else:
+        pre = [row_scale(r, g_of[d]) for r, d in zip(propagate(g, hy, p), degrees)]
+        if plus:
+            pre = [tuple(map(exact_sum, zip(*parts, strict=True))) for parts in zip(pre, *plus)]
     return [tuple(activate(v, sigma) for v in r) for r in pre]
 
 
@@ -580,17 +589,25 @@ def anonymize_h_const(spec: MpnnSpec) -> MpnnSpec:
             raise SpecValidationError("h is not constantly 1")
 
         def make(w1=w1, w2=w2, bias=bias, p=p, g_fn=g_fn, h_fn=h_fn, sigma=sigma):
+            xw1 = _memo_row_mat(w1) if w1 is not None else None
+            xw2 = _memo_row_mat(w2)
+            factors: dict[int, tuple[ExactScalar, ExactScalar]] = {}  # d -> (g(d), p g(d) h(d))
+
             def msg(x, y, fv, fu):
-                return (*row_mat(y, w2), _UNIT)
+                return (*xw2(y), _UNIT)
 
             def upd(x, z):
                 inner, count = z[:-1], z[-1].as_int()
-                gv = g_fn.value(count)
+                cached = factors.get(count)
+                if cached is None:
+                    gv = g_fn.value(count)
+                    cached = factors[count] = (gv, p * gv * h_fn.value(count))
+                gv, self_coeff = cached
                 out = row_scale(inner, gv)
-                if w1 is not None:
-                    out = row_add(out, row_mat(x, w1))
+                if xw1 is not None:
+                    out = row_add(out, xw1(x))
                 if not p.is_zero:
-                    out = row_add(out, row_scale(row_mat(x, w2), p * gv * h_fn.value(count)))
+                    out = row_add(out, row_scale(xw2(x), self_coeff))
                 if bias is not None:
                     out = row_add(out, bias)
                 return tuple(activate(v, sigma) for v in out)

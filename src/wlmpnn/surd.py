@@ -11,7 +11,9 @@ A value is stored as integer numerators keyed by radicand over one common
 positive denominator, in lowest terms, so each addition, subtraction or
 multiplication works on plain integers and reduces once, by a single
 multi-argument gcd, instead of once per term.  ``exact_sum`` adds any
-number of values over the lcm of their denominators with one reduction.
+number of values over the lcm of their denominators with one reduction,
+and ``reciprocal`` and ``inv_sqrt`` build 1/k and (n/d)**(-1/2) straight
+from the integers.
 Text and hashes come from the same integers: ``to_text`` takes one gcd per
 term, and ``hash`` reproduces the hash of the reduced ``Fraction`` terms
 without building them.  Only ``ExactScalar.terms`` presents the
@@ -155,10 +157,11 @@ class ExactScalar:
         return self.rational_part
 
     def as_int(self) -> int:
-        q = self.as_fraction()
-        if q.denominator != 1:
+        if not self.is_rational:
+            raise ValueError(f"{self} is irrational")
+        if self._den != 1:
             raise ValueError(f"{self} is not an integer")
-        return q.numerator
+        return self._num.get(1, 0)
 
     # -- ring operations --------------------------------------------------
 
@@ -492,6 +495,8 @@ def exact_sum(values: Iterable[ExactScalar]) -> ExactScalar:
     """The sum of the given scalars, over the lcm of their denominators,
     reduced once by one gcd instead of once per pairwise addition."""
     values = [x for x in values if x._num]
+    if len(values) == 2:  # one pairwise addition also reduces once
+        return _add(values[0], values[1], 1)
     if len(values) < 2:
         return values[0] if values else ZERO
     den = math.lcm(*(x._den for x in values))
@@ -508,6 +513,23 @@ def exact_sum(values: Iterable[ExactScalar]) -> ExactScalar:
             out = {r: c // g for r, c in out.items()}
             den //= g
     return _make(out, den)
+
+
+def reciprocal(k: int) -> ExactScalar:
+    """1/k for a nonzero integer k, built in lowest terms without a Fraction."""
+    if not k:
+        raise ZeroDivisionError("division by zero in the surd field")
+    return _make({1: 1 if k > 0 else -1}, k if k > 0 else -k)
+
+
+def inv_sqrt(num: int, den: int = 1) -> ExactScalar:
+    """(num/den)**(-1/2) = sqrt(num*den)/num for positive integers num and
+    den, which need not be coprime: one squarefree split and one gcd."""
+    if num <= 0 or den <= 0:
+        raise ValueError(f"cannot take an inverse square root of {num}/{den}")
+    square, free = _squarefree_split(num * den)
+    g = math.gcd(square, num)
+    return _make({free: square // g}, num // g)
 
 
 def conjugates(x: ExactScalar) -> list[ExactScalar]:

@@ -131,3 +131,12 @@ def test_bad_graph_file_exit_2(tmp_path, capsys):
     path.write_text("n 2\nv 1 1: 1\nv 2 1: 1\ne 1 1\n")
     assert run(["wl", "run", "--graph", str(path)]) == 2
     assert "self-loop" in capsys.readouterr().err
+
+
+def test_internal_verification_failure_exits_1(monkeypatch, capsys):
+    def failing_check(*args, **kwargs):
+        raise ArithmeticError("right inverse check failed")
+
+    monkeypatch.setattr("wlmpnn.cli.synthesize_dgnn6", failing_check)
+    assert run(["synth", "--graph", "fig1", "--target", "dgnn6", "--sigma", "sign", "--rounds", "1"]) == 1
+    assert capsys.readouterr().err == "internal error: right inverse check failed\n"

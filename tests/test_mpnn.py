@@ -9,6 +9,7 @@ from wlmpnn.cases import builtin_graph, named_spec, sample_degree_spec, sample_g
 from wlmpnn.graphs import partition_of
 from wlmpnn.linalg import identity, zeros
 from wlmpnn.mpnn import (
+    DEGREE_FAMILIES,
     BuiltinLayer,
     CustomLayer,
     DegreeFn,
@@ -363,3 +364,71 @@ def test_closed_form_matches_per_edge_closures(family):
         closed, reference = run_mpnn(g, spec), run_mpnn(g, per_edge)
         assert closed.labellings == reference.labellings
         assert closed.partitions == reference.partitions
+
+
+# -- integer degree values against the Fraction formula and sympy ---------------------------
+
+
+def _fraction_inv_sqrt(q: Fraction) -> ExactScalar:
+    """The former route: (num/den)**(-1/2) through Fraction and ExactScalar.sqrt."""
+    return S.sqrt(q.numerator * q.denominator, Fraction(1, q.numerator))
+
+
+BLEND_RS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7), Fraction(1))
+
+# (DegreeFn, rational argument q(d), power of q): the value is q(d) ** power
+DEGREE_VALUE_CASES = [
+    (DegreeFn.one(), lambda d: Fraction(1), 1),
+    (DegreeFn.inv_d(), lambda d: Fraction(1, d), 1),
+    (DegreeFn.inv_1pd(), lambda d: Fraction(1, 1 + d), 1),
+    (DegreeFn.inv_sqrt_d(), lambda d: Fraction(d), -1),
+    (DegreeFn.inv_sqrt_1pd(), lambda d: Fraction(1 + d), -1),
+    *(
+        (DegreeFn.blend_inv_sqrt(S(r)), lambda d, r=r: r + (1 - r) * d, -1)
+        for r in BLEND_RS
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, q, power", DEGREE_VALUE_CASES, ids=[fn.descriptor() for fn, _, _ in DEGREE_VALUE_CASES]
+)
+def test_degree_values_match_fraction_formula_and_sympy(fn, q, power):
+    sympy = pytest.importorskip("sympy")
+    for d in range(1, 301):
+        got = fn.value(d)
+        old = S(q(d)) if power == 1 else _fraction_inv_sqrt(q(d))
+        assert got == old and got.to_text() == old.to_text()
+        rational = sympy.Rational(q(d).numerator, q(d).denominator)
+        expected = rational if power == 1 else 1 / sympy.sqrt(rational)
+        terms = (sympy.Rational(c.numerator, c.denominator) * sympy.sqrt(r) for r, c in got.terms.items())
+        assert sympy.expand(sympy.Add(*terms) - expected) == 0
+
+
+# -- the lift replays every degree family exactly -----------------------------------------
+
+
+@pytest.mark.parametrize("family", sorted(DEGREE_FAMILIES))
+def test_lift_plus_one_replays_labels_exactly(family):
+    label_at_several_degrees = False
+    for seed in range(5):
+        rng = random.Random(f"lift:{family}:{seed}")
+        # two-letter alphabet: one label sits at several degrees
+        g = sample_graph(rng.randint(5, 9), 0.35, 500 + seed, alphabet=2)
+        degrees_of: dict = {}
+        for v in range(1, g.n + 1):
+            degrees_of.setdefault(g.label_of(v), set()).add(g.degree(v))
+        label_at_several_degrees |= any(len(ds) > 1 for ds in degrees_of.values())
+        width, layers = g.label_dim, []
+        for _ in range(rng.randint(2, 3)):
+            out = rng.randint(1, 3)
+            layers.append(BuiltinLayer(family, _random_layer(rng, family, width, out, g.n - 1)))
+            width = out
+        spec = MpnnSpec(f_mode="degree", layers=tuple(layers))
+        original = run_mpnn(g, spec)
+        lifted = run_mpnn(g, lift_plus_one(spec))
+        assert lifted.rounds == spec.rounds + 1
+        for t, labelling in enumerate(original.labellings):
+            extended = tuple((*row, S(g.degree(v))) for v, row in enumerate(labelling.rows, start=1))
+            assert lifted.labellings[t + 1].rows == extended
+    assert label_at_several_degrees

@@ -8,7 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wlmpnn.surd import ONE, ZERO, ExactScalar, activate, conjugates, exact_sum, parse_scalar
+from wlmpnn.surd import (
+    ONE,
+    ZERO,
+    ExactScalar,
+    activate,
+    conjugates,
+    exact_sum,
+    inv_sqrt,
+    parse_scalar,
+    reciprocal,
+)
 
 S = ExactScalar
 
@@ -203,6 +213,30 @@ def test_zero_is_canonical():
                  S(Fraction(1, 2)) + S(Fraction(-1, 2)), ZERO * sqrt(3, Fraction(2, 9))):
         assert zero._num == {} and zero._den == 1
         assert zero == ZERO and hash(zero) == hash(0)
+
+
+def test_as_int_reads_the_integers():
+    for value in (0, -3, 7):
+        got = S(value).as_int()
+        assert got == value and type(got) is int
+    for bad in (S(Fraction(1, 2)), sqrt(2), 2 + sqrt(2)):
+        with pytest.raises(ValueError):
+            bad.as_int()
+
+
+def test_reciprocal_and_inv_sqrt_constructors():
+    assert reciprocal(6) == S(Fraction(1, 6)) and reciprocal(-4) == S(Fraction(-1, 4))
+    assert reciprocal(1) == ONE
+    # (8/6)**(-1/2) = sqrt(3)/2; the arguments need not be coprime
+    assert inv_sqrt(8, 6) == sqrt(3, Fraction(1, 2)) == inv_sqrt(4, 3)
+    assert inv_sqrt(9) == S(Fraction(1, 3)) and inv_sqrt(1, 4) == S(2)
+    for x in (reciprocal(12), inv_sqrt(72, 10), inv_sqrt(45)):
+        _assert_canonical(x)
+    with pytest.raises(ZeroDivisionError):
+        reciprocal(0)
+    for num, den in ((0, 1), (-2, 1), (3, 0)):
+        with pytest.raises(ValueError):
+            inv_sqrt(num, den)
 
 
 # radicands sharing primes (2, 3, 5, 7), coefficients past 2**64
