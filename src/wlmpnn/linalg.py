@@ -1,8 +1,13 @@
 """Exact dense linear algebra over the surd field.
 
-Matrices are tuples of row tuples of ExactScalar.  Everything here runs
-Gaussian elimination with exact zero tests, so ranks, inverses and
-determinants are certificates rather than numerical estimates.
+Matrices are tuples of row tuples of ExactScalar.  One elimination routine,
+``_eliminate``, serves every solver, with exact zero tests, so ranks,
+inverses, kernels and determinants are certificates rather than numerical
+estimates.  ``rank`` and ``determinant`` stop at a row echelon form (clear
+below each pivot only); ``right_inverse`` and ``nullspace_basis`` need the
+reduced form (pivots scaled to 1, columns cleared above and below), from
+which solutions are read off directly.  The reduced form, the rank and the
+determinant are unique, so each caller takes the cheaper form it can.
 """
 from __future__ import annotations
 
@@ -78,31 +83,46 @@ def unique_rows(rows: Sequence[Row]) -> tuple[list[Row], list[int]]:
     return list(seen), index
 
 
-def _eliminate(rows: list[list[ExactScalar]]) -> int:
-    """In-place forward elimination to row echelon form; returns the rank."""
-    if not rows:
-        return 0
-    n_rows, n_cols = len(rows), len(rows[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if not rows[r][col].is_zero), None)
+def _eliminate(rows: Sequence[Row], ncols: int | None = None, reduced: bool = True):
+    """Eliminate a copy of rows, pivoting in the first ncols columns (all by
+    default) on the first nonzero entry at or below the current rank.
+
+    reduced=True scales each pivot row to 1 and clears its column above and
+    below, giving the reduced row echelon form.  reduced=False only clears
+    below, with the pivot rows left unscaled, giving a row echelon form.
+    Stops once every row has a pivot.  Returns (rows, pivot columns, number
+    of row swaps).
+    """
+    work = [list(r) for r in rows]
+    n_rows = len(work)
+    pivots: list[int] = []
+    swaps = 0
+    if ncols is None:
+        ncols = len(work[0]) if work else 0
+    for col in range(ncols):
+        rank_so_far = len(pivots)
+        if rank_so_far == n_rows:
+            break
+        pivot = next((r for r in range(rank_so_far, n_rows) if not work[r][col].is_zero), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].invert()
-        rows[rank] = [inv * x for x in rows[rank]]
-        for r in range(n_rows):
-            if r != rank and not rows[r][col].is_zero:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+        if pivot != rank_so_far:
+            work[rank_so_far], work[pivot] = work[pivot], work[rank_so_far]
+            swaps += 1
+        prow = work[rank_so_far]
+        inv = prow[col].invert()
+        if reduced:
+            prow = work[rank_so_far] = [inv * x for x in prow]
+        for r in range(0 if reduced else rank_so_far + 1, n_rows):
+            if r != rank_so_far and not work[r][col].is_zero:
+                factor = work[r][col] if reduced else work[r][col] * inv
+                work[r] = [x - factor * y for x, y in zip(work[r], prow)]
+        pivots.append(col)
+    return work, pivots, swaps
 
 
 def rank(rows: Sequence[Row]) -> int:
-    return _eliminate([list(r) for r in rows])
+    return len(_eliminate(rows, reduced=False)[1])
 
 
 def rows_linearly_independent(rows: Sequence[Row]) -> bool:
@@ -112,39 +132,22 @@ def rows_linearly_independent(rows: Sequence[Row]) -> bool:
 def right_inverse(matrix: Sequence[Row]) -> Matrix:
     """U with uniq(matrix) @ U = I, for a matrix whose unique rows are independent.
 
-    Solved by Gauss-Jordan elimination of [uniq | I]; free variables are set
-    to zero.  Raises DependentRowsError, a ValueError, when the unique rows
-    are linearly dependent.
+    Solved by reducing [uniq | I] on the columns of uniq; free variables are
+    set to zero.  Raises DependentRowsError, a ValueError, when the unique
+    rows are linearly dependent.
     The returned product is re-verified exactly before returning; a failed
     verification raises ArithmeticError.
     """
     uniq, _ = unique_rows(tuple(matrix))
     m = len(uniq)
     width = len(uniq[0])
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(m)] for i, row in enumerate(uniq)]
-    pivots: list[int] = []
-    rank_so_far = 0
-    for col in range(width):
-        pivot = next((r for r in range(rank_so_far, m) if not aug[r][col].is_zero), None)
-        if pivot is None:
-            continue
-        aug[rank_so_far], aug[pivot] = aug[pivot], aug[rank_so_far]
-        inv = aug[rank_so_far][col].invert()
-        aug[rank_so_far] = [inv * x for x in aug[rank_so_far]]
-        for r in range(m):
-            if r != rank_so_far and not aug[r][col].is_zero:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[rank_so_far])]
-        pivots.append(col)
-        rank_so_far += 1
-        if rank_so_far == m:
-            break
-    if rank_so_far < m:
+    aug = [row + tuple(ONE if i == j else ZERO for j in range(m)) for i, row in enumerate(uniq)]
+    work, pivots, _ = _eliminate(aug, ncols=width)
+    if len(pivots) < m:
         raise DependentRowsError("unique rows are linearly dependent; no right inverse exists")
     out = [[ZERO] * m for _ in range(width)]
-    for i, col in enumerate(pivots):
-        for j in range(m):
-            out[col][j] = aug[i][width + j]
+    for row, col in zip(work, pivots):
+        out[col] = row[width:]
     u = as_matrix(out)
     product = mat_mul(tuple(uniq), u)
     if product != identity(m):
@@ -153,63 +156,38 @@ def right_inverse(matrix: Sequence[Row]) -> Matrix:
 
 
 def determinant(matrix: Sequence[Row]) -> ExactScalar:
+    """(-1)^swaps times the diagonal product of a row echelon form."""
     n = len(matrix)
     if any(len(r) != n for r in matrix):
         raise ValueError("determinant requires a square matrix")
-    rows = [list(r) for r in matrix]
-    det = ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not rows[r][col].is_zero), None)
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det = det * rows[col][col]
-        inv = rows[col][col].invert()
-        for r in range(col + 1, n):
-            if not rows[r][col].is_zero:
-                factor = rows[r][col] * inv
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    work, pivots, swaps = _eliminate(matrix, reduced=False)
+    if len(pivots) < n:
+        return ZERO
+    det = -ONE if swaps % 2 else ONE
+    for i in range(n):
+        det = det * work[i][i]
     return det
 
 
 def nullspace_basis(rows: Sequence[Row], width: int) -> Matrix:
     """Columns spanning {x : row @ x = 0 for every row}; shape width x k.
 
-    Returns a matrix with zero columns count when the rows span the full
-    space.  Empty row input yields the identity.
+    Each column sets one free variable of the reduced form to 1 and the
+    others to 0; k is 0 when the rows span the full space.  Empty row input
+    yields the identity.
     """
     if not rows:
         return identity(width)
-    work = [list(r) for r in rows]
-    n_rows = len(work)
-    pivots: list[int] = []
-    rank_so_far = 0
-    for col in range(width):
-        pivot = next((r for r in range(rank_so_far, n_rows) if not work[r][col].is_zero), None)
-        if pivot is None:
-            continue
-        work[rank_so_far], work[pivot] = work[pivot], work[rank_so_far]
-        inv = work[rank_so_far][col].invert()
-        work[rank_so_far] = [inv * x for x in work[rank_so_far]]
-        for r in range(n_rows):
-            if r != rank_so_far and not work[r][col].is_zero:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[rank_so_far])]
-        pivots.append(col)
-        rank_so_far += 1
-        if rank_so_far == n_rows:
-            break
-    free_cols = [c for c in range(width) if c not in pivots]
+    work, pivots, _ = _eliminate(rows, ncols=width)
+    pivot_set = set(pivots)
     basis_cols = []
-    for free in free_cols:
+    for free in (c for c in range(width) if c not in pivot_set):
         vec = [ZERO] * width
         vec[free] = ONE
-        for i, piv in enumerate(pivots):
-            vec[piv] = -work[i][free]
+        for row, piv in zip(work, pivots):
+            vec[piv] = -row[free]
         basis_cols.append(vec)
-    return tuple(tuple(basis_cols[j][i] for j in range(len(basis_cols))) for i in range(width))
+    return tuple(tuple(col[i] for col in basis_cols) for i in range(width))
 
 
 def matrix_to_text(matrix: Matrix) -> list[list[str]]:

@@ -346,6 +346,7 @@ def _memo_row_mat(m: Matrix) -> Callable[[Label], Row]:
 
 def _anonymous_functions(w1, w2, bias, p, sigma: str):
     """g = h = 1: the message is y W2 and the update adds the self terms."""
+    xw1 = _memo_row_mat(w1) if w1 is not None else None
     xw2 = _memo_row_mat(w2)
 
     def msg(x, y, fv, fu):
@@ -353,8 +354,8 @@ def _anonymous_functions(w1, w2, bias, p, sigma: str):
 
     def upd(x, m):
         out = m
-        if w1 is not None:
-            out = row_add(row_mat(x, w1), out)
+        if xw1 is not None:
+            out = row_add(xw1(x), out)
         if not p.is_zero:
             out = row_add(row_scale(xw2(x), p), out)
         if bias is not None:
@@ -471,12 +472,13 @@ def _closed_form_round(g: LabelledGraph, rows: Sequence[Label], form) -> list[La
 
 
 def _per_edge_round(g: LabelledGraph, labelling: Labelling, layer: CustomLayer, f_values, round_index: int):
-    """One custom round: sum every vertex's messages, then apply the update."""
+    """One custom round: sum every vertex's messages, each entry one
+    exact_sum, then apply the update."""
     aggregated: list[Label] = []
     msg_width: int | None = None
     for v in range(1, g.n + 1):
         x = labelling.row_of(v)
-        acc: Row | None = None
+        parts = []
         for u in g.neighbors(v):
             part = layer.msg(x, labelling.row_of(u), f_values[v - 1], f_values[u - 1])
             if msg_width is None:
@@ -485,8 +487,8 @@ def _per_edge_round(g: LabelledGraph, labelling: Labelling, layer: CustomLayer, 
                 raise DimensionError(
                     f"round {round_index}: message width {len(part)} != {msg_width}"
                 )
-            acc = part if acc is None else row_add(acc, part)
-        aggregated.append(acc)
+            parts.append(part)
+        aggregated.append(tuple(map(exact_sum, zip(*parts))))
     new_rows: list[Label] = []
     out_width: int | None = None
     for v in range(1, g.n + 1):

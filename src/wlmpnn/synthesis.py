@@ -61,7 +61,6 @@ from .linalg import (
     Matrix,
     Row,
     as_matrix,
-    determinant,
     matrix_to_text,
     mat_mul,
     nullspace_basis,
@@ -156,7 +155,7 @@ def _separation(c: Sequence[Row], sigma: str) -> SeparationResult:
     threshold = below_one if sigma == "relu" else (below_one + ONE) * ExactScalar(Fraction(1, 2))
     x_matrix = outer(z, x_row)
     activated = _activated(c, x_matrix, threshold, sigma)
-    if determinant(activated).is_zero:  # pragma: no cover - construction guarantees
+    if not rows_linearly_independent(activated):  # pragma: no cover - construction guarantees
         raise AssertionError("separation produced a singular activated matrix")
     return SeparationResult(
         x_matrix=x_matrix,
@@ -384,7 +383,7 @@ def _separated_block(rows: list[Row], sigma: str, q_override: ExactScalar | None
     sep = _separation(tuple(c_rows), sigma)
     q = sep.q if q_override is None else q_override
     _check_q(q)
-    if q_override is not None and determinant(_activated(c_rows, sep.x_matrix, q, sigma)).is_zero:
+    if q_override is not None and not rows_linearly_independent(_activated(c_rows, sep.x_matrix, q, sigma)):
         raise SynthesisError(
             "uniform threshold breaks non-singularity on this round",
             {"q": q.to_text()},
@@ -568,7 +567,7 @@ def synthesize_gnn_minus(
         sep = _separation(tuple(c_rows), sigma)
         q = _uniform_q(g.n) if uniform_q else sep.q
         _check_q(q)
-        if uniform_q and determinant(_activated(c_rows, sep.x_matrix, q, sigma)).is_zero:
+        if uniform_q and not rows_linearly_independent(_activated(c_rows, sep.x_matrix, q, sigma)):
             raise SynthesisError(
                 "uniform threshold breaks non-singularity on this round",
                 _dump(g, t, "uniform q too small", q=q.to_text()),
@@ -703,43 +702,38 @@ def synthesize_dgnn6(
         variants.append(("none", None))
         chosen = None
         for repair, payload in variants:
-            try:
-                if repair == "clamp":
-                    kernel, k_cols, base, suffix = payload
-                    if k_cols:
-                        x_matrix, bias_base, base_vals, q, shift = _separated_block(
-                            base, sigma, q_override
-                        )
-                        weight_cols = mat_mul(kernel, x_matrix)
-                    else:
-                        bias_base, base_vals, q, shift = (), [() for _ in target], ZERO, ZERO
-                        weight_cols = tuple(() for _ in range(width))
-                    lam_weight = tuple(
-                        tuple(weight_cols[i])
-                        + tuple(col[0][i] for col in suffix)
-                        + (ZERO,)
-                        for i in range(width)
+            if repair == "clamp":
+                kernel, k_cols, base, suffix = payload
+                if k_cols:
+                    x_matrix, bias_base, base_vals, q, shift = _separated_block(
+                        base, sigma, q_override
                     )
-                    bias = tuple(bias_base) + tuple(-col[1] for col in suffix) + (ONE,)
-                    new_rows = [
-                        tuple(base_vals[v])
-                        + tuple(col[2][v] for col in suffix)
-                        + (ONE,)
-                        for v in range(g.n)
-                    ]
-                elif repair == "projection":
-                    projected_rows, kernel = payload
-                    x_matrix, bias, new_rows, q, shift = _separated_block(
-                        projected_rows, sigma, q_override
-                    )
-                    lam_weight = mat_mul(kernel, x_matrix)
+                    weight_cols = mat_mul(kernel, x_matrix)
                 else:
-                    x_matrix, bias, new_rows, q, shift = _separated_block(
-                        target, sigma, q_override
-                    )
-                    lam_weight = x_matrix
-            except ValueError:
-                continue
+                    bias_base, base_vals, q, shift = (), [() for _ in target], ZERO, ZERO
+                    weight_cols = tuple(() for _ in range(width))
+                lam_weight = tuple(
+                    tuple(weight_cols[i])
+                    + tuple(col[0][i] for col in suffix)
+                    + (ZERO,)
+                    for i in range(width)
+                )
+                bias = tuple(bias_base) + tuple(-col[1] for col in suffix) + (ONE,)
+                new_rows = [
+                    tuple(base_vals[v])
+                    + tuple(col[2][v] for col in suffix)
+                    + (ONE,)
+                    for v in range(g.n)
+                ]
+            elif repair == "projection":
+                projected_rows, kernel = payload
+                x_matrix, bias, new_rows, q, shift = _separated_block(
+                    projected_rows, sigma, q_override
+                )
+                lam_weight = mat_mul(kernel, x_matrix)
+            else:
+                x_matrix, bias, new_rows, q, shift = _separated_block(target, sigma, q_override)
+                lam_weight = x_matrix
             new_partition = Partition.from_keys(new_rows)
             refined = partition_refines(new_partition, wl_part)
             uniq_new, _ = unique_rows(new_rows)

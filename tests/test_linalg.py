@@ -1,0 +1,175 @@
+"""Exact linear algebra against sympy: rank, determinant, reduced form,
+kernel and right inverse, on seeded rational matrices and small surd ones."""
+import random
+from fractions import Fraction
+
+import pytest
+
+from wlmpnn import linalg
+from wlmpnn.linalg import (
+    as_matrix,
+    determinant,
+    identity,
+    mat_mul,
+    nullspace_basis,
+    rank,
+    right_inverse,
+    rows_linearly_independent,
+    unique_rows,
+    zeros,
+)
+from wlmpnn.surd import ONE, ZERO, ExactScalar
+
+sympy = pytest.importorskip("sympy")
+
+S = ExactScalar
+
+
+def M(rows):
+    return as_matrix([[Fraction(x) for x in row] for row in rows])
+
+
+def _sym(x: ExactScalar):
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator) * sympy.sqrt(r) for r, c in x.terms.items()))
+
+
+def _sym_matrix(rows, width):
+    return sympy.Matrix(len(rows), width, [_sym(x) for row in rows for x in row])
+
+
+def _random_matrix(rng, n_rows, n_cols, inner=None):
+    """Seeded rational entries, about a third of them zero; with inner set,
+    the product of an n_rows x inner and an inner x n_cols matrix, so the rank
+    is at most inner."""
+
+    def entries(r, c):
+        return [
+            [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.7 else 0 for _ in range(c)]
+            for _ in range(r)
+        ]
+
+    if inner is None:
+        return M(entries(n_rows, n_cols))
+    return mat_mul(M(entries(n_rows, inner)), M(entries(inner, n_cols)))
+
+
+SHAPES = [
+    (3, 3, None),
+    (4, 4, None),
+    (4, 4, 2),  # rank-deficient square
+    (2, 5, None),  # wide
+    (3, 6, 2),  # wide, rank-deficient
+    (6, 3, None),  # tall
+    (5, 4, 3),  # tall, rank-deficient
+    (1, 4, None),
+]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n_rows,n_cols,inner", SHAPES)
+def test_rational_matrices_match_sympy(seed, n_rows, n_cols, inner):
+    rng = random.Random(seed * 1000 + n_rows * 10 + n_cols)
+    rows = _random_matrix(rng, n_rows, n_cols, inner)
+    sm = _sym_matrix(rows, n_cols)
+    assert rank(rows) == sm.rank()
+    assert rows_linearly_independent(rows) == (sm.rank() == n_rows)
+    reduced, pivots, _ = linalg._eliminate(rows)
+    expected, expected_pivots = sm.rref()
+    assert tuple(pivots) == tuple(expected_pivots)
+    assert _sym_matrix(reduced, n_cols) == expected
+    kernel = nullspace_basis(rows, n_cols)
+    expected_kernel = sm.nullspace()
+    assert len(kernel) == n_cols
+    assert all(len(row) == len(expected_kernel) for row in kernel)
+    for j, column in enumerate(expected_kernel):
+        assert [_sym(row[j]) for row in kernel] == list(column)
+    if n_rows == n_cols:
+        assert _sym(determinant(rows)) == sm.det()
+    uniq, _ = unique_rows(rows)
+    if rows_linearly_independent(uniq):
+        assert mat_mul(tuple(uniq), right_inverse(rows)) == identity(len(uniq))
+
+
+def test_echelon_form_clears_below_pivots_only():
+    rows = M([[2, 4, 1], [1, 3, 2], [3, 1, 1]])
+    echelon, pivots, swaps = linalg._eliminate(rows, reduced=False)
+    assert pivots == [0, 1, 2] and swaps == 0
+    assert echelon[0] == list(rows[0])  # pivot row left unscaled
+    assert all(echelon[r][c].is_zero for c in range(3) for r in range(c + 1, 3))
+    assert determinant(rows) == echelon[0][0] * echelon[1][1] * echelon[2][2]
+
+
+def test_leading_zero_column():
+    rows = M([[0, 1, 2], [0, 3, 4]])
+    assert rank(rows) == 2
+    assert linalg._eliminate(rows)[1] == [1, 2]
+    assert nullspace_basis(rows, 3) == M([[1], [0], [0]])
+    u = right_inverse(rows)
+    assert u[0] == (ZERO, ZERO)  # no pivot in column 0: free variable zero
+    assert mat_mul(rows, u) == identity(2)
+
+
+def test_forced_row_swap_flips_determinant_sign():
+    assert determinant(M([[0, 1], [1, 0]])) == S(-1)
+    assert linalg._eliminate(M([[0, 1], [1, 0]]), reduced=False)[2] == 1
+    rows = M([[0, 2, 1], [0, 1, 1], [3, 0, 1]])
+    assert linalg._eliminate(rows, reduced=False)[2] == 1
+    assert _sym(determinant(rows)) == _sym_matrix(rows, 3).det() == 3
+    assert mat_mul(rows, right_inverse(rows)) == identity(3)
+
+
+def test_singular_square_matrix_has_zero_determinant():
+    rows = M([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    assert determinant(rows) == ZERO
+    assert rank(rows) == 2
+    assert not rows_linearly_independent(rows)
+
+
+def test_empty_and_degenerate_inputs():
+    assert nullspace_basis((), 3) == identity(3)
+    assert rank(()) == 0
+    assert rows_linearly_independent(())
+    assert determinant(()) == ONE
+    assert rank(zeros(2, 3)) == 0
+    assert nullspace_basis(zeros(2, 3), 3) == identity(3)
+    full = nullspace_basis(identity(3), 3)
+    assert full == ((), (), ())  # width rows, no columns
+    with pytest.raises(ValueError, match="square"):
+        determinant(M([[1, 2, 3], [4, 5, 6]]))
+
+
+def _surd(rng):
+    """A seeded element of Q(sqrt 2, sqrt 3) with small coefficients."""
+    value = ZERO
+    for radicand in (1, 2, 3, 6):
+        if rng.random() < 0.6:
+            value = value + S(Fraction(rng.randint(-3, 3), rng.randint(1, 2))) * S.sqrt(radicand)
+    return value
+
+
+def _surd_matrix(rng, n_rows, n_cols):
+    return tuple(tuple(_surd(rng) for _ in range(n_cols)) for _ in range(n_rows))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_surd_determinant_matches_sympy(seed):
+    rng = random.Random(seed)
+    for n in (2, 3):
+        rows = _surd_matrix(rng, n, n)
+        assert sympy.expand(_sym(determinant(rows)) - _sym_matrix(rows, n).det()) == 0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_surd_kernel_and_right_inverse(seed):
+    rng = random.Random(100 + seed)
+    # rank at most 2: a 3 x 2 times a 2 x 4 product
+    rows = mat_mul(_surd_matrix(rng, 3, 2), _surd_matrix(rng, 2, 4))
+    kernel = nullspace_basis(rows, 4)
+    k = len(kernel[0])
+    assert rank(rows) + k == 4
+    assert mat_mul(rows, kernel) == zeros(3, k)
+    assert rank(tuple(zip(*kernel))) == k  # the columns are independent
+    wide = _surd_matrix(rng, 2, 4)
+    uniq, _ = unique_rows(wide)
+    if rows_linearly_independent(uniq):
+        assert mat_mul(tuple(uniq), right_inverse(wide)) == identity(len(uniq))

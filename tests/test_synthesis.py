@@ -61,6 +61,16 @@ def test_dgnn6_takes_the_direct_route_only_for_dependent_rows(monkeypatch):
         synthesize_dgnn6(builtin_graph("fig1"), 2, "relu")
 
 
+def test_dgnn6_repair_variants_let_a_separation_error_escape(monkeypatch):
+    # a ValueError from a repair variant is a fault, not a reason to try the next one
+    def failing(rows, sigma, q_override):
+        raise ValueError("radicands span 13 primes; the conjugate limit is 12")
+
+    monkeypatch.setattr(synthesis, "_separated_block", failing)
+    with pytest.raises(ValueError, match="primes"):
+        synthesize_dgnn6(builtin_graph("fig1"), 2, "relu")
+
+
 def test_right_inverse_with_surd_entries():
     lab = as_matrix([[S.sqrt(2), ONE], [ONE, S.sqrt(3)]])
     u = right_inverse(lab)
