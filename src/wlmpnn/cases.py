@@ -27,7 +27,7 @@ from .mpnn import (
     _resolve_layer,
 )
 from .surd import ONE, ZERO, ExactScalar, activate
-from .wl import wl_partitions
+from .wl import WlTrace, wl_partitions
 
 CASE_IDS = ("fig1-gcn", "g1-dgnn12", "g2-dgnn34", "g3-dgnn5", "fig1-dgnn6")
 
@@ -268,14 +268,9 @@ def verify_counterexample(case: CaseSpec, raise_on_failure: bool = True) -> Case
     if case.case_id == "fig1-gcn":
         spec = named_spec("gcn", g.label_dim, rounds=3)
         trace = run_mpnn(g, spec)
-        wl = wl_partitions(g, 4)
-
-        class _Wrap:
-            def __init__(self, parts):
-                self.partitions = parts
-
-        same_round = compare_traces(trace, _Wrap(wl[:4]), ShiftSpec("identity"))
-        one_ahead = compare_traces(trace, _Wrap(wl), ShiftSpec("plus_one"))
+        wl = tuple(wl_partitions(g, 4))
+        same_round = compare_traces(trace, WlTrace(wl[:4], None), ShiftSpec("identity"))
+        one_ahead = compare_traces(trace, WlTrace(wl, None), ShiftSpec("plus_one"))
         extra.append(("same_round_relation_fails", not same_round.verdict.holds))
         extra.append(
             (

@@ -26,7 +26,7 @@ from .graphs import GraphFormatError, LabelledGraph, parse_graph
 from .mpnn import MpnnSpec, SpecValidationError, run_mpnn, spec_from_json
 from .surd import parse_scalar
 from .synthesis import SynthesisError, synthesize_dgnn6, synthesize_gnn_minus
-from .wl import wl_run
+from .wl import WlTrace, wl_partitions, wl_run
 
 _NAMED_SPECS = ("gcn", "dgnn1", "dgnn2", "dgnn3", "dgnn4", "dgnn5", "dgnn6", "gnn", "gnn-minus")
 
@@ -99,13 +99,7 @@ def _cmd_compare(args) -> int:
 
     def side(ref: str, rounds: int):
         if ref == "wl":
-            from .wl import wl_partitions
-
-            class _Wrap:
-                def __init__(self, parts):
-                    self.partitions = parts
-
-            return _Wrap(wl_partitions(g, rounds)), "wl"
+            return WlTrace(tuple(wl_partitions(g, rounds)), None), "wl"
         return run_mpnn(g, _load_spec(ref, g, rounds, args.sigma)), ref
 
     left, left_name = side(args.left, left_rounds)

@@ -15,7 +15,9 @@ number of values over the lcm of their denominators with one reduction,
 and ``reciprocal`` and ``inv_sqrt`` build 1/k and (n/d)**(-1/2) straight
 from the integers.
 Text and hashes come from the same integers: ``to_text`` takes one gcd per
-term, and ``hash`` reproduces the hash of the reduced ``Fraction`` terms
+term (integers past the interpreter's int/str digit limit are converted in
+halves split at a power of ten, as ``parse_scalar`` reads them back), and
+``hash`` reproduces the hash of the reduced ``Fraction`` terms
 without building them.  Only ``ExactScalar.terms`` presents the
 coefficients as one reduced ``Fraction`` per radicand.
 
@@ -413,13 +415,14 @@ class ExactScalar:
             c = num[r]
             mag = -c if c < 0 else c
             g = gcd(mag, den)
-            if den == g:
-                text = str(mag // g)
-            else:
-                text = f"{mag // g}/{den // g}"
+            a, b = mag // g, den // g
+            try:
+                text = str(a) if b == 1 else f"{a}/{b}"
+            except ValueError:  # past the interpreter's int/str digit limit
+                text = _int_text(a) if b == 1 else f"{_int_text(a)}/{_int_text(b)}"
             if r == 1:
                 body = text
-            elif mag == den:
+            elif a == b:
                 body = f"sqrt({r})"
             else:
                 body = f"{text}*sqrt({r})"
@@ -440,6 +443,30 @@ _set_num = ExactScalar._num.__set__
 _set_den = ExactScalar._den.__set__
 _set_hash = ExactScalar._hash.__set__
 _set_sign = ExactScalar._sign.__set__
+
+
+def _int_text(k: int) -> str:
+    """Decimal text of a non-negative integer of any length.
+
+    ``str`` refuses integers longer than ``sys.get_int_max_str_digits()``
+    digits; those are split at a power of ten into halves, whose texts
+    joined (the low half zero-padded) are the same digits.
+    """
+    try:
+        return str(k)
+    except ValueError:
+        half = k.bit_length() * 3 // 20  # about half the digit count
+        high, low = divmod(k, 10**half)
+        return _int_text(high) + _int_text(low).zfill(half)
+
+
+def _int_of_text(digits: str) -> int:
+    """The integer of a decimal digit string of any length (see ``_int_text``)."""
+    try:
+        return int(digits)
+    except ValueError:
+        half = len(digits) // 2
+        return _int_of_text(digits[:-half]) * 10**half + _int_of_text(digits[-half:])
 
 
 def _make(num: dict[int, int], den: int) -> ExactScalar:
@@ -612,12 +639,13 @@ def parse_scalar(text: str) -> ExactScalar:
         coeff = Fraction(1)
         if m.group("coeff"):
             numerator, _, denominator = m.group("coeff").partition("/")
-            if denominator and int(denominator) == 0:
+            denominator = _int_of_text(denominator) if denominator else 1
+            if denominator == 0:
                 raise ValueError(f"zero denominator in term {chunk!r} of scalar {text!r}")
-            coeff = Fraction(int(numerator), int(denominator or 1))
+            coeff = Fraction(_int_of_text(numerator), denominator)
         if m.group("sign"):
             coeff = -coeff
-        radicand = int(m.group("radicand")) if m.group("radicand") else 1
+        radicand = _int_of_text(m.group("radicand")) if m.group("radicand") else 1
         raw.append((radicand, coeff))
     return ExactScalar.normalize(raw)
 

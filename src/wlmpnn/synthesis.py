@@ -11,11 +11,14 @@ Two targets are supported on a fixed input graph:
   graph- and g-dependent bound m_p so that the g scaling can never merge
   distinct neighbourhood counts.
 
-Each round builds a right inverse of the current unique label rows, forms
-the neighbourhood count labelling through (A + pI), separates its unique
-rows with a provably non-singular activated matrix, and verifies the result
-against the refinement reference.  Verification is mandatory: a failed
-round raises SynthesisError with a dump instead of emitting a certificate.
+One round loop serves both: gnn-minus is the degree-normalized form with
+g = h = 1 at its given p, which never needs a repair or a shift, so its bias
+is -q J.  Each round builds a right inverse of the current unique label
+rows, forms the neighbourhood count labelling through (A + pI), separates
+its unique rows with a provably non-singular activated matrix, and verifies
+the result against the refinement reference.  Verification is mandatory: a
+failed round raises SynthesisError with a dump instead of emitting a
+certificate.
 
 The degree-normalized target needs repairs beyond the plain route, all
 staying inside the architecture's weight/bias freedom and all re-verified:
@@ -51,6 +54,7 @@ from .graphs import (
     LabelledGraph,
     Labelling,
     Partition,
+    format_graph,
     one_hot_labelling,
     partition_of,
     partition_refines,
@@ -356,15 +360,15 @@ def _check_q(q: ExactScalar) -> None:
 
 
 def _dump(g: LabelledGraph, round_index: int, reason: str, **extra) -> dict:
-    from .graphs import format_graph
-
     payload = {"round": round_index, "reason": reason, "graph": format_graph(g)}
     payload.update(extra)
     return payload
 
 
-def _separated_block(rows: list[Row], sigma: str, q_override: ExactScalar | None):
-    """Shift-to-positive + separation over a row block.
+def _separated_block(
+    rows: list[Row], sigma: str, q_override: ExactScalar | None, g: LabelledGraph, t: int
+):
+    """Shift-to-positive + separation over a row block of round t.
 
     Returns (weight columns in row space, bias entries, per-row output
     values, q, shift).  The shift is folded into the bias through the
@@ -386,7 +390,7 @@ def _separated_block(rows: list[Row], sigma: str, q_override: ExactScalar | None
     if q_override is not None and not rows_linearly_independent(_activated(c_rows, sep.x_matrix, q, sigma)):
         raise SynthesisError(
             "uniform threshold breaks non-singularity on this round",
-            {"q": q.to_text()},
+            _dump(g, t, "uniform q too small", q=q.to_text()),
         )
     z_total = sum(sep.z, start=ZERO)
     bias = tuple(shift * z_total * xj - q for xj in sep.x_row)
@@ -527,136 +531,38 @@ def _clamp_repair(
     return None
 
 
-def synthesize_gnn_minus(
-    g: LabelledGraph,
-    rounds: int,
-    sigma: str,
-    p: ExactScalar | None = None,
-    uniform_q: bool = False,
-) -> SynthesisCertificate:
-    """Per-round weights W = U X with bias -q*1 reproducing refinement exactly.
-
-    p defaults to 1/2 and must lie strictly inside (0, 1).  Every round is
-    verified for partition equivalence with the refinement reference and for
-    linear independence of its unique label rows; failures raise.
-    """
+def _check_arguments(sigma: str, rounds: int) -> None:
     if sigma not in ("relu", "sign"):
         raise ValueError(f"activation must be 'relu' or 'sign', got {sigma!r}")
     if rounds < 1:
         raise ValueError("need at least one round")
-    p = ExactScalar(Fraction(1, 2)) if p is None else ExactScalar(p)
-    if p.sign() <= 0 or (p - ONE).sign() >= 0:
-        raise ValueError(f"p = {p} must lie strictly between 0 and 1")
-    labelling, reencoded = _prepared_initial(g)
-    reference = wl_partitions(g, rounds)
-    synthesized: list[RoundSynthesis] = []
-    rows = list(labelling.rows)
-    for t in range(1, rounds + 1):
-        uniq, classes = unique_rows(rows)
-        try:
-            u_matrix = right_inverse(rows)
-        except ValueError as exc:
-            raise SynthesisError(
-                "unique label rows lost linear independence",
-                _dump(g, t, str(exc)),
-            ) from exc
-        m = len(uniq)
-        onehot = [tuple(ONE if j == classes[v] else ZERO for j in range(m)) for v in range(g.n)]
-        counts = propagate(g, onehot, p)
-        c_rows, _ = unique_rows(counts)
-        sep = _separation(tuple(c_rows), sigma)
-        q = _uniform_q(g.n) if uniform_q else sep.q
-        _check_q(q)
-        if uniform_q and not rows_linearly_independent(_activated(c_rows, sep.x_matrix, q, sigma)):
-            raise SynthesisError(
-                "uniform threshold breaks non-singularity on this round",
-                _dump(g, t, "uniform q too small", q=q.to_text()),
-            )
-        weight = mat_mul(u_matrix, sep.x_matrix)
-        new_rows = [
-            tuple(activate(v - q, sigma) for v in row_mat(row, sep.x_matrix)) for row in counts
-        ]
-        new_partition = Partition.from_keys(new_rows)
-        equivalent = new_partition == reference[t]
-        uniq_new, _ = unique_rows(new_rows)
-        independent = rows_linearly_independent(uniq_new)
-        if not equivalent or not independent:
-            raise SynthesisError(
-                f"round {t} verification failed (equivalent={equivalent}, independent={independent})",
-                _dump(
-                    g,
-                    t,
-                    "gnn-minus round does not match the refinement reference",
-                    computed=[c.to_text() for row in new_rows for c in row],
-                    expected_classes=list(reference[t].class_of),
-                ),
-            )
-        width = len(c_rows)
-        synthesized.append(
-            RoundSynthesis(
-                weight=weight,
-                bias=tuple(-q for _ in range(width)),
-                q=q,
-                shift=ZERO,
-                route="paper",
-                repair="none",
-                equivalent_to_wl=equivalent,
-                refines_wl=True,
-                row_independent=independent,
-                wl_class_count=reference[t].num_classes,
-            )
-        )
-        rows = new_rows
-    return SynthesisCertificate(
-        target="gnn-minus",
-        sigma=sigma,
-        p=p,
-        uniform_q=uniform_q,
-        reencoded=reencoded,
-        n=g.n,
-        rounds=tuple(synthesized),
-    )
 
 
-def synthesize_dgnn6(
+def _synthesize_rounds(
     g: LabelledGraph,
     rounds: int,
     sigma: str,
-    g_fn: DegreeFn | None = None,
-    h_fn: DegreeFn | None = None,
-    uniform_q: bool = False,
-) -> SynthesisCertificate:
-    """Degree-normalized synthesis with p = (m_p + 1)/2; see the module docstring.
+    p: ExactScalar,
+    g_fn: DegreeFn,
+    h_fn: DegreeFn,
+    uniform_q: bool,
+) -> tuple[tuple[RoundSynthesis, ...], bool]:
+    """The verified rounds of sigma(diag(g) (A + pI) diag(h) L W + B) at this p.
 
-    The refinement bound (every synthesized round refines into the reference
-    partition) and row independence are enforced; the per-round equivalence
-    verdict is recorded in the certificate and holds whenever every label
-    class the round starts from is pure in h-degree terms, or the projection
-    repair restores it.
+    Returns the rounds and whether the initial labels were re-encoded.  Each
+    round enforces the refinement bound and row independence and records
+    its equivalence verdict; unit g and h scale nothing.
     """
-    if sigma not in ("relu", "sign"):
-        raise ValueError(f"activation must be 'relu' or 'sign', got {sigma!r}")
-    if rounds < 1:
-        raise ValueError("need at least one round")
-    g_fn = g_fn or DegreeFn.inv_sqrt_1pd()
-    h_fn = h_fn or DegreeFn.inv_sqrt_1pd()
     degrees = g.degrees()
-    for d in sorted(set(degrees)):
-        for fn, name in ((g_fn, "g"), (h_fn, "h")):
-            if fn.value(d).sign() <= 0:
-                raise ValueError(f"{name}({d}) must be positive")
-    m_p = compute_mp(g, g_fn)
-    p = (m_p + ONE) * ExactScalar(Fraction(1, 2))
-    if not m_p < p < ONE:
-        raise ArithmeticError(f"trade-off parameter p = {p} is not strictly between m_p = {m_p} and 1")
-    g_values = [g_fn.value(d) for d in degrees]
-    h_values = [h_fn.value(d) for d in degrees]
+    g_values = None if g_fn.is_one else [g_fn.value(d) for d in degrees]
+    h_values = None if h_fn.is_one else [h_fn.value(d) for d in degrees]
     labelling, reencoded = _prepared_initial(g)
     reference = wl_partitions(g, rounds)
+    q_override = _uniform_q(g.n) if uniform_q else None
     synthesized: list[RoundSynthesis] = []
     rows = list(labelling.rows)
     for t in range(1, rounds + 1):
-        scaled = [row_scale(rows[v], h_values[v]) for v in range(g.n)]
+        scaled = rows if h_values is None else [row_scale(rows[v], h_values[v]) for v in range(g.n)]
         try:
             v_map: Matrix | None = right_inverse(scaled)
         except DependentRowsError:
@@ -672,10 +578,9 @@ def synthesize_dgnn6(
         else:
             route = "direct"
             pre = propagate(g, scaled, p)
-        target = [row_scale(pre[v], g_values[v]) for v in range(g.n)]
+        target = pre if g_values is None else [row_scale(pre[v], g_values[v]) for v in range(g.n)]
         width = len(target[0])
         wl_part = reference[t]
-        q_override = _uniform_q(g.n) if uniform_q else None
         diffs: list[Row] = []
         first_of_class: dict[int, int] = {}
         for v in range(g.n):
@@ -706,7 +611,7 @@ def synthesize_dgnn6(
                 kernel, k_cols, base, suffix = payload
                 if k_cols:
                     x_matrix, bias_base, base_vals, q, shift = _separated_block(
-                        base, sigma, q_override
+                        base, sigma, q_override, g, t
                     )
                     weight_cols = mat_mul(kernel, x_matrix)
                 else:
@@ -728,11 +633,11 @@ def synthesize_dgnn6(
             elif repair == "projection":
                 projected_rows, kernel = payload
                 x_matrix, bias, new_rows, q, shift = _separated_block(
-                    projected_rows, sigma, q_override
+                    projected_rows, sigma, q_override, g, t
                 )
                 lam_weight = mat_mul(kernel, x_matrix)
             else:
-                x_matrix, bias, new_rows, q, shift = _separated_block(target, sigma, q_override)
+                x_matrix, bias, new_rows, q, shift = _separated_block(target, sigma, q_override, g, t)
                 lam_weight = x_matrix
             new_partition = Partition.from_keys(new_rows)
             refined = partition_refines(new_partition, wl_part)
@@ -763,6 +668,82 @@ def synthesize_dgnn6(
             )
         )
         rows = new_rows
+    return tuple(synthesized), reencoded
+
+
+def synthesize_gnn_minus(
+    g: LabelledGraph,
+    rounds: int,
+    sigma: str,
+    p: ExactScalar | None = None,
+    uniform_q: bool = False,
+) -> SynthesisCertificate:
+    """Per-round weights W = U X with bias -q*1 reproducing refinement exactly.
+
+    p defaults to 1/2 and must lie strictly inside (0, 1).  The rounds are
+    the degree-normalized ones with g = h = 1 at this p; each must also need
+    no repair and no shift, so that its bias is -q*1, and match the
+    refinement reference exactly.  Failures raise.
+    """
+    _check_arguments(sigma, rounds)
+    p = ExactScalar(Fraction(1, 2)) if p is None else ExactScalar(p)
+    if p.sign() <= 0 or (p - ONE).sign() >= 0:
+        raise ValueError(f"p = {p} must lie strictly between 0 and 1")
+    unit = DegreeFn.one()
+    synthesized, reencoded = _synthesize_rounds(g, rounds, sigma, p, unit, unit, uniform_q)
+    for t, r in enumerate(synthesized, start=1):
+        if r.repair != "none" or not r.shift.is_zero or not r.equivalent_to_wl:
+            raise SynthesisError(
+                f"round {t} verification failed (repair={r.repair}, shift={r.shift}, "
+                f"equivalent={r.equivalent_to_wl})",
+                _dump(
+                    g,
+                    t,
+                    "gnn-minus round needs a repair or a shift, or misses the refinement reference",
+                    repair=r.repair,
+                    shift=r.shift.to_text(),
+                    wl_class_count=r.wl_class_count,
+                ),
+            )
+    return SynthesisCertificate(
+        target="gnn-minus",
+        sigma=sigma,
+        p=p,
+        uniform_q=uniform_q,
+        reencoded=reencoded,
+        n=g.n,
+        rounds=synthesized,
+    )
+
+
+def synthesize_dgnn6(
+    g: LabelledGraph,
+    rounds: int,
+    sigma: str,
+    g_fn: DegreeFn | None = None,
+    h_fn: DegreeFn | None = None,
+    uniform_q: bool = False,
+) -> SynthesisCertificate:
+    """Degree-normalized synthesis with p = (m_p + 1)/2; see the module docstring.
+
+    The refinement bound (every synthesized round refines into the reference
+    partition) and row independence are enforced; the per-round equivalence
+    verdict is recorded in the certificate and holds whenever every label
+    class the round starts from is pure in h-degree terms, or the projection
+    repair restores it.
+    """
+    _check_arguments(sigma, rounds)
+    g_fn = g_fn or DegreeFn.inv_sqrt_1pd()
+    h_fn = h_fn or DegreeFn.inv_sqrt_1pd()
+    for d in sorted(set(g.degrees())):
+        for fn, name in ((g_fn, "g"), (h_fn, "h")):
+            if fn.value(d).sign() <= 0:
+                raise ValueError(f"{name}({d}) must be positive")
+    m_p = compute_mp(g, g_fn)
+    p = (m_p + ONE) * ExactScalar(Fraction(1, 2))
+    if not m_p < p < ONE:
+        raise ArithmeticError(f"trade-off parameter p = {p} is not strictly between m_p = {m_p} and 1")
+    synthesized, reencoded = _synthesize_rounds(g, rounds, sigma, p, g_fn, h_fn, uniform_q)
     return SynthesisCertificate(
         target="dgnn6",
         sigma=sigma,
@@ -770,7 +751,7 @@ def synthesize_dgnn6(
         uniform_q=uniform_q,
         reencoded=reencoded,
         n=g.n,
-        rounds=tuple(synthesized),
+        rounds=synthesized,
         g_fn=g_fn,
         h_fn=h_fn,
         m_p=m_p,

@@ -31,12 +31,7 @@ from wlmpnn.mpnn import (
 )
 from wlmpnn.surd import ONE, ExactScalar
 from wlmpnn.synthesis import synthesize_dgnn6, synthesize_gnn_minus
-from wlmpnn.wl import encoded_wl_spec, phi_inverse, phi_sum, wl_partitions, wl_run
-
-
-class _Wrap:
-    def __init__(self, partitions):
-        self.partitions = tuple(partitions)
+from wlmpnn.wl import WlTrace, encoded_wl_spec, phi_inverse, phi_sum, wl_partitions, wl_run
 
 
 def _finish(number: int, name: str, ok: bool, detail: str = ""):
@@ -88,8 +83,8 @@ def test_criterion_02_same_round_fails_one_ahead_holds():
     g = builtin_graph("fig1")
     gcn1 = run_mpnn(g, named_spec("gcn", 3, rounds=1))
     gcn3 = run_mpnn(g, named_spec("gcn", 3, rounds=3))
-    same_round = weaker(gcn1, _Wrap(wl_partitions(g, 1)), ShiftSpec("identity"))
-    one_ahead = weaker(gcn3, _Wrap(wl_partitions(g, 4)), ShiftSpec("plus_one"))
+    same_round = weaker(gcn1, WlTrace(tuple(wl_partitions(g, 1)), None), ShiftSpec("identity"))
+    one_ahead = weaker(gcn3, WlTrace(tuple(wl_partitions(g, 4)), None), ShiftSpec("plus_one"))
     elapsed = time.perf_counter() - started
     ok = (
         not same_round.holds

@@ -8,14 +8,7 @@ from wlmpnn.cases import builtin_graph, named_spec, sample_anonymous_spec, sampl
 from wlmpnn.compare import ShiftSpec, compare_traces, equally_strong, report, weaker
 from wlmpnn.mpnn import run_mpnn
 from wlmpnn.synthesis import synthesize_gnn_minus
-from wlmpnn.wl import wl_partitions
-
-
-class Wrap:
-    """Partition list as a trace."""
-
-    def __init__(self, partitions):
-        self.partitions = tuple(partitions)
+from wlmpnn.wl import WlTrace, wl_partitions
 
 
 def gcn_trace(rounds):
@@ -41,7 +34,7 @@ def test_weaker_is_reflexive():
 
 def test_gcn_not_weaker_than_refinement_same_round():
     trace = gcn_trace(1)
-    wl = Wrap(wl_partitions(builtin_graph("fig1"), 1))
+    wl = WlTrace(tuple(wl_partitions(builtin_graph("fig1"), 1)), None)
     verdict = weaker(trace, wl, ShiftSpec("identity"))
     assert not verdict.holds
     assert verdict.first_violation == (1, 4, 5)
@@ -49,13 +42,13 @@ def test_gcn_not_weaker_than_refinement_same_round():
 
 def test_gcn_weaker_than_refinement_one_step_ahead():
     trace = gcn_trace(3)
-    wl = Wrap(wl_partitions(builtin_graph("fig1"), 4))
+    wl = WlTrace(tuple(wl_partitions(builtin_graph("fig1"), 4)), None)
     assert weaker(trace, wl, ShiftSpec("plus_one")).holds
 
 
 def test_witness_is_self_validating():
     trace = gcn_trace(1)
-    wl = Wrap(wl_partitions(builtin_graph("fig1"), 1))
+    wl = WlTrace(tuple(wl_partitions(builtin_graph("fig1"), 1)), None)
     verdict = weaker(trace, wl, ShiftSpec("identity"))
     t, v, w = verdict.first_violation
     fine = wl.partitions[t]
@@ -66,15 +59,15 @@ def test_witness_is_self_validating():
 
 def test_weaker_requires_enough_rounds():
     trace = gcn_trace(2)
-    wl = Wrap(wl_partitions(builtin_graph("fig1"), 2))
+    wl = WlTrace(tuple(wl_partitions(builtin_graph("fig1"), 2)), None)
     with pytest.raises(ValueError, match="rounds"):
         weaker(trace, wl, ShiftSpec("plus_one"))
 
 
 def test_times_c_identity_sanity():
     g = builtin_graph("fig1")
-    wl_long = Wrap(wl_partitions(g, 4))
-    wl_short = Wrap(wl_partitions(g, 2))
+    wl_long = WlTrace(tuple(wl_partitions(g, 4)), None)
+    wl_short = WlTrace(tuple(wl_partitions(g, 2)), None)
     assert weaker(wl_short, wl_long, ShiftSpec("times_c", 2)).holds
 
 
@@ -82,7 +75,7 @@ def test_equally_strong_with_synthesized_network():
     g = builtin_graph("fig1")
     cert = synthesize_gnn_minus(g, 3, "relu")
     trace = run_mpnn(g, cert.to_spec())
-    wl = Wrap(wl_partitions(g, 3))
+    wl = WlTrace(tuple(wl_partitions(g, 3)), None)
     assert equally_strong(trace, wl)
     assert equally_strong(trace, trace)
 
@@ -90,13 +83,13 @@ def test_equally_strong_with_synthesized_network():
 def test_equally_strong_fails_for_degree_aware_layer():
     g = builtin_graph("fig1")
     trace = run_mpnn(g, named_spec("dgnn2", 3, rounds=1))
-    wl = Wrap(wl_partitions(g, 1))
+    wl = WlTrace(tuple(wl_partitions(g, 1)), None)
     assert not equally_strong(trace, wl)
 
 
 def test_equally_strong_requires_matching_rounds():
     with pytest.raises(ValueError, match="mismatch"):
-        equally_strong(gcn_trace(1), Wrap(wl_partitions(builtin_graph("fig1"), 2)))
+        equally_strong(gcn_trace(1), WlTrace(tuple(wl_partitions(builtin_graph("fig1"), 2)), None))
 
 
 def test_weaker_identity_preorder_on_samples():
@@ -104,7 +97,7 @@ def test_weaker_identity_preorder_on_samples():
     g = sample_graph(6, 0.5, 17)
     traces = [run_mpnn(g, sample_anonymous_spec(random.Random(s), g.label_dim)) for s in range(4)]
     identity = ShiftSpec("identity")
-    fixed = [Wrap(t.partitions[:3]) for t in traces if len(t.partitions) >= 3]
+    fixed = [WlTrace(tuple(t.partitions[:3]), None) for t in traces if len(t.partitions) >= 3]
     for a in fixed:
         assert weaker(a, a, identity).holds
         for b in fixed:
@@ -121,7 +114,7 @@ def test_report_empty():
 def test_report_names_witness():
     g = builtin_graph("fig1")
     comparison = compare_traces(
-        gcn_trace(1), Wrap(wl_partitions(g, 1)), ShiftSpec("identity"), "gcn", "wl"
+        gcn_trace(1), WlTrace(tuple(wl_partitions(g, 1)), None), ShiftSpec("identity"), "gcn", "wl"
     )
     text = report([comparison])
     assert "gcn NOT weaker-than wl" in text
@@ -133,9 +126,10 @@ def test_report_names_witness():
 
 def test_report_batch_counts():
     g = builtin_graph("fig1")
-    wl1 = Wrap(wl_partitions(g, 1))
+    wl1 = WlTrace(tuple(wl_partitions(g, 1)), None)
+    wl2 = WlTrace(tuple(wl_partitions(g, 2)), None)
     comparisons = [
         compare_traces(gcn_trace(1), wl1, ShiftSpec("identity"), "gcn", "wl"),
-        compare_traces(Wrap(wl_partitions(g, 2)), Wrap(wl_partitions(g, 2)), ShiftSpec("identity"), "wl", "wl"),
+        compare_traces(wl2, wl2, ShiftSpec("identity"), "wl", "wl"),
     ]
     assert "1/2 relations hold" in report(comparisons)

@@ -6,12 +6,7 @@ from wlmpnn.compare import ShiftSpec, equally_strong, weaker
 from wlmpnn.graphs import format_graph, parse_graph
 from wlmpnn.mpnn import run_mpnn, spec_from_json, spec_to_json
 from wlmpnn.synthesis import synthesize_dgnn6, synthesize_gnn_minus
-from wlmpnn.wl import wl_partitions, wl_run
-
-
-class Wrap:
-    def __init__(self, partitions):
-        self.partitions = tuple(partitions)
+from wlmpnn.wl import WlTrace, wl_partitions, wl_run
 
 
 def test_synthesized_network_is_equally_strong_as_refinement():
@@ -21,7 +16,7 @@ def test_synthesized_network_is_equally_strong_as_refinement():
         for sigma in ("relu", "sign"):
             cert = target(g, rounds, sigma)
             trace = run_mpnn(g, cert.to_spec())
-            assert equally_strong(trace, Wrap(wl_partitions(g, rounds)))
+            assert equally_strong(trace, WlTrace(tuple(wl_partitions(g, rounds)), None))
 
 
 def test_certificate_survives_spec_serialization():
@@ -54,5 +49,6 @@ def test_graph_round_trip_through_file_then_synthesis():
     cert = synthesize_gnn_minus(reparsed, rounds, "sign")
     assert cert.all_equivalent
     trace = run_mpnn(reparsed, cert.to_spec())
-    assert weaker(trace, Wrap(wl_partitions(reparsed, rounds)), ShiftSpec("identity")).holds
-    assert weaker(Wrap(wl_partitions(reparsed, rounds)), trace, ShiftSpec("identity")).holds
+    reference = WlTrace(tuple(wl_partitions(reparsed, rounds)), None)
+    assert weaker(trace, reference, ShiftSpec("identity")).holds
+    assert weaker(reference, trace, ShiftSpec("identity")).holds

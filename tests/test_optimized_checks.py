@@ -44,6 +44,24 @@ except ArithmeticError:
 else:
     sys.exit("synthesize_dgnn6 accepted p outside (m_p, 1)")
 
+# a round that needs a repair has no plain gnn-minus layer
+real_wl_partitions = synthesis.wl_partitions
+
+def coarser(g, rounds):
+    parts = real_wl_partitions(g, rounds)
+    parts[2] = parts[1]
+    return parts
+
+synthesis.wl_partitions = coarser
+try:
+    synthesis.synthesize_gnn_minus(builtin_graph("fig1"), 3, "relu")
+except synthesis.SynthesisError as exc:
+    if exc.dump.get("round") != 2:
+        sys.exit("gnn-minus check did not name the round")
+else:
+    sys.exit("synthesize_gnn_minus accepted a repaired round")
+synthesis.wl_partitions = real_wl_partitions
+
 try:
     CompareVerdict(holds=True, first_violation=(1, 2, 3))
 except ValueError:

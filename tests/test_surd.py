@@ -130,6 +130,32 @@ def test_text_round_trip_examples():
         assert parse_scalar(text).to_text() == text
 
 
+def test_text_round_trip_past_the_int_str_digit_limit():
+    # str(int) and int(str) refuse more than 4,300 digits by default; scalar
+    # text converts longer integers itself, to the same digits
+    limit = sys.get_int_max_str_digits()
+    num, den = 10**5000 + 7, 2**20000  # 5,001 and 6,021 digits, coprime
+
+    def digits(k):
+        return str(Decimal(k))  # exact, and not subject to the limit
+
+    cases = [
+        (S(Fraction(num, den)), f"{digits(num)}/{digits(den)}"),
+        (S(num * 10**3000), digits(num * 10**3000)),
+        (
+            S(Fraction(-num, den)) + sqrt(2, Fraction(den, num)),
+            f"-{digits(num)}/{digits(den)} + {digits(den)}/{digits(num)}*sqrt(2)",
+        ),
+        (sqrt(3, Fraction(1, den)), f"1/{digits(den)}*sqrt(3)"),
+        (parse_scalar("1" * 5000), "1" * 5000),
+    ]
+    for value, text in cases:
+        assert value.to_text() == text
+        assert parse_scalar(text) == value
+    assert parse_scalar("1" * 5000).as_int() == (10**5000 - 1) // 9
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_parse_is_liberal_print_is_canonical():
     assert parse_scalar("sqrt(12)").to_text() == "2*sqrt(3)"
     assert parse_scalar(" 1/2+1/4 * sqrt(2)").to_text() == "1/2 + 1/4*sqrt(2)"

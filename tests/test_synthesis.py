@@ -63,7 +63,7 @@ def test_dgnn6_takes_the_direct_route_only_for_dependent_rows(monkeypatch):
 
 def test_dgnn6_repair_variants_let_a_separation_error_escape(monkeypatch):
     # a ValueError from a repair variant is a fault, not a reason to try the next one
-    def failing(rows, sigma, q_override):
+    def failing(rows, sigma, q_override, g, t):
         raise ValueError("radicands span 13 primes; the conjugate limit is 12")
 
     monkeypatch.setattr(synthesis, "_separated_block", failing)
@@ -341,13 +341,49 @@ def test_dgnn6_regular_graph_degenerates():
 
 
 def test_dgnn6_unit_scalings_match_gnn_minus():
-    g = builtin_graph("fig1")
+    # gnn-minus is the degree-normalized construction with g = h = 1 at p = 1/2
+    graphs = [builtin_graph(gid) for gid in ("fig1", "g1", "g3")]
+    graphs += [sample_graph(7, Fraction(2, 5), seed, require_connected=True) for seed in (3, 8, 21)]
     unit = DegreeFn.one()
-    cert6 = synthesize_dgnn6(g, 3, "relu", g_fn=unit, h_fn=unit)
-    cert_minus = synthesize_gnn_minus(g, 3, "relu")
-    assert cert6.p == cert_minus.p == S(Fraction(1, 2))
-    for r6, rm in zip(cert6.rounds, cert_minus.rounds):
-        assert r6.weight == rm.weight and r6.q == rm.q
+    for g in graphs:
+        rounds = max(1, wl_run(g).stabilized_at)
+        for sigma in ("relu", "sign"):
+            for uniform_q in (False, True):
+                cert6 = synthesize_dgnn6(g, rounds, sigma, g_fn=unit, h_fn=unit, uniform_q=uniform_q)
+                cert_minus = synthesize_gnn_minus(g, rounds, sigma, uniform_q=uniform_q)
+                assert cert6.p == cert_minus.p == S(Fraction(1, 2))
+                assert cert6.reencoded == cert_minus.reencoded
+                assert [r.to_json() for r in cert6.rounds] == [r.to_json() for r in cert_minus.rounds]
+
+
+def test_gnn_minus_rejects_a_round_that_needs_a_repair(monkeypatch):
+    # against a reference coarser than refinement at round 2, the shared loop
+    # merges the extra split with a projection repair, which the plain
+    # sigma((A + pI) L W - q J) layer cannot express
+    real = synthesis.wl_partitions
+
+    def coarser(g, rounds):
+        parts = real(g, rounds)
+        parts[2] = parts[1]
+        return parts
+
+    monkeypatch.setattr(synthesis, "wl_partitions", coarser)
+    for sigma in ("relu", "sign"):
+        with pytest.raises(synthesis.SynthesisError, match="round 2") as info:
+            synthesize_gnn_minus(builtin_graph("fig1"), 3, sigma)
+        assert info.value.dump["round"] == 2
+        assert info.value.dump["repair"] == "projection"
+
+
+def test_uniform_q_failure_carries_the_round_dump(monkeypatch):
+    # q = 0 leaves sigma(C X) = C X of rank one, so separation must fail
+    monkeypatch.setattr(synthesis, "_uniform_q", lambda n: ZERO)
+    for synthesize in (synthesize_gnn_minus, synthesize_dgnn6):
+        with pytest.raises(synthesis.SynthesisError, match="uniform threshold") as info:
+            synthesize(builtin_graph("fig1"), 2, "relu", uniform_q=True)
+        dump = info.value.dump
+        assert dump["round"] == 1 and dump["q"] == "0"
+        assert dump["reason"] == "uniform q too small" and "graph" in dump
 
 
 def test_dgnn6_round_one_repair_on_fig1():
