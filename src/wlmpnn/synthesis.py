@@ -20,6 +20,11 @@ the result against the refinement reference.  Verification is mandatory: a
 failed round raises SynthesisError with a dump instead of emitting a
 certificate.
 
+The separation matrix X = z x^T has rank one and is kept as its two factors
+(z, x_row): weights are composed as outer(U z, x_row), never as U X, and the
+activated block sigma(C X - q J) of a round is computed once from the mixed
+values C z, then reused as the round's output rows.
+
 The degree-normalized target needs repairs beyond the plain route, all
 staying inside the architecture's weight/bias freedom and all re-verified:
 
@@ -77,7 +82,7 @@ from .linalg import (
     unique_rows,
 )
 from .mpnn import BuiltinLayer, DegreeFn, LayerParams, MpnnSpec, propagate
-from .surd import ONE, ZERO, ExactScalar, activate, floor_exact
+from .surd import ONE, ZERO, ExactScalar, activate, exact_sum, floor_exact
 from .wl import wl_partitions
 
 
@@ -91,14 +96,21 @@ class SynthesisError(RuntimeError):
 
 @dataclass(frozen=True)
 class SeparationResult:
-    """Witness that sigma(C X - q J) has non-singular unique rows."""
+    """Witness that sigma(C X - q J) has non-singular unique rows.
 
-    x_matrix: Matrix
+    X = z x_row^T has rank one, so only its two factors are stored.
+    """
+
     q: ExactScalar
     permutation: tuple[int, ...]
     base: ExactScalar
     z: Row
     x_row: Row
+
+    @property
+    def x_matrix(self) -> Matrix:
+        """The separation matrix X, derived from its factors as outer(z, x_row)."""
+        return outer(self.z, self.x_row)
 
 
 def _check_separation_preconditions(c: Sequence[Row]) -> None:
@@ -116,13 +128,23 @@ def _check_separation_preconditions(c: Sequence[Row]) -> None:
                 raise ValueError("separation rows must be non-negative")
 
 
-def _activated(c: Sequence[Row], x_matrix: Matrix, q: ExactScalar, sigma: str) -> Matrix:
-    return tuple(
-        tuple(activate(v - q, sigma) for v in row_mat(row, x_matrix)) for row in c
-    )
+def _dot(a: Row, b: Row) -> ExactScalar:
+    return exact_sum(x * y for x, y in zip(a, b) if not (x.is_zero or y.is_zero))
 
 
-def _separation(c: Sequence[Row], sigma: str) -> SeparationResult:
+def _mat_vec(m: Matrix, col: Row) -> Row:
+    return tuple(_dot(row, col) for row in m)
+
+
+def _activated(mixed: Sequence[ExactScalar], x_row: Row, q: ExactScalar, sigma: str) -> Matrix:
+    """sigma(C X - q J) from the mixed values C z: entry (i, j) is
+    sigma(mixed_i x_j - q), because (C z x^T)_ij = (c_i . z) x_j."""
+    return tuple(tuple(activate(m * xj - q, sigma) for xj in x_row) for m in mixed)
+
+
+def _separation(c: Sequence[Row], sigma: str) -> tuple[SeparationResult, list[ExactScalar], Matrix]:
+    """The separation of the rows c, their mixed values c_i . z and the
+    activated block sigma(C X - q J), whose independence is checked here."""
     _check_separation_preconditions(c)
     m = len(c)
     width = len(c[0])
@@ -138,7 +160,7 @@ def _separation(c: Sequence[Row], sigma: str) -> SeparationResult:
         for _ in range(width - 1):
             powers.append(powers[-1] * base)
         z = tuple(powers)
-        mixed = [sum((row[i] * z[i] for i in range(width)), start=ZERO) for row in c]
+        mixed = [_dot(row, z) for row in c]
         if len({v for v in mixed}) == m:
             break
         base = base + ONE
@@ -157,29 +179,22 @@ def _separation(c: Sequence[Row], sigma: str) -> SeparationResult:
             if ratio > below_one:
                 below_one = ratio
     threshold = below_one if sigma == "relu" else (below_one + ONE) * ExactScalar(Fraction(1, 2))
-    x_matrix = outer(z, x_row)
-    activated = _activated(c, x_matrix, threshold, sigma)
+    activated = _activated(mixed, x_row, threshold, sigma)
     if not rows_linearly_independent(activated):  # pragma: no cover - construction guarantees
         raise AssertionError("separation produced a singular activated matrix")
-    return SeparationResult(
-        x_matrix=x_matrix,
-        q=threshold,
-        permutation=order,
-        base=base,
-        z=z,
-        x_row=x_row,
-    )
+    sep = SeparationResult(q=threshold, permutation=order, base=base, z=z, x_row=x_row)
+    return sep, mixed, activated
 
 
 def relu_separation(c: Sequence[Row]) -> SeparationResult:
     """Separation for the ReLU activation; q is the greatest below-1 ratio."""
-    return _separation(as_matrix(c), "relu")
+    return _separation(as_matrix(c), "relu")[0]
 
 
 def sign_separation(c: Sequence[Row]) -> SeparationResult:
     """Separation for the sign activation; the threshold is the midpoint
     between the greatest below-1 ratio and 1, forcing a strict +-1 pattern."""
-    return _separation(as_matrix(c), "sign")
+    return _separation(as_matrix(c), "sign")[0]
 
 
 # -- the p lower bound for degree-normalized synthesis -------------------------
@@ -370,11 +385,13 @@ def _separated_block(
 ):
     """Shift-to-positive + separation over a row block of round t.
 
-    Returns (weight columns in row space, bias entries, per-row output
-    values, q, shift).  The shift is folded into the bias through the
-    all-ones image of the mixing column 1_w X = (sum z) x.
+    Returns (z, x_row), the bias entries, the per-row output values, q and
+    the shift.  The weight columns are outer(z, x_row) in row space; the
+    shift is folded into the bias through the all-ones image of the mixing
+    column 1_w X = (sum z) x.  A row's output is the activated separation
+    row of its unique index: (row + shift 1) . z is that row's mixed value.
     """
-    uniq, _ = unique_rows(rows)
+    uniq, index = unique_rows(rows)
     minimum = min(v for row in uniq for v in row)
     zero_row = any(all(v.is_zero for v in row) for row in uniq)
     if minimum.sign() < 0:
@@ -384,21 +401,20 @@ def _separated_block(
     else:
         shift = ZERO
     c_rows = uniq if shift.is_zero else [tuple(v + shift for v in row) for row in uniq]
-    sep = _separation(tuple(c_rows), sigma)
+    sep, mixed, block = _separation(tuple(c_rows), sigma)
     q = sep.q if q_override is None else q_override
     _check_q(q)
-    if q_override is not None and not rows_linearly_independent(_activated(c_rows, sep.x_matrix, q, sigma)):
-        raise SynthesisError(
-            "uniform threshold breaks non-singularity on this round",
-            _dump(g, t, "uniform q too small", q=q.to_text()),
-        )
+    if q_override is not None:
+        block = _activated(mixed, sep.x_row, q, sigma)
+        if not rows_linearly_independent(block):
+            raise SynthesisError(
+                "uniform threshold breaks non-singularity on this round",
+                _dump(g, t, "uniform q too small", q=q.to_text()),
+            )
     z_total = sum(sep.z, start=ZERO)
     bias = tuple(shift * z_total * xj - q for xj in sep.x_row)
-    values = [
-        tuple(activate(v + b, sigma) for v, b in zip(row_mat(row, sep.x_matrix), bias))
-        for row in rows
-    ]
-    return sep.x_matrix, bias, values, q, shift
+    values = [block[i] for i in index]
+    return (sep.z, sep.x_row), bias, values, q, shift
 
 
 def _find_clamp_column(
@@ -419,28 +435,35 @@ def _find_clamp_column(
     """
     width = len(rows[0])
     delta = tuple(x - y for x, y in zip(rows[a], rows[b]))
-    candidates: list[Row] = [delta, tuple(-x for x in delta)]
-    for l in range(k_cols):
-        column = tuple(kernel[i][l] for i in range(width))
-        for gamma in (1, 2, 4, 8, 16, 64):
-            for d_sign in (1, -1):
-                for k_sign in (1, -1):
-                    candidates.append(
-                        tuple(d_sign * d + (k_sign * gamma) * c for d, c in zip(delta, column))
-                    )
-    for j in range(width):
-        if not (rows[a][j] - rows[b][j]).is_zero:
-            unit = tuple(ONE if i == j else ZERO for i in range(width))
-            candidates.append(unit)
-            candidates.append(tuple(-x for x in unit))
+    delta_u = [_dot(row, delta) for row in rows]
+
+    def candidates():
+        # each candidate's projections are a combination of rows . delta and
+        # rows . column, computed once; a zero direction has u[a] = u[b]
+        yield delta, delta_u
+        yield tuple(-x for x in delta), [-x for x in delta_u]
+        for l in range(k_cols):
+            column = tuple(kernel[i][l] for i in range(width))
+            column_u = [_dot(row, column) for row in rows]
+            for gamma in (1, 2, 4, 8, 16, 64):
+                for d_sign in (1, -1):
+                    for k_sign in (1, -1):
+                        k = k_sign * gamma
+                        yield (
+                            tuple(d_sign * d + k * c for d, c in zip(delta, column)),
+                            [d_sign * d + k * c for d, c in zip(delta_u, column_u)],
+                        )
+        for j in range(width):
+            if not delta[j].is_zero:
+                unit = tuple(ONE if i == j else ZERO for i in range(width))
+                yield unit, [row[j] for row in rows]
+                yield tuple(-x for x in unit), [-row[j] for row in rows]
+
     classes: dict[int, list[int]] = {}
     for v, cls in enumerate(wl_part.class_of):
         classes.setdefault(cls, []).append(v)
     half = ExactScalar(Fraction(1, 2))
-    for direction in candidates:
-        if all(x.is_zero for x in direction):
-            continue
-        u = [sum((row[i] * direction[i] for i in range(width)), start=ZERO) for row in rows]
+    for direction, u in candidates():
         if (u[a] - u[b]).is_zero:
             continue
         # the column's behaviour changes only when tau crosses a projection
@@ -607,13 +630,15 @@ def _synthesize_rounds(
         variants.append(("none", None))
         chosen = None
         for repair, payload in variants:
+            # a rank-one weight is kept as (column, x_row); clamp weights are explicit
+            factors = lam_weight = None
             if repair == "clamp":
                 kernel, k_cols, base, suffix = payload
                 if k_cols:
-                    x_matrix, bias_base, base_vals, q, shift = _separated_block(
+                    (z, x_row), bias_base, base_vals, q, shift = _separated_block(
                         base, sigma, q_override, g, t
                     )
-                    weight_cols = mat_mul(kernel, x_matrix)
+                    weight_cols = outer(_mat_vec(kernel, z), x_row)
                 else:
                     bias_base, base_vals, q, shift = (), [() for _ in target], ZERO, ZERO
                     weight_cols = tuple(() for _ in range(width))
@@ -632,27 +657,30 @@ def _synthesize_rounds(
                 ]
             elif repair == "projection":
                 projected_rows, kernel = payload
-                x_matrix, bias, new_rows, q, shift = _separated_block(
+                (z, x_row), bias, new_rows, q, shift = _separated_block(
                     projected_rows, sigma, q_override, g, t
                 )
-                lam_weight = mat_mul(kernel, x_matrix)
+                factors = (_mat_vec(kernel, z), x_row)
             else:
-                x_matrix, bias, new_rows, q, shift = _separated_block(target, sigma, q_override, g, t)
-                lam_weight = x_matrix
+                factors, bias, new_rows, q, shift = _separated_block(target, sigma, q_override, g, t)
             new_partition = Partition.from_keys(new_rows)
             refined = partition_refines(new_partition, wl_part)
             uniq_new, _ = unique_rows(new_rows)
             independent = rows_linearly_independent(uniq_new)
             if refined and independent:
-                chosen = (repair, lam_weight, bias, new_rows, q, shift, new_partition)
+                chosen = (repair, factors, lam_weight, bias, new_rows, q, shift, new_partition)
                 break
         if chosen is None:
             raise SynthesisError(
                 f"round {t}: no construction satisfied the refinement bound and independence",
                 _dump(g, t, "degree-normalized round failed verification", route=route),
             )
-        repair, lam_weight, bias, new_rows, q, shift, new_partition = chosen
-        weight = lam_weight if v_map is None else mat_mul(v_map, lam_weight)
+        repair, factors, lam_weight, bias, new_rows, q, shift, new_partition = chosen
+        if factors is not None:
+            column, x_row = factors
+            weight = outer(column if v_map is None else _mat_vec(v_map, column), x_row)
+        else:
+            weight = lam_weight if v_map is None else mat_mul(v_map, lam_weight)
         synthesized.append(
             RoundSynthesis(
                 weight=weight,

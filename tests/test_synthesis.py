@@ -1,4 +1,5 @@
 """Weight synthesis: right inverses, separation, the p bound, certificates."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,19 @@ import pytest
 from wlmpnn import synthesis
 from wlmpnn.cases import builtin_graph, make_graph, sample_graph
 from wlmpnn.graphs import partition_refines
-from wlmpnn.linalg import DependentRowsError, as_matrix, determinant, identity, mat_mul, right_inverse, unique_rows
+from wlmpnn.linalg import (
+    DependentRowsError,
+    as_matrix,
+    determinant,
+    identity,
+    mat_mul,
+    outer,
+    right_inverse,
+    row_mat,
+    unique_rows,
+)
 from wlmpnn.mpnn import DegreeFn, run_mpnn
-from wlmpnn.surd import ONE, ZERO, ExactScalar, parse_scalar
+from wlmpnn.surd import ONE, ZERO, ExactScalar, activate, parse_scalar
 from wlmpnn.synthesis import (
     compute_mp,
     relu_separation,
@@ -152,6 +163,67 @@ def test_separation_with_surd_entries():
     c = as_matrix([[S.sqrt(2), ONE], [ONE, S.sqrt(3)]])
     for sep in (relu_separation(c), sign_separation(c)):
         assert ZERO <= sep.q < ONE
+
+
+def _seeded_rows(seed: int, low: int, zero_row: bool = False) -> list:
+    rng = random.Random(seed)
+    rows = [tuple(S(Fraction(rng.randint(low, 6), rng.randint(1, 3))) for _ in range(3)) for _ in range(5)]
+    rows.append((S.sqrt(2), ONE, S(Fraction(1, 2))))
+    rows.append(rows[1])  # a repeated row must take its unique row's output
+    if zero_row:
+        rows[2] = (ZERO, ZERO, ZERO)
+    return rows
+
+
+@pytest.mark.parametrize("sigma", ["relu", "sign"])
+@pytest.mark.parametrize("uniform", [False, True])
+@pytest.mark.parametrize(
+    "low, zero_row, shift_sign",
+    [(1, False, 0), (-3, False, 1), (1, True, 1)],
+    ids=["non-negative", "negative-entry", "zero-row"],
+)
+def test_separated_block_matches_the_explicit_product(sigma, uniform, low, zero_row, shift_sign):
+    # the block kept as (z, x_row) must give exactly what the materialized
+    # separation matrix gives: sigma(row X + bias) with X = outer(z, x_row)
+    rows = _seeded_rows(7 + low, low, zero_row)
+    q_override = synthesis._uniform_q(len(rows)) if uniform else None
+    (z, x_row), bias, values, q, shift = synthesis._separated_block(
+        rows, sigma, q_override, builtin_graph("fig1"), 1
+    )
+    assert shift.sign() == shift_sign
+    if zero_row:
+        assert shift == ONE
+    if uniform:
+        assert q == q_override
+    x_matrix = outer(z, x_row)
+    explicit = [
+        tuple(activate(v + b, sigma) for v, b in zip(row_mat(row, x_matrix), bias)) for row in rows
+    ]
+    assert values == explicit
+    z_total = sum(z, start=ZERO)
+    assert bias == tuple(shift * z_total * xj - q for xj in x_row)
+
+
+def test_factored_weights_match_the_materialized_products():
+    # the round loop composes outer(z, x_row), K X and V (K X) as
+    # outer(z', x_row) with z' = z, K z or V (K z)
+    rng = random.Random(11)
+
+    def seeded(rows, cols):
+        return tuple(
+            tuple(S(Fraction(rng.randint(-4, 4), rng.randint(1, 3))) for _ in range(cols)) for _ in range(rows)
+        )
+
+    sep = relu_separation(M([[2, 1], [0, 1], [3, 5]]))
+    kernel = seeded(3, 2)
+    v_map = seeded(3, 3) + ((S.sqrt(3), ZERO, ONE),)
+    x_matrix = outer(sep.z, sep.x_row)
+    assert sep.x_matrix == x_matrix
+    kernel_z = synthesis._mat_vec(kernel, sep.z)
+    assert outer(kernel_z, sep.x_row) == mat_mul(kernel, x_matrix)
+    assert outer(synthesis._mat_vec(v_map, kernel_z), sep.x_row) == mat_mul(v_map, mat_mul(kernel, x_matrix))
+    wide = relu_separation(M([[2, 1, 0], [0, 1, 1], [3, 5, 2]]))
+    assert outer(synthesis._mat_vec(v_map, wide.z), wide.x_row) == mat_mul(v_map, wide.x_matrix)
 
 
 # -- the p bound -----------------------------------------------------------------
