@@ -1,20 +1,28 @@
 """Exact dense linear algebra over the surd field.
 
 Matrices are tuples of row tuples of ExactScalar.  One elimination routine,
-``_eliminate``, serves every solver, with exact zero tests, so ranks,
-inverses, kernels and determinants are certificates rather than numerical
-estimates.  ``rank`` and ``determinant`` stop at a row echelon form (clear
-below each pivot only); ``right_inverse`` and ``nullspace_basis`` need the
-reduced form (pivots scaled to 1, columns cleared above and below), from
-which solutions are read off directly.  The reduced form, the rank and the
-determinant are unique, so each caller takes the cheaper form it can.
+``_eliminate``, serves every exact solver, with exact zero tests, so ranks,
+solutions, kernels and determinants are certificates rather than numerical
+estimates.  ``rank``, ``determinant`` and ``solve`` stop at a row echelon
+form (clear below each pivot only, inverting a pivot only when a row below
+needs clearing); ``nullspace_basis`` needs the reduced form (pivots scaled
+to 1, columns cleared above and below), from which kernel vectors are read
+off directly.
+
+Exact elimination is spent only where a certificate needs its result.
+``rows_linearly_independent`` first ranks the image of the rows in the
+integers modulo a fixed prime (``surd.residues``): a ring map never raises
+rank, so a full-rank image proves independence, and only a deficient image,
+or an entry with no image, falls back to the exact ``rank``.  ``solve``
+returns the one solution a caller applies instead of a whole right inverse,
+by back substitution on the echelon form, and checks it exactly.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
 
-from .surd import ONE, ZERO, ExactScalar
+from .surd import ONE, RESIDUE_PRIME, ZERO, ExactScalar, exact_sum, residues
 
 Row = tuple[ExactScalar, ...]
 Matrix = tuple[Row, ...]
@@ -89,7 +97,9 @@ def _eliminate(rows: Sequence[Row], ncols: int | None = None, reduced: bool = Tr
 
     reduced=True scales each pivot row to 1 and clears its column above and
     below, giving the reduced row echelon form.  reduced=False only clears
-    below, with the pivot rows left unscaled, giving a row echelon form.
+    below, with the pivot rows left unscaled, giving a row echelon form; a
+    pivot is inverted only when some row below needs clearing, so a
+    triangular matrix is reduced without a single inversion.
     Stops once every row has a pivot.  Returns (rows, pivot columns, number
     of row swaps).
     """
@@ -110,15 +120,50 @@ def _eliminate(rows: Sequence[Row], ncols: int | None = None, reduced: bool = Tr
             work[rank_so_far], work[pivot] = work[pivot], work[rank_so_far]
             swaps += 1
         prow = work[rank_so_far]
-        inv = prow[col].invert()
+        inv = None
         if reduced:
+            inv = prow[col].invert()
             prow = work[rank_so_far] = [inv * x for x in prow]
         for r in range(0 if reduced else rank_so_far + 1, n_rows):
-            if r != rank_so_far and not work[r][col].is_zero:
-                factor = work[r][col] if reduced else work[r][col] * inv
-                work[r] = [x - factor * y for x, y in zip(work[r], prow)]
+            factor = work[r][col]
+            if r == rank_so_far or factor.is_zero:
+                continue
+            if not reduced:
+                if inv is None:
+                    inv = prow[col].invert()
+                factor = factor * inv
+            work[r] = [x - factor * y for x, y in zip(work[r], prow)]
         pivots.append(col)
     return work, pivots, swaps
+
+
+def _residue_rank(rows: Sequence[Row]) -> int | None:
+    """The rank of the rows' image modulo RESIDUE_PRIME, or None when some
+    entry has no image (see ``surd.residues``)."""
+    width = len(rows[0]) if rows else 0
+    if not width:
+        return 0
+    flat = residues(x for row in rows for x in row)
+    if flat is None:
+        return None
+    ell = RESIDUE_PRIME
+    work = [flat[i : i + width] for i in range(0, len(flat), width)]
+    found = 0
+    for col in range(width):
+        if found == len(work):
+            break
+        pivot = next((r for r in range(found, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[found], work[pivot] = work[pivot], work[found]
+        prow = work[found]
+        inv = pow(prow[col], -1, ell)
+        for r in range(found + 1, len(work)):
+            factor = work[r][col] * inv % ell
+            if factor:
+                work[r] = [(x - factor * y) % ell for x, y in zip(work[r], prow)]
+        found += 1
+    return found
 
 
 def rank(rows: Sequence[Row]) -> int:
@@ -126,33 +171,57 @@ def rank(rows: Sequence[Row]) -> int:
 
 
 def rows_linearly_independent(rows: Sequence[Row]) -> bool:
+    """Whether the rows are linearly independent over the surd field.
+
+    A full-rank image modulo RESIDUE_PRIME proves it, since a ring map never
+    raises rank; otherwise (a deficient image, or an entry with no image)
+    the exact rank decides.
+    """
+    if _residue_rank(rows) == len(rows):
+        return True
     return rank(rows) == len(rows)
 
 
-def right_inverse(matrix: Sequence[Row]) -> Matrix:
-    """U with uniq(matrix) @ U = I, for a matrix whose unique rows are independent.
+def solve(matrix: Sequence[Row], rhs: Sequence[Row]) -> Matrix:
+    """Y with uniq(matrix) @ Y = rhs, for a matrix whose unique rows are independent.
 
-    Solved by reducing [uniq | I] on the columns of uniq; free variables are
-    set to zero.  Raises DependentRowsError, a ValueError, when the unique
-    rows are linearly dependent.
-    The returned product is re-verified exactly before returning; a failed
-    verification raises ArithmeticError.
+    rhs has one row per unique row of matrix.  [uniq | rhs] is brought to a
+    row echelon form on the columns of uniq and Y read off by back
+    substitution with the free variables set to zero, so Y is
+    right_inverse(matrix) @ rhs.  Raises DependentRowsError, a ValueError,
+    when the unique rows are linearly dependent.  The product uniq @ Y is
+    re-verified exactly before returning; a mismatch raises ArithmeticError.
     """
     uniq, _ = unique_rows(tuple(matrix))
+    rhs = tuple(tuple(row) for row in rhs)
     m = len(uniq)
+    if len(rhs) != m:
+        raise ValueError(f"right-hand side has {len(rhs)} rows for {m} unique rows")
     width = len(uniq[0])
-    aug = [row + tuple(ONE if i == j else ZERO for j in range(m)) for i, row in enumerate(uniq)]
-    work, pivots, _ = _eliminate(aug, ncols=width)
+    k = len(rhs[0]) if rhs else 0
+    work, pivots, _ = _eliminate([row + b for row, b in zip(uniq, rhs)], ncols=width, reduced=False)
     if len(pivots) < m:
-        raise DependentRowsError("unique rows are linearly dependent; no right inverse exists")
-    out = [[ZERO] * m for _ in range(width)]
-    for row, col in zip(work, pivots):
-        out[col] = row[width:]
-    u = as_matrix(out)
-    product = mat_mul(tuple(uniq), u)
-    if product != identity(m):
-        raise ArithmeticError("right inverse verification failed")
-    return u
+        raise DependentRowsError("unique rows are linearly dependent; no solution for every right-hand side")
+    out = [[ZERO] * k for _ in range(width)]
+    for i in range(m - 1, -1, -1):
+        row, col = work[i], pivots[i]
+        inv = row[col].invert()
+        later = [(row[c], out[c]) for c in pivots[i + 1 :] if not row[c].is_zero]
+        out[col] = [
+            inv * (row[width + j] - exact_sum(a * y[j] for a, y in later if not y[j].is_zero))
+            for j in range(k)
+        ]
+    y = tuple(tuple(r) for r in out)
+    if mat_mul(tuple(uniq), y) != rhs:
+        raise ArithmeticError("solve verification failed")
+    return y
+
+
+def right_inverse(matrix: Sequence[Row]) -> Matrix:
+    """U with uniq(matrix) @ U = I: ``solve`` against the identity, so free
+    variables are zero, dependent unique rows raise DependentRowsError and
+    the product is re-verified exactly."""
+    return solve(matrix, identity(len(unique_rows(tuple(matrix))[0])))
 
 
 def determinant(matrix: Sequence[Row]) -> ExactScalar:
@@ -173,11 +242,14 @@ def nullspace_basis(rows: Sequence[Row], width: int) -> Matrix:
     """Columns spanning {x : row @ x = 0 for every row}; shape width x k.
 
     Each column sets one free variable of the reduced form to 1 and the
-    others to 0; k is 0 when the rows span the full space.  Empty row input
-    yields the identity.
+    others to 0; k is 0 when the rows span the full space, which a full-rank
+    image modulo RESIDUE_PRIME proves without exact elimination.  Empty row
+    input yields the identity.
     """
     if not rows:
         return identity(width)
+    if len(rows) >= width and _residue_rank(rows) == width:
+        return tuple(() for _ in range(width))
     work, pivots, _ = _eliminate(rows, ncols=width)
     pivot_set = set(pivots)
     basis_cols = []

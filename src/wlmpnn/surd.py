@@ -24,6 +24,10 @@ coefficients as one reduced ``Fraction`` per radicand.
 Sign determination of a provably nonzero value uses certified dyadic
 interval enclosures of each square root, scaled to integers, doubling the
 working precision until the enclosure excludes zero.
+
+``residues`` maps values into the integers modulo a fixed 66-bit prime in
+which every prime up to 47 has a square root, a ring map that linear
+algebra uses to prove full rank without exact elimination.
 """
 from __future__ import annotations
 
@@ -577,6 +581,64 @@ def conjugates(x: ExactScalar) -> list[ExactScalar]:
     out = [x]
     for flip in range(1, 1 << len(primes)):
         out.append(_make({r: -c if (mask & flip).bit_count() & 1 else c for r, c, mask in masked}, den))
+    return out
+
+
+# The prime 1 + 224 * (3 * 5 * 7 * ... * 47): it is 1 mod 8 and 1 mod every
+# odd prime up to 47, so by quadratic reciprocity each of those primes has a
+# square root modulo it.  RESIDUE_ROOTS[p] is the smaller of p's two roots.
+RESIDUE_PRIME = 68867655649911037921
+RESIDUE_ROOTS = {
+    2: 25353342886637605229,
+    3: 24762701388415705430,
+    5: 31543580755814360925,
+    7: 27471826746723784876,
+    11: 9785045452894158718,
+    13: 16335954450684994801,
+    17: 1125357044494037664,
+    19: 24638734003796759822,
+    23: 25703388845628571281,
+    29: 19412364301946382570,
+    31: 22851419726432893090,
+    37: 26336979156519924952,
+    41: 21238997167964289045,
+    43: 7307345024393973811,
+    47: 7454689065207130730,
+}
+
+
+def residues(values: Iterable[ExactScalar]) -> list[int] | None:
+    """The images of values in the integers modulo RESIDUE_PRIME, or None.
+
+    sqrt(p) maps to RESIDUE_ROOTS[p] and sqrt(r) to the product of the roots
+    of r's primes.  This is a ring map on the values whose denominators are
+    prime to RESIDUE_PRIME and whose radicands have no prime above 47; None
+    when some value lies outside that ring.
+    """
+    ell = RESIDUE_PRIME
+    roots = {1: 1}
+    out = []
+    for x in values:
+        acc = 0
+        for r, c in x._num.items():
+            root = roots.get(r)
+            if root is None:
+                root, rest = 1, r
+                for p, s in RESIDUE_ROOTS.items():
+                    if rest % p == 0:
+                        root = root * s % ell
+                        rest //= p
+                if rest != 1:
+                    return None
+                roots[r] = root
+            acc += c * root
+        den = x._den
+        if den != 1:
+            den %= ell
+            if not den:
+                return None
+            acc *= pow(den, -1, ell)
+        out.append(acc % ell)
     return out
 
 

@@ -13,24 +13,36 @@ Two targets are supported on a fixed input graph:
 
 One round loop serves both: gnn-minus is the degree-normalized form with
 g = h = 1 at its given p, which never needs a repair or a shift, so its bias
-is -q J.  Each round builds a right inverse of the current unique label
-rows, forms the neighbourhood count labelling through (A + pI), separates
-its unique rows with a provably non-singular activated matrix, and verifies
-the result against the refinement reference.  Verification is mandatory: a
+is -q J.  Each round tests the current unique label rows for independence,
+forms the neighbourhood count labelling through (A + pI), separates its
+unique rows with a provably non-singular activated matrix, and verifies the
+result against the refinement reference.  Verification is mandatory: a
 failed round raises SynthesisError with a dump instead of emitting a
 certificate.
 
+Exact elimination runs only where a certificate needs its result:
+independence is first tested on the rows' image modulo a prime, with the
+exact rank as the fallback (``linalg.rows_linearly_independent``); the
+paper route solves the unique label rows for the one weight column it
+applies (``linalg.solve``) instead of building a right inverse; and the
+clamp repair tests each probe column against an exact left kernel of the
+class rows, narrowed as columns are added, instead of re-ranking the rows
+per probe.
+
 The separation matrix X = z x^T has rank one and is kept as its two factors
-(z, x_row): weights are composed as outer(U z, x_row), never as U X, and the
-activated block sigma(C X - q J) of a round is computed once from the mixed
-values C z, then reused as the round's output rows.
+(z, x_row): weights are composed as outer(y, x_row), never as a product with
+X, where y is z or K z for a projection kernel K, solved back through the
+unique label rows on the paper route.  The activated block sigma(C X - q J)
+of a round is computed once from the mixed values C z, then reused as the
+round's output rows.
 
 The degree-normalized target needs repairs beyond the plain route, all
 staying inside the architecture's weight/bias freedom and all re-verified:
 
 * When a label class spans degrees with different h values, the h-scaled
-  unique rows are linearly dependent (two parallel rows), so no right
-  inverse exists; the round then works directly on the pre-weight matrix.
+  unique rows are linearly dependent (two parallel rows), so they cannot be
+  solved for every weight; the round then works directly on the pre-weight
+  matrix.
 * A network whose pre-weight rows distinguish vertices that refinement
   merges can often still match the reference by projecting the difference
   directions of reference-equal pairs to zero (a kernel factor folded into
@@ -66,19 +78,16 @@ from .graphs import (
     partition_refines_violation,
 )
 from .linalg import (
-    DependentRowsError,
     Matrix,
     Row,
     as_matrix,
     matrix_to_text,
-    mat_mul,
     nullspace_basis,
     outer,
-    rank,
-    right_inverse,
     row_mat,
     row_scale,
     rows_linearly_independent,
+    solve,
     unique_rows,
 )
 from .mpnn import BuiltinLayer, DegreeFn, LayerParams, MpnnSpec, propagate
@@ -503,6 +512,11 @@ def _clamp_repair(
     Independence is decided on a proxy: the separated kernel block assigns
     each base class an independent row, which has the same joint rank as a
     base-class one-hot, so [one-hot | clamp values | 1] is checked exactly.
+    A probe column raises its rank exactly when some vector of its left
+    kernel has a nonzero dot product with the column.  The kernel is
+    computed once, for [one-hot | 1], and each added column narrows it to
+    the vectors orthogonal to that column, so the rows are never eliminated
+    again; an empty kernel means the rows are independent.
     """
     n = len(rows)
     base = [row_mat(row, kernel) for row in rows] if k_cols else [() for _ in rows]
@@ -518,23 +532,38 @@ def _clamp_repair(
             seen.add(cls)
             reps.append(v)
     suffix: list[tuple[Row, ExactScalar, list[ExactScalar]]] = []
+    # the left kernel of the class rows [one-hot | clamp values | 1] at reps
+    left_kernel = list(zip(*nullspace_basis(tuple(zip(*(prefix[v] + (ONE,) for v in reps))), len(reps))))
 
-    def proxy_rows() -> list[Row]:
-        return [prefix[v] + tuple(col[2][v] for col in suffix) + (ONE,) for v in range(n)]
+    def append(column, dots: list[ExactScalar]) -> None:
+        """Add a clamp column, keeping the kernel vectors orthogonal to it;
+        dots holds each kernel vector's dot product with its values at reps."""
+        suffix.append(column)
+        pivot = next((i for i, d in enumerate(dots) if not d.is_zero), None)
+        if pivot is None:
+            return
+        y0 = left_kernel.pop(pivot)
+        inv = dots.pop(pivot).invert()
+        for i, d in enumerate(dots):
+            if not d.is_zero:
+                f = d * inv
+                left_kernel[i] = tuple(a - f * b for a, b in zip(left_kernel[i], y0))
+
+    def kernel_dots(column) -> list[ExactScalar]:
+        probe = tuple(column[2][v] for v in reps)
+        return [_dot(y, probe) for y in left_kernel]
 
     for _ in range(wl_part.num_classes + 6):
-        proxy = proxy_rows()
+        proxy = [prefix[v] + tuple(col[2][v] for col in suffix) + (ONE,) for v in range(n)]
         violation = partition_refines_violation(Partition.from_keys(proxy), wl_part)
         if violation is not None:
             a, b = violation
             column = _find_clamp_column(rows, wl_part, a - 1, b - 1, kernel, k_cols, sigma)
             if column is None:
                 return None
-            suffix.append(column)
+            append(column, kernel_dots(column))
             continue
-        rep_rows = [proxy[v] for v in reps]
-        current_rank = rank(rep_rows)
-        if current_rank == len(reps):
+        if not left_kernel:
             return base, suffix
         improved = False
         for i, a in enumerate(reps):
@@ -542,9 +571,9 @@ def _clamp_repair(
                 column = _find_clamp_column(rows, wl_part, a, b, kernel, k_cols, sigma)
                 if column is None:
                     continue
-                trial = [rep_rows[j] + (column[2][v],) for j, v in enumerate(reps)]
-                if rank(trial) > current_rank:
-                    suffix.append(column)
+                dots = kernel_dots(column)
+                if any(not d.is_zero for d in dots):
+                    append(column, dots)
                     improved = True
                     break
             if improved:
@@ -586,13 +615,9 @@ def _synthesize_rounds(
     rows = list(labelling.rows)
     for t in range(1, rounds + 1):
         scaled = rows if h_values is None else [row_scale(rows[v], h_values[v]) for v in range(g.n)]
-        try:
-            v_map: Matrix | None = right_inverse(scaled)
-        except DependentRowsError:
-            v_map = None
-        if v_map is not None:
+        uniq_scaled, scaled_class = unique_rows(scaled)
+        if rows_linearly_independent(uniq_scaled):
             route = "paper"
-            uniq_scaled, scaled_class = unique_rows(scaled)
             m = len(uniq_scaled)
             basis_rows = [
                 tuple(ONE if j == scaled_class[v] else ZERO for j in range(m)) for v in range(g.n)
@@ -676,11 +701,15 @@ def _synthesize_rounds(
                 _dump(g, t, "degree-normalized round failed verification", route=route),
             )
         repair, factors, lam_weight, bias, new_rows, q, shift, new_partition = chosen
+        # the paper route's weights act on the count labelling of the unique
+        # rows, so they are solved back through them
         if factors is not None:
             column, x_row = factors
-            weight = outer(column if v_map is None else _mat_vec(v_map, column), x_row)
+            if route == "paper":
+                column = tuple(y for (y,) in solve(uniq_scaled, tuple((c,) for c in column)))
+            weight = outer(column, x_row)
         else:
-            weight = lam_weight if v_map is None else mat_mul(v_map, lam_weight)
+            weight = lam_weight if route == "direct" else solve(uniq_scaled, lam_weight)
         synthesized.append(
             RoundSynthesis(
                 weight=weight,

@@ -5,7 +5,10 @@ the certificate text (weights, biases, thresholds, verdicts) must keep its
 bytes.  The cases cover both targets, both activations and both threshold
 modes on the builtin graphs and on four acceptance-criterion graphs chosen
 for the round-1 dgnn6 repair they take: 0 (projection), 1 (direct route, no
-repair, then the paper route), 2 and 37 (clamp columns).
+repair, then the paper route), 2 and 37 (clamp columns).  Two larger ring
+graphs pin the clamp search and large weights: dgnn6 on a 24-vertex ring
+probes 24 clamp columns, some rejected, and gnn-minus on a 48-vertex ring
+emits weights with thousands of bits.
 """
 import hashlib
 import random
@@ -14,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from wlmpnn.cases import builtin_graph, sample_graph
+from wlmpnn.graphs import make_graph
 from wlmpnn.surd import ExactScalar
 from wlmpnn.synthesis import synthesize_dgnn6, synthesize_gnn_minus
 from wlmpnn.wl import wl_run
@@ -166,3 +170,31 @@ def test_certificate_bytes_are_pinned(name):
         for case, cert in _certificates(_graph(name))
     }
     assert digests == GOLDEN[name]
+
+
+def _ring(n: int):
+    """An n-cycle plus n distinct random chords from random.Random(n), with
+    one-hot labels over 3 letters (perfbench's cycle_plus_chords)."""
+    rng = random.Random(n)
+    edges = {(v, v + 1) for v in range(1, n)} | {(1, n)}
+    while len(edges) < 2 * n:
+        u, v = rng.sample(range(1, n + 1), 2)
+        edges.add((min(u, v), max(u, v)))
+    labels = [tuple(1 if j == c else 0 for j in range(3)) for c in (rng.randrange(3) for _ in range(n))]
+    return make_graph(n, sorted(edges), labels)
+
+
+RING_GOLDEN = {
+    ("dgnn6", 24, "relu"): "7ff8674886d1beeec5976bb527d3124856286551ed899f3e66a21bba0c19cdd8",
+    ("dgnn6", 24, "sign"): "3b11f26413205e47158e1052d27ab709cbae762d819df3fae91c6dd3e2c06834",
+    ("gnn-minus", 48, "relu"): "b47d6c7ceac8c1ed00c9eaab5eafd01ca022c1a375f32a6fd20d4d5a12c554f8",
+}
+
+
+@pytest.mark.parametrize("target, n, sigma", sorted(RING_GOLDEN))
+def test_ring_certificate_bytes_are_pinned(target, n, sigma):
+    g = _ring(n)
+    rounds = wl_run(g).stabilized_at
+    synthesize = synthesize_dgnn6 if target == "dgnn6" else synthesize_gnn_minus
+    cert = synthesize(g, rounds, sigma)
+    assert hashlib.sha256(cert.to_json_text().encode()).hexdigest() == RING_GOLDEN[target, n, sigma]

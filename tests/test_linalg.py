@@ -1,12 +1,15 @@
 """Exact linear algebra against sympy: rank, determinant, reduced form,
-kernel and right inverse, on seeded rational matrices and small surd ones."""
+kernel, right inverse and solve, on seeded rational matrices and small surd
+ones; and the modular independence test against inputs whose image loses
+rank or does not exist."""
 import random
 from fractions import Fraction
 
 import pytest
 
-from wlmpnn import linalg
+from wlmpnn import linalg, surd
 from wlmpnn.linalg import (
+    DependentRowsError,
     as_matrix,
     determinant,
     identity,
@@ -15,10 +18,12 @@ from wlmpnn.linalg import (
     rank,
     right_inverse,
     rows_linearly_independent,
+    solve,
     unique_rows,
     zeros,
 )
-from wlmpnn.surd import ONE, ZERO, ExactScalar
+from wlmpnn.surd import ONE, RESIDUE_PRIME, RESIDUE_ROOTS, ZERO, ExactScalar, residues
+from wlmpnn.synthesis import _separation
 
 sympy = pytest.importorskip("sympy")
 
@@ -173,3 +178,133 @@ def test_surd_kernel_and_right_inverse(seed):
     uniq, _ = unique_rows(wide)
     if rows_linearly_independent(uniq):
         assert mat_mul(tuple(uniq), right_inverse(wide)) == identity(len(uniq))
+
+
+# -- the modular independence test ------------------------------------------------
+
+ELL = RESIDUE_PRIME
+
+
+def test_residue_prime_and_roots():
+    assert sympy.isprime(ELL)
+    assert ELL % 8 == 1
+    assert sorted(RESIDUE_ROOTS) == list(sympy.primerange(2, 48))
+    for p, root in RESIDUE_ROOTS.items():
+        assert ELL % p == 1 or p == 2
+        assert root * root % ELL == p
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_residues_are_a_ring_map(seed):
+    rng = random.Random(200 + seed)
+    for _ in range(20):
+        x, y = _surd(rng), _surd(rng) * S.sqrt(rng.choice((1, 5, 7, 35, 47)))
+        rx, ry, rsum, rprod = residues([x, y, x + y, x * y])
+        assert rsum == (rx + ry) % ELL
+        assert rprod == rx * ry % ELL
+    assert residues([S(Fraction(1, 3))]) == [pow(3, -1, ELL)]
+    assert residues([S.sqrt(6)]) == [RESIDUE_ROOTS[2] * RESIDUE_ROOTS[3] % ELL]
+
+
+def _without_exact_rank(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("exact rank called")
+
+    monkeypatch.setattr(linalg, "rank", refuse)
+
+
+def test_full_rank_image_decides_without_exact_rank(monkeypatch):
+    rows = _surd_matrix(random.Random(7), 3, 4)
+    assert _sym_matrix(rows, 4).rank() == 3
+    _without_exact_rank(monkeypatch)
+    assert rows_linearly_independent(rows)
+
+
+@pytest.mark.parametrize(
+    "rows, independent",
+    [
+        # full rank over the surd field, image of rank 1: ell maps to 0
+        (M([[1, 0], [0, ELL]]), True),
+        (M([[1, 0], [ELL, ELL]]), True),
+        # a denominator divisible by ell has no image
+        (M([[Fraction(1, ELL), 0], [0, 1]]), True),
+        (M([[Fraction(1, ELL), 1], [Fraction(2, ELL), 2]]), False),
+        # 53 is outside the table of roots
+        (((S.sqrt(53), ONE), (ONE, S.sqrt(53))), True),
+        (((S.sqrt(53), ONE), (S(53), S.sqrt(53))), False),
+        (((S.sqrt(106), S.sqrt(2)), (S.sqrt(2), S.sqrt(106))), True),
+    ],
+)
+def test_images_that_lose_rank_or_do_not_exist_fall_back_to_exact_rank(rows, independent):
+    assert linalg._residue_rank(rows) in (None, 1)
+    assert rows_linearly_independent(rows) is independent
+    assert (rank(rows) == len(rows)) is independent
+
+
+def test_triangular_matrices_are_ranked_without_inversion(monkeypatch):
+    # the activated block of a ReLU separation is triangular up to a row
+    # permutation; a row echelon form of it needs no pivot inverted
+    block = _separation(M([[3, 1, 0], [0, 2, 1], [1, 1, 1], [2, 0, 5]]), "relu")[2]
+    surd_block = tuple(tuple(x * S.sqrt(53) for x in row) for row in block)
+
+    def refuse(self):
+        raise AssertionError("pivot inverted")
+
+    monkeypatch.setattr(ExactScalar, "invert", refuse)
+    assert rank(surd_block) == 4
+    assert rows_linearly_independent(surd_block)
+    assert not determinant(surd_block).is_zero
+
+
+# -- solve ----------------------------------------------------------------------
+
+
+def _check_solve(rows, rhs):
+    uniq, _ = unique_rows(rows)
+    y = solve(rows, rhs)
+    assert mat_mul(tuple(uniq), y) == rhs
+    assert y == mat_mul(right_inverse(rows), rhs)
+    # sympy's solution with every free parameter zero, denominators rationalized
+    solution, params = _sym_matrix(uniq, len(rows[0])).gauss_jordan_solve(_sym_matrix(rhs, len(rhs[0])))
+    difference = _sym_matrix(y, len(rhs[0])) - solution.subs({t: 0 for t in params})
+    assert difference.applyfunc(lambda e: sympy.expand(sympy.radsimp(e))).is_zero_matrix
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n_rows, n_cols, k", [(3, 3, 1), (2, 5, 1), (3, 6, 4), (4, 4, 3), (1, 4, 2)])
+def test_rational_solve_matches_right_inverse_and_sympy(seed, n_rows, n_cols, k):
+    rng = random.Random(seed * 1000 + n_rows * 100 + n_cols * 10 + k)
+    rows = _random_matrix(rng, n_rows, n_cols)
+    uniq, _ = unique_rows(rows)
+    rhs = _random_matrix(rng, len(uniq), k)
+    if not rows_linearly_independent(uniq):
+        with pytest.raises(DependentRowsError):
+            solve(rows, rhs)
+        return
+    _check_solve(rows, rhs)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n_rows, n_cols, k", [(2, 2, 1), (2, 4, 2), (3, 5, 1)])
+def test_surd_solve_matches_right_inverse_and_sympy(seed, n_rows, n_cols, k):
+    rng = random.Random(300 + seed)
+    rows = _surd_matrix(rng, n_rows, n_cols)
+    if not rows_linearly_independent(rows):
+        return
+    rhs = _surd_matrix(rng, n_rows, k)
+    _check_solve(rows, rhs)
+
+
+def test_solve_reads_free_columns_as_zero_and_repeated_rows_once():
+    rows = M([[0, 1, 2, 0], [0, 3, 4, 1], [0, 1, 2, 0]])
+    rhs = M([[1, 0], [2, 5]])
+    y = solve(rows, rhs)
+    assert y[0] == (ZERO, ZERO)  # no pivot in column 0
+    _check_solve(rows, rhs)
+
+
+def test_solve_rejects_dependent_rows_and_a_mismatched_right_hand_side():
+    with pytest.raises(DependentRowsError):
+        solve(M([[1, 2], [2, 4]]), M([[1], [1]]))
+    with pytest.raises(ValueError, match="right-hand side"):
+        solve(M([[1, 2], [3, 4]]), M([[1]]))

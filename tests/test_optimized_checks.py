@@ -14,7 +14,7 @@ if not sys.flags.optimize:
 from wlmpnn import linalg, synthesis
 from wlmpnn.cases import builtin_graph
 from wlmpnn.compare import CompareVerdict
-from wlmpnn.linalg import as_matrix, identity, right_inverse, zeros
+from wlmpnn.linalg import as_matrix, identity, right_inverse, solve, zeros
 from wlmpnn.surd import ExactScalar
 
 m = as_matrix([[1, 2, 0], [3, 4, 1]])
@@ -33,7 +33,15 @@ except ArithmeticError:
     pass
 else:
     sys.exit("right_inverse accepted a wrong product")
+try:
+    solve(m, as_matrix([[1], [2]]))
+except ArithmeticError:
+    pass
+else:
+    sys.exit("solve accepted a wrong product")
 linalg.mat_mul = real_mat_mul
+if linalg.mat_mul(m, solve(m, as_matrix([[1], [2]]))) != as_matrix([[1], [2]]):
+    sys.exit("solve returned a wrong solution")
 
 # an m_p >= 1 puts p = (m_p + 1)/2 outside (m_p, 1)
 synthesis.compute_mp = lambda g, g_fn: ExactScalar(2)

@@ -63,13 +63,22 @@ def test_right_inverse_raises_its_own_error_for_dependent_rows():
 
 
 def test_dgnn6_takes_the_direct_route_only_for_dependent_rows(monkeypatch):
-    # any other failure inside right_inverse surfaces instead of picking a route
-    def failing(matrix):
+    # a failure inside the route's independence test surfaces instead of
+    # picking the direct route; the first call vets the initial labels, the
+    # second picks round 1's route
+    real = synthesis.rows_linearly_independent
+    calls = []
+
+    def failing(rows):
+        calls.append(rows)
+        if len(calls) == 1:
+            return real(rows)
         raise ValueError("radicands span 13 primes; the conjugate limit is 12")
 
-    monkeypatch.setattr(synthesis, "right_inverse", failing)
+    monkeypatch.setattr(synthesis, "rows_linearly_independent", failing)
     with pytest.raises(ValueError, match="primes"):
         synthesize_dgnn6(builtin_graph("fig1"), 2, "relu")
+    assert len(calls) == 2
 
 
 def test_dgnn6_repair_variants_let_a_separation_error_escape(monkeypatch):
