@@ -23,37 +23,39 @@ certificate.
 Exact elimination runs only where a certificate needs its result:
 independence is first tested on the rows' image modulo a prime, with the
 exact rank as the fallback (``linalg.rows_linearly_independent``); the
-paper route solves the unique label rows for the one weight column it
+paper route solves the unique label rows for the few weight columns it
 applies (``linalg.solve``) instead of building a right inverse; and the
 clamp repair tests each probe column against an exact left kernel of the
 class rows, narrowed as columns are added, instead of re-ranking the rows
 per probe.
 
-The separation matrix X = z x^T has rank one and is kept as its two factors
-(z, x_row): weights are composed as outer(y, x_row), never as a product with
-X, where y is z or K z for a projection kernel K, solved back through the
-unique label rows on the paper route.  The activated block sigma(C X - q J)
-of a round is computed once from the mixed values C z, then reused as the
-round's output rows.
+When a label class spans degrees with different h values, the h-scaled
+unique rows are linearly dependent, so they cannot be solved for every
+weight; the round then takes the direct route on the pre-weight rows.
 
-The degree-normalized target needs repairs beyond the plain route, all
-staying inside the architecture's weight/bias freedom and all re-verified:
+Each round tries its repair variants (repair, kernel K or None, base rows,
+clamp columns) in order through one construction, until the output refines
+the reference partition with independent unique rows.  The output starts
+with the activated block sigma(C X - q J), where C is the base rows shifted
+to positive and X = z x^T is a rank-one separation matrix kept as its two
+factors; the block is computed once from the mixed values C z, and skipped
+when the base has width 0.  One column sigma(row . w - tau) per clamp
+column follows.  The weight is composed once from the columns [y | clamp
+directions], with y = z, or K z when the base rows are the pre-weight rows
+times K; the paper route solves them back through the unique label rows,
+and y is then spread over x_row.  All repairs stay inside the
+architecture's weight/bias freedom:
 
-* When a label class spans degrees with different h values, the h-scaled
-  unique rows are linearly dependent (two parallel rows), so they cannot be
-  solved for every weight; the round then works directly on the pre-weight
-  matrix.
-* A network whose pre-weight rows distinguish vertices that refinement
-  merges can often still match the reference by projecting the difference
-  directions of reference-equal pairs to zero (a kernel factor folded into
-  W); entries can turn negative after projection, which a constant shift
-  absorbed by the bias row makes positive again.
-* When that projection would also collapse reference-distinct rows, clamped
-  threshold columns are added instead: a single extra weight column w and
-  bias beta produce sigma(row . w + beta), which can send every member of a
-  torn reference class into the same clamp band while keeping some other
-  pair apart; a constant pad column (zero weights, bias 1) keeps the class
-  rows linearly independent.
+* ``none``: the base rows are the pre-weight rows, with no clamp columns.
+* ``projection``: rows that refinement merges can often be merged by
+  projecting the difference directions of reference-equal pairs to zero;
+  the base rows are the pre-weight rows times that kernel K, and the shift
+  (absorbed by the bias) keeps them positive.
+* ``clamp``: when the projection would also collapse reference-distinct
+  rows, clamp columns follow the projected block, each sending every
+  member of a torn reference class into one clamp band while keeping some
+  other pair apart; a constant pad column (zero weights, bias 1, output 1)
+  ends the list and keeps the class rows linearly independent.
 
 When no repair realizes the reference partition (the class values can be
 nested so that every threshold tearing one pair also tears an equal pair),
@@ -441,6 +443,18 @@ def _find_clamp_column(
     Classes whose projections differ along w must fall entirely into the
     clamp band (below tau); kernel offsets shift whole classes relative to
     each other, which often lifts the target pair clear of that band.
+
+    The column changes only when tau crosses a projection value, so the
+    midpoints of consecutive sorted distinct values cover every band, and a
+    midpoint never activates a zero.  Threshold k, between the values at
+    positions k and k + 1, is chosen from positions alone; the rows are
+    activated once, at the chosen tau.  A class is torn when its members
+    take more than one position.  Under relu, rows at or below k clamp to 0
+    and the others keep distinct values, so the first feasible k is the
+    highest top position of a torn class (0 if none), provided it lies
+    below the higher of a's and b's positions.  Under sign, rows at or
+    below k map to -1 and the others to +1, so k is the first index between
+    a's and b's positions that no torn class straddles.
     """
     width = len(rows[0])
     delta = tuple(x - y for x, y in zip(rows[a], rows[b]))
@@ -471,28 +485,35 @@ def _find_clamp_column(
     classes: dict[int, list[int]] = {}
     for v, cls in enumerate(wl_part.class_of):
         classes.setdefault(cls, []).append(v)
-    half = ExactScalar(Fraction(1, 2))
     for direction, u in candidates():
         if (u[a] - u[b]).is_zero:
             continue
-        # the column's behaviour changes only when tau crosses a projection
-        # value, so midpoints of consecutive distinct values cover every band
-        distinct = []
-        for value in sorted(u):
-            if not distinct or value != distinct[-1]:
-                distinct.append(value)
-        thresholds = [(s + t) * half for s, t in zip(distinct, distinct[1:])]
-        thresholds.append(distinct[0] - ONE)
-        for tau in thresholds:
-            values = [activate(u[v] - tau, sigma) for v in range(len(rows))]
-            if values[a] == values[b]:
+        # position[v] is the index of u[v] among the sorted distinct values
+        order = sorted(range(len(rows)), key=u.__getitem__)
+        distinct = [u[order[0]]]
+        position = [0] * len(rows)
+        for v in order[1:]:
+            if u[v] != distinct[-1]:
+                distinct.append(u[v])
+            position[v] = len(distinct) - 1
+        torn = []
+        for members in classes.values():
+            spots = [position[v] for v in members]
+            if min(spots) < max(spots):
+                torn.append((min(spots), max(spots)))
+        low, high = sorted((position[a], position[b]))
+        if sigma == "relu":
+            k = max((top for _, top in torn), default=0)
+            if k >= high:
                 continue
-            if any(
-                any(values[v] != values[members[0]] for v in members[1:])
-                for members in classes.values()
-            ):
+        else:
+            k = next(
+                (i for i in range(low, high) if not any(bottom <= i < top for bottom, top in torn)), None
+            )
+            if k is None:
                 continue
-            return direction, tau, values
+        tau = (distinct[k] + distinct[k + 1]) * ExactScalar(Fraction(1, 2))
+        return direction, tau, [activate(x - tau, sigma) for x in u]
     return None
 
 
@@ -639,77 +660,49 @@ def _synthesize_rounds(
                 rep = first_of_class[cls]
                 if target[rep] != target[v]:
                     diffs.append(tuple(a - b for a, b in zip(target[rep], target[v])))
-        variants: list[tuple[str, object]] = []
+        # each variant is (repair, kernel or None, base rows, clamp columns)
+        variants: list[tuple[str, Matrix | None, list[Row], list]] = []
         if diffs:
             kernel = nullspace_basis(diffs, width)
-            k_cols = len(kernel[0]) if kernel else 0
+            k_cols = len(kernel[0])
             projected_rows = [row_mat(row, kernel) for row in target] if k_cols else None
-            if projected_rows is not None and partition_refines(
-                Partition.from_keys(projected_rows), wl_part
-            ):
-                variants.append(("projection", (projected_rows, kernel)))
+            if projected_rows and partition_refines(Partition.from_keys(projected_rows), wl_part):
+                variants.append(("projection", kernel, projected_rows, []))
             else:
                 repaired = _clamp_repair(target, kernel, k_cols, wl_part, sigma)
                 if repaired is not None:
-                    variants.append(("clamp", (kernel, k_cols, *repaired)))
-        variants.append(("none", None))
-        chosen = None
-        for repair, payload in variants:
-            # a rank-one weight is kept as (column, x_row); clamp weights are explicit
-            factors = lam_weight = None
-            if repair == "clamp":
-                kernel, k_cols, base, suffix = payload
-                if k_cols:
-                    (z, x_row), bias_base, base_vals, q, shift = _separated_block(
-                        base, sigma, q_override, g, t
-                    )
-                    weight_cols = outer(_mat_vec(kernel, z), x_row)
-                else:
-                    bias_base, base_vals, q, shift = (), [() for _ in target], ZERO, ZERO
-                    weight_cols = tuple(() for _ in range(width))
-                lam_weight = tuple(
-                    tuple(weight_cols[i])
-                    + tuple(col[0][i] for col in suffix)
-                    + (ZERO,)
-                    for i in range(width)
-                )
-                bias = tuple(bias_base) + tuple(-col[1] for col in suffix) + (ONE,)
-                new_rows = [
-                    tuple(base_vals[v])
-                    + tuple(col[2][v] for col in suffix)
-                    + (ONE,)
-                    for v in range(g.n)
-                ]
-            elif repair == "projection":
-                projected_rows, kernel = payload
-                (z, x_row), bias, new_rows, q, shift = _separated_block(
-                    projected_rows, sigma, q_override, g, t
-                )
-                factors = (_mat_vec(kernel, z), x_row)
-            else:
-                factors, bias, new_rows, q, shift = _separated_block(target, sigma, q_override, g, t)
+                    base, clamps = repaired
+                    pad = ((ZERO,) * width, -ONE, [ONE] * g.n)
+                    variants.append(("clamp", kernel, base, clamps + [pad]))
+        variants.append(("none", None, target, []))
+        for repair, kernel, base, clamps in variants:
+            # the weight columns in row space: z or K z, then the clamp directions
+            columns: list[Row] = []
+            x_row: Row = ()
+            bias, values, q, shift = (), [() for _ in base], ZERO, ZERO
+            if base[0]:
+                (z, x_row), bias, values, q, shift = _separated_block(base, sigma, q_override, g, t)
+                columns.append(z if kernel is None else _mat_vec(kernel, z))
+            columns += [direction for direction, _, _ in clamps]
+            bias += tuple(-tau for _, tau, _ in clamps)
+            new_rows = [values[v] + tuple(col[2][v] for col in clamps) for v in range(g.n)]
             new_partition = Partition.from_keys(new_rows)
-            refined = partition_refines(new_partition, wl_part)
             uniq_new, _ = unique_rows(new_rows)
-            independent = rows_linearly_independent(uniq_new)
-            if refined and independent:
-                chosen = (repair, factors, lam_weight, bias, new_rows, q, shift, new_partition)
+            if partition_refines(new_partition, wl_part) and rows_linearly_independent(uniq_new):
                 break
-        if chosen is None:
+        else:
             raise SynthesisError(
                 f"round {t}: no construction satisfied the refinement bound and independence",
                 _dump(g, t, "degree-normalized round failed verification", route=route),
             )
-        repair, factors, lam_weight, bias, new_rows, q, shift, new_partition = chosen
         # the paper route's weights act on the count labelling of the unique
-        # rows, so they are solved back through them
-        if factors is not None:
-            column, x_row = factors
-            if route == "paper":
-                column = tuple(y for (y,) in solve(uniq_scaled, tuple((c,) for c in column)))
-            weight = outer(column, x_row)
-        else:
-            weight = lam_weight if route == "direct" else solve(uniq_scaled, lam_weight)
+        # rows, so they are solved back through them; the separated block's
+        # column is spread over x_row
+        weight = tuple(zip(*columns))
+        if route == "paper":
+            weight = solve(uniq_scaled, weight)
+        if x_row:
+            weight = tuple(tuple(r[0] * xj for xj in x_row) + r[1:] for r in weight)
         synthesized.append(
             RoundSynthesis(
                 weight=weight,

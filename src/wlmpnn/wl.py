@@ -93,17 +93,14 @@ def wl_partitions(g: LabelledGraph, rounds: int) -> list[Partition]:
 
 # -- injection into rationals -------------------------------------------------
 
-_PRIMES: list[int] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-
-
 def _prime(index: int) -> int:
-    """1-based prime lookup with a growing table."""
-    while len(_PRIMES) < index:
-        candidate = _PRIMES[-1] + 2
-        while any(candidate % p == 0 for p in _PRIMES if p * p <= candidate):
-            candidate += 2
-        _PRIMES.append(candidate)
-    return _PRIMES[index - 1]
+    """The index-th prime (1-based), by trial division."""
+    count, candidate = 0, 1
+    while count < index:
+        candidate += 1
+        if all(candidate % d for d in range(2, math.isqrt(candidate) + 1)):
+            count += 1
+    return candidate
 
 
 def _prime_power(slot: int, z: int) -> int:

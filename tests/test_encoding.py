@@ -11,6 +11,7 @@ from wlmpnn.surd import ExactScalar
 from wlmpnn.wl import (
     EncodingLimitError,
     NotInImageError,
+    _prime,
     alpha_encode,
     cantor_pair,
     encoded_wl_spec,
@@ -39,6 +40,13 @@ def test_alpha_negative_uses_odd_primes():
     # slot 1 negative -> 5, coefficient slot 0 negative -> 31
     assert alpha_encode([], -1, 0, 1, 1) == 5 * 13 * 19
     assert alpha_encode([-1], 0, 0, 0, 0) == 31
+
+
+def test_prime_lookup_matches_sympy():
+    # the slot primes come from trial division on every call, with no table;
+    # k = 300 is the prime 1987
+    sympy = pytest.importorskip("sympy")
+    assert [_prime(k) for k in range(1, 301)] == [sympy.prime(k) for k in range(1, 301)]
 
 
 def test_alpha_injective_on_micro_domain():

@@ -8,7 +8,9 @@ for the round-1 dgnn6 repair they take: 0 (projection), 1 (direct route, no
 repair, then the paper route), 2 and 37 (clamp columns).  Two larger ring
 graphs pin the clamp search and large weights: dgnn6 on a 24-vertex ring
 probes 24 clamp columns, some rejected, and gnn-minus on a 48-vertex ring
-emits weights with thousands of bits.
+emits weights with thousands of bits.  A uniform-label 6-vertex graph pins
+the paper-route projection (dgnn6 relu, round 2), which no other entry
+takes, and a direct-route clamp under sign.
 """
 import hashlib
 import random
@@ -198,3 +200,20 @@ def test_ring_certificate_bytes_are_pinned(target, n, sigma):
     synthesize = synthesize_dgnn6 if target == "dgnn6" else synthesize_gnn_minus
     cert = synthesize(g, rounds, sigma)
     assert hashlib.sha256(cert.to_json_text().encode()).hexdigest() == RING_GOLDEN[target, n, sigma]
+
+
+PAPER_PROJECTION_GOLDEN = {
+    "relu": "a4a7fbd18033dd7fa2d37d3b0b590a812ea298c1a8bfaac7460eae7e6e6b9db1",
+    "sign": "16f2ee789b3a5c83b6f651928ea9b46db4a9058f99c1830d50910cbbfe4bd999",
+}
+
+
+@pytest.mark.parametrize("sigma", sorted(PAPER_PROJECTION_GOLDEN))
+def test_paper_route_projection_bytes_are_pinned(sigma):
+    g = make_graph(6, [(1, 2), (1, 4), (1, 5), (2, 3), (2, 6), (3, 4), (4, 5)], [(1,)] * 6)
+    rounds = wl_run(g).stabilized_at
+    assert rounds == 4
+    cert = synthesize_dgnn6(g, rounds, sigma)
+    t, route_repair = (2, ("paper", "projection")) if sigma == "relu" else (1, ("direct", "clamp"))
+    assert (cert.rounds[t - 1].route, cert.rounds[t - 1].repair) == route_repair
+    assert hashlib.sha256(cert.to_json_text().encode()).hexdigest() == PAPER_PROJECTION_GOLDEN[sigma]

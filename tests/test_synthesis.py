@@ -16,6 +16,7 @@ from wlmpnn.linalg import (
     outer,
     right_inverse,
     row_mat,
+    solve,
     unique_rows,
 )
 from wlmpnn.mpnn import DegreeFn, run_mpnn
@@ -233,6 +234,14 @@ def test_factored_weights_match_the_materialized_products():
     assert outer(synthesis._mat_vec(v_map, kernel_z), sep.x_row) == mat_mul(v_map, mat_mul(kernel, x_matrix))
     wide = relu_separation(M([[2, 1, 0], [0, 1, 1], [3, 5, 2]]))
     assert outer(synthesis._mat_vec(v_map, wide.z), wide.x_row) == mat_mul(v_map, wide.x_matrix)
+    # the paper route solves the column list [K z | clamp directions | 0]
+    # once, then spreads its first column over x_row
+    uniq = M([[2, 1, 0], [0, 1, 1], [3, 5, 2]])
+    directions = seeded(3, 2)
+    columns = tuple((y,) + d + (ZERO,) for y, d in zip(kernel_z, directions))
+    spread = tuple(tuple(r[0] * xj for xj in sep.x_row) + r[1:] for r in solve(uniq, columns))
+    block = outer(kernel_z, sep.x_row)
+    assert spread == solve(uniq, tuple(block[i] + directions[i] + (ZERO,) for i in range(3)))
 
 
 # -- the p bound -----------------------------------------------------------------
@@ -504,6 +513,94 @@ def test_clamp_repair_reports_nested_values_as_infeasible():
     wl_part = Partition((0, 0, 1, 2))
     for sigma in ("relu", "sign"):
         assert _clamp_repair(rows, (), 0, wl_part, sigma) is None
+
+
+def _scan_clamp_column(rows, wl_part, a, b, kernel, k_cols, sigma):
+    """The clamp search as an activation scan: every row is activated at
+    every midpoint of consecutive sorted projections, then below them all."""
+    width = len(rows[0])
+    delta = tuple(x - y for x, y in zip(rows[a], rows[b]))
+    delta_u = [synthesis._dot(row, delta) for row in rows]
+
+    def candidates():
+        yield delta, delta_u
+        yield tuple(-x for x in delta), [-x for x in delta_u]
+        for l in range(k_cols):
+            column = tuple(kernel[i][l] for i in range(width))
+            column_u = [synthesis._dot(row, column) for row in rows]
+            for gamma in (1, 2, 4, 8, 16, 64):
+                for d_sign in (1, -1):
+                    for k_sign in (1, -1):
+                        k = k_sign * gamma
+                        yield (
+                            tuple(d_sign * d + k * c for d, c in zip(delta, column)),
+                            [d_sign * d + k * c for d, c in zip(delta_u, column_u)],
+                        )
+        for j in range(width):
+            if not delta[j].is_zero:
+                unit = tuple(ONE if i == j else ZERO for i in range(width))
+                yield unit, [row[j] for row in rows]
+                yield tuple(-x for x in unit), [-row[j] for row in rows]
+
+    classes = {}
+    for v, cls in enumerate(wl_part.class_of):
+        classes.setdefault(cls, []).append(v)
+    half = S(Fraction(1, 2))
+    for direction, u in candidates():
+        if (u[a] - u[b]).is_zero:
+            continue
+        distinct = []
+        for value in sorted(u):
+            if not distinct or value != distinct[-1]:
+                distinct.append(value)
+        thresholds = [(s + t) * half for s, t in zip(distinct, distinct[1:])]
+        thresholds.append(distinct[0] - ONE)
+        for tau in thresholds:
+            values = [activate(u[v] - tau, sigma) for v in range(len(rows))]
+            if values[a] == values[b]:
+                continue
+            if any(any(values[v] != values[members[0]] for v in members[1:]) for members in classes.values()):
+                continue
+            return direction, tau, values
+    return None
+
+
+def _clamp_case(seed: int):
+    """Rows of width 1-3, a random partition, a != b and 0-2 kernel columns."""
+    from wlmpnn.graphs import Partition
+
+    rng = random.Random(seed)
+    width, n = rng.randint(1, 3), rng.randint(2, 8)
+
+    def entry():
+        return S(Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))))
+
+    rows = [tuple(entry() for _ in range(width)) for _ in range(n)]
+    wl_part = Partition.from_keys([(rng.randrange(rng.randint(1, n)),) for _ in range(n)])
+    a, b = rng.sample(range(n), 2)
+    k_cols = rng.randint(0, 2)
+    kernel = tuple(tuple(entry() for _ in range(k_cols)) for _ in range(width))
+    return rows, wl_part, a, b, kernel, k_cols
+
+
+def _texts(column):
+    if column is None:
+        return None
+    direction, tau, values = column
+    return [x.to_text() for x in direction], tau.to_text(), [x.to_text() for x in values]
+
+
+@pytest.mark.parametrize("sigma", ["relu", "sign"])
+def test_clamp_column_by_position_matches_the_activation_scan(sigma):
+    # the threshold picked from sorted positions must be the one the scan
+    # finds first, with the same direction and output values
+    found = 0
+    for seed in range(1000):
+        case = _clamp_case(seed)
+        expected = _texts(_scan_clamp_column(*case, sigma))
+        assert _texts(synthesis._find_clamp_column(*case, sigma)) == expected, seed
+        found += expected is not None
+    assert 300 < found < 700
 
 
 def test_two_torn_classes_impossible_for_relu_reported_honestly():
