@@ -17,15 +17,18 @@ builtin round in that form once per vertex: L W1 and L W2 once per distinct
 label, g and h once per distinct degree, then plain neighbour sums, each
 pre-activation entry one exact sum.  Custom layers run edge by edge: each
 vertex sums its messages over its neighbourhood and applies the update.
-builtin_layer gives the same per-edge view of a builtin family for the
-network transformations; its degree-aware messages carry the self term
-scaled by 1/d_v, so the d_v messages add it back exactly once.  That
-renormalized self term is computed once per (label, degree) and shared by
-every edge out of such a vertex.
+
+The network transformations need per-edge views of a builtin layer: the
+message/update pair of builtin_layer, replayed a round late by
+lift_plus_one, and the anonymized layer of anonymize_h_const.  All of them
+are built from one term set of the closed form, made once per layer: x W2
+and x W1 once per distinct label, the self term x W1 + p g(d) h(d) x W2,
+and a finishing step that adds B, sums each entry once and activates.
+Degree-aware messages carry the self term scaled by 1/d_v, once per
+(label, degree), so the d_v messages add it back exactly once.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -236,10 +239,7 @@ class RunTrace:
         }
 
 
-ANONYMOUS_FAMILIES = {"gnn", "gnn-minus"}
 DEGREE_FAMILIES = {"gcn-kipf", "dgnn1", "dgnn2", "dgnn3", "dgnn4", "dgnn5", "dgnn6", "general-dgnn"}
-
-_UNIT = ExactScalar(1)
 
 _DGNN_TABLE = {
     # family: (g kind, h kind, fixed p, tie self weight to W)
@@ -322,93 +322,91 @@ def _resolve_layer(family: str, params: LayerParams):
     raise SpecValidationError(f"unknown family {family!r}")
 
 
-def builtin_layer(family: str, params: LayerParams) -> tuple[MsgFn, UpdFn]:
-    """Per-edge message/update pair for a builtin family; raises on missing or
-    extra parameters.  run_mpnn itself evaluates builtin layers in closed form."""
-    w1, w2, bias, p, g_fn, h_fn, sigma = _resolve_layer(family, params)
-    if family in ANONYMOUS_FAMILIES:
-        return _anonymous_functions(w1, w2, bias, p, sigma)
-    return _degree_functions(w1, w2, bias, p, g_fn, h_fn, sigma)
+def _memo(fn: Callable) -> Callable:
+    """fn, computed once per distinct tuple of arguments."""
+    cache: dict = {}
+
+    def memoized(*key):
+        out = cache.get(key)
+        if out is None:
+            out = cache[key] = fn(*key)
+        return out
+
+    return memoized
 
 
 def _memo_row_mat(m: Matrix) -> Callable[[Label], Row]:
     """x -> x @ m, computed once per distinct x."""
-    cache: dict[Label, Row] = {}
+    return _memo(lambda x: row_mat(x, m))
 
-    def product(x: Label) -> Row:
-        out = cache.get(x)
-        if out is None:
-            out = cache[x] = row_mat(x, m)
+
+def _layer_terms(form):
+    """The terms every per-edge view of one builtin layer is built from.
+
+    Returns (xw2, own, finish) for the form of _resolve_layer: xw2(y) is
+    y W2, once per distinct y; own(x, d) is the self term x W1 + p g(d) h(d)
+    x W2, or None when the layer has no self term; finish(*rows) adds B,
+    sums each entry as one exact_sum and applies sigma.
+    """
+    w1, w2, bias, p, g_fn, h_fn, sigma = form
+    xw2 = _memo_row_mat(w2)
+    tail = () if bias is None else (bias,)
+
+    def finish(*rows: Row) -> Label:
+        rows += tail
+        pre = rows[0] if len(rows) == 1 else map(exact_sum, zip(*rows, strict=True))
+        return tuple(activate(v, sigma) for v in pre)
+
+    if w1 is None and p.is_zero:
+        return xw2, None, finish
+    xw1 = None if w1 is None else _memo_row_mat(w1)
+    self_factor = _memo(lambda d: p * g_fn.value(d) * h_fn.value(d))
+
+    def own(x: Label, d: int) -> Row:
+        out = None if xw1 is None else xw1(x)
+        if not p.is_zero:
+            scaled = row_scale(xw2(x), self_factor(d))
+            out = scaled if out is None else row_add(out, scaled)
         return out
 
-    return product
+    return xw2, own, finish
 
 
-def _anonymous_functions(w1, w2, bias, p, sigma: str):
-    """g = h = 1: the message is y W2 and the update adds the self terms."""
-    xw1 = _memo_row_mat(w1) if w1 is not None else None
-    xw2 = _memo_row_mat(w2)
+def builtin_layer(family: str, params: LayerParams) -> tuple[MsgFn, UpdFn]:
+    """Per-edge message/update pair for a builtin family; raises on missing or
+    extra parameters.  run_mpnn itself evaluates builtin layers in closed form.
 
-    def msg(x, y, fv, fu):
-        return xw2(y)
+    gnn and gnn-minus send y W2 and add the self term in the update (g = h
+    = 1, so any degree will do).  The degree families send g(d_v) h(d_u)
+    y W2 plus the self term scaled by 1/d_v, so the d_v messages add it
+    back exactly once, and the update only finishes.
+    """
+    form = _resolve_layer(family, params)
+    xw2, own, finish = _layer_terms(form)
+    if family not in DEGREE_FAMILIES:
 
-    def upd(x, m):
-        out = m
-        if xw1 is not None:
-            out = row_add(xw1(x), out)
-        if not p.is_zero:
-            out = row_add(row_scale(xw2(x), p), out)
-        if bias is not None:
-            out = row_add(out, bias)
-        return tuple(activate(v, sigma) for v in out)
+        def msg(x, y, fv, fu):
+            return xw2(y)
 
-    return msg, upd
+        def upd(x, m):
+            return finish(m) if own is None else finish(m, own(x, 1))
 
+        return msg, upd
 
-def _degree_functions(w1, w2, bias, p, g_fn: DegreeFn, h_fn: DegreeFn, sigma: str):
-    xw1 = _memo_row_mat(w1) if w1 is not None else None
-    xw2 = _memo_row_mat(w2)
-    pair_factor: dict[tuple[int, int], ExactScalar] = {}  # (d_v, d_u) -> g(d_v) h(d_u)
-    self_factor: dict[int, ExactScalar] = {}  # d_v -> p g(d_v) h(d_v)
-    self_term: dict[tuple[Label, int], Row] = {}  # (x, d_v) -> (x W1 + p g h x W2) / d_v
-    p_is_zero = p.is_zero
-    has_self = xw1 is not None or not p_is_zero
-
-    def renormalized_self(x, dv):
-        part = xw1(x) if xw1 is not None else None
-        if not p_is_zero:
-            factor = self_factor.get(dv)
-            if factor is None:
-                factor = self_factor[dv] = p * g_fn.value(dv) * h_fn.value(dv)
-            scaled = row_scale(xw2(x), factor)
-            part = scaled if part is None else row_add(part, scaled)
-        return row_scale(part, reciprocal(dv))
+    g_fn, h_fn = form[4], form[5]
+    pair_factor = _memo(lambda dv, du: g_fn.value(dv) * h_fn.value(du))
+    own_share = _memo(lambda x, dv: row_scale(own(x, dv), reciprocal(dv)))
 
     def msg(x, y, dv, du):
         if dv < 1 or du < 1:
             raise SpecValidationError("degree-aware family run without degree information")
-        coeff = pair_factor.get((dv, du))
-        if coeff is None:
-            coeff = pair_factor[dv, du] = g_fn.value(dv) * h_fn.value(du)
-        neighbour = row_scale(xw2(y), coeff)
-        if not has_self:
-            return neighbour
-        own = self_term.get((x, dv))
-        if own is None:
-            own = self_term[x, dv] = renormalized_self(x, dv)
-        return row_add(own, neighbour)
+        neighbour = row_scale(xw2(y), pair_factor(dv, du))
+        return neighbour if own is None else row_add(own_share(x, dv), neighbour)
 
     def upd(x, m):
-        out = m if bias is None else row_add(m, bias)
-        return tuple(activate(v, sigma) for v in out)
+        return finish(m)
 
     return msg, upd
-
-
-def _layer_functions(layer: Layer) -> tuple[MsgFn, UpdFn]:
-    if isinstance(layer, BuiltinLayer):
-        return builtin_layer(layer.family, layer.params)
-    return layer.msg, layer.upd
 
 
 def _check_builtin_dims(layer: BuiltinLayer, width: int) -> None:
@@ -530,12 +528,12 @@ def run_mpnn(g: LabelledGraph, spec: MpnnSpec) -> RunTrace:
 # -- derived network constructions ---------------------------------------------
 
 
-def degree_probe_spec(s0: int | None = None) -> MpnnSpec:
+def degree_probe_spec() -> MpnnSpec:
     """One anonymous round appending the vertex degree: constant-1 messages,
     update (x, z) -> (x, z)."""
 
     def msg(x, y, fv, fu):
-        return (_UNIT,)
+        return (ONE,)
 
     def upd(x, m):
         return (*x, m[0])
@@ -556,7 +554,10 @@ def lift_plus_one(spec: MpnnSpec) -> MpnnSpec:
     probe = degree_probe_spec().layers[0]
     lifted: list[Layer] = [probe]
     for layer in spec.layers:
-        base_msg, base_upd = _layer_functions(layer)
+        if isinstance(layer, BuiltinLayer):
+            base_msg, base_upd = builtin_layer(layer.family, layer.params)
+        else:
+            base_msg, base_upd = layer.msg, layer.upd
 
         def make(base_msg=base_msg, base_upd=base_upd):
             def msg(x, y, fv, fu):
@@ -586,38 +587,28 @@ def anonymize_h_const(spec: MpnnSpec) -> MpnnSpec:
             if layer.family in DEGREE_FAMILIES:
                 raise SpecValidationError(f"{layer.family} does not have h constantly 1")
             raise SpecValidationError(f"{layer.family} is not a degree-aware builtin")
-        w1, w2, bias, p, g_fn, h_fn, sigma = _resolve_layer(layer.family, layer.params)
-        if not h_fn.is_one:
+        form = _resolve_layer(layer.family, layer.params)
+        if not form[5].is_one:
             raise SpecValidationError("h is not constantly 1")
-
-        def make(w1=w1, w2=w2, bias=bias, p=p, g_fn=g_fn, h_fn=h_fn, sigma=sigma):
-            xw1 = _memo_row_mat(w1) if w1 is not None else None
-            xw2 = _memo_row_mat(w2)
-            factors: dict[int, tuple[ExactScalar, ExactScalar]] = {}  # d -> (g(d), p g(d) h(d))
-
-            def msg(x, y, fv, fu):
-                return (*xw2(y), _UNIT)
-
-            def upd(x, z):
-                inner, count = z[:-1], z[-1].as_int()
-                cached = factors.get(count)
-                if cached is None:
-                    gv = g_fn.value(count)
-                    cached = factors[count] = (gv, p * gv * h_fn.value(count))
-                gv, self_coeff = cached
-                out = row_scale(inner, gv)
-                if xw1 is not None:
-                    out = row_add(out, xw1(x))
-                if not p.is_zero:
-                    out = row_add(out, row_scale(xw2(x), self_coeff))
-                if bias is not None:
-                    out = row_add(out, bias)
-                return tuple(activate(v, sigma) for v in out)
-
-            return CustomLayer(msg=msg, upd=upd)
-
-        layers.append(make())
+        layers.append(_anonymized_layer(form))
     return MpnnSpec(f_mode="zero", layers=tuple(layers))
+
+
+def _anonymized_layer(form) -> CustomLayer:
+    """The message (y W2, 1) counts the degree c; the update finishes
+    g(c) times the aggregated y W2 plus the self term own(x, c)."""
+    xw2, own, finish = _layer_terms(form)
+    g_of = _memo(form[4].value)
+
+    def msg(x, y, fv, fu):
+        return (*xw2(y), ONE)
+
+    def upd(x, z):
+        inner, count = z[:-1], z[-1].as_int()
+        scaled = row_scale(inner, g_of(count))
+        return finish(scaled) if own is None else finish(scaled, own(x, count))
+
+    return CustomLayer(msg=msg, upd=upd)
 
 
 def wrap_comb_aggr(
@@ -667,8 +658,11 @@ def spec_to_json(spec: MpnnSpec) -> dict:
 
 
 def spec_from_json(data: dict) -> MpnnSpec:
+    _require(isinstance(data, dict), "a network spec must be a JSON object")
+    _require(isinstance(data.get("layers"), list), "a network spec needs a list of layers")
     layers = []
-    for entry in data["layers"]:
+    for index, entry in enumerate(data["layers"], start=1):
+        _require(isinstance(entry, dict) and "family" in entry, f"layer {index} has no family")
         family = entry["family"]
         kwargs: dict = {"sigma": entry.get("sigma", "relu")}
         if "W" in entry:
@@ -687,13 +681,10 @@ def spec_from_json(data: dict) -> MpnnSpec:
         if "h" in entry:
             kwargs["h_fn"] = degree_fn_from_name(entry["h"])
         layers.append(BuiltinLayer(family=family, params=LayerParams(**kwargs)))
-    spec = MpnnSpec(f_mode=data["f_mode"], layers=tuple(layers))
+    spec = MpnnSpec(f_mode=data.get("f_mode"), layers=tuple(layers))
     if "rounds" in data and data["rounds"] != spec.rounds:
         raise SpecValidationError(
             f"declared rounds {data['rounds']} != {spec.rounds} layers"
         )
     return spec
 
-
-def spec_to_json_text(spec: MpnnSpec) -> str:
-    return json.dumps(spec_to_json(spec), indent=2, sort_keys=True)

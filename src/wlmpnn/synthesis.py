@@ -520,15 +520,15 @@ def _find_clamp_column(
 def _clamp_repair(
     rows: list[Row],
     kernel: Matrix,
-    k_cols: int,
+    base: list[Row],
     wl_part: Partition,
     sigma: str,
 ):
     """Kernel columns plus clamp columns realizing the reference partition.
 
-    Returns (base rows, [(direction, tau, output values)]) or None when some
-    torn pair admits no legal threshold (nested class values) or no set of
-    thresholds makes the class rows independent.
+    base holds rows times kernel.  Returns (base, [(direction, tau, output
+    values)]) or None when some torn pair admits no legal threshold (nested
+    class values) or no set of thresholds makes the class rows independent.
 
     Independence is decided on a proxy: the separated kernel block assigns
     each base class an independent row, which has the same joint rank as a
@@ -539,8 +539,7 @@ def _clamp_repair(
     the vectors orthogonal to that column, so the rows are never eliminated
     again; an empty kernel means the rows are independent.
     """
-    n = len(rows)
-    base = [row_mat(row, kernel) for row in rows] if k_cols else [() for _ in rows]
+    n, k_cols = len(rows), len(base[0])
     base_part = Partition.from_keys([tuple(r) for r in base])
     prefix = [
         tuple(ONE if j == base_part.class_of[v] else ZERO for j in range(base_part.num_classes))
@@ -665,11 +664,11 @@ def _synthesize_rounds(
         if diffs:
             kernel = nullspace_basis(diffs, width)
             k_cols = len(kernel[0])
-            projected_rows = [row_mat(row, kernel) for row in target] if k_cols else None
-            if projected_rows and partition_refines(Partition.from_keys(projected_rows), wl_part):
+            projected_rows = [row_mat(row, kernel) for row in target]
+            if k_cols and partition_refines(Partition.from_keys(projected_rows), wl_part):
                 variants.append(("projection", kernel, projected_rows, []))
             else:
-                repaired = _clamp_repair(target, kernel, k_cols, wl_part, sigma)
+                repaired = _clamp_repair(target, kernel, projected_rows, wl_part, sigma)
                 if repaired is not None:
                     base, clamps = repaired
                     pad = ((ZERO,) * width, -ONE, [ONE] * g.n)

@@ -16,7 +16,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 from .graphs import Label, LabelledGraph, Labelling, Partition, partition_of
@@ -127,12 +126,6 @@ def alpha_encode(coeffs: Sequence[int], n1: int, n2: int, d1: int, d2: int) -> i
 
 def cantor_pair(a: int, b: int) -> int:
     return (a + b) * (a + b + 1) // 2 + b
-
-
-def cantor_tuple(values: Sequence[int]) -> int:
-    if not values:
-        raise ValueError("cantor_tuple needs at least one value")
-    return reduce(cantor_pair, values)
 
 
 def _simplest_in_open(lo: ExactScalar, hi: ExactScalar) -> Fraction:

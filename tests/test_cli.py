@@ -133,6 +133,19 @@ def test_bad_graph_file_exit_2(tmp_path, capsys):
     assert "self-loop" in capsys.readouterr().err
 
 
+def test_malformed_spec_file_exit_2(tmp_path, capsys):
+    bad_specs = {
+        "no-layers": {"f_mode": "degree"},
+        "array": [{"family": "gcn-kipf", "W": [["1"]]}],
+        "no-family": {"f_mode": "degree", "layers": [{"sigma": "relu", "W": [["1"]]}]},
+    }
+    for name, payload in bad_specs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        assert run(["mpnn", "run", "--graph", "fig1", "--spec", str(path)]) == 2, name
+        assert capsys.readouterr().err.startswith("error: "), name
+
+
 def test_internal_verification_failure_exits_1(monkeypatch, capsys):
     def failing_check(*args, **kwargs):
         raise ArithmeticError("right inverse check failed")

@@ -131,7 +131,7 @@ def test_custom_layer_wrong_width_detected():
 
 def test_degree_probe_appends_degrees():
     g = builtin_graph("fig1")
-    trace = run_mpnn(g, degree_probe_spec(3))
+    trace = run_mpnn(g, degree_probe_spec())
     for v in range(1, 7):
         row = trace.labellings[1].row_of(v)
         assert row[:3] == g.label_of(v)
@@ -432,3 +432,40 @@ def test_lift_plus_one_replays_labels_exactly(family):
             extended = tuple((*row, S(g.degree(v))) for v, row in enumerate(labelling.rows, start=1))
             assert lifted.labellings[t + 1].rows == extended
     assert label_at_several_degrees
+
+
+@pytest.mark.parametrize("family", sorted(DEGREE_FAMILIES))
+def test_degree_messages_require_degree_information(family):
+    msg, _ = builtin_layer(family, _random_layer(random.Random(family), family, 1, 1, 3))
+    for dv, du in ((0, 2), (2, 0), (0, 0)):
+        with pytest.raises(SpecValidationError, match="without degree information"):
+            msg((ONE,), (ONE,), dv, du)
+
+
+# -- anonymization through the self term ----------------------------------------------------
+
+
+def test_anonymize_h_const_reproduces_general_dgnn_labels_exactly():
+    # general-dgnn with W1, a bias and p > 0: the anonymized update adds the
+    # self term own(x, c) at the counted degree c
+    for seed in range(20):
+        rng = random.Random(f"anonymize:general-dgnn:{seed}")
+        g = sample_graph(rng.randint(5, 9), 0.4, 700 + seed, alphabet=2)
+        g_table = DegreeFn.from_table({d: S(Fraction(rng.randint(1, 5), 3)) for d in range(1, g.n)})
+        width, layers = g.label_dim, []
+        for _ in range(rng.randint(1, 3)):
+            out = rng.randint(1, 3)
+            params = LayerParams(
+                w1=_random_matrix(rng, width, out),
+                w2=_random_matrix(rng, width, out),
+                bias=_random_matrix(rng, 1, out)[0],
+                p=S(Fraction(rng.randint(1, 4), 4)),
+                sigma=rng.choice(["relu", "sign", "none"]),
+                g_fn=rng.choice([DegreeFn.inv_d(), DegreeFn.inv_sqrt_d(), g_table]),
+                h_fn=DegreeFn.one(),
+            )
+            layers.append(BuiltinLayer("general-dgnn", params))
+            width = out
+        spec = MpnnSpec(f_mode="degree", layers=tuple(layers))
+        original, anonymous = run_mpnn(g, spec), run_mpnn(g, anonymize_h_const(spec))
+        assert anonymous.labellings == original.labellings

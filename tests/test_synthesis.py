@@ -512,7 +512,7 @@ def test_clamp_repair_reports_nested_values_as_infeasible():
     rows = [(S(1),), (S(4),), (S(2),), (S(3),)]
     wl_part = Partition((0, 0, 1, 2))
     for sigma in ("relu", "sign"):
-        assert _clamp_repair(rows, (), 0, wl_part, sigma) is None
+        assert _clamp_repair(rows, (), [()] * len(rows), wl_part, sigma) is None
 
 
 def _scan_clamp_column(rows, wl_part, a, b, kernel, k_cols, sigma):
