@@ -16,13 +16,17 @@ rank, so a full-rank image proves independence, and only a deficient image,
 or an entry with no image, falls back to the exact ``rank``.  ``solve``
 returns the one solution a caller applies instead of a whole right inverse,
 by back substitution on the echelon form, and checks it exactly.
+
+Every entry of ``row_mat`` (so of ``mat_mul``) and every back-substituted
+sum in ``solve`` is one ``surd.exact_dot``, reduced to lowest terms once,
+not once per product and partial sum.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
 
-from .surd import ONE, RESIDUE_PRIME, ZERO, ExactScalar, exact_sum, residues
+from .surd import ONE, RESIDUE_PRIME, ZERO, ExactScalar, exact_dot, residues
 
 Row = tuple[ExactScalar, ...]
 Matrix = tuple[Row, ...]
@@ -58,18 +62,21 @@ def row_scale(row: Row, factor: ExactScalar) -> Row:
 
 
 def row_mat(row: Row, m: Matrix) -> Row:
-    """Row vector times matrix."""
+    """Row vector times matrix: each entry is one exact_dot over the pairs
+    whose factors are both nonzero, a plain product when only one pair is,
+    and ZERO when none is."""
     if len(row) != len(m):
         raise ValueError(f"width {len(row)} does not match matrix with {len(m)} rows")
-    cols = len(m[0]) if m else 0
-    out = [ZERO] * cols
+    columns: list[list[tuple[ExactScalar, ExactScalar]]] = [[] for _ in range(len(m[0]) if m else 0)]
     for x, mrow in zip(row, m):
-        if x.is_zero:
-            continue
-        for j, y in enumerate(mrow):
-            if not y.is_zero:
-                out[j] = out[j] + x * y
-    return tuple(out)
+        if not x.is_zero:
+            for pairs, y in zip(columns, mrow):
+                if not y.is_zero:
+                    pairs.append((x, y))
+    return tuple(
+        exact_dot(pairs) if len(pairs) > 1 else pairs[0][0] * pairs[0][1] if pairs else ZERO
+        for pairs in columns
+    )
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -208,7 +215,7 @@ def solve(matrix: Sequence[Row], rhs: Sequence[Row]) -> Matrix:
         inv = row[col].invert()
         later = [(row[c], out[c]) for c in pivots[i + 1 :] if not row[c].is_zero]
         out[col] = [
-            inv * (row[width + j] - exact_sum(a * y[j] for a, y in later if not y[j].is_zero))
+            inv * (row[width + j] - exact_dot((a, y[j]) for a, y in later))
             for j in range(k)
         ]
     y = tuple(tuple(r) for r in out)

@@ -657,29 +657,51 @@ def spec_to_json(spec: MpnnSpec) -> dict:
     return {"f_mode": spec.f_mode, "rounds": spec.rounds, "layers": layers}
 
 
+def _json_text(entry: dict, name: str, index: int) -> str:
+    value = entry[name]
+    _require(isinstance(value, str), f"layer {index}: {name} must be a string, not {type(value).__name__}")
+    return value
+
+
+def _json_texts(value, what: str) -> list[str]:
+    _require(
+        isinstance(value, list) and all(isinstance(c, str) for c in value),
+        f"{what} must be a list of scalar strings",
+    )
+    return value
+
+
+def _json_matrix(entry: dict, name: str, index: int) -> Matrix:
+    rows = entry[name]
+    _require(isinstance(rows, list), f"layer {index}: {name} must be a list of rows, not {type(rows).__name__}")
+    return matrix_from_text([_json_texts(row, f"layer {index}: each row of {name}") for row in rows])
+
+
 def spec_from_json(data: dict) -> MpnnSpec:
+    """The spec of a ``spec_to_json`` object.  A field of the wrong JSON type
+    raises SpecValidationError, as does any other contract violation."""
     _require(isinstance(data, dict), "a network spec must be a JSON object")
     _require(isinstance(data.get("layers"), list), "a network spec needs a list of layers")
     layers = []
     for index, entry in enumerate(data["layers"], start=1):
         _require(isinstance(entry, dict) and "family" in entry, f"layer {index} has no family")
-        family = entry["family"]
-        kwargs: dict = {"sigma": entry.get("sigma", "relu")}
+        family = _json_text(entry, "family", index)
+        kwargs: dict = {"sigma": _json_text(entry, "sigma", index) if "sigma" in entry else "relu"}
         if "W" in entry:
-            kwargs["w2"] = matrix_from_text(entry["W"])
+            kwargs["w2"] = _json_matrix(entry, "W", index)
         if "W2" in entry:
-            kwargs["w2"] = matrix_from_text(entry["W2"])
+            kwargs["w2"] = _json_matrix(entry, "W2", index)
         if "W1" in entry:
-            kwargs["w1"] = matrix_from_text(entry["W1"])
+            kwargs["w1"] = _json_matrix(entry, "W1", index)
         if "bias" in entry:
-            kwargs["bias"] = tuple(parse_scalar(v) for v in entry["bias"])
+            kwargs["bias"] = tuple(map(parse_scalar, _json_texts(entry["bias"], f"layer {index}: bias")))
         for name in ("p", "q", "r"):
             if name in entry:
-                kwargs[name] = parse_scalar(entry[name])
+                kwargs[name] = parse_scalar(_json_text(entry, name, index))
         if "g" in entry:
-            kwargs["g_fn"] = degree_fn_from_name(entry["g"])
+            kwargs["g_fn"] = degree_fn_from_name(_json_text(entry, "g", index))
         if "h" in entry:
-            kwargs["h_fn"] = degree_fn_from_name(entry["h"])
+            kwargs["h_fn"] = degree_fn_from_name(_json_text(entry, "h", index))
         layers.append(BuiltinLayer(family=family, params=LayerParams(**kwargs)))
     spec = MpnnSpec(f_mode=data.get("f_mode"), layers=tuple(layers))
     if "rounds" in data and data["rounds"] != spec.rounds:
@@ -687,4 +709,3 @@ def spec_from_json(data: dict) -> MpnnSpec:
             f"declared rounds {data['rounds']} != {spec.rounds} layers"
         )
     return spec
-

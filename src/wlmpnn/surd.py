@@ -13,7 +13,12 @@ multiplication works on plain integers and reduces once, by a single
 multi-argument gcd, instead of once per term.  ``exact_sum`` adds any
 number of values over the lcm of their denominators with one reduction,
 and ``reciprocal`` and ``inv_sqrt`` build 1/k and (n/d)**(-1/2) straight
-from the integers.
+from the integers.  ``exact_dot`` sums the products x*y of any number of
+pairs with one reduction: each product's integer numerators go into an
+accumulator keyed by its raw denominator x_den*y_den, so products over
+equal denominators are added without rescaling, and the accumulators are
+combined over the lcm of their denominators and reduced by a single gcd.
+Multiplication and ``exact_dot`` share one loop over radicand products.
 Text and hashes come from the same integers: ``to_text`` takes one gcd per
 term (integers past the interpreter's int/str digit limit are converted in
 halves split at a power of ten, as ``parse_scalar`` reads them back), and
@@ -212,7 +217,6 @@ class ExactScalar:
         n1, n2 = self._num, other._num
         if not n1 or not n2:
             return ZERO
-        gcd = math.gcd
         if len(n2) == 1 and 1 in n2:
             k = n2[1]
             out = {r: c * k for r, c in n1.items()}
@@ -221,28 +225,10 @@ class ExactScalar:
             out = {r: c * k for r, c in n2.items()}
         else:
             out = {}
-            get = out.get
-            pairs = n2.items()
-            for r1, c1 in n1.items():
-                for r2, c2 in pairs:
-                    if r1 == 1:
-                        r, c = r2, c1 * c2
-                    elif r2 == 1:
-                        r, c = r1, c1 * c2
-                    elif r1 == r2:
-                        r, c = 1, c1 * c2 * r1
-                    else:
-                        g = gcd(r1, r2)
-                        r = (r1 // g) * (r2 // g)
-                        c = c1 * c2 * g
-                    newc = get(r, 0) + c
-                    if newc:
-                        out[r] = newc
-                    else:
-                        del out[r]
+            _mul_into(out, n1, n2)
         den = self._den * other._den
         if den != 1:
-            g = gcd(den, *out.values())
+            g = math.gcd(den, *out.values())
             if g != 1:
                 out = {r: c // g for r, c in out.items()}
                 den //= g
@@ -483,6 +469,38 @@ def _make(num: dict[int, int], den: int) -> ExactScalar:
     return out
 
 
+def _mul_into(acc: dict[int, int], n1: dict[int, int], n2: dict[int, int]) -> None:
+    """Add the products of the numerator terms of n1 and n2 into acc, by
+    radicand: sqrt(r1)*sqrt(r2) = g*sqrt(r1*r2/g**2) for g = gcd(r1, r2).
+    Sums that reach zero are removed, so acc keeps only nonzero numerators."""
+    gcd = math.gcd
+    get = acc.get
+    pairs = n2.items()
+    for r1, c1 in n1.items():
+        if r1 == 1:
+            for r, c2 in pairs:
+                newc = get(r, 0) + c1 * c2
+                if newc:
+                    acc[r] = newc
+                else:
+                    del acc[r]
+            continue
+        for r2, c2 in pairs:
+            if r2 == 1:
+                r, c = r1, c1 * c2
+            elif r1 == r2:
+                r, c = 1, c1 * c2 * r1
+            else:
+                g = gcd(r1, r2)
+                r = (r1 // g) * (r2 // g)
+                c = c1 * c2 * g
+            newc = get(r, 0) + c
+            if newc:
+                acc[r] = newc
+            else:
+                del acc[r]
+
+
 def _term_hash(c: int, dinv: int) -> int:
     """hash(Fraction(c, den)) for dinv the inverse of den modulo the hash
     modulus, up to -1, which hash() itself maps to -2 as Fraction does."""
@@ -538,6 +556,45 @@ def exact_sum(values: Iterable[ExactScalar]) -> ExactScalar:
         for r, c in x._num.items():
             acc[r] = get(r, 0) + c * scale
     out = {r: c for r, c in acc.items() if c}
+    if den != 1:
+        g = math.gcd(den, *out.values())
+        if g != 1:
+            out = {r: c // g for r, c in out.items()}
+            den //= g
+    return _make(out, den)
+
+
+def exact_dot(pairs: Iterable[tuple[ExactScalar, ExactScalar]]) -> ExactScalar:
+    """The sum of x*y over the pairs, reduced once by one gcd instead of
+    once per product and once per pairwise addition.
+
+    Each product's integer numerators go into an accumulator keyed by its
+    raw denominator x._den * y._den, so products over equal denominators
+    need no rescaling; the accumulators are combined over the lcm of those
+    denominators only when there are several.
+    """
+    by_den: dict[int, dict[int, int]] = {}
+    for x, y in pairs:
+        n1, n2 = x._num, y._num
+        if n1 and n2:
+            den = x._den * y._den
+            acc = by_den.get(den)
+            if acc is None:
+                acc = by_den[den] = {}
+            _mul_into(acc, n1, n2)
+    if not by_den:
+        return ZERO
+    if len(by_den) == 1:
+        ((den, out),) = by_den.items()
+    else:
+        den = math.lcm(*by_den)
+        total: dict[int, int] = {}
+        get = total.get
+        for d, acc in by_den.items():
+            scale = den // d
+            for r, c in acc.items():
+                total[r] = get(r, 0) + c * scale
+        out = {r: c for r, c in total.items() if c}
     if den != 1:
         g = math.gcd(den, *out.values())
         if g != 1:

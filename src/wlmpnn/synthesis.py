@@ -93,7 +93,7 @@ from .linalg import (
     unique_rows,
 )
 from .mpnn import BuiltinLayer, DegreeFn, LayerParams, MpnnSpec, propagate
-from .surd import ONE, ZERO, ExactScalar, activate, exact_sum, floor_exact
+from .surd import ONE, ZERO, ExactScalar, activate, exact_dot, floor_exact
 from .wl import wl_partitions
 
 
@@ -140,7 +140,7 @@ def _check_separation_preconditions(c: Sequence[Row]) -> None:
 
 
 def _dot(a: Row, b: Row) -> ExactScalar:
-    return exact_sum(x * y for x, y in zip(a, b) if not (x.is_zero or y.is_zero))
+    return exact_dot(zip(a, b))
 
 
 def _mat_vec(m: Matrix, col: Row) -> Row:

@@ -1,6 +1,8 @@
 """Command-line front end: subcommands, formats, exit codes."""
 import json
 
+import pytest
+
 from wlmpnn.cases import builtin_graph
 from wlmpnn.cli import main
 from wlmpnn.graphs import format_graph
@@ -144,6 +146,28 @@ def test_malformed_spec_file_exit_2(tmp_path, capsys):
         path.write_text(json.dumps(payload))
         assert run(["mpnn", "run", "--graph", "fig1", "--spec", str(path)]) == 2, name
         assert capsys.readouterr().err.startswith("error: "), name
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("W", 5, "W must be a list of rows, not int"),
+        ("bias", 5, "bias must be a list of scalar strings"),
+        ("W", [[1]], "each row of W must be a list of scalar strings"),
+        ("p", 1, "p must be a string, not int"),
+        ("g", 5, "g must be a string, not int"),
+    ],
+)
+def test_spec_field_of_wrong_json_type_exit_2(tmp_path, capsys, field, value, message):
+    spec = spec_to_json(named_spec("dgnn6", 3, rounds=1))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run(["mpnn", "run", "--graph", "fig1", "--spec", str(path)]) == 0
+    capsys.readouterr()
+    spec["layers"][0][field] = value
+    path.write_text(json.dumps(spec))
+    assert run(["mpnn", "run", "--graph", "fig1", "--spec", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: layer 1: {message}\n"
 
 
 def test_internal_verification_failure_exits_1(monkeypatch, capsys):

@@ -308,3 +308,99 @@ def test_solve_rejects_dependent_rows_and_a_mismatched_right_hand_side():
         solve(M([[1, 2], [2, 4]]), M([[1], [1]]))
     with pytest.raises(ValueError, match="right-hand side"):
         solve(M([[1, 2], [3, 4]]), M([[1]]))
+
+
+# -- row_mat and solve against pairwise folds -------------------------------------
+
+
+def _fold_row_mat(row, m):
+    """row @ m with every entry a left fold of pairwise products and sums."""
+    out = [ZERO] * (len(m[0]) if m else 0)
+    for x, mrow in zip(row, m):
+        for j, y in enumerate(mrow):
+            out[j] = out[j] + x * y
+    return tuple(out)
+
+
+def _fold_solve(matrix, rhs):
+    """Gauss-Jordan on [uniq | rhs] by pairwise arithmetic, free variables zero."""
+    uniq, _ = unique_rows(tuple(matrix))
+    width = len(uniq[0])
+    work = [list(row) + list(b) for row, b in zip(uniq, rhs)]
+    pivots = []
+    for col in range(width):
+        r0 = len(pivots)
+        pivot = next((r for r in range(r0, len(work)) if not work[r][col].is_zero), None)
+        if pivot is None:
+            continue
+        work[r0], work[pivot] = work[pivot], work[r0]
+        inv = work[r0][col].invert()
+        work[r0] = [inv * x for x in work[r0]]
+        for r in range(len(work)):
+            if r != r0:
+                factor = work[r][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], work[r0])]
+        pivots.append(col)
+    out = [[ZERO] * len(rhs[0]) for _ in range(width)]
+    for row, col in zip(work, pivots):
+        out[col] = row[width:]
+    return tuple(tuple(r) for r in out)
+
+
+def _sparse_surd_matrix(rng, n_rows, n_cols, zero_rows=(), zero_cols=()):
+    """Seeded surd entries, about half of them zero, with the given rows and
+    columns entirely zero."""
+    return tuple(
+        tuple(
+            ZERO if i in zero_rows or j in zero_cols or rng.random() < 0.5 else _surd(rng)
+            for j in range(n_cols)
+        )
+        for i in range(n_rows)
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize(
+    "n_inner, n_cols, zero_rows, zero_cols",
+    [(3, 4, (), ()), (4, 3, (1,), ()), (5, 5, (0, 3), (2,)), (1, 3, (), (0, 2)), (6, 2, (), ())],
+)
+def test_row_mat_matches_pairwise_fold(seed, n_inner, n_cols, zero_rows, zero_cols):
+    rng = random.Random(700 + seed)
+    m = _sparse_surd_matrix(rng, n_inner, n_cols, zero_rows, zero_cols)
+    for row in (_sparse_surd_matrix(rng, 1, n_inner)[0], (ZERO,) * n_inner, tuple(_surd(rng) for _ in range(n_inner))):
+        assert linalg.row_mat(row, m) == _fold_row_mat(row, m)
+    a = _sparse_surd_matrix(rng, 3, n_inner, zero_rows=(1,))
+    assert mat_mul(a, m) == tuple(_fold_row_mat(row, m) for row in a)
+
+
+def test_row_mat_degenerate_shapes_and_width_mismatch():
+    row = (S(2), ZERO, S.sqrt(3))
+    assert linalg.row_mat(row, ((), (), ())) == ()
+    assert linalg.row_mat((), ()) == ()
+    assert linalg.row_mat(row, zeros(3, 2)) == (ZERO, ZERO)
+    assert linalg.row_mat((ZERO, ZERO, ZERO), M([[1, 2], [3, 4], [5, 6]])) == (ZERO, ZERO)
+    # one live pair per column is a plain product
+    assert linalg.row_mat(row, identity(3)) == row
+    with pytest.raises(ValueError, match="width 3 does not match matrix with 2 rows"):
+        linalg.row_mat(row, M([[1], [2]]))
+    with pytest.raises(ValueError, match="width 0 does not match matrix with 1 rows"):
+        linalg.row_mat((), M([[1]]))
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize(
+    "n_rows, n_cols, k, zero_cols",
+    [(2, 3, 2, ()), (3, 5, 2, (1,)), (3, 4, 1, (0, 3)), (4, 6, 3, (2,)), (2, 4, 0, ())],
+)
+def test_solve_matches_pairwise_fold(seed, n_rows, n_cols, k, zero_cols):
+    rng = random.Random(900 + seed)
+    rows = _sparse_surd_matrix(rng, n_rows, n_cols, zero_cols=zero_cols)
+    uniq, _ = unique_rows(rows)
+    rhs = _sparse_surd_matrix(rng, len(uniq), k, zero_rows=(0,))
+    if not rows_linearly_independent(uniq):
+        with pytest.raises(DependentRowsError):
+            solve(rows, rhs)
+        return
+    y = solve(rows, rhs)
+    assert y == _fold_solve(rows, rhs)
+    assert all(y[c] == (ZERO,) * k for c in zero_cols)

@@ -14,6 +14,7 @@ from wlmpnn.surd import (
     ExactScalar,
     activate,
     conjugates,
+    exact_dot,
     exact_sum,
     inv_sqrt,
     parse_scalar,
@@ -445,6 +446,60 @@ def test_exact_sum_edge_cases():
     assert exact_sum(cancel)._num == {} and exact_sum(cancel)._den == 1
     assert exact_sum([sqrt(2, Fraction(1, 4)), sqrt(2, Fraction(3, 4)), ZERO]) == sqrt(2)
     assert exact_sum([sqrt(2, Fraction(1, 4)), sqrt(2, Fraction(3, 4))])._den == 1
+
+
+def _left_fold_dot(pairs):
+    folded = ZERO
+    for x, y in pairs:
+        folded = folded + x * y
+    return folded
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(wide_scalars, wide_scalars), max_size=6))
+def test_exact_dot_matches_left_fold(pairs):
+    total = exact_dot(pairs)
+    assert total == _left_fold_dot(pairs)
+    _assert_canonical(total)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(wide_scalars, wide_scalars), max_size=4))
+def test_exact_dot_against_sympy(pairs):
+    sympy = pytest.importorskip("sympy")
+    want = sympy.Add(*(_to_sympy(x) * _to_sympy(y) for x, y in pairs))
+    assert sympy.expand(_to_sympy(exact_dot(pairs)) - want) == 0
+
+
+def test_exact_dot_edge_cases():
+    assert exact_dot([]) is ZERO
+    assert exact_dot([(ZERO, sqrt(2)), (sqrt(3), ZERO), (ZERO, ZERO)]) is ZERO
+    # sqrt(2)*sqrt(2)/4 - 1/3 * 3/2 cancels across two denominators
+    cancel = exact_dot([(sqrt(2, Fraction(1, 2)), sqrt(2, Fraction(1, 2))), (S(Fraction(1, 3)), S(Fraction(-3, 2)))])
+    assert cancel == ZERO and cancel._num == {} and cancel._den == 1
+    assert exact_dot([(sqrt(6), sqrt(6)), (S(-3), S(2))]) == ZERO
+    # equal raw denominators: 1/4 + 3/4 reduces to 1
+    one = exact_dot([(S(Fraction(1, 2)), S(Fraction(1, 2))), (S(Fraction(1, 2)), S(Fraction(3, 2)))])
+    assert one == ONE and one._den == 1
+    # raw denominators 6, 6 and 4 meet over 12; the sum keeps only what it needs
+    mixed = exact_dot(
+        [
+            (S(Fraction(1, 2)), S(Fraction(1, 3))),
+            (sqrt(2, Fraction(1, 3)), sqrt(3, Fraction(1, 2))),
+            (sqrt(2, Fraction(1, 2)), sqrt(2, Fraction(1, 2))),
+        ]
+    )
+    assert mixed == S(Fraction(2, 3)) + sqrt(6, Fraction(1, 6))
+    _assert_canonical(mixed)
+    assert mixed._den == 6
+    # multi-radicand factors: (1 + sqrt(2))(1 - sqrt(2)) + (sqrt(3) + sqrt(6)) sqrt(2)
+    multi = exact_dot([(ONE + sqrt(2), ONE - sqrt(2)), (sqrt(3) + sqrt(6), sqrt(2))])
+    assert multi == S(-1) + sqrt(6) + sqrt(3, 2)
+    # a generator is consumed once
+    xs = [sqrt(2, Fraction(1, 3)), S(5), sqrt(10, Fraction(-2, 7))]
+    ys = [sqrt(5), S(Fraction(1, 5)), sqrt(2, 3)]
+    assert exact_dot((x, y) for x, y in zip(xs, ys)) == _left_fold_dot(zip(xs, ys))
+    assert exact_dot(iter([(sqrt(2), sqrt(3))])) == sqrt(6)
 
 
 @settings(max_examples=60, deadline=None)
