@@ -2,9 +2,11 @@
 
 Subcommands: ``wl run``, ``mpnn run``, ``compare``, ``synth``,
 ``cases verify``, ``cases list``.  Exit codes: 0 success, 1 a verdict or
-verification failed (an internal check that fails prints ``internal
-error: ...``), 2 usage or input errors.  Graph arguments accept a
-builtin id (fig1, g1, g2, g3) or a graph file path.
+verification failed, 2 usage or input errors: an unparseable scalar, a
+``--p`` outside (0, 1), a malformed graph or spec file (invalid JSON
+included), an unknown name and a ``--rounds`` below 1.  Any other failure is the program's, not
+the input's: it prints ``internal error: ...`` and exits 1.  Graph
+arguments accept a builtin id (fig1, g1, g2, g3) or a graph file path.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .cases import (
     CASE_IDS,
@@ -23,16 +26,38 @@ from .cases import (
 )
 from .compare import ShiftSpec, compare_traces, report
 from .graphs import GraphFormatError, LabelledGraph, parse_graph
-from .mpnn import MpnnSpec, SpecValidationError, run_mpnn, spec_from_json
-from .surd import parse_scalar
+from .mpnn import DimensionError, MpnnSpec, SpecValidationError, run_mpnn, spec_from_json
+from .surd import ONE, ZERO, parse_scalar
 from .synthesis import SynthesisError, synthesize_dgnn6, synthesize_gnn_minus
 from .wl import WlTrace, wl_partitions, wl_run
 
 _NAMED_SPECS = ("gcn", "dgnn1", "dgnn2", "dgnn3", "dgnn4", "dgnn5", "dgnn6", "gnn", "gnn-minus")
 
 
+T = TypeVar("T")
+
+
 class UsageError(ValueError):
-    pass
+    """The command line or an input file is malformed or names nothing known."""
+
+
+def _parsed(parse: Callable[[], T]) -> T:
+    """parse(), reporting any ValueError it raises as an input error."""
+    try:
+        return parse()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _round_count(text: str) -> int:
+    """argparse type of --rounds: a positive integer."""
+    try:
+        rounds = int(text)
+    except ValueError:
+        rounds = 0
+    if rounds < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive round count")
+    return rounds
 
 
 def _load_graph(ref: str) -> LabelledGraph:
@@ -43,7 +68,7 @@ def _load_graph(ref: str) -> LabelledGraph:
     path = Path(ref)
     if not path.exists():
         raise UsageError(f"graph {ref!r} is neither a builtin id nor an existing file")
-    return parse_graph(path.read_text())
+    return _parsed(lambda: parse_graph(path.read_text()))
 
 
 def _load_spec(ref: str, graph: LabelledGraph, rounds: int, sigma: str) -> MpnnSpec:
@@ -52,7 +77,7 @@ def _load_spec(ref: str, graph: LabelledGraph, rounds: int, sigma: str) -> MpnnS
     path = Path(ref)
     if not path.exists():
         raise UsageError(f"spec {ref!r} is neither a known family nor an existing file")
-    return spec_from_json(json.loads(path.read_text()))
+    return _parsed(lambda: spec_from_json(json.loads(path.read_text())))
 
 
 def _emit(text: str, path: str | None):
@@ -93,7 +118,7 @@ def _cmd_mpnn(args) -> int:
 
 def _cmd_compare(args) -> int:
     g = _load_graph(args.graph)
-    shift = ShiftSpec.from_text(args.shift)
+    shift = _parsed(lambda: ShiftSpec.from_text(args.shift))
     left_rounds = args.rounds
     right_rounds = shift.apply(left_rounds)
 
@@ -113,7 +138,9 @@ def _cmd_synth(args) -> int:
     g = _load_graph(args.graph)
     try:
         if args.target == "gnn-minus":
-            p = parse_scalar(args.p) if args.p else None
+            p = _parsed(lambda: parse_scalar(args.p)) if args.p else None
+            if p is not None and not ZERO < p < ONE:
+                raise UsageError(f"--p {p.to_text()} must lie strictly between 0 and 1")
             cert = synthesize_gnn_minus(g, args.rounds, args.sigma, p=p, uniform_q=args.uniform_q)
         else:
             if args.p:
@@ -187,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     mp_runp = mp_sub.add_parser("run", help="run a network on a graph")
     mp_runp.add_argument("--graph", required=True)
     mp_runp.add_argument("--spec", required=True, help="family name or spec JSON file")
-    mp_runp.add_argument("--rounds", type=int, default=1)
+    mp_runp.add_argument("--rounds", type=_round_count, default=1)
     mp_runp.add_argument("--sigma", choices=("relu", "sign", "none"), default="relu")
     mp_runp.add_argument("--format", choices=("text", "json"), default="text")
     mp_runp.add_argument("--emit")
@@ -198,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--left", required=True, help="family name, spec file, or 'wl'")
     cmp_p.add_argument("--right", required=True, help="family name, spec file, or 'wl'")
     cmp_p.add_argument("--shift", default="0", help="0, +1 or x<c>")
-    cmp_p.add_argument("--rounds", type=int, required=True)
+    cmp_p.add_argument("--rounds", type=_round_count, required=True)
     cmp_p.add_argument("--sigma", choices=("relu", "sign", "none"), default="relu")
     cmp_p.add_argument("--format", choices=("text", "json"), default="text")
     cmp_p.add_argument("--emit")
@@ -208,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--graph", required=True)
     synth.add_argument("--target", choices=("gnn-minus", "dgnn6"), required=True)
     synth.add_argument("--sigma", choices=("relu", "sign"), required=True)
-    synth.add_argument("--rounds", type=int, required=True)
+    synth.add_argument("--rounds", type=_round_count, required=True)
     synth.add_argument("--p", help="trade-off parameter for gnn-minus (scalar text)")
     synth.add_argument("--uniform-q", action="store_true")
     synth.add_argument("--format", choices=("text", "json"), default="text")
@@ -238,10 +265,12 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (UsageError, GraphFormatError, SpecValidationError, ValueError) as exc:
+    except (UsageError, GraphFormatError, SpecValidationError, DimensionError) as exc:
+        # a spec the input describes can break its family's contract or fail
+        # to chain with the graph's label width only when run_mpnn runs it
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:  # an internal verification failed, not the input
+    except (ValueError, ArithmeticError) as exc:  # the program failed, not the input
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,8 +13,11 @@ Every builtin family is one closed form
 
 with degree-determined positive g and h; gnn is the case g = h = 1, p = 0
 and gnn-minus the case g = h = 1, W1 = 0, B = -q.  run_mpnn evaluates a
-builtin round in that form once per vertex: L W1 and L W2 once per distinct
-label, g and h once per distinct degree, then plain neighbour sums, each
+builtin round in that form once per refinement key: a vertex's row depends
+only on its class in the current partition, its degree and the multiset of
+its neighbours' (class, degree), the degrees dropping out when g and h are
+both 1.  L W1 and h L W2 are computed once per (class, degree), g and h once
+per distinct degree, then one plain neighbour sum per key, each
 pre-activation entry one exact sum.  Custom layers run edge by edge: each
 vertex sums its messages over its neighbourhood and applies the update.
 
@@ -25,10 +28,15 @@ are built from one term set of the closed form, made once per layer: x W2
 and x W1 once per distinct label, the self term x W1 + p g(d) h(d) x W2,
 and a finishing step that adds B, sums each entry once and activates.
 Degree-aware messages carry the self term scaled by 1/d_v, once per
-(label, degree), so the d_v messages add it back exactly once.
+(label, degree), so the d_v messages add it back exactly once.  A lifted
+builtin layer keeps its per-edge view, but run_mpnn evaluates it in the
+closed form, reading the degrees from the label's last component as the
+per-edge message does, whenever that component holds the vertex degrees;
+the anonymized layers run edge by edge.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -202,6 +210,16 @@ class CustomLayer:
 
     msg: MsgFn
     upd: UpdFn
+
+
+@dataclass(frozen=True)
+class _LiftedBuiltin(CustomLayer):
+    """A builtin layer replayed a round late by lift_plus_one.  msg and upd
+    are its per-edge view, reading degrees from the label's last component;
+    run_mpnn evaluates it in closed form when that component holds the
+    vertex degrees."""
+
+    builtin: BuiltinLayer
 
 
 Layer = BuiltinLayer | CustomLayer
@@ -423,13 +441,16 @@ def _check_builtin_dims(layer: BuiltinLayer, width: int) -> None:
         raise DimensionError(f"{layer.family} bias width {len(params.bias)} does not match output")
 
 
-def propagate(g: LabelledGraph, rows: Sequence[Row], p: ExactScalar, *plus: Sequence[Row]) -> list[Row]:
-    """Row v of (A + pI) @ rows + sum(plus): p * rows[v], the sum of v's
-    neighbour rows and row v of each of plus, each entry one exact_sum
-    (graphs have no isolated vertices)."""
+def propagate(
+    g: LabelledGraph, rows: Sequence[Row], p: ExactScalar, *plus: Sequence[Row], at: Sequence[int] | None = None
+) -> list[Row]:
+    """Row v of (A + pI) @ rows + sum(plus) for each vertex v of at, every
+    vertex when at is None: p * rows[v], the sum of v's neighbour rows and
+    row v of each of plus, each entry one exact_sum (graphs have no
+    isolated vertices)."""
     p_zero, p_one = p.is_zero, p == ONE
     out = []
-    for v in range(1, g.n + 1):
+    for v in range(1, g.n + 1) if at is None else at:
         parts = [rows[u - 1] for u in g.neighbors(v)]
         if not p_zero:
             parts.append(rows[v - 1] if p_one else row_scale(rows[v - 1], p))
@@ -444,29 +465,81 @@ def _tabulate(fn: DegreeFn, degrees: Sequence[int]) -> dict[int, ExactScalar] | 
     return None if all(v == ONE for v in table.values()) else table
 
 
-def _closed_form_round(g: LabelledGraph, rows: Sequence[Label], form) -> list[Label]:
+def _round_keys(g: LabelledGraph, own: Sequence[int]) -> tuple[Sequence[int], list[int] | None]:
+    """The vertices that stand for the round's keys, and each vertex's key.
+
+    A vertex's key is its own value with the sorted own values of its
+    neighbours.  A vertex whose own value no other vertex has is a key by
+    itself, so only the others build the neighbour part.  Returns the
+    representative of each key, in vertex order, and the key index of each
+    vertex, or None when no two vertices share a key.
+    """
+    counts = Counter(own)
+    if len(counts) == len(own):
+        return range(1, g.n + 1), None
+    first: dict = {}
+    reps: list[int] = []
+    slot: list[int] = []
+    for v, o in enumerate(own, start=1):
+        i = len(reps)
+        if counts[o] > 1:
+            i = first.setdefault((o, tuple(sorted([own[u - 1] for u in g.neighbors(v)]))), i)
+        if i == len(reps):
+            reps.append(v)
+        slot.append(i)
+    return (reps, slot) if len(reps) < g.n else (reps, None)
+
+
+def _closed_form_round(
+    g: LabelledGraph, rows: Sequence[Label], form, degrees: Sequence[int], class_of: Sequence[int]
+) -> list[Label]:
     """One builtin round: pre_v = g(d_v) (p hy_v + sum of hy_u over neighbours)
-    + x_v W1 + B with hy_u = h(d_u) x_u W2, then the activation.  Each entry
-    of pre_v is one exact_sum: of every term when g is 1, else of the
-    g-scaled sum, x_v W1 and B."""
+    + x_v W1 + B with hy_u = h(d_u) x_u W2, then the activation.
+
+    Rows equal under class_of are equal, so pre_v is a function of v's
+    (class, degree) and the multiset of its neighbours' (class, degree),
+    with the degrees left out when g and h are 1 on every degree present:
+    it is evaluated once per such key.  hy and x W1 are computed once per
+    (class, degree).  Each entry of pre_v is one exact_sum: of every term
+    when g is 1, else of the g-scaled sum, x_v W1 and B.
+    """
     w1, w2, bias, p, g_fn, h_fn, sigma = form
-    degrees = g.degrees()
-    xw2 = list(map(_memo_row_mat(w2), rows))
-    h_of = _tabulate(h_fn, degrees)
-    hy = xw2 if h_of is None else [row_scale(r, h_of[d]) for r, d in zip(xw2, degrees)]
+    g_of, h_of = _tabulate(g_fn, degrees), _tabulate(h_fn, degrees)
+    if g_of is None and h_of is None:
+        own = class_of
+    else:
+        span = max(degrees) + 1
+        own = [c * span + d for c, d in zip(class_of, degrees)]
+    reps, slot = _round_keys(g, own)
+    first = dict(zip(reversed(own), range(g.n - 1, -1, -1)))  # own value -> its first vertex
+
+    def per_vertex(fn: Callable[[int], Row]) -> list[Row]:
+        """fn(v), once per own value, listed by vertex."""
+        at_own = {o: fn(v) for o, v in first.items()}
+        return [at_own[o] for o in own]
+
+    xw2 = _memo_row_mat(w2)
+    if h_of is None:
+        hy = per_vertex(lambda v: xw2(rows[v]))
+    else:
+        hy = per_vertex(lambda v: row_scale(xw2(rows[v]), h_of[degrees[v]]))
     plus = []  # the rows x_v W1 and B
     if w1 is not None:
-        plus.append(xw2 if w1 is w2 else list(map(_memo_row_mat(w1), rows)))
+        xw1 = xw2 if w1 is w2 else _memo_row_mat(w1)
+        plus.append(per_vertex(lambda v: xw1(rows[v])))
     if bias is not None:
         plus.append([bias] * g.n)
-    g_of = _tabulate(g_fn, degrees)
     if g_of is None:
-        pre = propagate(g, hy, p, *plus)
+        pre = propagate(g, hy, p, *plus, at=reps)
     else:
-        pre = [row_scale(r, g_of[d]) for r, d in zip(propagate(g, hy, p), degrees)]
+        pre = [row_scale(r, g_of[degrees[v - 1]]) for r, v in zip(propagate(g, hy, p, at=reps), reps)]
         if plus:
-            pre = [tuple(map(exact_sum, zip(*parts, strict=True))) for parts in zip(pre, *plus)]
-    return [tuple(activate(v, sigma) for v in r) for r in pre]
+            pre = [
+                tuple(map(exact_sum, zip(r, *(extra[v - 1] for extra in plus), strict=True)))
+                for r, v in zip(pre, reps)
+            ]
+    out = [tuple(activate(x, sigma) for x in r) for r in pre]
+    return out if slot is None else [out[i] for i in slot]
 
 
 def _per_edge_round(g: LabelledGraph, labelling: Labelling, layer: CustomLayer, f_values, round_index: int):
@@ -510,13 +583,23 @@ def run_mpnn(g: LabelledGraph, spec: MpnnSpec) -> RunTrace:
     labelling = g.initial_labelling()
     labellings = [labelling]
     partitions = [partition_of(labelling)]
-    degree_mode = spec.f_mode == "degree"
-    f_values = [g.degree(v) if degree_mode else 0 for v in range(1, g.n + 1)]
+    degrees = g.degrees()
+    f_values = degrees if spec.f_mode == "degree" else (0,) * g.n
     for round_index, layer in enumerate(spec.layers, start=1):
+        class_of = partitions[-1].class_of
         if isinstance(layer, BuiltinLayer):
             _check_builtin_dims(layer, labelling.dim)
             form = _resolve_layer(layer.family, layer.params)
-            new_rows = _closed_form_round(g, labelling.rows, form)
+            new_rows = _closed_form_round(g, labelling.rows, form, degrees, class_of)
+        elif isinstance(layer, _LiftedBuiltin) and tuple(x[-1].as_int() for x in labelling.rows) == degrees:
+            # the label's last component is what the per-edge message reads
+            # as the degree; any other column takes the per-edge path
+            form = _resolve_layer(layer.builtin.family, layer.builtin.params)
+            inner = [x[:-1] for x in labelling.rows]
+            new_rows = [
+                (*row, x[-1])
+                for row, x in zip(_closed_form_round(g, inner, form, degrees, class_of), labelling.rows)
+            ]
         else:
             new_rows = _per_edge_round(g, labelling, layer, f_values, round_index)
         labelling = Labelling(tuple(new_rows))
@@ -549,7 +632,9 @@ def lift_plus_one(spec: MpnnSpec) -> MpnnSpec:
     carrying it forward.  The lifted labelling at round t+1 is exactly the
     original round-t labelling extended with the vertex degree.  Anonymous
     networks are accepted too (they are degree-aware networks that ignore
-    the degree arguments); their lift carries an unused degree column.
+    the degree arguments); their lift carries an unused degree column.  A
+    layer lifted from a builtin one keeps that layer, so run_mpnn can
+    evaluate it in closed form.
     """
     probe = degree_probe_spec().layers[0]
     lifted: list[Layer] = [probe]
@@ -566,6 +651,8 @@ def lift_plus_one(spec: MpnnSpec) -> MpnnSpec:
             def upd(x, m):
                 return (*base_upd(x[:-1], m), x[-1])
 
+            if isinstance(layer, BuiltinLayer):
+                return _LiftedBuiltin(msg=msg, upd=upd, builtin=layer)
             return CustomLayer(msg=msg, upd=upd)
 
         lifted.append(make())

@@ -1,10 +1,12 @@
 """Case graphs, the counterexample harness, and the seeded samplers."""
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from wlmpnn.cases import (
     CASE_IDS,
+    SAMPLE_GRAPH_MAX_N,
     CaseSpec,
     CaseVerificationError,
     builtin_graph,
@@ -15,6 +17,7 @@ from wlmpnn.cases import (
     sample_graph,
     verify_counterexample,
 )
+from wlmpnn.graphs import format_graph
 from wlmpnn.linalg import identity
 from wlmpnn.mpnn import DegreeFn, LayerParams, run_mpnn
 from wlmpnn.surd import ExactScalar
@@ -142,6 +145,24 @@ def test_sample_graph_connected_flag():
 def test_sample_graph_gives_up_eventually():
     with pytest.raises(RuntimeError, match="attempts"):
         sample_graph(3, 0, seed=1, max_attempts=50)
+
+
+def test_sample_graph_stops_at_its_size_limit():
+    with pytest.raises(ValueError, match=f"exceeds SAMPLE_GRAPH_MAX_N = {SAMPLE_GRAPH_MAX_N}"):
+        sample_graph(SAMPLE_GRAPH_MAX_N + 1, Fraction(2, 5), seed=7)
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (8, "e9219524fed3ddbfbbe72884199d608c1f3a84fa06740a9e5c114ee8350f04ce"),
+        (SAMPLE_GRAPH_MAX_N, "ce56c84be65ac9d25483f5ec86d4c1bf7f09e248dd1682abe6761be4b8dadc6b"),
+    ],
+)
+def test_sample_graph_draws_up_to_the_limit_are_pinned(n, digest):
+    # suite and test inputs depend on these draws
+    g = sample_graph(n, Fraction(2, 5), seed=7, require_connected=True)
+    assert hashlib.sha256(format_graph(g).encode()).hexdigest() == digest
 
 
 def test_sampled_specs_execute():

@@ -177,3 +177,53 @@ def test_internal_verification_failure_exits_1(monkeypatch, capsys):
     monkeypatch.setattr("wlmpnn.cli.synthesize_dgnn6", failing_check)
     assert run(["synth", "--graph", "fig1", "--target", "dgnn6", "--sigma", "sign", "--rounds", "1"]) == 1
     assert capsys.readouterr().err == "internal error: right inverse check failed\n"
+
+
+def test_internal_value_error_exits_1(monkeypatch, capsys):
+    # a ValueError the program raises past input parsing is its own failure,
+    # not a usage error
+    def failing_synthesis(*args, **kwargs):
+        raise ValueError("rows are linearly dependent")
+
+    monkeypatch.setattr("wlmpnn.cli.synthesize_dgnn6", failing_synthesis)
+    assert run(["synth", "--graph", "fig1", "--target", "dgnn6", "--sigma", "sign", "--rounds", "1"]) == 1
+    assert capsys.readouterr().err == "internal error: rows are linearly dependent\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["synth", "--graph", "fig1", "--target", "gnn-minus", "--sigma", "relu", "--rounds", "3",
+          "--p", "3/2"], "error: --p 3/2 must lie strictly between 0 and 1"),
+        (["synth", "--graph", "fig1", "--target", "gnn-minus", "--sigma", "relu", "--rounds", "3",
+          "--p", "0"], "error: --p 0 must lie strictly between 0 and 1"),
+        (["synth", "--graph", "fig1", "--target", "gnn-minus", "--sigma", "relu", "--rounds", "3",
+          "--p", "half"], "error: "),
+        (["compare", "--graph", "fig1", "--left", "gcn", "--right", "wl", "--shift", "x0",
+          "--rounds", "1"], "error: linear factor must be a positive integer"),
+        (["mpnn", "run", "--graph", "fig1", "--spec", "no-such-family"], "error: spec 'no-such-family'"),
+    ],
+)
+def test_input_errors_exit_2(capsys, argv, message):
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_round_count_must_be_positive(capsys):
+    assert run(["synth", "--graph", "fig1", "--target", "gnn-minus", "--sigma", "relu", "--rounds", "0"]) == 2
+    assert "not a positive round count" in capsys.readouterr().err
+
+
+def test_malformed_input_files_exit_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"f_mode": "degree", "layers": [')
+    assert run(["mpnn", "run", "--graph", "fig1", "--spec", str(spec)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    graph = tmp_path / "graph.txt"
+    graph.write_text("n 2\nv 1 1: one\nv 2 1: 1\ne 1 2\n")
+    assert run(["wl", "run", "--graph", str(graph)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    # a well-formed spec whose weights do not chain with the graph's labels
+    spec.write_text(json.dumps(spec_to_json(named_spec("dgnn6", 2, rounds=1))))
+    assert run(["mpnn", "run", "--graph", "fig1", "--spec", str(spec)]) == 2
+    assert capsys.readouterr().err.startswith("error: dgnn6 W2 has 2 rows")

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from wlmpnn.cases import builtin_graph, named_spec, sample_degree_spec, sample_graph
-from wlmpnn.graphs import partition_of
+from wlmpnn.graphs import make_graph, partition_of
 from wlmpnn.linalg import identity, zeros
 from wlmpnn.mpnn import (
     DEGREE_FAMILIES,
@@ -440,6 +440,123 @@ def test_degree_messages_require_degree_information(family):
     for dv, du in ((0, 2), (2, 0), (0, 0)):
         with pytest.raises(SpecValidationError, match="without degree information"):
             msg((ONE,), (ONE,), dv, du)
+
+
+# -- lifted builtin rounds in closed form, against their per-edge closures --------------------
+
+
+def _per_edge(spec: MpnnSpec) -> MpnnSpec:
+    """The same network with every layer a plain CustomLayer of its own
+    closures, which run_mpnn evaluates edge by edge."""
+    return MpnnSpec(spec.f_mode, tuple(CustomLayer(layer.msg, layer.upd) for layer in spec.layers))
+
+
+@pytest.mark.parametrize("family", sorted(DEGREE_FAMILIES) + ["gnn"])
+def test_lifted_closed_form_matches_its_closures(family):
+    for seed in range(4):
+        rng = random.Random(f"lifted:{family}:{seed}")
+        g = sample_graph(rng.randint(5, 9), 0.35, 900 + seed, alphabet=2)
+        width, layers = g.label_dim, []
+        for _ in range(rng.randint(2, 3)):
+            out = rng.randint(1, 3)
+            layers.append(BuiltinLayer(family, _random_layer(rng, family, width, out, g.n - 1)))
+            width = out
+        lifted = lift_plus_one(MpnnSpec("zero" if family == "gnn" else "degree", tuple(layers)))
+        assert all(isinstance(layer, CustomLayer) for layer in lifted.layers)
+        closed, reference = run_mpnn(g, lifted), run_mpnn(g, _per_edge(lifted))
+        assert closed.labellings == reference.labellings
+        assert closed.partitions == reference.partitions
+
+
+def test_lifted_layers_off_the_degree_column_follow_their_closures():
+    # the lifted layers alone, on labels whose last component is not the
+    # degree: the same labels where the closures run, the same errors where
+    # they raise
+    g = builtin_graph("fig1")
+    rng = random.Random("off-column")
+    for family in sorted(DEGREE_FAMILIES) + ["gnn"]:
+        layer = BuiltinLayer(family, _random_layer(rng, family, 3, 2, 7))
+        lifted = lift_plus_one(MpnnSpec("zero" if family == "gnn" else "degree", (layer,)))
+        rest = MpnnSpec("zero", lifted.layers[1:])
+        for column in (S(3), S(7)):
+            labelled = make_graph(g.n, sorted(g.edges), [(*g.label_of(v), column) for v in range(1, g.n + 1)])
+            assert run_mpnn(labelled, rest).labellings == run_mpnn(labelled, _per_edge(rest)).labellings
+        for column, error in ((S(Fraction(1, 2)), ValueError), (ZERO, SpecValidationError)):
+            labelled = make_graph(g.n, sorted(g.edges), [(*g.label_of(v), column) for v in range(1, g.n + 1)])
+            if family == "gnn" and column == ZERO:
+                continue  # gnn ignores the degrees it reads
+            for network in (rest, _per_edge(rest)):
+                with pytest.raises(error) as raised:
+                    run_mpnn(labelled, network)
+                assert type(raised.value) is error
+
+
+# -- builtin rounds once per key, on graphs where keys repeat -------------------------------
+
+
+def _one_hot(cls: int) -> tuple[int, ...]:
+    return tuple(int(j == cls) for j in range(3))
+
+
+def _torus(rows: int, cols: int, a: int, b: int):
+    """rows x cols torus labelled (a i + b j) mod 3."""
+    vid = lambda i, j: (i % rows) * cols + j % cols + 1  # noqa: E731
+    edges = {(vid(i, j), vid(i + 1, j)) for i in range(rows) for j in range(cols)}
+    edges |= {(vid(i, j), vid(i, j + 1)) for i in range(rows) for j in range(cols)}
+    labels = [_one_hot((a * i + b * j) % 3) for i in range(rows) for j in range(cols)]
+    return make_graph(rows * cols, sorted(edges), labels)
+
+
+def _circulant(n: int, step: int):
+    """C_n(1, step) labelled v mod 3."""
+    edges = {(v + 1, (v + s) % n + 1) for v in range(n) for s in (1, step)}
+    return make_graph(n, sorted(edges), [_one_hot(v % 3) for v in range(n)])
+
+
+def _cycle_plus_chords(n: int, rng: random.Random):
+    """An n-cycle plus n random chords, every vertex labelled alike."""
+    edges = {(v, v + 1) for v in range(1, n)} | {(1, n)}
+    while len(edges) < 2 * n:
+        u, v = rng.sample(range(1, n + 1), 2)
+        edges.add((min(u, v), max(u, v)))
+    return make_graph(n, sorted(edges), [(1,)] * n)
+
+
+def _petersen():
+    outer = [(v, v % 5 + 1) for v in range(1, 6)]
+    spokes = [(v, v + 5) for v in range(1, 6)]
+    inner = [(v + 5, (v + 1) % 5 + 6) for v in range(1, 6)]
+    return make_graph(10, outer + spokes + inner, [(1, 0)] * 5 + [(0, 1)] * 5)
+
+
+REPEATED_KEY_GRAPHS = {
+    "torus-6x6-1-1": lambda: _torus(6, 6, 1, 1),
+    "torus-3x6-0-1": lambda: _torus(3, 6, 0, 1),
+    "circulant-24-5": lambda: _circulant(24, 5),
+    "circulant-18-4": lambda: _circulant(18, 4),
+    "cycle-plus-chords-20": lambda: _cycle_plus_chords(20, random.Random(20)),
+    "petersen": _petersen,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_KEY_GRAPHS))
+@pytest.mark.parametrize("family", sorted(DEGREE_FAMILIES | {"gnn", "gnn-minus"}))
+def test_closed_form_once_per_key_matches_per_edge_closures(name, family):
+    g = REPEATED_KEY_GRAPHS[name]()
+    rng = random.Random(f"keys:{name}:{family}")
+    width, layers = g.label_dim, []
+    for _ in range(3):
+        out = rng.randint(1, 3)
+        layers.append(BuiltinLayer(family, _random_layer(rng, family, width, out, max(g.degrees()))))
+        width = out
+    f_mode = "zero" if family in ("gnn", "gnn-minus") else "degree"
+    spec = MpnnSpec(f_mode, tuple(layers))
+    per_edge = MpnnSpec(f_mode, tuple(CustomLayer(*builtin_layer(layer.family, layer.params)) for layer in layers))
+    closed, reference = run_mpnn(g, spec), run_mpnn(g, per_edge)
+    assert closed.labellings == reference.labellings
+    assert closed.partitions == reference.partitions
+    # vertices shared a key in round 1, so some rows came out of one evaluation
+    assert len(set(closed.labellings[1].rows)) < g.n
 
 
 # -- anonymization through the self term ----------------------------------------------------
