@@ -226,6 +226,8 @@ def verify_counterexample(case: CaseSpec, raise_on_failure: bool = True) -> Case
     """
     if case.case_id not in _CASE_TABLE:
         raise ValueError(f"unknown case {case.case_id!r} (known: {', '.join(CASE_IDS)})")
+    if case.trials < 1:
+        raise ValueError(f"a verification needs at least one trial, got {case.trials}")
     table = _CASE_TABLE[case.case_id]
     g = builtin_graph(table["graph"])
     v, w = table["pair"]

@@ -4,8 +4,9 @@ Subcommands: ``wl run``, ``mpnn run``, ``compare``, ``synth``,
 ``cases verify``, ``cases list``.  Exit codes: 0 success, 1 a verdict or
 verification failed, 2 usage or input errors: an unparseable scalar, a
 ``--p`` outside (0, 1), a malformed graph or spec file (invalid JSON
-included), an unknown name and a ``--rounds`` below 1.  Any other failure is the program's, not
-the input's: it prints ``internal error: ...`` and exits 1.  Graph
+included), an unknown name, a ``--rounds`` or ``--trials`` below 1 and a
+negative ``--max-rounds``.  Any other failure is the program's, not the
+input's: it prints ``internal error: ...`` and exits 1.  Graph
 arguments accept a builtin id (fig1, g1, g2, g3) or a graph file path.
 """
 from __future__ import annotations
@@ -49,15 +50,22 @@ def _parsed(parse: Callable[[], T]) -> T:
         raise UsageError(str(exc)) from exc
 
 
-def _round_count(text: str) -> int:
-    """argparse type of --rounds: a positive integer."""
-    try:
-        rounds = int(text)
-    except ValueError:
-        rounds = 0
-    if rounds < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive round count")
-    return rounds
+def _count(minimum: int, what: str) -> Callable[[str], int]:
+    """argparse type of an integer count of at least minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            count = int(text)
+        except ValueError:
+            count = minimum - 1
+        if count < minimum:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return count
+
+    return parse
+
+
+_round_count = _count(1, "a positive round count")
 
 
 def _load_graph(ref: str) -> LabelledGraph:
@@ -204,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     wl_sub = wl.add_subparsers(dest="wl_command", required=True)
     wl_runp = wl_sub.add_parser("run", help="run refinement on a graph")
     wl_runp.add_argument("--graph", required=True)
-    wl_runp.add_argument("--max-rounds", type=int, default=None)
+    wl_runp.add_argument("--max-rounds", type=_count(0, "a non-negative round count"), default=None)
     wl_runp.add_argument("--format", choices=("text", "json"), default="text")
     wl_runp.add_argument("--emit")
     wl_runp.set_defaults(func=_cmd_wl)
@@ -246,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     cases_sub = cases.add_subparsers(dest="cases_command", required=True)
     verify = cases_sub.add_parser("verify", help="verify a case claim")
     verify.add_argument("--case", required=True, choices=CASE_IDS)
-    verify.add_argument("--trials", type=int, default=100)
+    verify.add_argument("--trials", type=_count(1, "a positive trial count"), default=100)
     verify.add_argument("--seed", type=int, default=1)
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--emit")

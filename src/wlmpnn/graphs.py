@@ -55,12 +55,7 @@ class Partition:
     @staticmethod
     def from_keys(keys: Sequence) -> "Partition":
         seen: dict = {}
-        out = []
-        for key in keys:
-            if key not in seen:
-                seen[key] = len(seen)
-            out.append(seen[key])
-        return Partition(tuple(out))
+        return Partition(tuple([seen.setdefault(key, len(seen)) for key in keys]))
 
     @property
     def n(self) -> int:

@@ -90,11 +90,7 @@ def outer(col: Row, row: Row) -> Matrix:
 def unique_rows(rows: Sequence[Row]) -> tuple[list[Row], list[int]]:
     """Distinct rows in first-occurrence order plus the row -> index map."""
     seen: dict[Row, int] = {}
-    index = []
-    for row in rows:
-        if row not in seen:
-            seen[row] = len(seen)
-        index.append(seen[row])
+    index = [seen.setdefault(row, len(seen)) for row in rows]
     return list(seen), index
 
 

@@ -18,7 +18,8 @@ pairs with one reduction: each product's integer numerators go into an
 accumulator keyed by its raw denominator x_den*y_den, so products over
 equal denominators are added without rescaling, and the accumulators are
 combined over the lcm of their denominators and reduced by a single gcd.
-Multiplication and ``exact_dot`` share one loop over radicand products.
+Multiplication and ``exact_dot`` share one loop over radicand products;
+a product by exactly 1 returns the other factor.
 Text and hashes come from the same integers: ``to_text`` takes one gcd per
 term (integers past the interpreter's int/str digit limit are converted in
 halves split at a power of ten, as ``parse_scalar`` reads them back), and
@@ -26,9 +27,11 @@ halves split at a power of ten, as ``parse_scalar`` reads them back), and
 without building them.  Only ``ExactScalar.terms`` presents the
 coefficients as one reduced ``Fraction`` per radicand.
 
-Sign determination of a provably nonzero value uses certified dyadic
-interval enclosures of each square root, scaled to integers, doubling the
-working precision until the enclosure excludes zero.
+A value whose numerators all have one sign has that sign, since a sum of
+positive multiples of positive square roots is positive.  The sign of any
+other nonzero value comes from certified dyadic interval enclosures of
+each square root, scaled to integers, doubling the working precision until
+the enclosure excludes zero.
 
 ``residues`` maps values into the integers modulo a fixed 66-bit prime in
 which every prime up to 47 has a square root, a ring map that linear
@@ -46,6 +49,7 @@ _SIGN_START_BITS = 64
 _SIGN_MAX_BITS = 1 << 22
 _MAX_CONJUGATE_PRIMES = 12
 _HASH_MODULUS = sys.hash_info.modulus
+_UNIT = {1: 1}  # the numerators of 1, over the denominator 1
 
 Rational = Fraction
 Coercible = Union["ExactScalar", int, Fraction]
@@ -217,6 +221,10 @@ class ExactScalar:
         n1, n2 = self._num, other._num
         if not n1 or not n2:
             return ZERO
+        if other._den == 1 and n2 == _UNIT:
+            return self
+        if self._den == 1 and n1 == _UNIT:
+            return other
         if len(n2) == 1 and 1 in n2:
             k = n2[1]
             out = {r: c * k for r, c in n1.items()}
@@ -305,13 +313,16 @@ class ExactScalar:
                 terms = self.terms
                 h = hash(terms.get(1, 0)) if self.is_rational else hash(tuple(sorted(terms.items())))
             else:
-                dinv = pow(den, -1, _HASH_MODULUS)
+                # hash(Fraction(c, den)) is |c| * dinv % modulus with c's
+                # sign, up to -1, which hash() itself maps to -2 as Fraction
+                # does; a tuple's hash depends only on its items' hashes
+                mod = _HASH_MODULUS
+                dinv = 1 if den == 1 else pow(den, -1, mod)
+                terms = [(r, c * dinv % mod if c >= 0 else -(-c * dinv % mod)) for r, c in sorted(num.items())]
                 if self.is_rational:
-                    h = _term_hash(num.get(1, 0), dinv)
+                    h = terms[0][1] if terms else 0
                 else:
-                    # a tuple's hash depends only on its items' hashes, and
-                    # hash(_term_hash(c, dinv)) == hash(Fraction(c, den))
-                    h = hash(tuple((r, _term_hash(num[r], dinv)) for r in sorted(num)))
+                    h = hash(tuple(terms))
             _set_hash(self, h)
         return h
 
@@ -333,9 +344,11 @@ class ExactScalar:
         num = self._num
         if not num:
             return 0
-        if len(num) == 1:
-            for c in num.values():
-                return 1 if c > 0 else -1
+        # a sum of positive multiples of positive square roots is positive
+        if min(num.values()) > 0:
+            return 1
+        if max(num.values()) < 0:
+            return -1
         rational = num.get(1, 0)
         irrational = [(r, c) for r, c in num.items() if r != 1]
         isqrt = math.isqrt
@@ -501,13 +514,6 @@ def _mul_into(acc: dict[int, int], n1: dict[int, int], n2: dict[int, int]) -> No
                 del acc[r]
 
 
-def _term_hash(c: int, dinv: int) -> int:
-    """hash(Fraction(c, den)) for dinv the inverse of den modulo the hash
-    modulus, up to -1, which hash() itself maps to -2 as Fraction does."""
-    h = (c if c >= 0 else -c) * dinv % _HASH_MODULUS
-    return h if c >= 0 else -h
-
-
 def _add(x: ExactScalar, y: ExactScalar, sign: int) -> ExactScalar:
     """x + y for sign 1, x - y for sign -1, over den = d1*d2/gcd(d1, d2)."""
     n2 = y._num
@@ -555,7 +561,7 @@ def exact_sum(values: Iterable[ExactScalar]) -> ExactScalar:
         scale = den // x._den
         for r, c in x._num.items():
             acc[r] = get(r, 0) + c * scale
-    out = {r: c for r, c in acc.items() if c}
+    out = acc if all(acc.values()) else {r: c for r, c in acc.items() if c}
     if den != 1:
         g = math.gcd(den, *out.values())
         if g != 1:

@@ -70,6 +70,8 @@ def wl_step(g: LabelledGraph, current: Partition) -> Partition:
 
 def wl_run(g: LabelledGraph, max_rounds: int | None = None) -> WlTrace:
     """Iterate wl_step until the class count stops growing (or max_rounds)."""
+    if max_rounds is not None and max_rounds < 0:
+        raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
     rounds = [partition_of(g.initial_labelling())]
     stabilized = None
     t = 0

@@ -198,3 +198,13 @@ def test_case_failure_raises_with_dump():
         assert "g1-dgnn12" in str(excinfo.value)
     finally:
         cases_module._CASE_TABLE["g1-dgnn12"] = original
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_verification_needs_a_trial(trials):
+    with pytest.raises(ValueError, match="at least one trial"):
+        verify_counterexample(CaseSpec("g2-dgnn34", trials=trials, seed=1))
+    with pytest.raises(ValueError, match="at least one trial"):
+        verify_counterexample(CaseSpec("g2-dgnn34", trials=trials, seed=1), raise_on_failure=False)
+    report = verify_counterexample(CaseSpec("g2-dgnn34", trials=1, seed=1))
+    assert report.trials == 1 and report.passed

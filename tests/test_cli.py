@@ -214,6 +214,24 @@ def test_round_count_must_be_positive(capsys):
     assert "not a positive round count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("trials", ["0", "-3", "three"])
+def test_trial_count_must_be_positive(capsys, trials):
+    assert run(["cases", "verify", "--case", "g2-dgnn34", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert "not a positive trial count" in captured.err
+    assert "passed" not in captured.out
+
+
+def test_max_rounds_must_be_non_negative(capsys):
+    assert run(["wl", "run", "--graph", "fig1", "--max-rounds", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "not a non-negative round count" in captured.err
+    assert "stabilized_at" not in captured.out
+    assert run(["wl", "run", "--graph", "fig1", "--max-rounds", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "stabilized_at: None"
+    assert run(["cases", "verify", "--case", "g2-dgnn34", "--trials", "1"]) == 0
+
+
 def test_malformed_input_files_exit_2(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text('{"f_mode": "degree", "layers": [')

@@ -1,5 +1,6 @@
 """Graph parsing, invariants, labellings and the coarseness order."""
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from wlmpnn.graphs import (
     partition_of,
     refines,
 )
+from wlmpnn.linalg import unique_rows
 from wlmpnn.mpnn import run_mpnn
 from wlmpnn.surd import ExactScalar
 from wlmpnn.wl import wl_partitions
@@ -195,3 +197,49 @@ def test_permutation_invariance(seed):
                 same_orig = p_orig.class_of[v - 1] == p_orig.class_of[w - 1]
                 same_img = p_img.class_of[perm[v - 1] - 1] == p_img.class_of[perm[w - 1] - 1]
                 assert same_orig == same_img
+
+
+def _three_probe_ids(keys):
+    """Distinct keys in first-occurrence order and each key's index, with a
+    membership test, an insertion and a lookup per key."""
+    seen = {}
+    ids = []
+    for key in keys:
+        if key not in seen:
+            seen[key] = len(seen)
+        ids.append(seen[key])
+    return list(seen), ids
+
+
+# equal values of different types hash alike, so they share an index
+_KEY_VALUES = [
+    0, ExactScalar(0), Fraction(0),
+    1, Fraction(1), ExactScalar(1),
+    Fraction(1, 2), ExactScalar(Fraction(1, 2)),
+    -2, ExactScalar(-2),
+    ExactScalar.sqrt(2), ExactScalar.sqrt(2, Fraction(1, 2)), ExactScalar(1) + ExactScalar.sqrt(3),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_KEY_VALUES), min_size=1, max_size=3).map(tuple), max_size=30))
+def test_partition_rows_match_the_three_probe_reference(rows):
+    distinct, ids = _three_probe_ids(rows)
+    assert Partition.from_keys(rows).class_of == tuple(ids)
+    assert Partition.from_keys(iter(rows)).class_of == tuple(ids)
+    uniq, index = unique_rows(rows)
+    assert index == ids
+    # the first occurrence of each key stands for it, with its own types
+    assert len(uniq) == len(distinct) and all(a is b for a, b in zip(uniq, distinct))
+    scalars = [row[0] for row in rows]
+    assert Partition.from_keys(scalars).class_of == tuple(_three_probe_ids(scalars)[1])
+
+
+def test_partition_rows_merge_equal_values_of_different_types():
+    rows = [(1,), (Fraction(1),), (ExactScalar(1),), (ExactScalar(Fraction(1, 2)),), (Fraction(1, 2),)]
+    assert Partition.from_keys(rows).class_of == (0, 0, 0, 1, 1)
+    uniq, index = unique_rows(rows)
+    assert index == [0, 0, 0, 1, 1]
+    assert uniq == [(1,), (ExactScalar(Fraction(1, 2)),)]
+    assert type(uniq[0][0]) is int and type(uniq[1][0]) is ExactScalar
+    assert Partition.from_keys([]).class_of == () and unique_rows([]) == ([], [])

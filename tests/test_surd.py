@@ -547,3 +547,82 @@ def test_single_term_invert_matches_conjugates_and_sympy(a):
     assert inverse == _invert_by_conjugates(a)
     _assert_canonical(inverse)
     assert sympy.expand(_to_sympy(inverse) * _to_sympy(a)) == 1
+
+
+# -- same-sign signs and products by exactly 1 ---------------------------------
+
+_radicands = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 14, 15, 21, 30, 105])
+_positive_coefficients = st.one_of(
+    st.fractions(min_value=Fraction(1, 50), max_value=4, max_denominator=50),
+    st.builds(Fraction, st.integers(1, 2**90), st.integers(1, 2**80)),
+)
+
+
+def _signed_terms(signs):
+    """Values with one term per sign in signs, on distinct radicands."""
+    return st.lists(_radicands, min_size=len(signs), max_size=len(signs), unique=True).flatmap(
+        lambda rads: st.lists(_positive_coefficients, min_size=len(signs), max_size=len(signs)).map(
+            lambda coeffs: S.normalize([(r, s * c) for r, s, c in zip(rads, signs, coeffs)])
+        )
+    )
+
+
+same_sign_scalars = st.tuples(st.integers(1, 5), st.sampled_from([1, -1])).flatmap(
+    lambda count_sign: _signed_terms([count_sign[1]] * count_sign[0])
+)
+mixed_sign_scalars = st.lists(st.sampled_from([1, -1]), max_size=3).flatmap(lambda s: _signed_terms([1, -1, *s]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(same_sign_scalars)
+def test_same_sign_numerators_give_their_sign_against_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    values = list(a._num.values())
+    assert all(c > 0 for c in values) or all(c < 0 for c in values)
+    assert a.sign() == (1 if values[0] > 0 else -1) == int(sympy.sign(_to_sympy(a)))
+    assert (-a).sign() == -a.sign()
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_sign_scalars)
+def test_mixed_sign_numerators_against_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    assert min(a._num.values()) < 0 < max(a._num.values())
+    assert a.sign() == int(sympy.sign(_to_sympy(a)))
+    assert (-a).sign() == -a.sign()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(20, 90), st.sampled_from([1, -1]), st.sampled_from([1, 3, 5, 7]))
+def test_near_zero_mixed_signs_against_sympy(index, flip, factor):
+    # factor*(q*sqrt(2) - p) is mixed and within about 1/q of zero; from the
+    # 26th convergent on the 64-bit starting precision does not decide it
+    sympy = pytest.importorskip("sympy")
+    p, q = list(_sqrt2_convergents(index))[-1]
+    value = S.normalize([(2 * factor, flip * q), (factor, -flip * p)])
+    assert min(value._num.values()) < 0 < max(value._num.values())
+    assert value.sign() == flip * (1 if 2 * q * q > p * p else -1)
+    assert value.sign() == int(sympy.sign(_to_sympy(value)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_scalars)
+def test_product_by_exactly_one_is_the_other_factor(a):
+    for one in (ONE, S(Fraction(1)), S(1), 1, Fraction(1)):
+        for product in (a * one, one * a):
+            assert product == a
+            assert product._num == a._num and product._den == a._den
+            _assert_canonical(product)
+            assert hash(product) == hash(a)
+    assert ONE * ONE == ONE
+
+
+def test_product_by_one_keeps_a_non_unit_denominator():
+    for a in (S(Fraction(3, 4)), sqrt(2, Fraction(-5, 6)), S(Fraction(1, 3)) + sqrt(6, Fraction(2, 9))):
+        assert a._den != 1
+        assert a * ONE is a and ONE * a is a
+        _assert_canonical(a * S(Fraction(1)))
+    # factors other than exactly 1 still scale
+    assert sqrt(2) * S(Fraction(1, 2)) == sqrt(2, Fraction(1, 2))
+    assert sqrt(2) * S(-1) == -sqrt(2)
+    assert S(Fraction(1, 2)) * S(2) == ONE

@@ -65,6 +65,14 @@ def test_wl_run_respects_max_rounds():
     assert trace.stabilized_at is None
 
 
+def test_wl_run_rejects_a_negative_max_rounds():
+    g = builtin_graph("fig1")
+    with pytest.raises(ValueError, match="non-negative"):
+        wl_run(g, max_rounds=-1)
+    trace = wl_run(g, max_rounds=0)
+    assert len(trace.rounds) == 1 and trace.stabilized_at is None
+
+
 def test_wl_termination_within_n_on_seeded_graphs():
     for seed in range(100):
         import random
