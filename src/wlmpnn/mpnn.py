@@ -16,10 +16,15 @@ and gnn-minus the case g = h = 1, W1 = 0, B = -q.  run_mpnn evaluates a
 builtin round in that form once per refinement key: a vertex's row depends
 only on its class in the current partition, its degree and the multiset of
 its neighbours' (class, degree), the degrees dropping out when g and h are
-both 1.  L W1 and h L W2 are computed once per (class, degree), g and h once
-per distinct degree, then one plain neighbour sum per key, each
-pre-activation entry one exact sum.  Custom layers run edge by edge: each
-vertex sums its messages over its neighbourhood and applies the update.
+both 1.  The products x W2 and x W1 are computed once per class id (rows of
+one class are equal), h L W2 once per (class, degree), g and h once per
+distinct degree, then one plain neighbour sum per key, each pre-activation
+entry one exact sum.  Nothing in a builtin round hashes a scalar: the keys
+are class ids and degrees, and partitions key label rows by the canonical
+integers of their entries.  Custom layers run edge by edge: each vertex
+sums its messages over its neighbourhood and applies the update; int and
+Fraction entries of messages and updates become ExactScalar, as graph
+labels do, and entries of any other type are refused.
 
 The network transformations need per-edge views of a builtin layer: the
 message/update pair of builtin_layer, replayed a round late by
@@ -31,13 +36,16 @@ Degree-aware messages carry the self term scaled by 1/d_v, once per
 (label, degree), so the d_v messages add it back exactly once.  A lifted
 builtin layer keeps its per-edge view, but run_mpnn evaluates it in the
 closed form, reading the degrees from the label's last component as the
-per-edge message does, whenever that component holds the vertex degrees;
-the anonymized layers run edge by edge.
+per-edge message does, whenever that component holds the vertex degrees
+(the classes of the full labels refine those of the inner rows, so the
+products per class id serve there too); the anonymized layers run edge by
+edge.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from .graphs import Label, LabelledGraph, Labelling, Partition, partition_of
@@ -499,9 +507,10 @@ def _closed_form_round(
     Rows equal under class_of are equal, so pre_v is a function of v's
     (class, degree) and the multiset of its neighbours' (class, degree),
     with the degrees left out when g and h are 1 on every degree present:
-    it is evaluated once per such key.  hy and x W1 are computed once per
-    (class, degree).  Each entry of pre_v is one exact_sum: of every term
-    when g is 1, else of the g-scaled sum, x_v W1 and B.
+    it is evaluated once per such key.  x W2 and x W1 are computed once per
+    class id, so no label is hashed, and hy once per (class, degree).  Each
+    entry of pre_v is one exact_sum: of every term when g is 1, else of the
+    g-scaled sum, x_v W1 and B.
     """
     w1, w2, bias, p, g_fn, h_fn, sigma = form
     g_of, h_of = _tabulate(g_fn, degrees), _tabulate(h_fn, degrees)
@@ -511,22 +520,18 @@ def _closed_form_round(
         span = max(degrees) + 1
         own = [c * span + d for c, d in zip(class_of, degrees)]
     reps, slot = _round_keys(g, own)
-    first = dict(zip(reversed(own), range(g.n - 1, -1, -1)))  # own value -> its first vertex
-
-    def per_vertex(fn: Callable[[int], Row]) -> list[Row]:
-        """fn(v), once per own value, listed by vertex."""
-        at_own = {o: fn(v) for o, v in first.items()}
-        return [at_own[o] for o in own]
-
-    xw2 = _memo_row_mat(w2)
+    class_row = dict(zip(class_of, rows))  # class id -> the row its vertices share
+    xw2 = {c: row_mat(x, w2) for c, x in class_row.items()}
     if h_of is None:
-        hy = per_vertex(lambda v: xw2(rows[v]))
+        hy = [xw2[c] for c in class_of]
     else:
-        hy = per_vertex(lambda v: row_scale(xw2(rows[v]), h_of[degrees[v]]))
+        pairs = dict(zip(own, zip(class_of, degrees)))  # own value -> its (class, degree)
+        at_own = {o: row_scale(xw2[c], h_of[d]) for o, (c, d) in pairs.items()}
+        hy = [at_own[o] for o in own]
     plus = []  # the rows x_v W1 and B
     if w1 is not None:
-        xw1 = xw2 if w1 is w2 else _memo_row_mat(w1)
-        plus.append(per_vertex(lambda v: xw1(rows[v])))
+        xw1 = xw2 if w1 is w2 else {c: row_mat(x, w1) for c, x in class_row.items()}
+        plus.append([xw1[c] for c in class_of])
     if bias is not None:
         plus.append([bias] * g.n)
     if g_of is None:
@@ -542,9 +547,28 @@ def _closed_form_round(
     return out if slot is None else [out[i] for i in slot]
 
 
+def _exact_row(row, what: str, round_index: int) -> Label:
+    """row with int and Fraction entries made ExactScalar, as make_graph
+    makes labels; a row of ExactScalar entries is returned as it is."""
+    for x in row:
+        if type(x) is not ExactScalar:
+            break
+    else:
+        return row
+    out = []
+    for x in row:
+        if not isinstance(x, (ExactScalar, int, Fraction)):
+            raise SpecValidationError(
+                f"round {round_index}: {what} entry {x!r} is a {type(x).__name__}, not an exact scalar"
+            )
+        out.append(x if isinstance(x, ExactScalar) else ExactScalar(x))
+    return tuple(out)
+
+
 def _per_edge_round(g: LabelledGraph, labelling: Labelling, layer: CustomLayer, f_values, round_index: int):
     """One custom round: sum every vertex's messages, each entry one
-    exact_sum, then apply the update."""
+    exact_sum, then apply the update.  Message and update entries that are
+    int or Fraction become ExactScalar; any other type raises."""
     aggregated: list[Label] = []
     msg_width: int | None = None
     for v in range(1, g.n + 1):
@@ -552,6 +576,7 @@ def _per_edge_round(g: LabelledGraph, labelling: Labelling, layer: CustomLayer, 
         parts = []
         for u in g.neighbors(v):
             part = layer.msg(x, labelling.row_of(u), f_values[v - 1], f_values[u - 1])
+            part = _exact_row(part, "message", round_index)
             if msg_width is None:
                 msg_width = len(part)
             elif len(part) != msg_width:
@@ -563,12 +588,12 @@ def _per_edge_round(g: LabelledGraph, labelling: Labelling, layer: CustomLayer, 
     new_rows: list[Label] = []
     out_width: int | None = None
     for v in range(1, g.n + 1):
-        row = layer.upd(labelling.row_of(v), aggregated[v - 1])
+        row = tuple(layer.upd(labelling.row_of(v), aggregated[v - 1]))
         if out_width is None:
             out_width = len(row)
         elif len(row) != out_width:
             raise DimensionError(f"round {round_index}: update width {len(row)} != {out_width}")
-        new_rows.append(tuple(row))
+        new_rows.append(_exact_row(row, "update", round_index))
     return new_rows
 
 
@@ -791,8 +816,8 @@ def spec_from_json(data: dict) -> MpnnSpec:
             kwargs["h_fn"] = degree_fn_from_name(_json_text(entry, "h", index))
         layers.append(BuiltinLayer(family=family, params=LayerParams(**kwargs)))
     spec = MpnnSpec(f_mode=data.get("f_mode"), layers=tuple(layers))
-    if "rounds" in data and data["rounds"] != spec.rounds:
-        raise SpecValidationError(
-            f"declared rounds {data['rounds']} != {spec.rounds} layers"
-        )
+    if "rounds" in data:
+        rounds = data["rounds"]
+        _require(type(rounds) is int, f"rounds must be an integer, not {type(rounds).__name__}")
+        _require(rounds == spec.rounds, f"declared rounds {rounds} != {spec.rounds} layers")
     return spec

@@ -24,8 +24,9 @@ Text and hashes come from the same integers: ``to_text`` takes one gcd per
 term (integers past the interpreter's int/str digit limit are converted in
 halves split at a power of ten, as ``parse_scalar`` reads them back), and
 ``hash`` reproduces the hash of the reduced ``Fraction`` terms
-without building them.  Only ``ExactScalar.terms`` presents the
-coefficients as one reduced ``Fraction`` per radicand.
+without building them; ``canonical_key`` keys a value by those integers
+alone, for callers that key each value once.  Only ``ExactScalar.terms``
+presents the coefficients as one reduced ``Fraction`` per radicand.
 
 A value whose numerators all have one sign has that sign, since a sum of
 positive multiples of positive square roots is positive.  The sign of any
@@ -607,6 +608,17 @@ def exact_dot(pairs: Iterable[tuple[ExactScalar, ExactScalar]]) -> ExactScalar:
             out = {r: c // g for r, c in out.items()}
             den //= g
     return _make(out, den)
+
+
+def canonical_key(x: Coercible) -> tuple[int, frozenset[tuple[int, int]]]:
+    """A hashable key of a value's canonical integers: its denominator with
+    the frozen set of its (radicand, numerator) pairs, an int or a Fraction
+    keyed as its ExactScalar value.  Two values share a key exactly when
+    they are equal, and building one hashes only integers, so it costs less
+    than the first ``hash`` of a value with several terms."""
+    if type(x) is not ExactScalar:
+        x = ExactScalar(x)
+    return x._den, frozenset(x._num.items())
 
 
 def reciprocal(k: int) -> ExactScalar:

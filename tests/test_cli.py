@@ -156,18 +156,23 @@ def test_malformed_spec_file_exit_2(tmp_path, capsys):
         ("W", [[1]], "each row of W must be a list of scalar strings"),
         ("p", 1, "p must be a string, not int"),
         ("g", 5, "g must be a string, not int"),
+        ("rounds", True, "rounds must be an integer, not bool"),
+        ("rounds", 3.0, "rounds must be an integer, not float"),
+        ("rounds", "3", "rounds must be an integer, not str"),
     ],
 )
 def test_spec_field_of_wrong_json_type_exit_2(tmp_path, capsys, field, value, message):
+    # rounds is a field of the spec, the others of its layer
     spec = spec_to_json(named_spec("dgnn6", 3, rounds=1))
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert run(["mpnn", "run", "--graph", "fig1", "--spec", str(path)]) == 0
     capsys.readouterr()
-    spec["layers"][0][field] = value
+    (spec if field == "rounds" else spec["layers"][0])[field] = value
     path.write_text(json.dumps(spec))
     assert run(["mpnn", "run", "--graph", "fig1", "--spec", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: layer 1: {message}\n"
+    where = "" if field == "rounds" else "layer 1: "
+    assert capsys.readouterr().err == f"error: {where}{message}\n"
 
 
 def test_internal_verification_failure_exits_1(monkeypatch, capsys):

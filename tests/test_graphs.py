@@ -21,7 +21,7 @@ from wlmpnn.graphs import (
 )
 from wlmpnn.linalg import unique_rows
 from wlmpnn.mpnn import run_mpnn
-from wlmpnn.surd import ExactScalar
+from wlmpnn.surd import ZERO, ExactScalar, canonical_key, exact_sum
 from wlmpnn.wl import wl_partitions
 
 FIG1_TEXT = """
@@ -243,3 +243,66 @@ def test_partition_rows_merge_equal_values_of_different_types():
     assert uniq == [(1,), (ExactScalar(Fraction(1, 2)),)]
     assert type(uniq[0][0]) is int and type(uniq[1][0]) is ExactScalar
     assert Partition.from_keys([]).class_of == () and unique_rows([]) == ([], [])
+
+
+# -- partition keys from the canonical integers ------------------------------------------
+
+
+def _hash_partition(rows):
+    """Class ids by first occurrence, keyed by the hashes of the rows'
+    entries, as ``Partition.from_keys`` keys them."""
+    seen = {}
+    return Partition(tuple(seen.setdefault(tuple(row), len(seen)) for row in rows))
+
+
+def test_canonical_key_ignores_the_order_terms_were_built_in():
+    a = ExactScalar(1) + ExactScalar.sqrt(2) + ExactScalar.sqrt(3)
+    b = ExactScalar.sqrt(3) + ExactScalar.sqrt(2) + ExactScalar(1)
+    assert a == b and list(a._num) != list(b._num)
+    assert canonical_key(a) == canonical_key(b) and hash(canonical_key(a)) == hash(canonical_key(b))
+    assert canonical_key(ExactScalar.sqrt(2) - ExactScalar.sqrt(2)) == canonical_key(0) == canonical_key(ZERO)
+    assert canonical_key(Fraction(3, 6)) == canonical_key(ExactScalar(Fraction(1, 2))) != canonical_key(1)
+    assert canonical_key(Fraction(4, 2)) == canonical_key(2) == canonical_key(ExactScalar(2))
+    assert canonical_key(ExactScalar.sqrt(8)) == canonical_key(ExactScalar.sqrt(2, 2))
+    assert canonical_key(ExactScalar.sqrt(2)) != canonical_key(ExactScalar.sqrt(3))
+
+
+_RADICANDS = (1, 2, 3, 5, 6)
+_TERMS = st.lists(
+    st.tuples(st.sampled_from(_RADICANDS), st.fractions(min_value=-4, max_value=4, max_denominator=6)),
+    max_size=4,
+)
+
+
+def _equal_forms(terms):
+    """One value built several ways whose ``_num`` dicts differ in insertion
+    order: term by term in drawn and reversed order, through ``exact_sum``
+    and ``normalize``, through a cancelling detour, and for a rational the
+    Fraction itself, and the int for an integer."""
+    parts = [ExactScalar.sqrt(r, c) for r, c in terms]
+    forward, backward = ZERO, ZERO
+    for x in parts:
+        forward = forward + x
+    for x in reversed(parts):
+        backward = backward + x
+    detour = ExactScalar.sqrt(7) + backward - ExactScalar.sqrt(7)
+    forms = [forward, backward, exact_sum(reversed(parts)), ExactScalar.normalize(reversed(terms)), detour]
+    if forward.is_rational:
+        q = forward.as_fraction()
+        forms.append(q)
+        if q.denominator == 1:
+            forms.append(q.numerator)
+    return forms
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_TERMS, min_size=1, max_size=4), st.data())
+def test_partition_of_matches_the_hash_reference(values, data):
+    pool = [form for terms in values for form in _equal_forms(terms)]
+    pool += [ZERO, 0, Fraction(0), ExactScalar(1) - ExactScalar(1)]
+    width = data.draw(st.integers(1, 3))
+    rows = data.draw(st.lists(st.tuples(*[st.sampled_from(pool)] * width), min_size=1, max_size=25))
+    rows += rows[::2]  # row objects that several vertices share
+    assert partition_of(Labelling(tuple(rows))) == _hash_partition(rows)
+    a, b = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+    assert (canonical_key(a) == canonical_key(b)) == (a == b)

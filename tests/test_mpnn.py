@@ -1,6 +1,7 @@
 """Message-passing execution, builtin families, and network transformations."""
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -586,3 +587,81 @@ def test_anonymize_h_const_reproduces_general_dgnn_labels_exactly():
         spec = MpnnSpec(f_mode="degree", layers=tuple(layers))
         original, anonymous = run_mpnn(g, spec), run_mpnn(g, anonymize_h_const(spec))
         assert anonymous.labellings == original.labellings
+
+
+# -- no scalar hashing in builtin and lifted rounds -------------------------------------------
+
+# the builtin families of the engine benchmark (perfbench/workloads.py FAMILIES)
+ENGINE_FAMILIES = ("gcn", "dgnn1", "dgnn2", "dgnn3", "dgnn4", "dgnn5", "dgnn6", "gnn", "gnn-minus")
+
+
+def _ring(n: int):
+    """An n-cycle plus n distinct random chords from random.Random(n), with
+    one-hot labels over 3 letters (perfbench's cycle_plus_chords)."""
+    rng = random.Random(n)
+    edges = {(v, v + 1) for v in range(1, n)} | {(1, n)}
+    while len(edges) < 2 * n:
+        u, v = rng.sample(range(1, n + 1), 2)
+        edges.add((min(u, v), max(u, v)))
+    return make_graph(n, sorted(edges), [_one_hot(rng.randrange(3)) for _ in range(n)])
+
+
+NO_HASH_GRAPHS = {"ring-40": lambda: _ring(40), "torus-6x6-1-1": lambda: _torus(6, 6, 1, 1)}
+NO_HASH_SPECS = {family: lambda s0, family=family: named_spec(family, s0, rounds=3) for family in ENGINE_FAMILIES}
+for _seed in range(5):
+    NO_HASH_SPECS[f"lifted-{_seed}"] = lambda s0, seed=_seed: lift_plus_one(sample_degree_spec(random.Random(seed), s0))
+
+
+def _refuse_hash(self):
+    raise AssertionError("an ExactScalar was hashed")
+
+
+@pytest.mark.parametrize("spec_name", sorted(NO_HASH_SPECS))
+@pytest.mark.parametrize("graph_name", sorted(NO_HASH_GRAPHS))
+def test_builtin_and_lifted_rounds_hash_no_scalar(monkeypatch, graph_name, spec_name):
+    # products are keyed by class id and partitions by canonical integers,
+    # so run_mpnn runs with ExactScalar.__hash__ refusing every call
+    g = NO_HASH_GRAPHS[graph_name]()
+    spec = NO_HASH_SPECS[spec_name](g.label_dim)
+    reference = run_mpnn(g, spec)
+    with monkeypatch.context() as patch:
+        patch.setattr(ExactScalar, "__hash__", _refuse_hash)
+        with pytest.raises(AssertionError):
+            hash(S(2))
+        trace = run_mpnn(g, spec)
+    assert trace.to_json() == reference.to_json()
+
+
+# -- custom layers returning plain numbers --------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "msg, upd",
+    [
+        (lambda x, y, fv, fu: (ONE,), lambda x, m: (m[0].as_int(),)),
+        (lambda x, y, fv, fu: (1,), lambda x, m: m),
+        (lambda x, y, fv, fu: (Fraction(1, 2),), lambda x, m: (m[0] * 2,)),
+    ],
+    ids=["int-update", "int-message", "fraction-message"],
+)
+def test_custom_int_and_fraction_entries_become_exact_scalars(msg, upd):
+    g = builtin_graph("fig1")
+    then = BuiltinLayer("dgnn1", LayerParams(w2=identity(1)))
+    exact = CustomLayer(msg=lambda x, y, fv, fu: (ONE,), upd=lambda x, m: m)
+    trace = run_mpnn(g, MpnnSpec("degree", (CustomLayer(msg=msg, upd=upd), then)))
+    reference = run_mpnn(g, MpnnSpec("degree", (exact, then)))
+    assert all(type(x) is ExactScalar for lab in trace.labellings for row in lab.rows for x in row)
+    assert json.dumps(trace.to_json()) == json.dumps(reference.to_json())
+    assert trace.partitions == reference.partitions
+
+
+@pytest.mark.parametrize("entry", ["1", 1.0, None])
+def test_custom_entries_of_other_types_are_refused(entry):
+    g = builtin_graph("fig1")
+    as_update = CustomLayer(msg=lambda x, y, fv, fu: (ONE,), upd=lambda x, m: (ONE, entry))
+    named = f"entry {entry!r} is a {type(entry).__name__}, not an exact scalar"
+    with pytest.raises(SpecValidationError, match=re.escape(f"round 2: update {named}")):
+        run_mpnn(g, MpnnSpec("zero", (degree_probe_spec().layers[0], as_update)))
+    as_message = CustomLayer(msg=lambda x, y, fv, fu: (entry,), upd=lambda x, m: m)
+    with pytest.raises(SpecValidationError, match=re.escape(f"round 1: message {named}")):
+        run_mpnn(g, MpnnSpec("zero", (as_message,)))
