@@ -19,6 +19,8 @@ from .compare import ShiftSpec, compare_traces
 from .graphs import LabelledGraph, make_graph
 from .linalg import Row, identity, row_add, row_mat, row_scale
 from .mpnn import (
+    DEGREE_FAMILIES,
+    FAMILIES,
     BuiltinLayer,
     LayerParams,
     MpnnSpec,
@@ -206,10 +208,7 @@ def _expected_shared_row(case_id: str, family: str, params: LayerParams, g: Labe
 
 
 def _sample_matrix(rng: random.Random, rows: int, cols: int, span: int, dens: tuple[int, ...]):
-    return tuple(
-        tuple(ExactScalar(Fraction(rng.randint(-span, span), rng.choice(dens))) for _ in range(cols))
-        for _ in range(rows)
-    )
+    return tuple(_sample_row(rng, cols, span, dens) for _ in range(rows))
 
 
 def _sample_row(rng: random.Random, cols: int, span: int, dens: tuple[int, ...]) -> Row:
@@ -254,7 +253,7 @@ def verify_counterexample(case: CaseSpec, raise_on_failure: bool = True) -> Case
             weight = _sample_matrix(rng, g.label_dim, cols, span=5, dens=(1, 2, 3))
             sigma = rng.choice(["relu", "sign"])
             kwargs = dict(extra_params)
-            if family not in ("gcn-kipf",):
+            if "bias" in FAMILIES[family].takes:
                 kwargs["bias"] = _sample_row(rng, cols, span=5, dens=(1, 2, 3))
             layer = BuiltinLayer(family, LayerParams(w2=weight, sigma=sigma, **kwargs))
             trace = run_mpnn(g, MpnnSpec(f_mode="degree", layers=(layer,)))
@@ -435,7 +434,7 @@ def sample_degree_spec(rng: random.Random, s0: int) -> MpnnSpec:
         if family == "dgnn6":
             kwargs["r"] = ExactScalar(Fraction(rng.randint(1, 4), 4))
             kwargs["p"] = ExactScalar(Fraction(rng.randint(0, 4), 4))
-        if family != "gcn-kipf":
+        if "bias" in FAMILIES[family].takes:
             kwargs["bias"] = _sample_row(rng, out, span=3, dens=(1, 2))
         layers.append(BuiltinLayer(family, LayerParams(**kwargs)))
         width = out
@@ -443,25 +442,14 @@ def sample_degree_spec(rng: random.Random, s0: int) -> MpnnSpec:
 
 
 def named_spec(name: str, s0: int, rounds: int, sigma: str = "relu") -> MpnnSpec:
-    """Identity-weight network for a family name (CLI shorthand)."""
+    """Identity-weight network for a family name (CLI shorthand): ``gcn``
+    for gcn-kipf, or a family that requires no more than its weights and
+    p, q or r, which are set to 1/2."""
+    family = "gcn-kipf" if name == "gcn" else name
+    row = FAMILIES.get(family) if name != "gcn-kipf" else None
+    if row is None or not set(row.requires) <= {"w1", "w2", "p", "q", "r"}:
+        raise ValueError(f"unknown network name {name!r}")
     eye = identity(s0)
-    layers = []
-    for _ in range(rounds):
-        if name == "gcn":
-            layers.append(BuiltinLayer("gcn-kipf", LayerParams(w2=eye, sigma=sigma)))
-        elif name in ("dgnn1", "dgnn2", "dgnn3", "dgnn4", "dgnn5"):
-            layers.append(BuiltinLayer(name, LayerParams(w2=eye, sigma=sigma)))
-        elif name == "dgnn6":
-            layers.append(
-                BuiltinLayer("dgnn6", LayerParams(w2=eye, r=_HALF, p=_HALF, sigma=sigma))
-            )
-        elif name == "gnn":
-            layers.append(BuiltinLayer("gnn", LayerParams(w1=eye, w2=eye, sigma=sigma)))
-        elif name == "gnn-minus":
-            layers.append(
-                BuiltinLayer("gnn-minus", LayerParams(w2=eye, p=_HALF, q=_HALF, sigma=sigma))
-            )
-        else:
-            raise ValueError(f"unknown network name {name!r}")
-    f_mode = "zero" if name in ("gnn", "gnn-minus") else "degree"
-    return MpnnSpec(f_mode=f_mode, layers=tuple(layers))
+    params = LayerParams(sigma=sigma, **{field: eye if field[0] == "w" else _HALF for field in row.requires})
+    f_mode = "degree" if family in DEGREE_FAMILIES else "zero"
+    return MpnnSpec(f_mode=f_mode, layers=(BuiltinLayer(family, params),) * rounds)

@@ -32,9 +32,6 @@ from .surd import ONE, ZERO, parse_scalar
 from .synthesis import SynthesisError, synthesize_dgnn6, synthesize_gnn_minus
 from .wl import WlTrace, wl_partitions, wl_run
 
-_NAMED_SPECS = ("gcn", "dgnn1", "dgnn2", "dgnn3", "dgnn4", "dgnn5", "dgnn6", "gnn", "gnn-minus")
-
-
 T = TypeVar("T")
 
 
@@ -80,8 +77,10 @@ def _load_graph(ref: str) -> LabelledGraph:
 
 
 def _load_spec(ref: str, graph: LabelledGraph, rounds: int, sigma: str) -> MpnnSpec:
-    if ref in _NAMED_SPECS:
+    try:
         return named_spec(ref, graph.label_dim, rounds, sigma)
+    except ValueError:
+        pass
     path = Path(ref)
     if not path.exists():
         raise UsageError(f"spec {ref!r} is neither a known family nor an existing file")

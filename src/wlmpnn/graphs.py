@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Sequence
 
 from .surd import ONE, ZERO, ExactScalar, canonical_key, parse_scalar
@@ -216,10 +217,12 @@ def parse_graph(text: str) -> LabelledGraph:
         raise GraphFormatError("missing n line")
     if len(widths) > 1:
         raise GraphFormatError(f"inconsistent label dimensions: {sorted(widths)}")
-    missing = sorted(set(range(1, n + 1)) - set(labels))
-    if missing:
-        raise GraphFormatError(f"missing vertex lines for: {missing}")
-    extra = sorted(set(labels) - set(range(1, n + 1)))
+    extra = sorted(v for v in labels if not 1 <= v <= n)
+    missing = n - len(labels) + len(extra)
+    if missing > 0:  # name a few: listing them all could take memory by the declared n
+        first = islice((v for v in range(1, n + 1) if v not in labels), 3)
+        more = ", ..." if missing > 3 else ""
+        raise GraphFormatError(f"missing vertex lines for {missing} of {n} vertices: {', '.join(map(str, first))}{more}")
     if extra:
         raise GraphFormatError(f"vertex ids out of range 1..{n}: {extra}")
     rows = tuple(labels[v] for v in range(1, n + 1))

@@ -11,8 +11,10 @@ Every builtin family is one closed form
 
     sigma(L W1 + diag(g) (A + pI) diag(h) L W2 + B)
 
-with degree-determined positive g and h; gnn is the case g = h = 1, p = 0
-and gnn-minus the case g = h = 1, W1 = 0, B = -q.  run_mpnn evaluates a
+with degree-determined positive g and h.  FAMILIES lists, per family, the
+parameters it requires and may take and the p, g and h it fixes: gnn is the
+case g = h = 1, p = 0, and gnn-minus g = h = 1, W1 = 0, B = -q.  The spec
+reader and writer name the fields from the same table.  run_mpnn evaluates a
 builtin round in that form once per refinement key: a vertex's row depends
 only on its class in the current partition, its degree and the multiset of
 its neighbours' (class, degree), the degrees dropping out when g and h are
@@ -46,7 +48,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .graphs import Label, LabelledGraph, Labelling, Partition, partition_of
 from .linalg import Matrix, Row, matrix_from_text, matrix_to_text, row_add, row_mat, row_scale
@@ -154,15 +156,8 @@ class DegreeFn:
 
 
 def degree_fn_from_name(name: str) -> DegreeFn:
-    simple = {
-        "one": DegreeFn.one,
-        "inv_d": DegreeFn.inv_d,
-        "inv_sqrt_d": DegreeFn.inv_sqrt_d,
-        "inv_1pd": DegreeFn.inv_1pd,
-        "inv_sqrt_1pd": DegreeFn.inv_sqrt_1pd,
-    }
-    if name in simple:
-        return simple[name]()
+    if name in ("one", "inv_d", "inv_sqrt_d", "inv_1pd", "inv_sqrt_1pd"):
+        return DegreeFn(name)
     if name.startswith("blend_inv_sqrt(") and name.endswith(")"):
         return DegreeFn.blend_inv_sqrt(parse_scalar(name[len("blend_inv_sqrt(") : -1]))
     if name.startswith("table(") and name.endswith(")"):
@@ -265,16 +260,48 @@ class RunTrace:
         }
 
 
-DEGREE_FAMILIES = {"gcn-kipf", "dgnn1", "dgnn2", "dgnn3", "dgnn4", "dgnn5", "dgnn6", "general-dgnn"}
+class Family(NamedTuple):
+    """A family's contract: the LayerParams fields besides sigma that it
+    requires and those it may take, and the p, g and h it fixes (None
+    leaves them to the parameters)."""
 
-_DGNN_TABLE = {
-    # family: (g kind, h kind, fixed p, tie self weight to W)
-    "dgnn1": ("inv_d", "one", ZERO, False),
-    "dgnn2": ("inv_sqrt_d", "inv_sqrt_d", ZERO, False),
-    "dgnn3": ("inv_1pd", "one", ONE, False),
-    "dgnn4": ("inv_sqrt_1pd", "inv_sqrt_1pd", ONE, False),
-    "dgnn5": ("inv_sqrt_d", "inv_sqrt_d", ZERO, True),
+    requires: tuple[str, ...]
+    takes: tuple[str, ...]
+    p: ExactScalar | None
+    g: DegreeFn | None
+    h: DegreeFn | None
+
+
+# Every family is sigma(L W1 + diag(g)(A + pI)diag(h) L W2 + B).  Three rules
+# are not in the table: dgnn5 ties W1 to W2, gnn-minus's B is -q in every
+# entry, and dgnn6's g = h is blend_inv_sqrt(r).
+FAMILIES = {
+    "gnn": Family(("w1", "w2"), ("bias",), ZERO, DegreeFn.one(), DegreeFn.one()),
+    "gnn-minus": Family(("w2", "p", "q"), (), None, DegreeFn.one(), DegreeFn.one()),
+    "gcn-kipf": Family(("w2",), (), ONE, DegreeFn.inv_sqrt_1pd(), DegreeFn.inv_sqrt_1pd()),
+    "dgnn1": Family(("w2",), ("bias",), ZERO, DegreeFn.inv_d(), DegreeFn.one()),
+    "dgnn2": Family(("w2",), ("bias",), ZERO, DegreeFn.inv_sqrt_d(), DegreeFn.inv_sqrt_d()),
+    "dgnn3": Family(("w2",), ("bias",), ONE, DegreeFn.inv_1pd(), DegreeFn.one()),
+    "dgnn4": Family(("w2",), ("bias",), ONE, DegreeFn.inv_sqrt_1pd(), DegreeFn.inv_sqrt_1pd()),
+    "dgnn5": Family(("w2",), ("bias",), ZERO, DegreeFn.inv_sqrt_d(), DegreeFn.inv_sqrt_d()),
+    "dgnn6": Family(("w2", "r", "p"), ("bias",), None, None, None),
+    "general-dgnn": Family(("w2", "p", "g_fn", "h_fn"), ("w1", "bias"), None, None, None),
 }
+
+# the families whose g or h depends on the degree
+DEGREE_FAMILIES = frozenset(f for f, row in FAMILIES.items() if (row.g, row.h) != (DegreeFn.one(), DegreeFn.one()))
+
+
+def _json_names(family: str) -> dict[str, str]:
+    """LayerParams field -> its name in a JSON layer; the weight W2 is named
+    W in the families that take no self weight W1."""
+    row = FAMILIES[family]
+    w2 = "W2" if "w1" in row.requires + row.takes else "W"
+    return {"w1": "W1", "w2": w2, "bias": "bias", "p": "p", "q": "q", "r": "r", "g_fn": "g", "h_fn": "h"}
+
+
+def _not_taken(family: str, name: str) -> str:
+    return f"{family} does not take {name} (a {family} layer has no {name} field)"
 
 
 def _require(condition: bool, message: str):
@@ -282,70 +309,35 @@ def _require(condition: bool, message: str):
         raise SpecValidationError(message)
 
 
-def _unit_interval(v: ExactScalar, name: str, strict_low=False, strict_high=False):
-    low_ok = v.sign() > 0 if strict_low else v.sign() >= 0
-    high = (v - ONE).sign()
-    high_ok = high < 0 if strict_high else high <= 0
-    _require(low_ok and high_ok, f"{name} = {v} outside the allowed unit-interval range")
-
-
-def _reject_extras(family: str, params: LayerParams, *names: str):
-    for name in names:
-        _require(getattr(params, name) is None, f"{family} does not take the parameter {name}")
-
-
 def _resolve_layer(family: str, params: LayerParams):
-    """Validate a builtin layer and normalize it to (w1, w2, bias, p, g, h, sigma).
+    """Validate a builtin layer against its row of FAMILIES and normalize it
+    to (w1, w2, bias, p, g, h, sigma).
 
     The tuple is the closed form sigma(L W1 + diag(g)(A+pI)diag(h) L W2 + B);
-    w1 and bias are None where the family has no such term.
+    w1 and bias are None where the layer has no such term.
     """
     _require(params.sigma in ("relu", "sign", "none"), f"unknown activation {params.sigma!r}")
-    if family == "gnn":
-        _require(params.w1 is not None and params.w2 is not None, "gnn requires W1 and W2")
-        _reject_extras(family, params, "p", "q", "r", "g_fn", "h_fn")
-        one = DegreeFn.one()
-        return params.w1, params.w2, params.bias, ZERO, one, one, params.sigma
-    if family == "gnn-minus":
-        _require(params.w2 is not None, "gnn-minus requires the weight matrix")
-        _require(params.w1 is None and params.bias is None, "gnn-minus has a single weight matrix and -q bias")
-        _require(params.p is not None and params.q is not None, "gnn-minus requires p and q")
-        _reject_extras(family, params, "r", "g_fn", "h_fn")
-        _unit_interval(params.p, "p")
-        _unit_interval(params.q, "q")
-        one = DegreeFn.one()
-        bias = (-params.q,) * (len(params.w2[0]) if params.w2 else 0)
-        return None, params.w2, bias, params.p, one, one, params.sigma
-    if family == "gcn-kipf":
-        _require(params.w2 is not None, "gcn-kipf requires the weight matrix")
-        _require(params.w1 is None and params.bias is None, "gcn-kipf fixes W1 = 0 and no bias")
-        _reject_extras(family, params, "p", "q", "r", "g_fn", "h_fn")
-        g = DegreeFn.inv_sqrt_1pd()
-        return None, params.w2, None, ONE, g, g, params.sigma
-    if family in _DGNN_TABLE:
-        g_kind, h_kind, p, tie = _DGNN_TABLE[family]
-        _require(params.w2 is not None, f"{family} requires the weight matrix")
-        _require(params.w1 is None, f"{family} has no separate self weight")
-        _reject_extras(family, params, "p", "q", "r", "g_fn", "h_fn")
-        w1 = params.w2 if tie else None
-        return w1, params.w2, params.bias, p, DegreeFn(g_kind), DegreeFn(h_kind), params.sigma
+    _require(family in FAMILIES, f"unknown family {family!r}")
+    row = FAMILIES[family]
+    values = vars(params)
+    for field, name in _json_names(family).items():
+        if (values[field] is None) == (field in row.requires):  # missing, or given
+            _require(field not in row.requires, f"{family} requires {name}")
+            _require(field in row.takes, _not_taken(family, name))
+    for name, v in (("r", params.r), ("p", params.p), ("q", params.q)):  # r in (0, 1], p and q in [0, 1]
+        if v is not None:
+            low_ok = v.sign() > 0 if name == "r" else v.sign() >= 0
+            _require(low_ok and (v - ONE).sign() <= 0, f"{name} = {v} outside the allowed unit-interval range")
     if family == "dgnn6":
-        _require(params.w2 is not None, "dgnn6 requires the weight matrix")
-        _require(params.r is not None and params.p is not None, "dgnn6 requires parameters r and p")
-        _require(params.w1 is None, "dgnn6 has no separate self weight")
-        _reject_extras(family, params, "q", "g_fn", "h_fn")
-        _unit_interval(params.r, "r", strict_low=True)
-        _unit_interval(params.p, "p")
-        g = DegreeFn.blend_inv_sqrt(params.r)
-        return None, params.w2, params.bias, params.p, g, g, params.sigma
-    if family == "general-dgnn":
-        _require(params.w2 is not None, "general-dgnn requires the neighbour weight matrix")
-        _require(params.p is not None, "general-dgnn requires the parameter p")
-        _require(params.g_fn is not None and params.h_fn is not None, "general-dgnn requires g and h")
-        _reject_extras(family, params, "q", "r")
-        _unit_interval(params.p, "p")
-        return params.w1, params.w2, params.bias, params.p, params.g_fn, params.h_fn, params.sigma
-    raise SpecValidationError(f"unknown family {family!r}")
+        g = h = DegreeFn.blend_inv_sqrt(params.r)
+    else:
+        g, h = row.g or params.g_fn, row.h or params.h_fn
+    w1 = params.w2 if family == "dgnn5" else params.w1
+    bias = params.bias
+    if family == "gnn-minus":
+        bias = (-params.q,) * (len(params.w2[0]) if params.w2 else 0)
+    p = params.p if row.p is None else row.p
+    return w1, params.w2, bias, p, g, h, params.sigma
 
 
 def _memo(fn: Callable) -> Callable:
@@ -693,15 +685,11 @@ def anonymize_h_const(spec: MpnnSpec) -> MpnnSpec:
     """
     layers: list[Layer] = []
     for layer in spec.layers:
-        if not isinstance(layer, BuiltinLayer):
+        if not isinstance(layer, BuiltinLayer) or layer.family not in DEGREE_FAMILIES:
             raise SpecValidationError("anonymization handles builtin degree-aware layers only")
-        if layer.family not in ("dgnn1", "dgnn3", "general-dgnn"):
-            if layer.family in DEGREE_FAMILIES:
-                raise SpecValidationError(f"{layer.family} does not have h constantly 1")
-            raise SpecValidationError(f"{layer.family} is not a degree-aware builtin")
         form = _resolve_layer(layer.family, layer.params)
         if not form[5].is_one:
-            raise SpecValidationError("h is not constantly 1")
+            raise SpecValidationError(f"{layer.family} does not have h constantly 1")
         layers.append(_anonymized_layer(form))
     return MpnnSpec(f_mode="zero", layers=tuple(layers))
 
@@ -743,30 +731,7 @@ def wrap_comb_aggr(
 # -- serialization ---------------------------------------------------------------
 
 
-def spec_to_json(spec: MpnnSpec) -> dict:
-    layers = []
-    for layer in spec.layers:
-        if not isinstance(layer, BuiltinLayer):
-            raise SpecValidationError("custom layers are not serializable")
-        params = layer.params
-        entry: dict = {"family": layer.family, "sigma": params.sigma}
-        if layer.family in ("gnn", "general-dgnn"):
-            if params.w1 is not None:
-                entry["W1"] = matrix_to_text(params.w1)
-            entry["W2"] = matrix_to_text(params.w2)
-        else:
-            entry["W"] = matrix_to_text(params.w2)
-        if params.bias is not None:
-            entry["bias"] = [v.to_text() for v in params.bias]
-        for name, value in (("p", params.p), ("q", params.q), ("r", params.r)):
-            if value is not None:
-                entry[name] = value.to_text()
-        if params.g_fn is not None:
-            entry["g"] = params.g_fn.descriptor()
-        if params.h_fn is not None:
-            entry["h"] = params.h_fn.descriptor()
-        layers.append(entry)
-    return {"f_mode": spec.f_mode, "rounds": spec.rounds, "layers": layers}
+_LAYER_FIELDS = ("W", "W1", "W2", "bias", "p", "q", "r", "g", "h")  # besides family and sigma
 
 
 def _json_text(entry: dict, name: str, index: int) -> str:
@@ -783,41 +748,66 @@ def _json_texts(value, what: str) -> list[str]:
     return value
 
 
-def _json_matrix(entry: dict, name: str, index: int) -> Matrix:
-    rows = entry[name]
-    _require(isinstance(rows, list), f"layer {index}: {name} must be a list of rows, not {type(rows).__name__}")
-    return matrix_from_text([_json_texts(row, f"layer {index}: each row of {name}") for row in rows])
+def _json_field(entry: dict, name: str, index: int):
+    """The value of the layer field name, its JSON type checked."""
+    value = entry[name]
+    if name in ("W", "W1", "W2"):
+        _require(isinstance(value, list), f"layer {index}: {name} must be a list of rows, not {type(value).__name__}")
+        return matrix_from_text([_json_texts(row, f"layer {index}: each row of {name}") for row in value])
+    if name == "bias":
+        return tuple(map(parse_scalar, _json_texts(value, f"layer {index}: bias")))
+    text = _json_text(entry, name, index)
+    return degree_fn_from_name(text) if name in ("g", "h") else parse_scalar(text)
+
+
+def spec_to_json(spec: MpnnSpec) -> dict:
+    layers = []
+    for layer in spec.layers:
+        if not isinstance(layer, BuiltinLayer):
+            raise SpecValidationError("custom layers are not serializable")
+        _require(layer.family in FAMILIES, f"unknown family {layer.family!r}")
+        entry: dict = {"family": layer.family, "sigma": layer.params.sigma}
+        for field, name in _json_names(layer.family).items():
+            value = getattr(layer.params, field)
+            if value is None:
+                continue
+            if name in ("W", "W1", "W2"):
+                entry[name] = matrix_to_text(value)
+            elif name == "bias":
+                entry[name] = [v.to_text() for v in value]
+            else:
+                entry[name] = value.descriptor() if name in ("g", "h") else value.to_text()
+        layers.append(entry)
+    return {"f_mode": spec.f_mode, "rounds": spec.rounds, "layers": layers}
 
 
 def spec_from_json(data: dict) -> MpnnSpec:
     """The spec of a ``spec_to_json`` object.  A field of the wrong JSON type
-    raises SpecValidationError, as does any other contract violation."""
+    raises SpecValidationError first; then so does an unknown field or one
+    the layer's family does not take (its weight is W, or W1 and W2, as
+    spec_to_json names it).  The rest of the contract is checked on run."""
     _require(isinstance(data, dict), "a network spec must be a JSON object")
     _require(isinstance(data.get("layers"), list), "a network spec needs a list of layers")
     layers = []
     for index, entry in enumerate(data["layers"], start=1):
         _require(isinstance(entry, dict) and "family" in entry, f"layer {index} has no family")
         family = _json_text(entry, "family", index)
-        kwargs: dict = {"sigma": _json_text(entry, "sigma", index) if "sigma" in entry else "relu"}
-        if "W" in entry:
-            kwargs["w2"] = _json_matrix(entry, "W", index)
-        if "W2" in entry:
-            kwargs["w2"] = _json_matrix(entry, "W2", index)
-        if "W1" in entry:
-            kwargs["w1"] = _json_matrix(entry, "W1", index)
-        if "bias" in entry:
-            kwargs["bias"] = tuple(map(parse_scalar, _json_texts(entry["bias"], f"layer {index}: bias")))
-        for name in ("p", "q", "r"):
-            if name in entry:
-                kwargs[name] = parse_scalar(_json_text(entry, name, index))
-        if "g" in entry:
-            kwargs["g_fn"] = degree_fn_from_name(_json_text(entry, "g", index))
-        if "h" in entry:
-            kwargs["h_fn"] = degree_fn_from_name(_json_text(entry, "h", index))
-        layers.append(BuiltinLayer(family=family, params=LayerParams(**kwargs)))
+        sigma = _json_text(entry, "sigma", index) if "sigma" in entry else "relu"
+        values = {name: _json_field(entry, name, index) for name in _LAYER_FIELDS if name in entry}
+        _require(family in FAMILIES, f"layer {index}: unknown family {family!r}")
+        row = FAMILIES[family]
+        fields = {name: field for field, name in _json_names(family).items() if field in row.requires + row.takes}
+        for name in entry:
+            if name not in fields and name not in ("family", "sigma"):
+                _require(name not in _LAYER_FIELDS, f"layer {index}: {_not_taken(family, name)}")
+                raise SpecValidationError(f"layer {index}: unknown field {name!r}")
+        params = LayerParams(sigma=sigma, **{fields[name]: value for name, value in values.items()})
+        layers.append(BuiltinLayer(family=family, params=params))
     spec = MpnnSpec(f_mode=data.get("f_mode"), layers=tuple(layers))
     if "rounds" in data:
         rounds = data["rounds"]
         _require(type(rounds) is int, f"rounds must be an integer, not {type(rounds).__name__}")
         _require(rounds == spec.rounds, f"declared rounds {rounds} != {spec.rounds} layers")
+    for name in data:
+        _require(name in ("f_mode", "rounds", "layers"), f"unknown field {name!r}")
     return spec

@@ -56,14 +56,25 @@ Rational = Fraction
 Coercible = Union["ExactScalar", int, Fraction]
 
 
-def _squarefree_split(radicand: int) -> tuple[int, int]:
-    """Write radicand = square**2 * free with free squarefree."""
+# A parsed radicand may have no prime factor above this bound, so parsing it
+# trial-divides by at most 2**15 numbers, and so does factoring a product of
+# parsed radicands later.  The radicands the program emits on graphs of up
+# to 65,536 vertices stay inside it: degree factors such as 1/sqrt(1 + d)
+# have primes up to the largest degree plus 1.
+MAX_RADICAND_PRIME = 1 << 16
+
+
+def _squarefree_split(radicand: int, bounded: bool = False) -> tuple[int, int]:
+    """Write radicand = square**2 * free with free squarefree.  When bounded,
+    a radicand with a prime factor above MAX_RADICAND_PRIME raises
+    ValueError, after trial division up to that bound only."""
     if radicand <= 0:
         raise ValueError(f"radicand must be a positive integer, got {radicand}")
     square, free = 1, 1
     r = radicand
     p = 2
-    while p * p <= r:
+    limit = MAX_RADICAND_PRIME if bounded else radicand
+    while p * p <= r and p <= limit:
         if r % p == 0:
             exp = 0
             while r % p == 0:
@@ -73,6 +84,9 @@ def _squarefree_split(radicand: int) -> tuple[int, int]:
             if exp % 2:
                 free *= p
         p += 1 if p == 2 else 2
+    if r > limit:  # every prime up to the limit is divided out of r
+        shown = _int_text(radicand) if radicand.bit_length() <= 256 else f"of {radicand.bit_length()} bits"
+        raise ValueError(f"radicand {shown} has a prime factor above MAX_RADICAND_PRIME = {limit}")
     return square, free * r
 
 
@@ -745,7 +759,8 @@ def parse_scalar(text: str) -> ExactScalar:
 
     Accepted terms: ``a``, ``a/b``, ``a/b*sqrt(r)``, ``sqrt(r)`` with
     optional signs, e.g. ``1/2 + 1/4*sqrt(2)``.  Non-squarefree radicands
-    are reduced, so printing the result re-canonicalizes the input.
+    are reduced, so printing the result re-canonicalizes the input.  A
+    radicand with a prime factor above MAX_RADICAND_PRIME raises ValueError.
     """
     compact = "".join(text.split())
     if not compact:
@@ -783,7 +798,8 @@ def parse_scalar(text: str) -> ExactScalar:
         if m.group("sign"):
             coeff = -coeff
         radicand = _int_of_text(m.group("radicand")) if m.group("radicand") else 1
-        raw.append((radicand, coeff))
+        square, free = _squarefree_split(radicand, bounded=True)
+        raw.append((free, coeff * square))
     return ExactScalar.normalize(raw)
 
 

@@ -250,3 +250,63 @@ def test_malformed_input_files_exit_2(tmp_path, capsys):
     spec.write_text(json.dumps(spec_to_json(named_spec("dgnn6", 2, rounds=1))))
     assert run(["mpnn", "run", "--graph", "fig1", "--spec", str(spec)]) == 2
     assert capsys.readouterr().err.startswith("error: dgnn6 W2 has 2 rows")
+
+
+def _dgnn6_spec_with(edit):
+    spec = spec_to_json(named_spec("dgnn6", 3, rounds=1))
+    edit(spec, spec["layers"][0])
+    return spec
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda spec, layer: layer.update(bais=["-1", "-1", "-1"]), "layer 1: unknown field 'bais'"),
+        (lambda spec, layer: spec.update(note="x"), "unknown field 'note'"),
+        (
+            lambda spec, layer: layer.update(W2=layer.pop("W")),
+            "layer 1: dgnn6 does not take W2 (a dgnn6 layer has no W2 field)",
+        ),
+        (
+            lambda spec, layer: layer.update(W2=layer["W"]),
+            "layer 1: dgnn6 does not take W2 (a dgnn6 layer has no W2 field)",
+        ),
+        (
+            lambda spec, layer: layer.update(W1=layer["W"]),
+            "layer 1: dgnn6 does not take W1 (a dgnn6 layer has no W1 field)",
+        ),
+        (
+            lambda spec, layer: layer.update(q="1/2"),
+            "layer 1: dgnn6 does not take q (a dgnn6 layer has no q field)",
+        ),
+        (lambda spec, layer: layer.update(family="dgnn7"), "layer 1: unknown family 'dgnn7'"),
+    ],
+    ids=["misspelled-bias", "unknown-top-level", "W2-alone", "W2-beside-W", "W1", "q", "unknown-family"],
+)
+def test_spec_field_unknown_or_not_taken_exit_2(tmp_path, capsys, edit, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_dgnn6_spec_with(edit)))
+    assert run(["mpnn", "run", "--graph", "fig1", "--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_named_networks_are_the_cli_names(capsys):
+    for name in ("gcn", "dgnn1", "dgnn2", "dgnn3", "dgnn4", "dgnn5", "dgnn6", "gnn", "gnn-minus"):
+        assert run(["mpnn", "run", "--graph", "g1", "--spec", name]) == 0, name
+    capsys.readouterr()
+    for name in ("gcn-kipf", "general-dgnn"):
+        with pytest.raises(ValueError, match="unknown network name"):
+            named_spec(name, 3, rounds=1)
+        assert run(["mpnn", "run", "--graph", "g1", "--spec", name]) == 2
+        assert capsys.readouterr().err == f"error: spec {name!r} is neither a known family nor an existing file\n"
+
+
+def test_graph_file_radicand_above_the_bound_exit_2(tmp_path, capsys):
+    path = tmp_path / "graph.txt"
+    path.write_text("n 2\nv 1 1: 1\nv 2 1: sqrt(1000000000039)\ne 1 2\n")
+    assert run(["wl", "run", "--graph", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 3: radicand 1000000000039 has a prime factor above MAX_RADICAND_PRIME = 65536\n"
+    )

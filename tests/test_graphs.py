@@ -77,6 +77,21 @@ def test_parse_rejects_bad_vertex_id():
         parse_graph("n 2\nv 1 1: 1\nv 3 1: 1\ne 1 3\n")
 
 
+def test_missing_vertices_are_counted_not_listed():
+    # the message names the count and a few ids, however large the declared n
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph("n 1000000\nv 1 1: 1\nv 2 1: 1\ne 1 2\n")
+    message = str(info.value)
+    assert len(message) < 1024
+    assert message == "missing vertex lines for 999998 of 1000000 vertices: 3, 4, 5, ..."
+    with pytest.raises(GraphFormatError, match=r"missing vertex lines for 2 of 4 vertices: 2, 4$"):
+        parse_graph("n 4\nv 1 1: 1\nv 3 1: 1\ne 1 3\n")
+    with pytest.raises(GraphFormatError, match=r"missing vertex lines for 1 of 2 vertices: 2$"):
+        parse_graph("n 2\nv 1 1: 1\nv 3 1: 1\ne 1 3\n")
+    with pytest.raises(GraphFormatError, match=r"out of range 1..2: \[3\]"):
+        parse_graph("n 2\nv 1 1: 1\nv 2 1: 1\nv 3 1: 1\ne 1 2\ne 2 3\n")
+
+
 def test_format_parse_round_trip():
     g = builtin_graph("fig1")
     text = format_graph(g)

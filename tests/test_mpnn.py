@@ -2,6 +2,7 @@
 import json
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from wlmpnn.graphs import make_graph, partition_of
 from wlmpnn.linalg import identity, zeros
 from wlmpnn.mpnn import (
     DEGREE_FAMILIES,
+    FAMILIES,
     BuiltinLayer,
     CustomLayer,
     DegreeFn,
@@ -254,6 +256,62 @@ def test_spec_json_round_trip():
         payload = spec_to_json(spec)
         rebuilt = spec_from_json(json.loads(json.dumps(payload)))
         assert run_mpnn(g, rebuilt).partitions == run_mpnn(g, spec).partitions
+
+
+# the LayerParams fields besides sigma, and a valid value of each on fig1
+FIELD_VALUES = {
+    "w1": identity(3),
+    "w2": ((ONE, ZERO, S(-1)), (ZERO, S(Fraction(1, 2)), ONE), (ONE, ONE, ZERO)),
+    "bias": (S(Fraction(-1, 3)), ZERO, S(-1)),
+    "p": S(Fraction(1, 2)),
+    "q": S(Fraction(1, 4)),
+    "r": S(Fraction(1, 3)),
+    "g_fn": DegreeFn.inv_sqrt_1pd(),
+    "h_fn": DegreeFn.blend_inv_sqrt(S(Fraction(2, 3))),
+}
+
+
+def _full_layer(family: str) -> BuiltinLayer:
+    """A layer of family with every field it requires or takes."""
+    row = FAMILIES[family]
+    return BuiltinLayer(family, LayerParams(sigma="none", **{f: FIELD_VALUES[f] for f in row.requires + row.takes}))
+
+
+def test_family_table():
+    assert DEGREE_FAMILIES == {"gcn-kipf", "dgnn1", "dgnn2", "dgnn3", "dgnn4", "dgnn5", "dgnn6", "general-dgnn"}
+    assert {family: (set(row.requires), set(row.takes)) for family, row in FAMILIES.items()} == {
+        "gnn": ({"w1", "w2"}, {"bias"}),
+        "gnn-minus": ({"w2", "p", "q"}, set()),
+        "gcn-kipf": ({"w2"}, set()),
+        **{f"dgnn{i}": ({"w2"}, {"bias"}) for i in range(1, 6)},
+        "dgnn6": ({"w2", "r", "p"}, {"bias"}),
+        "general-dgnn": ({"w2", "p", "g_fn", "h_fn"}, {"w1", "bias"}),
+    }
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_family_requires_its_fields_and_refuses_the_rest(family):
+    row = FAMILIES[family]
+    full = _full_layer(family).params
+    builtin_layer(family, full)
+    for field in row.requires:
+        with pytest.raises(SpecValidationError, match=f"^{family} requires "):
+            builtin_layer(family, replace(full, **{field: None}))
+    for field in FIELD_VALUES.keys() - set(row.requires + row.takes):
+        with pytest.raises(SpecValidationError, match=f"^{family} does not take "):
+            builtin_layer(family, replace(full, **{field: FIELD_VALUES[field]}))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_spec_json_round_trips_every_field_of_every_family(family):
+    g = builtin_graph("fig1")
+    spec = MpnnSpec(f_mode="degree" if family in DEGREE_FAMILIES else "zero", layers=(_full_layer(family),) * 2)
+    payload = json.loads(json.dumps(spec_to_json(spec)))
+    weights = [name for name in payload["layers"][0] if name.startswith("W")]
+    assert weights == (["W1", "W2"] if family in ("gnn", "general-dgnn") else ["W"])
+    rebuilt = spec_from_json(payload)
+    assert rebuilt == spec
+    assert run_mpnn(g, rebuilt).labellings == run_mpnn(g, spec).labellings
 
 
 def test_spec_json_rejects_custom_layers():

@@ -76,6 +76,19 @@ except ValueError:
     pass
 else:
     sys.exit("CompareVerdict accepted a holding verdict with a violation")
+# the spec reader refuses unknown fields and the wrong weight name by raising
+from wlmpnn.cases import named_spec
+from wlmpnn.mpnn import SpecValidationError, spec_from_json, spec_to_json
+
+for field, value in (("bais", ["-1", "-1", "-1"]), ("W2", [["1", "0", "0"]] * 3)):
+    spec = spec_to_json(named_spec("dgnn6", 3, rounds=1))
+    spec["layers"][0][field] = value
+    try:
+        spec_from_json(spec)
+    except SpecValidationError:
+        pass
+    else:
+        sys.exit(f"spec_from_json accepted a dgnn6 layer with the field {field}")
 print("checks held")
 """
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wlmpnn.surd import (
+    MAX_RADICAND_PRIME,
     ONE,
     ZERO,
     ExactScalar,
@@ -161,6 +162,38 @@ def test_parse_is_liberal_print_is_canonical():
     assert parse_scalar("sqrt(12)").to_text() == "2*sqrt(3)"
     assert parse_scalar(" 1/2+1/4 * sqrt(2)").to_text() == "1/2 + 1/4*sqrt(2)"
     assert parse_scalar("sqrt(4)").to_text() == "2"
+
+
+@pytest.mark.parametrize(
+    "radicand, shown",
+    [
+        (65537, "65537"),
+        (1000000000039, "1000000000039"),
+        (100000000000031, "100000000000031"),
+        (3**40 * 65537**2 * 100003, str(3**40 * 65537**2 * 100003)),
+        (65537 * 2**4000, "of 4017 bits"),
+    ],
+)
+def test_parsed_radicand_with_a_prime_above_the_bound_is_refused(radicand, shown):
+    # trial division stops at the bound, so even a long radicand fails at once
+    with pytest.raises(ValueError) as info:
+        parse_scalar(f"1 - 1/2*sqrt({radicand})")
+    assert str(info.value) == f"radicand {shown} has a prime factor above MAX_RADICAND_PRIME = 65536"
+
+
+def test_parse_admits_every_radicand_with_primes_up_to_the_bound():
+    assert MAX_RADICAND_PRIME == 1 << 16
+    largest = 65521  # the largest prime below 2**16
+    # the degree factors 1/sqrt(1 + d) of graphs of up to 65,536 vertices,
+    # and dgnn6's blend at r = 1/2, 1/sqrt((1 + d)/2)
+    for d in (1, 2, 63, 64, largest - 1, MAX_RADICAND_PRIME - 1):
+        for value in (inv_sqrt(1 + d), inv_sqrt(1 + d, 2)):
+            assert parse_scalar(value.to_text()) == value
+    product = inv_sqrt(largest) * inv_sqrt(65519) - inv_sqrt(2)
+    assert parse_scalar(product.to_text()) == product
+    assert parse_scalar(f"sqrt({largest**3 * 65519 * 4})") == S.sqrt(largest * 65519, 2 * largest)
+    # values built in code are not bounded, only parsed text
+    assert S.sqrt(65537).to_text() == "sqrt(65537)"
 
 
 def test_parse_rejects_garbage():
