@@ -428,9 +428,12 @@ def builtin_layer(family: str, params: LayerParams) -> tuple[MsgFn, UpdFn]:
 
 
 def _check_builtin_dims(layer: BuiltinLayer, width: int) -> None:
+    """Refuse weights that do not take labels of this width or disagree on
+    their output width; a weight is named as its spec field is."""
     params = layer.params
-    for name, m in (("W1", params.w1), ("W2", params.w2)):
+    for field, m in (("w1", params.w1), ("w2", params.w2)):
         if m is not None and len(m) != width:
+            name = _json_names(layer.family)[field]
             raise DimensionError(
                 f"{layer.family} {name} has {len(m)} rows but incoming labels have width {width}"
             )
@@ -605,8 +608,11 @@ def run_mpnn(g: LabelledGraph, spec: MpnnSpec) -> RunTrace:
     for round_index, layer in enumerate(spec.layers, start=1):
         class_of = partitions[-1].class_of
         if isinstance(layer, BuiltinLayer):
-            _check_builtin_dims(layer, labelling.dim)
-            form = _resolve_layer(layer.family, layer.params)
+            try:
+                form = _resolve_layer(layer.family, layer.params)
+                _check_builtin_dims(layer, labelling.dim)
+            except (SpecValidationError, DimensionError) as exc:  # name the layer, as spec_from_json does
+                raise type(exc)(f"layer {round_index}: {exc}") from exc
             new_rows = _closed_form_round(g, labelling.rows, form, degrees, class_of)
         elif isinstance(layer, _LiftedBuiltin) and tuple(x[-1].as_int() for x in labelling.rows) == degrees:
             # the label's last component is what the per-edge message reads

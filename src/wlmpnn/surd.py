@@ -32,7 +32,10 @@ A value whose numerators all have one sign has that sign, since a sum of
 positive multiples of positive square roots is positive.  The sign of any
 other nonzero value comes from certified dyadic interval enclosures of
 each square root, scaled to integers, doubling the working precision until
-the enclosure excludes zero.
+the enclosure excludes zero.  The same integer bounds order many values at
+once: ``exact_max``, ``exact_min`` and ``exact_order`` enclose each value
+once at 64 bits, with each square root taken once per call, and subtract
+two values exactly only when their enclosures overlap.
 
 ``residues`` maps values into the integers modulo a fixed 66-bit prime in
 which every prime up to 47 has a square root, a ring map that linear
@@ -44,9 +47,11 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, Union
+from functools import cmp_to_key
+from typing import Iterable, Sequence, Union
 
 _SIGN_START_BITS = 64
+_ORDER_BITS = 64
 _SIGN_MAX_BITS = 1 << 22
 _MAX_CONJUGATE_PRIMES = 12
 _HASH_MODULUS = sys.hash_info.modulus
@@ -76,10 +81,7 @@ def _squarefree_split(radicand: int, bounded: bool = False) -> tuple[int, int]:
     limit = MAX_RADICAND_PRIME if bounded else radicand
     while p * p <= r and p <= limit:
         if r % p == 0:
-            exp = 0
-            while r % p == 0:
-                r //= p
-                exp += 1
+            r, exp = _strip_prime(r, p)
             square *= p ** (exp // 2)
             if exp % 2:
                 free *= p
@@ -88,6 +90,33 @@ def _squarefree_split(radicand: int, bounded: bool = False) -> tuple[int, int]:
         shown = _int_text(radicand) if radicand.bit_length() <= 256 else f"of {radicand.bit_length()} bits"
         raise ValueError(f"radicand {shown} has a prime factor above MAX_RADICAND_PRIME = {limit}")
     return square, free * r
+
+
+def _strip_prime(r: int, p: int) -> tuple[int, int]:
+    """(r / p**e, e) for the multiplicity e of the prime p in r.
+
+    Dividing by p, p**2, p**4, ... while each divides and then by the same
+    powers in reverse takes O(log e) divisions, where dividing by p one
+    factor at a time would take e, each of a number as long as r.
+    """
+    exp = 0
+    powers = []
+    q = p
+    while True:
+        quotient, rest = divmod(r, q)
+        if rest:
+            break
+        r = quotient
+        exp += 1 << len(powers)
+        powers.append(q)
+        q *= q
+    # what is left of the multiplicity is below 2**len(powers): its bits
+    for k in range(len(powers) - 1, -1, -1):
+        quotient, rest = divmod(r, powers[k])
+        if not rest:
+            r = quotient
+            exp += 1 << k
+    return r, exp
 
 
 def _prime_factors(squarefree: int) -> tuple[int, ...]:
@@ -350,11 +379,9 @@ class ExactScalar:
         return s
 
     def _compute_sign(self) -> int:
-        """Sign of sum(c*sqrt(r)), the numerator over the positive denominator.
-
-        At b bits each sqrt(r) lies in [isqrt(r << 2b), isqrt(r << 2b) + 1]
-        / 2**b, so scaled integer bounds on the sum decide the sign once
-        they do not straddle zero.
+        """Sign of sum(c*sqrt(r)), the numerator over the positive denominator:
+        its integer bounds at b bits (``_numerator_bounds``) decide the sign
+        once they do not straddle zero, doubling b until they do not.
         """
         num = self._num
         if not num:
@@ -364,20 +391,9 @@ class ExactScalar:
             return 1
         if max(num.values()) < 0:
             return -1
-        rational = num.get(1, 0)
-        irrational = [(r, c) for r, c in num.items() if r != 1]
-        isqrt = math.isqrt
         bits = _SIGN_START_BITS
         while bits <= _SIGN_MAX_BITS:
-            lo = hi = rational << bits
-            for r, c in irrational:
-                root = isqrt(r << (2 * bits))
-                if c > 0:
-                    lo += c * root
-                    hi += c * (root + 1)
-                else:
-                    lo += c * (root + 1)
-                    hi += c * root
+            lo, hi = _numerator_bounds(num, bits, {})
             if lo > 0:
                 return 1
             if hi < 0:
@@ -633,6 +649,107 @@ def canonical_key(x: Coercible) -> tuple[int, frozenset[tuple[int, int]]]:
     if type(x) is not ExactScalar:
         x = ExactScalar(x)
     return x._den, frozenset(x._num.items())
+
+
+# -- certified order -------------------------------------------------------------
+
+
+def _numerator_bounds(num: dict[int, int], bits: int, roots: dict[int, int]) -> tuple[int, int]:
+    """Integers lo <= 2**bits * sum(c*sqrt(r)) <= hi over the numerators num.
+
+    Each sqrt(r) lies in [root, root + 1] / 2**bits for root = isqrt(r <<
+    2*bits), so c*sqrt(r) adds c*root to one bound and c*root + c to the
+    other.  roots caches root by radicand for callers that bound several
+    values at the same bits.
+    """
+    lo = hi = num.get(1, 0) << bits
+    for r, c in num.items():
+        if r == 1:
+            continue
+        root = roots.get(r)
+        if root is None:
+            root = roots[r] = math.isqrt(r << (2 * bits))
+        t = c * root
+        if c > 0:
+            lo += t
+            hi += t + c
+        else:
+            lo += t + c
+            hi += t
+    return lo, hi
+
+
+def _enclosures(values: list[ExactScalar]) -> list[tuple[int, int]]:
+    """(lo, hi) with lo <= x * 2**_ORDER_BITS <= hi for each value x, the
+    numerator bounds divided by the denominator, rounded outward."""
+    roots: dict[int, int] = {}
+    out = []
+    for x in values:
+        lo, hi = _numerator_bounds(x._num, _ORDER_BITS, roots)
+        den = x._den
+        if den != 1:
+            lo, hi = lo // den, -(-hi // den)
+        out.append((lo, hi))
+    return out
+
+
+def _order(values: list[ExactScalar], bounds: list[tuple[int, int]], i: int, j: int) -> int:
+    """The sign of values[i] - values[j]: from their enclosures when those
+    are disjoint, else by an equality test and an exact subtraction."""
+    lo_i, hi_i = bounds[i]
+    lo_j, hi_j = bounds[j]
+    if hi_i < lo_j:
+        return -1
+    if hi_j < lo_i:
+        return 1
+    x, y = values[i], values[j]
+    if x == y:
+        return 0
+    return _add(x, y, -1).sign()
+
+
+def _extreme(values: Iterable[ExactScalar], want: int) -> ExactScalar:
+    """The first largest value for want = 1, the first smallest for want = -1.
+    A value whose enclosure lies wholly on the wrong side of another value's
+    enclosure is out without an exact comparison."""
+    values = list(values)
+    if not values:
+        raise ValueError("no extreme of an empty sequence")
+    bounds = _enclosures(values)
+    if want > 0:
+        cut = max(lo for lo, _ in bounds)
+        live = [i for i, (_, hi) in enumerate(bounds) if hi >= cut]
+    else:
+        cut = min(hi for _, hi in bounds)
+        live = [i for i, (lo, _) in enumerate(bounds) if lo <= cut]
+    best = live[0]
+    for i in live[1:]:
+        if _order(values, bounds, i, best) == want:
+            best = i
+    return values[best]
+
+
+def exact_max(values: Iterable[ExactScalar]) -> ExactScalar:
+    """max(values), each order fact decided by certified enclosures first."""
+    return _extreme(values, 1)
+
+
+def exact_min(values: Iterable[ExactScalar]) -> ExactScalar:
+    """min(values), each order fact decided by certified enclosures first."""
+    return _extreme(values, -1)
+
+
+def exact_order(values: Sequence[ExactScalar], reverse: bool = False) -> list[int]:
+    """sorted(range(len(values)), key=values.__getitem__, reverse=reverse):
+    the positions of values in ascending (descending) order, equal values in
+    their given order.  Two values are compared exactly only when their
+    enclosures overlap, and equal values compare as equal, so the sort
+    stays stable."""
+    values = list(values)
+    bounds = _enclosures(values)
+    return sorted(
+        range(len(values)), key=cmp_to_key(lambda i, j: _order(values, bounds, i, j)), reverse=reverse
+    )
 
 
 def reciprocal(k: int) -> ExactScalar:

@@ -61,6 +61,19 @@ When no repair realizes the reference partition (the class values can be
 nested so that every threshold tearing one pair also tears an equal pair),
 the round keeps its finer labelling: the refinement bound still holds and
 is enforced, and the certificate records the equivalence verdict as false.
+
+The construction needs only order facts: the largest entry of C (for the
+base of z), the descending order of the mixed values, the largest ratio
+below 1 of consecutive ones, the smallest row entry (for the shift), the
+largest candidate of m_p, and the sorted projections of each clamp
+candidate.  Each comes from ``surd.exact_max``, ``exact_min`` or
+``exact_order``, which compare certified integer enclosures and subtract
+exactly only where those overlap.  Activated entries whose sign the exact
+order fixes are read off it (``_activated``, ``_find_clamp_column``): the
+differences relu keeps are computed without a sign test, and the 0, +1
+and -1 entries are not computed at all.  Only a uniform q below the
+largest below-1 ratio computes the entries below the order's diagonal and
+their signs exactly.
 """
 from __future__ import annotations
 
@@ -93,7 +106,7 @@ from .linalg import (
     unique_rows,
 )
 from .mpnn import BuiltinLayer, DegreeFn, LayerParams, MpnnSpec, propagate
-from .surd import ONE, ZERO, ExactScalar, activate, exact_dot, floor_exact
+from .surd import ONE, ZERO, ExactScalar, activate, exact_dot, exact_max, exact_min, exact_order, floor_exact
 from .wl import wl_partitions
 
 
@@ -110,6 +123,9 @@ class SeparationResult:
     """Witness that sigma(C X - q J) has non-singular unique rows.
 
     X = z x_row^T has rank one, so only its two factors are stored.
+    permutation orders the mixed values C z descending, x_row holds their
+    reciprocals in that order, and below_one is the largest of the ratios
+    below 1 of consecutive mixed values (q itself under relu).
     """
 
     q: ExactScalar
@@ -117,6 +133,7 @@ class SeparationResult:
     base: ExactScalar
     z: Row
     x_row: Row
+    below_one: ExactScalar
 
     @property
     def x_matrix(self) -> Matrix:
@@ -147,10 +164,40 @@ def _mat_vec(m: Matrix, col: Row) -> Row:
     return tuple(_dot(row, col) for row in m)
 
 
-def _activated(mixed: Sequence[ExactScalar], x_row: Row, q: ExactScalar, sigma: str) -> Matrix:
-    """sigma(C X - q J) from the mixed values C z: entry (i, j) is
-    sigma(mixed_i x_j - q), because (C z x^T)_ij = (c_i . z) x_j."""
-    return tuple(tuple(activate(m * xj - q, sigma) for xj in x_row) for m in mixed)
+_MINUS_ONE = ExactScalar(-1)
+
+
+def _activated(
+    mixed: Sequence[ExactScalar],
+    order: Sequence[int],
+    x_row: Row,
+    below_one: ExactScalar,
+    q: ExactScalar,
+    sigma: str,
+) -> Matrix:
+    """sigma(C X - q J) from the mixed values C z, for any q < 1: entry (i, j)
+    is sigma(mixed_i x_j - q), because (C z x^T)_ij = (c_i . z) x_j.
+
+    order lists the mixed values in descending order and x_j is 1 over the
+    j-th of them, so with pos(i) the place of i in order, the ratio mixed_i
+    x_j is at least 1 > q when pos(i) <= j: relu keeps mixed_i x_j - q
+    without a sign test, and sign gives +1.  When pos(i) > j the ratio is at
+    most below_one, the largest ratio below 1, so relu gives 0 when q >=
+    below_one and sign gives -1 when q > below_one; only a smaller q
+    computes those entries and their signs exactly.
+    """
+    pos = [0] * len(mixed)
+    for k, i in enumerate(order):
+        pos[i] = k
+    relu = sigma == "relu"
+    settled = q >= below_one if relu else q > below_one
+    low = ZERO if relu else _MINUS_ONE
+    out = []
+    for m, k in zip(mixed, pos):
+        below = (low,) * k if settled else tuple(activate(m * xj - q, sigma) for xj in x_row[:k])
+        above = tuple(m * xj - q for xj in x_row[k:]) if relu else (ONE,) * (len(x_row) - k)
+        out.append(below + above)
+    return tuple(out)
 
 
 def _separation(c: Sequence[Row], sigma: str) -> tuple[SeparationResult, list[ExactScalar], Matrix]:
@@ -159,12 +206,7 @@ def _separation(c: Sequence[Row], sigma: str) -> tuple[SeparationResult, list[Ex
     _check_separation_preconditions(c)
     m = len(c)
     width = len(c[0])
-    top = c[0][0]
-    for row in c:
-        for v in row:
-            if v > top:
-                top = v
-    base = top + ONE
+    base = exact_max(v for row in c for v in row) + ONE
     attempts = m * m * width + 8
     while True:
         powers = [ONE]
@@ -178,22 +220,16 @@ def _separation(c: Sequence[Row], sigma: str) -> tuple[SeparationResult, list[Ex
         attempts -= 1
         if attempts <= 0:  # pragma: no cover - distinct rows guarantee termination
             raise AssertionError("base escalation failed to separate distinct rows")
-    order = tuple(sorted(range(m), key=lambda i: mixed[i], reverse=True))
+    order = tuple(exact_order(mixed, reverse=True))
     descending = [mixed[i] for i in order]
     x_row = tuple(v.invert() for v in descending)
-    if m == 1:
-        below_one = ZERO
-    else:
-        below_one = descending[1] * x_row[0]  # x_row[0] = 1/descending[0]
-        for j in range(1, m - 1):
-            ratio = descending[j + 1] * x_row[j]
-            if ratio > below_one:
-                below_one = ratio
+    # x_row[j] = 1/descending[j], so the ratios below 1 are descending[j + 1] x_row[j]
+    below_one = exact_max(descending[j + 1] * x_row[j] for j in range(m - 1)) if m > 1 else ZERO
     threshold = below_one if sigma == "relu" else (below_one + ONE) * ExactScalar(Fraction(1, 2))
-    activated = _activated(mixed, x_row, threshold, sigma)
+    activated = _activated(mixed, order, x_row, below_one, threshold, sigma)
     if not rows_linearly_independent(activated):  # pragma: no cover - construction guarantees
         raise AssertionError("separation produced a singular activated matrix")
-    sep = SeparationResult(q=threshold, permutation=order, base=base, z=z, x_row=x_row)
+    sep = SeparationResult(q=threshold, permutation=order, base=base, z=z, x_row=x_row, below_one=below_one)
     return sep, mixed, activated
 
 
@@ -237,7 +273,7 @@ def compute_mp(g: LabelledGraph, g_fn: DegreeFn) -> ExactScalar:
         for b in degrees:
             if values[a] != values[b]:
                 ratios[values[b] * values[a].invert()] = None
-    best = ZERO
+    candidates = [ZERO]
     n = g.n
     for alpha in ratios:
         below_one = alpha < ONE
@@ -247,15 +283,13 @@ def compute_mp(g: LabelledGraph, g_fn: DegreeFn) -> ExactScalar:
         for j in range(n + 1):
             alpha_j = multiples[j]
             # alpha*j - i lies in [0, 1) only for i = floor(alpha*j)
-            candidates = [alpha_j - floors[j]] if floors[j] <= n else []
+            if floors[j] <= n:
+                candidates.append(alpha_j - floors[j])
             # (alpha*j - i)/(1 - alpha) lies in [0, 1) for i in (alpha*(j+1) - 1, alpha*j];
             # the smallest such i, floor(alpha*(j+1)), gives the largest value
             if below_one and floors[j + 1] <= min(n, floors[j]):
                 candidates.append((alpha_j - floors[j + 1]) * inv_one_minus)
-            for candidate in candidates:
-                if candidate > best:
-                    best = candidate
-    return best
+    return exact_max(candidates)
 
 
 # -- certificates ----------------------------------------------------------------
@@ -403,7 +437,7 @@ def _separated_block(
     row of its unique index: (row + shift 1) . z is that row's mixed value.
     """
     uniq, index = unique_rows(rows)
-    minimum = min(v for row in uniq for v in row)
+    minimum = exact_min(v for row in uniq for v in row)
     zero_row = any(all(v.is_zero for v in row) for row in uniq)
     if minimum.sign() < 0:
         shift = ONE - minimum
@@ -416,7 +450,7 @@ def _separated_block(
     q = sep.q if q_override is None else q_override
     _check_q(q)
     if q_override is not None:
-        block = _activated(mixed, sep.x_row, q, sigma)
+        block = _activated(mixed, sep.permutation, sep.x_row, sep.below_one, q, sigma)
         if not rows_linearly_independent(block):
             raise SynthesisError(
                 "uniform threshold breaks non-singularity on this round",
@@ -447,8 +481,9 @@ def _find_clamp_column(
     The column changes only when tau crosses a projection value, so the
     midpoints of consecutive sorted distinct values cover every band, and a
     midpoint never activates a zero.  Threshold k, between the values at
-    positions k and k + 1, is chosen from positions alone; the rows are
-    activated once, at the chosen tau.  A class is torn when its members
+    positions k and k + 1, is chosen from positions alone, and each row's
+    activated value is read off its position too: the projections are
+    ordered once, by ``surd.exact_order``.  A class is torn when its members
     take more than one position.  Under relu, rows at or below k clamp to 0
     and the others keep distinct values, so the first feasible k is the
     highest top position of a torn class (0 if none), provided it lies
@@ -486,10 +521,10 @@ def _find_clamp_column(
     for v, cls in enumerate(wl_part.class_of):
         classes.setdefault(cls, []).append(v)
     for direction, u in candidates():
-        if (u[a] - u[b]).is_zero:
+        if u[a] == u[b]:
             continue
         # position[v] is the index of u[v] among the sorted distinct values
-        order = sorted(range(len(rows)), key=u.__getitem__)
+        order = exact_order(u)
         distinct = [u[order[0]]]
         position = [0] * len(rows)
         for v in order[1:]:
@@ -512,8 +547,12 @@ def _find_clamp_column(
             )
             if k is None:
                 continue
+        # tau lies strictly between positions k and k + 1, so each row's
+        # side of it is its position's
         tau = (distinct[k] + distinct[k + 1]) * ExactScalar(Fraction(1, 2))
-        return direction, tau, [activate(x - tau, sigma) for x in u]
+        if sigma == "relu":
+            return direction, tau, [x - tau if at > k else ZERO for x, at in zip(u, position)]
+        return direction, tau, [ONE if at > k else _MINUS_ONE for at in position]
     return None
 
 

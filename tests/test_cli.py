@@ -249,7 +249,7 @@ def test_malformed_input_files_exit_2(tmp_path, capsys):
     # a well-formed spec whose weights do not chain with the graph's labels
     spec.write_text(json.dumps(spec_to_json(named_spec("dgnn6", 2, rounds=1))))
     assert run(["mpnn", "run", "--graph", "fig1", "--spec", str(spec)]) == 2
-    assert capsys.readouterr().err.startswith("error: dgnn6 W2 has 2 rows")
+    assert capsys.readouterr().err.startswith("error: layer 1: dgnn6 W has 2 rows")
 
 
 def _dgnn6_spec_with(edit):
@@ -286,6 +286,46 @@ def _dgnn6_spec_with(edit):
 def test_spec_field_unknown_or_not_taken_exit_2(tmp_path, capsys, edit, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(_dgnn6_spec_with(edit)))
+    assert run(["mpnn", "run", "--graph", "fig1", "--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def _named_spec_with(family, rounds, edit):
+    spec = spec_to_json(named_spec(family, 3, rounds=rounds))
+    edit(spec["layers"][-1])
+    return spec
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (_named_spec_with("dgnn6", 2, lambda layer: layer.pop("r")), "layer 2: dgnn6 requires r"),
+        (
+            _named_spec_with("dgnn6", 2, lambda layer: layer.update(p="2")),
+            "layer 2: p = 2 outside the allowed unit-interval range",
+        ),
+        (
+            _named_spec_with("dgnn6", 2, lambda layer: layer.update(W=layer["W"][:2])),
+            "layer 2: dgnn6 W has 2 rows but incoming labels have width 3",
+        ),
+        (
+            _named_spec_with("gnn", 1, lambda layer: layer.update(W1=layer["W1"][:2])),
+            "layer 1: gnn W1 has 2 rows but incoming labels have width 3",
+        ),
+        (
+            _named_spec_with("gnn", 1, lambda layer: layer.update(W2=layer["W2"] + layer["W2"][:1])),
+            "layer 1: gnn W2 has 4 rows but incoming labels have width 3",
+        ),
+    ],
+    ids=["missing-r", "p-out-of-range", "dgnn6-W-rows", "gnn-W1-rows", "gnn-W2-rows"],
+)
+def test_run_time_spec_errors_name_their_layer_exit_2(tmp_path, capsys, spec, message):
+    # required fields, ranges and widths are checked when the layer runs;
+    # the error names the layer and the weight as the spec file does
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
     assert run(["mpnn", "run", "--graph", "fig1", "--spec", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wlmpnn.surd import (
+    _int_text,
+    _squarefree_split,
     MAX_RADICAND_PRIME,
     ONE,
     ZERO,
@@ -194,6 +196,39 @@ def test_parse_admits_every_radicand_with_primes_up_to_the_bound():
     assert parse_scalar(f"sqrt({largest**3 * 65519 * 4})") == S.sqrt(largest * 65519, 2 * largest)
     # values built in code are not bounded, only parsed text
     assert S.sqrt(65537).to_text() == "sqrt(65537)"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.sampled_from((2, 3, 5, 7, 11, 13, 101, 1009)), st.integers(1, 700), min_size=1, max_size=5))
+def test_squarefree_split_of_long_radicands_against_sympy(exponents):
+    # radicands of thousands of bits from a few small primes with large
+    # multiplicities; each prime's multiplicity is stripped in O(log e) divisions
+    sympy = pytest.importorskip("sympy")
+    radicand = math.prod(p**e for p, e in exponents.items())
+    factors = sympy.factorint(radicand)
+    square = math.prod(p ** (e // 2) for p, e in factors.items())
+    free = math.prod(p for p, e in factors.items() if e % 2)
+    assert _squarefree_split(radicand) == (square, free)
+    assert _squarefree_split(radicand, bounded=True) == (square, free)
+    with pytest.raises(ValueError, match="above MAX_RADICAND_PRIME"):
+        _squarefree_split(radicand * 65537, bounded=True)
+
+
+def test_squarefree_split_with_the_largest_admitted_primes():
+    # sympy takes seconds to factor these; the split is known by construction
+    exponents = {2: 700, 3: 699, 65519: 301, 65521: 300}
+    radicand = math.prod(p**e for p, e in exponents.items())
+    square = math.prod(p ** (e // 2) for p, e in exponents.items())
+    assert _squarefree_split(radicand, bounded=True) == (square, 3 * 65519)
+
+
+def test_parse_long_power_radicands():
+    # a radicand's length no longer costs time quadratic in it: 2**100000
+    # (30,103 digits) took seconds when each factor 2 was divided out alone
+    for e in (1, 2, 63, 64, 65, 100000, 100001):
+        value = parse_scalar(f"3*sqrt({_int_text(2**e)})")
+        assert value == S.sqrt(2 if e % 2 else 1, 3 * 2 ** (e // 2))
+    assert parse_scalar(f"sqrt({_int_text(6**4097 * 5**2)})") == S.sqrt(6, 6**2048 * 5)
 
 
 def test_parse_rejects_garbage():
