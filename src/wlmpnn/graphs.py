@@ -140,15 +140,10 @@ class LabelledGraph:
 
 
 def make_graph(n: int, edges: Sequence[tuple[int, int]], labels: Sequence[Sequence]) -> LabelledGraph:
-    norm_edges = set()
-    for u, v in edges:
-        if u == v:
-            raise GraphFormatError(f"self-loop at vertex {u}")
-        norm_edges.add((min(u, v), max(u, v)))
     rows = tuple(
         tuple(x if isinstance(x, ExactScalar) else ExactScalar(x) for x in row) for row in labels
     )
-    return LabelledGraph(n=n, edges=frozenset(norm_edges), labels=rows)
+    return LabelledGraph(n=n, edges=frozenset((min(u, v), max(u, v)) for u, v in edges), labels=rows)
 
 
 def parse_graph(text: str) -> LabelledGraph:
@@ -263,17 +258,9 @@ def partition_of(labelling: Labelling) -> Partition:
 
 
 def partition_refines(fine: Partition, coarse: Partition) -> bool:
-    """True iff vertices equal under fine are equal under coarse."""
-    if fine.n != coarse.n:
-        raise ValueError(f"vertex count mismatch: {fine.n} vs {coarse.n}")
-    seen: dict[int, int] = {}
-    for fc, cc in zip(fine.class_of, coarse.class_of):
-        if fc in seen:
-            if seen[fc] != cc:
-                return False
-        else:
-            seen[fc] = cc
-    return True
+    """True iff vertices equal under fine are equal under coarse, that is,
+    iff ``partition_refines_violation`` finds no witness pair."""
+    return partition_refines_violation(fine, coarse) is None
 
 
 def partition_refines_violation(fine: Partition, coarse: Partition) -> tuple[int, int] | None:
@@ -283,19 +270,14 @@ def partition_refines_violation(fine: Partition, coarse: Partition) -> tuple[int
     first_seen: dict[int, int] = {}
     witness = None
     for v, (fc, cc) in enumerate(zip(fine.class_of, coarse.class_of), start=1):
-        if fc not in first_seen:
-            first_seen[fc] = v
-        elif coarse.class_of[first_seen[fc] - 1] != cc:
-            candidate = (first_seen[fc], v)
-            if witness is None or candidate < witness:
-                witness = candidate
+        first = first_seen.setdefault(fc, v)
+        if coarse.class_of[first - 1] != cc and (witness is None or (first, v) < witness):
+            witness = (first, v)
     return witness
 
 
 def refines(fine: Labelling, coarse: Labelling) -> bool:
     """True iff coarse is coarser than fine: equal rows in fine imply equal rows in coarse."""
-    if fine.n != coarse.n:
-        raise ValueError(f"vertex count mismatch: {fine.n} vs {coarse.n}")
     return partition_refines(partition_of(fine), partition_of(coarse))
 
 

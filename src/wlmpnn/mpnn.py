@@ -75,7 +75,8 @@ class DegreeFn:
 
     Named kinds keep specs serializable; ``blend_inv_sqrt`` is
     (r + (1-r)d)**(-1/2) and requires a rational r in (0, 1] so values stay
-    inside the surd field.
+    inside the surd field.  Its value at a degree whose radicand has a
+    prime factor above MAX_RADICAND_PRIME raises SpecValidationError.
     """
 
     kind: str
@@ -131,7 +132,10 @@ class DegreeFn:
         if self.kind == "blend_inv_sqrt":
             # r + (1-r)d = (a + (b-a)d)/b for r = a/b
             a, b = self.r.as_fraction().as_integer_ratio()
-            return inv_sqrt(a + (b - a) * degree, b)
+            try:
+                return inv_sqrt(a + (b - a) * degree, b)
+            except ValueError as exc:  # a prime factor above MAX_RADICAND_PRIME
+                raise SpecValidationError(f"{self.descriptor()} at degree {degree}: {exc}") from exc
         if self.kind == "table":
             for d, v in self.table:
                 if d == degree:
@@ -611,9 +615,9 @@ def run_mpnn(g: LabelledGraph, spec: MpnnSpec) -> RunTrace:
             try:
                 form = _resolve_layer(layer.family, layer.params)
                 _check_builtin_dims(layer, labelling.dim)
+                new_rows = _closed_form_round(g, labelling.rows, form, degrees, class_of)
             except (SpecValidationError, DimensionError) as exc:  # name the layer, as spec_from_json does
                 raise type(exc)(f"layer {round_index}: {exc}") from exc
-            new_rows = _closed_form_round(g, labelling.rows, form, degrees, class_of)
         elif isinstance(layer, _LiftedBuiltin) and tuple(x[-1].as_int() for x in labelling.rows) == degrees:
             # the label's last component is what the per-edge message reads
             # as the degree; any other column takes the per-edge path

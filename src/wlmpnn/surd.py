@@ -35,7 +35,9 @@ each square root, scaled to integers, doubling the working precision until
 the enclosure excludes zero.  The same integer bounds order many values at
 once: ``exact_max``, ``exact_min`` and ``exact_order`` enclose each value
 once at 64 bits, with each square root taken once per call, and subtract
-two values exactly only when their enclosures overlap.
+two values exactly only when their enclosures overlap.  ``floor_exact``
+doubles the precision of those bounds until both have the same floor, so
+no decision goes through a float.
 
 ``residues`` maps values into the integers modulo a fixed 66-bit prime in
 which every prime up to 47 has a square root, a ring map that linear
@@ -51,6 +53,7 @@ from functools import cmp_to_key
 from typing import Iterable, Sequence, Union
 
 _SIGN_START_BITS = 64
+_FLOOR_START_BITS = 16  # isqrt(r << 32) of a radicand below 2**32 fits a machine word
 _ORDER_BITS = 64
 _SIGN_MAX_BITS = 1 << 22
 _MAX_CONJUGATE_PRIMES = 12
@@ -61,11 +64,11 @@ Rational = Fraction
 Coercible = Union["ExactScalar", int, Fraction]
 
 
-# A parsed radicand may have no prime factor above this bound, so parsing it
-# trial-divides by at most 2**15 numbers, and so does factoring a product of
-# parsed radicands later.  The radicands the program emits on graphs of up
-# to 65,536 vertices stay inside it: degree factors such as 1/sqrt(1 + d)
-# have primes up to the largest degree plus 1.
+# A parsed radicand or degree factor may have no prime factor above this
+# bound, so splitting it trial-divides by at most 2**15 numbers, and so does
+# factoring a product of such radicands later.  The radicands the program
+# emits on graphs of up to 65,536 vertices stay inside it: degree factors
+# such as 1/sqrt(1 + d) have primes up to the largest degree plus 1.
 MAX_RADICAND_PRIME = 1 << 16
 
 
@@ -401,33 +404,29 @@ class ExactScalar:
             bits <<= 1
         raise ArithmeticError(f"sign of {self} undecided at {_SIGN_MAX_BITS} bits")
 
-    def __lt__(self, other):
+    def _compare(self, other):
+        """The sign of self - other, or NotImplemented for a foreign type."""
         if type(other) is not ExactScalar:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        return _add(self, other, -1).sign() < 0
+        return _add(self, other, -1).sign()
+
+    def __lt__(self, other):
+        s = self._compare(other)
+        return s if s is NotImplemented else s < 0
 
     def __le__(self, other):
-        if type(other) is not ExactScalar:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        return _add(self, other, -1).sign() <= 0
+        s = self._compare(other)
+        return s if s is NotImplemented else s <= 0
 
     def __gt__(self, other):
-        if type(other) is not ExactScalar:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        return _add(self, other, -1).sign() > 0
+        s = self._compare(other)
+        return s if s is NotImplemented else s > 0
 
     def __ge__(self, other):
-        if type(other) is not ExactScalar:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        return _add(self, other, -1).sign() >= 0
+        s = self._compare(other)
+        return s if s is NotImplemented else s >= 0
 
     # -- conversion / text --------------------------------------------------
 
@@ -761,10 +760,12 @@ def reciprocal(k: int) -> ExactScalar:
 
 def inv_sqrt(num: int, den: int = 1) -> ExactScalar:
     """(num/den)**(-1/2) = sqrt(num*den)/num for positive integers num and
-    den, which need not be coprime: one squarefree split and one gcd."""
+    den, which need not be coprime: one squarefree split and one gcd.  As
+    in ``parse_scalar``, num*den with a prime factor above
+    MAX_RADICAND_PRIME raises ValueError after bounded trial division."""
     if num <= 0 or den <= 0:
         raise ValueError(f"cannot take an inverse square root of {num}/{den}")
-    square, free = _squarefree_split(num * den)
+    square, free = _squarefree_split(num * den, bounded=True)
     g = math.gcd(square, num)
     return _make({free: square // g}, num // g)
 
@@ -849,23 +850,24 @@ def residues(values: Iterable[ExactScalar]) -> list[int] | None:
 
 
 def floor_exact(x: ExactScalar) -> int:
-    """The exact floor of x."""
+    """The exact floor of x, from integers alone.
+
+    x = N/den lies between the numerator bounds of N at b bits
+    (``_numerator_bounds``) over den * 2**b, so once the two bounds have the
+    same floor, that is x's floor; b doubles from 16 until they do.  A
+    rational's bounds are equal, and an irrational x is no integer, so its
+    bounds close in on the floor.
+    """
     num, den = x._num, x._den
-    if not num:
-        return 0
-    if len(num) == 1:
-        ((r, c),) = num.items()
-        if r == 1:
-            return c // den
-        # |c|*sqrt(r) is irrational, so floor(-y) = -floor(y) - 1
-        root = math.isqrt(c * c * r) // den
-        return root if c > 0 else -root - 1
-    guess = math.floor(float(x))
-    while x < guess:
-        guess -= 1
-    while x >= guess + 1:
-        guess += 1
-    return guess
+    bits = _FLOOR_START_BITS
+    while bits <= _SIGN_MAX_BITS:
+        lo, hi = _numerator_bounds(num, bits, {})
+        scale = den << bits
+        floor = lo // scale
+        if floor == hi // scale:
+            return floor
+        bits <<= 1
+    raise ArithmeticError(f"floor of {x} undecided at {_SIGN_MAX_BITS} bits")
 
 
 _TERM_RE = re.compile(r"^(?P<sign>-)?(?:(?P<coeff>\d+(?:/\d+)?)\*?)?(?:sqrt\((?P<radicand>\d+)\))?$")

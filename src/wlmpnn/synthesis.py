@@ -219,7 +219,7 @@ def _separation(c: Sequence[Row], sigma: str) -> tuple[SeparationResult, list[Ex
         base = base + ONE
         attempts -= 1
         if attempts <= 0:  # pragma: no cover - distinct rows guarantee termination
-            raise AssertionError("base escalation failed to separate distinct rows")
+            raise SynthesisError("base escalation failed to separate distinct rows")
     order = tuple(exact_order(mixed, reverse=True))
     descending = [mixed[i] for i in order]
     x_row = tuple(v.invert() for v in descending)
@@ -227,8 +227,8 @@ def _separation(c: Sequence[Row], sigma: str) -> tuple[SeparationResult, list[Ex
     below_one = exact_max(descending[j + 1] * x_row[j] for j in range(m - 1)) if m > 1 else ZERO
     threshold = below_one if sigma == "relu" else (below_one + ONE) * ExactScalar(Fraction(1, 2))
     activated = _activated(mixed, order, x_row, below_one, threshold, sigma)
-    if not rows_linearly_independent(activated):  # pragma: no cover - construction guarantees
-        raise AssertionError("separation produced a singular activated matrix")
+    if not rows_linearly_independent(activated):  # the construction guarantees independence
+        raise SynthesisError("separation produced a singular activated matrix")
     sep = SeparationResult(q=threshold, permutation=order, base=base, z=z, x_row=x_row, below_one=below_one)
     return sep, mixed, activated
 
@@ -517,9 +517,7 @@ def _find_clamp_column(
                 yield unit, [row[j] for row in rows]
                 yield tuple(-x for x in unit), [-row[j] for row in rows]
 
-    classes: dict[int, list[int]] = {}
-    for v, cls in enumerate(wl_part.class_of):
-        classes.setdefault(cls, []).append(v)
+    classes = wl_part.classes()
     for direction, u in candidates():
         if u[a] == u[b]:
             continue
@@ -532,8 +530,8 @@ def _find_clamp_column(
                 distinct.append(u[v])
             position[v] = len(distinct) - 1
         torn = []
-        for members in classes.values():
-            spots = [position[v] for v in members]
+        for members in classes:
+            spots = [position[v - 1] for v in members]
             if min(spots) < max(spots):
                 torn.append((min(spots), max(spots)))
         low, high = sorted((position[a], position[b]))
@@ -579,17 +577,8 @@ def _clamp_repair(
     again; an empty kernel means the rows are independent.
     """
     n, k_cols = len(rows), len(base[0])
-    base_part = Partition.from_keys([tuple(r) for r in base])
-    prefix = [
-        tuple(ONE if j == base_part.class_of[v] else ZERO for j in range(base_part.num_classes))
-        for v in range(n)
-    ]
-    reps = []
-    seen: set[int] = set()
-    for v, cls in enumerate(wl_part.class_of):
-        if cls not in seen:
-            seen.add(cls)
-            reps.append(v)
+    prefix = one_hot_labelling(Partition.from_keys([tuple(r) for r in base])).rows
+    reps = [members[0] - 1 for members in wl_part.classes()]
     suffix: list[tuple[Row, ExactScalar, list[ExactScalar]]] = []
     # the left kernel of the class rows [one-hot | clamp values | 1] at reps
     left_kernel = list(zip(*nullspace_basis(tuple(zip(*(prefix[v] + (ONE,) for v in reps))), len(reps))))
@@ -677,11 +666,7 @@ def _synthesize_rounds(
         uniq_scaled, scaled_class = unique_rows(scaled)
         if rows_linearly_independent(uniq_scaled):
             route = "paper"
-            m = len(uniq_scaled)
-            basis_rows = [
-                tuple(ONE if j == scaled_class[v] else ZERO for j in range(m)) for v in range(g.n)
-            ]
-            pre = propagate(g, basis_rows, p)
+            pre = propagate(g, one_hot_labelling(Partition(tuple(scaled_class))).rows, p)
         else:
             route = "direct"
             pre = propagate(g, scaled, p)
@@ -724,8 +709,8 @@ def _synthesize_rounds(
             columns += [direction for direction, _, _ in clamps]
             bias += tuple(-tau for _, tau, _ in clamps)
             new_rows = [values[v] + tuple(col[2][v] for col in clamps) for v in range(g.n)]
-            new_partition = Partition.from_keys(new_rows)
-            uniq_new, _ = unique_rows(new_rows)
+            uniq_new, new_class = unique_rows(new_rows)
+            new_partition = Partition(tuple(new_class))
             if partition_refines(new_partition, wl_part) and rows_linearly_independent(uniq_new):
                 break
         else:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .graphs import Label, LabelledGraph, Labelling, Partition, partition_of
+from .graphs import Label, LabelledGraph, Partition, partition_of
 from .surd import ExactScalar, conjugates, floor_exact
 
 ENCODING_GUARD = 10**6
@@ -85,11 +85,11 @@ def wl_run(g: LabelledGraph, max_rounds: int | None = None) -> WlTrace:
 
 
 def wl_partitions(g: LabelledGraph, rounds: int) -> list[Partition]:
-    """Exactly `rounds` refinement steps (idempotent past the stable colouring)."""
-    out = [partition_of(g.initial_labelling())]
-    for _ in range(rounds):
-        out.append(wl_step(g, out[-1]))
-    return out
+    """The partitions after 0..rounds refinement steps: those of ``wl_run``
+    up to rounds, then its stable partition repeated, since a stable
+    partition steps to itself, class ids included."""
+    out = list(wl_run(g, rounds).rounds)
+    return out + [out[-1]] * (rounds + 1 - len(out))
 
 
 # -- injection into rationals -------------------------------------------------
@@ -145,12 +145,8 @@ def _simplest_in_open(lo: ExactScalar, hi: ExactScalar) -> Fraction:
     # both strictly inside (floor_lo, floor_lo + 1); recurse on reciprocals
     shifted_lo = lo - candidate + 1  # lo - floor_lo
     shifted_hi = hi - candidate + 1
-    if shifted_lo.is_zero:
-        inv = shifted_hi.invert()
-        k = floor_exact(inv) + 1
-        if inv >= k:
-            k += 1
-        return floor_lo + Fraction(1, k)
+    if shifted_lo.is_zero:  # 1/k < shifted_hi first for the least integer k above 1/shifted_hi
+        return floor_lo + Fraction(1, floor_exact(shifted_hi.invert()) + 1)
     inner = _simplest_in_open(shifted_hi.invert(), shifted_lo.invert())
     return floor_lo + 1 / inner
 
@@ -174,13 +170,9 @@ def scalar_representation(x: ExactScalar) -> tuple[tuple[int, ...], int, int, in
             shifted[i] = shifted[i] - root * coeff
         poly = shifted
     fracs = [c.as_fraction() for c in poly]
-    denom_lcm = 1
-    for f in fracs:
-        denom_lcm = denom_lcm * f.denominator // math.gcd(denom_lcm, f.denominator)
+    denom_lcm = math.lcm(*(f.denominator for f in fracs))
     ints = [int(f * denom_lcm) for f in fracs]
-    content = 0
-    for a in ints:
-        content = math.gcd(content, a)
+    content = math.gcd(*ints)
     ints = [a // content for a in ints]
     if ints[-1] < 0:
         ints = [-a for a in ints]

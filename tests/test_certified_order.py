@@ -6,17 +6,29 @@ library, so the module also runs under ``python -O``.
 """
 import math
 import random
+import timeit
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wlmpnn import synthesis
 from wlmpnn.cases import builtin_graph, make_graph
 from wlmpnn.linalg import as_matrix
-from wlmpnn.surd import ONE, ZERO, ExactScalar, activate, exact_max, exact_min, exact_order, exact_sum
-from wlmpnn.wl import wl_run
+from wlmpnn.surd import (
+    ONE,
+    ZERO,
+    ExactScalar,
+    activate,
+    exact_max,
+    exact_min,
+    exact_order,
+    exact_sum,
+    floor_exact,
+    parse_scalar,
+)
+from wlmpnn.wl import _simplest_in_open, scalar_representation, wl_run
 
 S = ExactScalar
 
@@ -152,6 +164,104 @@ def test_helpers_take_any_iterable():
     assert exact_max(v for v in values) == S(3)
     assert exact_min(iter(values)) == S(2)
     assert exact_order(tuple(values), reverse=True) == [0, 1, 2]
+
+
+# -- floors from integer bounds, and the simplest rational of an interval ----------
+
+
+def _floor_in_bracket(x):
+    # the bracket is decided by exact signs, independently of the bounds' floors
+    k = floor_exact(x)
+    assert S(k) <= x < S(k + 1)
+    return k
+
+
+def _floor_against_sympy(k, y):
+    """floor(k + y) for an integer k against k plus sympy's floor of y:
+    sympy's evalf runs out of precision on 400-digit integer parts."""
+    sympy = pytest.importorskip("sympy")
+    value = sympy.Add(*(sympy.Rational(c.numerator, c.denominator) * sympy.sqrt(r) for r, c in y.terms.items()))
+    assert _floor_in_bracket(S(k) + y) == k + int(sympy.floor(value))
+
+
+signs = st.sampled_from((-1, 1))
+integer_parts = st.one_of(st.just(0), st.integers(-10, 10), st.integers(-(10**400), 10**400))
+# (sqrt(2) - 1)**n < 2**-64 for n >= 51 and (sqrt(3) - sqrt(2))**m < 2**-64 for m >= 39
+near_zero = st.builds(
+    lambda s1, n, s2, m, both: s1 * (S.sqrt(2) - ONE) ** n + (s2 * (S.sqrt(3) - S.sqrt(2)) ** m if both else ZERO),
+    signs, st.integers(51, 60), signs, st.integers(39, 45), st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_parts, st.one_of(surds, near_zero))
+def test_floor_matches_sympy(k, y):
+    _floor_against_sympy(k, y)
+
+
+def test_floor_of_large_and_close_values():
+    tiny = (S.sqrt(2) - ONE) ** 80
+    for k, y in (
+        (10**23, S.sqrt(2)),
+        (10**400, S.sqrt(2)),
+        (-(10**400), -S.sqrt(2)),
+        (0, tiny),
+        (0, -tiny),
+        (7, tiny - (S.sqrt(3) - S.sqrt(2)) ** 60),
+        (0, S(Fraction(-7, 2))),
+        (-4, ZERO),
+    ):
+        _floor_against_sympy(k, y)
+    assert floor_exact(S(10**400) + S.sqrt(2)) == 10**400 + 1
+    # 10**400 * sqrt(2) has 401 integer digits, past sympy's default precision
+    assert _floor_in_bracket(S(10**400) * S.sqrt(2) - S(Fraction(1, 3))) == math.isqrt(2 * 10**800)
+
+
+def test_floor_and_representation_of_a_large_value_are_fast():
+    # 10**23 lies 23 bits past a float's precision, so a floor stepped one
+    # unit at a time from a float guess would take millions of steps
+    x = parse_scalar("100000000000000000000000 + sqrt(2)")
+    for fn in (floor_exact, scalar_representation):
+        assert min(timeit.repeat(lambda: fn(x), number=1, repeat=3)) < 0.01
+    assert floor_exact(x) == 10**23 + 1
+
+
+def _brute_simplest(lo, hi, k):
+    """The smallest-denominator rational in (lo, hi), an interval of [k, k + 1]."""
+    q = 1
+    while True:
+        for p in range(k * q, (k + 1) * q + 1):
+            if lo < S(Fraction(p, q)) < hi:
+                return Fraction(p, q)
+        q += 1
+
+
+unit_points = st.one_of(
+    st.builds(Fraction, st.integers(0, 40), st.integers(40, 41)),
+    st.builds(lambda r, t: (S.sqrt(r) - ONE) * S(t), st.sampled_from((2, 3)), st.fractions(0, 1, max_denominator=20)),
+    st.builds(lambda r, t: (S(2) - S.sqrt(r)) * S(t), st.sampled_from((2, 3)), st.fractions(0, 1, max_denominator=20)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-4, 4), unit_points, unit_points)
+def test_simplest_in_open_matches_brute_force(k, a, b):
+    lo, hi = sorted((S(k) + S(a), S(k) + S(b)))
+    assume(hi - lo > S(Fraction(1, 60)))
+    assert _simplest_in_open(lo, hi) == _brute_simplest(lo, hi, k)
+
+
+def test_simplest_in_open_recurses_inside_one_unit():
+    # no integer between the endpoints: the walk recurses on reciprocals
+    x = S(Fraction(7, 2)) + S.sqrt(2, Fraction(1, 100))
+    below = S(Fraction(7, 2)) - S.sqrt(2, Fraction(1, 100))
+    assert _simplest_in_open(below, x) == Fraction(7, 2)
+    assert _simplest_in_open(S(3), S(Fraction(17, 5))) == Fraction(10, 3)
+    assert _simplest_in_open(-x, -below) == Fraction(-7, 2)
+    # x and its conjugate 7/2 - sqrt(2)/100 are the roots of 5000 T**2 -
+    # 35000 T + 61249 and both lie in (3, 4): 7/2 isolates x from below, 4
+    # from above
+    assert scalar_representation(x) == ((61249, -35000, 5000), 7, 4, 2, 1)
 
 
 # -- the separated block read off the exact order ------------------------------

@@ -1,5 +1,6 @@
 """Command-line front end: subcommands, formats, exit codes."""
 import json
+import time
 
 import pytest
 
@@ -318,15 +319,31 @@ def _named_spec_with(family, rounds, edit):
             _named_spec_with("gnn", 1, lambda layer: layer.update(W2=layer["W2"] + layer["W2"][:1])),
             "layer 1: gnn W2 has 4 rows but incoming labels have width 3",
         ),
+        # blend parameters whose degree factors need a prime above
+        # MAX_RADICAND_PRIME, refused by bounded trial division: 2**101 - 1
+        # has no prime factor below 2**16, and 10000019 is prime
+        (
+            _named_spec_with("dgnn6", 1, lambda layer: layer.update(r=f"1/{2**100}")),
+            f"layer 1: blend_inv_sqrt(1/{2**100}) at degree 2: radicand {(2**101 - 1) * 2**100} "
+            "has a prime factor above MAX_RADICAND_PRIME = 65536",
+        ),
+        (
+            _named_spec_with("dgnn6", 1, lambda layer: layer.update(r="1/10000019")),
+            f"layer 1: blend_inv_sqrt(1/10000019) at degree 1: radicand {10000019**2} "
+            "has a prime factor above MAX_RADICAND_PRIME = 65536",
+        ),
     ],
-    ids=["missing-r", "p-out-of-range", "dgnn6-W-rows", "gnn-W1-rows", "gnn-W2-rows"],
+    ids=["missing-r", "p-out-of-range", "dgnn6-W-rows", "gnn-W1-rows", "gnn-W2-rows", "r-2^-100", "r-1/10000019"],
 )
 def test_run_time_spec_errors_name_their_layer_exit_2(tmp_path, capsys, spec, message):
-    # required fields, ranges and widths are checked when the layer runs;
-    # the error names the layer and the weight as the spec file does
+    # required fields, ranges, widths and degree factors are checked when
+    # the layer runs, at once; the error names the layer and the weight as
+    # the spec file does
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
+    start = time.perf_counter()
     assert run(["mpnn", "run", "--graph", "fig1", "--spec", str(path)]) == 2
+    assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
@@ -350,3 +367,48 @@ def test_graph_file_radicand_above_the_bound_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: line 3: radicand 1000000000039 has a prime factor above MAX_RADICAND_PRIME = 65536\n"
     )
+
+
+_GRAPH_FILE = "n 2\nv 1 1: 1\nv 2 1: 1\ne 1 2\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n 2\n" + _GRAPH_FILE, "line 2: duplicate n line"),
+        (_GRAPH_FILE.replace("n 2", "n two"), "line 1: malformed n line"),
+        (_GRAPH_FILE.replace("v 1 1:", "v 1:"), "line 2: malformed vertex line"),
+        (_GRAPH_FILE.replace("v 1 1:", "v one 1:"), "line 2: malformed vertex line"),
+        (_GRAPH_FILE.replace("v 2 1:", "v 1 1:"), "line 3: duplicate vertex 1"),
+        (_GRAPH_FILE.replace("v 2 1: 1", "v 2 2: 1"), "line 3: vertex 2 declares width 2 but lists 1 scalars"),
+        (_GRAPH_FILE.replace("e 1 2", "e 1"), "line 4: malformed edge line"),
+        (_GRAPH_FILE.replace("e 1 2", "e 1 two"), "line 4: malformed edge line"),
+        (_GRAPH_FILE + "e 2 1\n", "line 5: duplicate edge (1, 2)"),
+        (_GRAPH_FILE + "x 1 2\n", "line 5: unknown directive 'x'"),
+        (_GRAPH_FILE.replace("n 2\n", ""), "missing n line"),
+        ("n 0\n", "graph needs at least one vertex"),
+        (_GRAPH_FILE + "e 1 3\n", "edge (1,3) references a vertex outside 1..2"),
+    ],
+    ids=[
+        "duplicate-n", "malformed-n", "vertex-fields", "vertex-id", "duplicate-vertex", "width-mismatch",
+        "edge-fields", "edge-endpoint", "duplicate-edge", "unknown-directive", "missing-n", "n-0", "edge-past-n",
+    ],
+)
+def test_graph_file_errors_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    assert run(["wl", "run", "--graph", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_singular_separation_reports_synthesis_failure_exit_1(monkeypatch, capsys):
+    # a separation whose activated block is singular is the synthesis's own
+    # failure: SynthesisError, not an assertion that escapes as a traceback
+    monkeypatch.setattr("wlmpnn.synthesis.rows_linearly_independent", lambda rows: False)
+    assert run(["synth", "--graph", "fig1", "--target", "dgnn6", "--sigma", "relu", "--rounds", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("synthesis failed: separation produced a singular activated matrix")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -435,6 +435,11 @@ def _fraction_inv_sqrt(q: Fraction) -> ExactScalar:
 
 BLEND_RS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7), Fraction(1))
 
+# degrees near the desk-scale end, where 1 + d reaches 2**16 and the largest
+# primes below it, 65519 and 65521: the builtin kinds and r = 1/2 keep
+# their values there under the bounded split of their radicands
+LARGE_DEGREES = (65518, 65519, 65520, 65534, 65535)
+
 # (DegreeFn, rational argument q(d), power of q): the value is q(d) ** power
 DEGREE_VALUE_CASES = [
     (DegreeFn.one(), lambda d: Fraction(1), 1),
@@ -454,7 +459,8 @@ DEGREE_VALUE_CASES = [
 )
 def test_degree_values_match_fraction_formula_and_sympy(fn, q, power):
     sympy = pytest.importorskip("sympy")
-    for d in range(1, 301):
+    large = fn.kind != "blend_inv_sqrt" or fn.r == S(Fraction(1, 2))
+    for d in (*range(1, 301), *(LARGE_DEGREES if large else ())):
         got = fn.value(d)
         old = S(q(d)) if power == 1 else _fraction_inv_sqrt(q(d))
         assert got == old and got.to_text() == old.to_text()
