@@ -13,7 +13,8 @@ from functools import cached_property
 from itertools import islice
 from typing import Sequence
 
-from .surd import ONE, ZERO, ExactScalar, canonical_key, parse_scalar
+from .linalg import unique_rows
+from .surd import ONE, ZERO, ExactScalar, parse_scalar
 
 Label = tuple[ExactScalar, ...]
 
@@ -239,22 +240,10 @@ def format_graph(g: LabelledGraph) -> str:
 
 
 def partition_of(labelling: Labelling) -> Partition:
-    """The partition by equal label rows, class ids by first occurrence.
-
-    Each row is keyed by the ``canonical_key`` of its entries, so equal
-    values of any type share a class and no scalar hash is computed: every
-    row is keyed once, and a first ``ExactScalar`` hash costs more than the
-    key.  A row object that several vertices share, as the vertices of one
-    refinement key do after a builtin round, is keyed once.
-    """
-    by_id: dict[int, tuple] = {}  # id of a row object -> its key
-    keys = []
-    for row in labelling.rows:
-        key = by_id.get(id(row))
-        if key is None:
-            key = by_id[id(row)] = tuple(map(canonical_key, row))
-        keys.append(key)
-    return Partition.from_keys(keys)
+    """The partition by equal label rows, class ids by first occurrence:
+    the row index of ``linalg.unique_rows``, which keys each row object
+    once by the canonical integers of its entries and hashes no scalar."""
+    return Partition(tuple(unique_rows(labelling.rows)[1]))
 
 
 def partition_refines(fine: Partition, coarse: Partition) -> bool:

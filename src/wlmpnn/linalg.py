@@ -3,11 +3,11 @@
 Matrices are tuples of row tuples of ExactScalar.  One elimination routine,
 ``_eliminate``, serves every exact solver, with exact zero tests, so ranks,
 solutions, kernels and determinants are certificates rather than numerical
-estimates.  ``rank``, ``determinant`` and ``solve`` stop at a row echelon
-form (clear below each pivot only, inverting a pivot only when a row below
-needs clearing); ``nullspace_basis`` needs the reduced form (pivots scaled
-to 1, columns cleared above and below), from which kernel vectors are read
-off directly.
+estimates.  It stops at a row echelon form (clear below each pivot only,
+inverting a pivot only when a row below needs clearing); ``solve`` and
+``nullspace_basis`` read their vectors off that form by one back
+substitution, ``_back_substitute``, with the free variables set to zero (a
+kernel vector then sets its own free variable to 1).
 
 Exact elimination is spent only where a certificate needs its result.
 ``rows_linearly_independent`` first ranks the image of the rows in the
@@ -15,18 +15,20 @@ integers modulo a fixed prime (``surd.residues``): a ring map never raises
 rank, so a full-rank image proves independence, and only a deficient image,
 or an entry with no image, falls back to the exact ``rank``.  ``solve``
 returns the one solution a caller applies instead of a whole right inverse,
-by back substitution on the echelon form, and checks it exactly.
+and checks it exactly.
 
 Every entry of ``row_mat`` (so of ``mat_mul``) and every back-substituted
-sum in ``solve`` is one ``surd.exact_dot``, reduced to lowest terms once,
-not once per product and partial sum.
+sum is one ``surd.exact_dot``, reduced to lowest terms once, not once per
+product and partial sum.  ``unique_rows`` is the one grouping of equal
+rows: it keys each row object once by the ``surd.canonical_key`` of its
+entries, so no scalar is hashed.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
 
-from .surd import ONE, RESIDUE_PRIME, ZERO, ExactScalar, exact_dot, residues
+from .surd import ONE, RESIDUE_PRIME, ZERO, ExactScalar, canonical_key, exact_dot, residues
 
 Row = tuple[ExactScalar, ...]
 Matrix = tuple[Row, ...]
@@ -47,10 +49,6 @@ def as_matrix(rows: Sequence[Sequence]) -> Matrix:
 
 def identity(n: int) -> Matrix:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return tuple((ZERO,) * cols for _ in range(rows))
 
 
 def row_add(a: Row, b: Row) -> Row:
@@ -88,23 +86,39 @@ def outer(col: Row, row: Row) -> Matrix:
 
 
 def unique_rows(rows: Sequence[Row]) -> tuple[list[Row], list[int]]:
-    """Distinct rows in first-occurrence order plus the row -> index map."""
-    seen: dict[Row, int] = {}
-    index = [seen.setdefault(row, len(seen)) for row in rows]
-    return list(seen), index
+    """Distinct rows in first-occurrence order plus the row -> index map.
+
+    Each row is keyed by the ``canonical_key`` of its entries, so equal
+    values of any type share an index and no scalar hash is computed: every
+    row is keyed once, and a first ``ExactScalar`` hash costs more than the
+    key.  A row object that several positions share, as the vertices of one
+    refinement key do after a builtin round, is keyed once.
+    """
+    by_id: dict[int, tuple] = {}  # id of a row object -> its key
+    seen: dict[tuple, int] = {}  # key -> index
+    distinct: list[Row] = []
+    index = []
+    for row in rows:
+        key = by_id.get(id(row))
+        if key is None:
+            key = by_id[id(row)] = tuple(map(canonical_key, row))
+        i = seen.setdefault(key, len(distinct))
+        if i == len(distinct):
+            distinct.append(row)
+        index.append(i)
+    return distinct, index
 
 
-def _eliminate(rows: Sequence[Row], ncols: int | None = None, reduced: bool = True):
-    """Eliminate a copy of rows, pivoting in the first ncols columns (all by
-    default) on the first nonzero entry at or below the current rank.
+def _eliminate(rows: Sequence[Row], ncols: int | None = None):
+    """A row echelon form of a copy of rows, pivoting in the first ncols
+    columns (all by default) on the first nonzero entry at or below the
+    current rank.
 
-    reduced=True scales each pivot row to 1 and clears its column above and
-    below, giving the reduced row echelon form.  reduced=False only clears
-    below, with the pivot rows left unscaled, giving a row echelon form; a
-    pivot is inverted only when some row below needs clearing, so a
-    triangular matrix is reduced without a single inversion.
-    Stops once every row has a pivot.  Returns (rows, pivot columns, number
-    of row swaps).
+    Only entries below a pivot are cleared, and the pivot rows are left
+    unscaled; a pivot is inverted only when some row below needs clearing,
+    so a triangular matrix is reduced without a single inversion.  Stops
+    once every row has a pivot.  Returns (rows, pivot columns, number of
+    row swaps).
     """
     work = [list(r) for r in rows]
     n_rows = len(work)
@@ -124,20 +138,30 @@ def _eliminate(rows: Sequence[Row], ncols: int | None = None, reduced: bool = Tr
             swaps += 1
         prow = work[rank_so_far]
         inv = None
-        if reduced:
-            inv = prow[col].invert()
-            prow = work[rank_so_far] = [inv * x for x in prow]
-        for r in range(0 if reduced else rank_so_far + 1, n_rows):
+        for r in range(rank_so_far + 1, n_rows):
             factor = work[r][col]
-            if r == rank_so_far or factor.is_zero:
+            if factor.is_zero:
                 continue
-            if not reduced:
-                if inv is None:
-                    inv = prow[col].invert()
-                factor = factor * inv
+            if inv is None:
+                inv = prow[col].invert()
+            factor = factor * inv
             work[r] = [x - factor * y for x, y in zip(work[r], prow)]
         pivots.append(col)
     return work, pivots, swaps
+
+
+def _back_substitute(work: Sequence[Sequence[ExactScalar]], pivots: Sequence[int], rhs, width: int):
+    """x with work[i][:width] . x = rhs[i][j] in column j for every pivot row
+    i of the echelon form, the non-pivot (free) variables zero.  rhs has a
+    row for every row of work, at least one.  Returns x as width lists of
+    len(rhs[0]) entries, each one exact_dot times the pivot's inverse."""
+    out = [[ZERO] * len(rhs[0]) for _ in range(width)]
+    for i in range(len(pivots) - 1, -1, -1):
+        row, col = work[i], pivots[i]
+        inv = row[col].invert()
+        later = [(row[c], out[c]) for c in pivots[i + 1 :] if not row[c].is_zero]
+        out[col] = [inv * (b - exact_dot((a, y[j]) for a, y in later)) for j, b in enumerate(rhs[i])]
+    return out
 
 
 def _residue_rank(rows: Sequence[Row]) -> int | None:
@@ -170,7 +194,7 @@ def _residue_rank(rows: Sequence[Row]) -> int | None:
 
 
 def rank(rows: Sequence[Row]) -> int:
-    return len(_eliminate(rows, reduced=False)[1])
+    return len(_eliminate(rows)[1])
 
 
 def rows_linearly_independent(rows: Sequence[Row]) -> bool:
@@ -201,20 +225,10 @@ def solve(matrix: Sequence[Row], rhs: Sequence[Row]) -> Matrix:
     if len(rhs) != m:
         raise ValueError(f"right-hand side has {len(rhs)} rows for {m} unique rows")
     width = len(uniq[0])
-    k = len(rhs[0]) if rhs else 0
-    work, pivots, _ = _eliminate([row + b for row, b in zip(uniq, rhs)], ncols=width, reduced=False)
+    work, pivots, _ = _eliminate([row + b for row, b in zip(uniq, rhs)], ncols=width)
     if len(pivots) < m:
         raise DependentRowsError("unique rows are linearly dependent; no solution for every right-hand side")
-    out = [[ZERO] * k for _ in range(width)]
-    for i in range(m - 1, -1, -1):
-        row, col = work[i], pivots[i]
-        inv = row[col].invert()
-        later = [(row[c], out[c]) for c in pivots[i + 1 :] if not row[c].is_zero]
-        out[col] = [
-            inv * (row[width + j] - exact_dot((a, y[j]) for a, y in later))
-            for j in range(k)
-        ]
-    y = tuple(tuple(r) for r in out)
+    y = tuple(map(tuple, _back_substitute(work, pivots, [row[width:] for row in work], width)))
     if mat_mul(tuple(uniq), y) != rhs:
         raise ArithmeticError("solve verification failed")
     return y
@@ -232,7 +246,7 @@ def determinant(matrix: Sequence[Row]) -> ExactScalar:
     n = len(matrix)
     if any(len(r) != n for r in matrix):
         raise ValueError("determinant requires a square matrix")
-    work, pivots, swaps = _eliminate(matrix, reduced=False)
+    work, pivots, swaps = _eliminate(matrix)
     if len(pivots) < n:
         return ZERO
     det = -ONE if swaps % 2 else ONE
@@ -244,25 +258,22 @@ def determinant(matrix: Sequence[Row]) -> ExactScalar:
 def nullspace_basis(rows: Sequence[Row], width: int) -> Matrix:
     """Columns spanning {x : row @ x = 0 for every row}; shape width x k.
 
-    Each column sets one free variable of the reduced form to 1 and the
-    others to 0; k is 0 when the rows span the full space, which a full-rank
-    image modulo RESIDUE_PRIME proves without exact elimination.  Empty row
-    input yields the identity.
+    Each column sets one free variable to 1 and the others to 0, and the
+    pivot variables follow by back substitution on the echelon form; k is 0
+    when the rows span the full space, which a full-rank image modulo
+    RESIDUE_PRIME proves without exact elimination.  Empty row input yields
+    the identity.
     """
     if not rows:
         return identity(width)
     if len(rows) >= width and _residue_rank(rows) == width:
         return tuple(() for _ in range(width))
     work, pivots, _ = _eliminate(rows, ncols=width)
-    pivot_set = set(pivots)
-    basis_cols = []
-    for free in (c for c in range(width) if c not in pivot_set):
-        vec = [ZERO] * width
-        vec[free] = ONE
-        for row, piv in zip(work, pivots):
-            vec[piv] = -row[free]
-        basis_cols.append(vec)
-    return tuple(tuple(col[i] for col in basis_cols) for i in range(width))
+    free = [c for c in range(width) if c not in pivots]
+    out = _back_substitute(work, pivots, [[-row[f] for f in free] for row in work], width)
+    for j, f in enumerate(free):
+        out[f][j] = ONE
+    return tuple(map(tuple, out))
 
 
 def matrix_to_text(matrix: Matrix) -> list[list[str]]:

@@ -16,15 +16,16 @@ parameters it requires and may take and the p, g and h it fixes: gnn is the
 case g = h = 1, p = 0, and gnn-minus g = h = 1, W1 = 0, B = -q.  The spec
 reader and writer name the fields from the same table.  run_mpnn evaluates a
 builtin round in that form once per refinement key: a vertex's row depends
-only on its class in the current partition, its degree and the multiset of
-its neighbours' (class, degree), the degrees dropping out when g and h are
-both 1.  The products x W2 and x W1 are computed once per class id (rows of
-one class are equal), h L W2 once per (class, degree), g and h once per
-distinct degree, then one plain neighbour sum per key, each pre-activation
-entry one exact sum.  Nothing in a builtin round hashes a scalar: the keys
-are class ids and degrees, and partitions key label rows by the canonical
-integers of their entries.  Custom layers run edge by edge: each vertex
-sums its messages over its neighbourhood and applies the update; int and
+only on its WL signature over (class, degree), its own with the multiset of
+its neighbours', the degrees dropping out when g and h are both 1, so the
+keys are the classes of one ``wl.wl_step``.  The products x W2 and x W1 are
+computed once per class id (rows of one class are equal), h L W2 once per
+(class, degree), g and h once per distinct degree, then one plain neighbour
+sum per key, each pre-activation entry one exact sum.  Nothing in a builtin
+round hashes a scalar: the keys are class ids and degrees, and partitions
+key label rows by the canonical integers of their entries
+(``linalg.unique_rows``).  Custom layers run edge by edge: each vertex sums
+its messages over its neighbourhood and applies the update; int and
 Fraction entries of messages and updates become ExactScalar, as graph
 labels do, and entries of any other type are refused.
 
@@ -37,15 +38,14 @@ and a finishing step that adds B, sums each entry once and activates.
 Degree-aware messages carry the self term scaled by 1/d_v, once per
 (label, degree), so the d_v messages add it back exactly once.  A lifted
 builtin layer keeps its per-edge view, but run_mpnn evaluates it in the
-closed form, reading the degrees from the label's last component as the
-per-edge message does, whenever that component holds the vertex degrees
-(the classes of the full labels refine those of the inner rows, so the
-products per class id serve there too); the anonymized layers run edge by
-edge.
+closed form, with the same checks and error prefix as the layer itself,
+reading the degrees from the label's last component as the per-edge
+message does, whenever that component holds the vertex degrees (the
+classes of the full labels refine those of the inner rows, so the products
+per class id serve there too); the anonymized layers run edge by edge.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -53,6 +53,7 @@ from typing import Callable, NamedTuple, Sequence
 from .graphs import Label, LabelledGraph, Labelling, Partition, partition_of
 from .linalg import Matrix, Row, matrix_from_text, matrix_to_text, row_add, row_mat, row_scale
 from .surd import ONE, ZERO, ExactScalar, activate, exact_sum, inv_sqrt, parse_scalar, reciprocal
+from .wl import wl_step
 
 MsgFn = Callable[[Label, Label, int, int], Label]
 UpdFn = Callable[[Label, Label], Label]
@@ -472,61 +473,35 @@ def _tabulate(fn: DegreeFn, degrees: Sequence[int]) -> dict[int, ExactScalar] | 
     return None if all(v == ONE for v in table.values()) else table
 
 
-def _round_keys(g: LabelledGraph, own: Sequence[int]) -> tuple[Sequence[int], list[int] | None]:
-    """The vertices that stand for the round's keys, and each vertex's key.
-
-    A vertex's key is its own value with the sorted own values of its
-    neighbours.  A vertex whose own value no other vertex has is a key by
-    itself, so only the others build the neighbour part.  Returns the
-    representative of each key, in vertex order, and the key index of each
-    vertex, or None when no two vertices share a key.
-    """
-    counts = Counter(own)
-    if len(counts) == len(own):
-        return range(1, g.n + 1), None
-    first: dict = {}
-    reps: list[int] = []
-    slot: list[int] = []
-    for v, o in enumerate(own, start=1):
-        i = len(reps)
-        if counts[o] > 1:
-            i = first.setdefault((o, tuple(sorted([own[u - 1] for u in g.neighbors(v)]))), i)
-        if i == len(reps):
-            reps.append(v)
-        slot.append(i)
-    return (reps, slot) if len(reps) < g.n else (reps, None)
-
-
 def _closed_form_round(
-    g: LabelledGraph, rows: Sequence[Label], form, degrees: Sequence[int], class_of: Sequence[int]
+    g: LabelledGraph, rows: Sequence[Label], form, degrees: Sequence[int], partition: Partition
 ) -> list[Label]:
     """One builtin round: pre_v = g(d_v) (p hy_v + sum of hy_u over neighbours)
     + x_v W1 + B with hy_u = h(d_u) x_u W2, then the activation.
 
-    Rows equal under class_of are equal, so pre_v is a function of v's
-    (class, degree) and the multiset of its neighbours' (class, degree),
-    with the degrees left out when g and h are 1 on every degree present:
-    it is evaluated once per such key.  x W2 and x W1 are computed once per
+    Rows in one class of partition are equal, so pre_v is a function of v's
+    WL signature over its (class, degree), with the degrees left out when g
+    and h are 1 on every degree present: the keys are the classes of
+    ``wl_step`` from the partition of those values, and pre_v is evaluated
+    once per key, at its first vertex.  x W2 and x W1 are computed once per
     class id, so no label is hashed, and hy once per (class, degree).  Each
     entry of pre_v is one exact_sum: of every term when g is 1, else of the
     g-scaled sum, x_v W1 and B.
     """
     w1, w2, bias, p, g_fn, h_fn, sigma = form
+    class_of = partition.class_of
     g_of, h_of = _tabulate(g_fn, degrees), _tabulate(h_fn, degrees)
-    if g_of is None and h_of is None:
-        own = class_of
-    else:
-        span = max(degrees) + 1
-        own = [c * span + d for c, d in zip(class_of, degrees)]
-    reps, slot = _round_keys(g, own)
+    own = partition if g_of is None and h_of is None else Partition.from_keys(list(zip(class_of, degrees)))
+    keys = wl_step(g, own)
+    reps = [members[0] for members in keys.classes()]
     class_row = dict(zip(class_of, rows))  # class id -> the row its vertices share
     xw2 = {c: row_mat(x, w2) for c, x in class_row.items()}
     if h_of is None:
         hy = [xw2[c] for c in class_of]
     else:
-        pairs = dict(zip(own, zip(class_of, degrees)))  # own value -> its (class, degree)
+        pairs = dict(zip(own.class_of, zip(class_of, degrees)))  # (class, degree) id -> the pair
         at_own = {o: row_scale(xw2[c], h_of[d]) for o, (c, d) in pairs.items()}
-        hy = [at_own[o] for o in own]
+        hy = [at_own[o] for o in own.class_of]
     plus = []  # the rows x_v W1 and B
     if w1 is not None:
         xw1 = xw2 if w1 is w2 else {c: row_mat(x, w1) for c, x in class_row.items()}
@@ -543,7 +518,7 @@ def _closed_form_round(
                 for r, v in zip(pre, reps)
             ]
     out = [tuple(activate(x, sigma) for x in r) for r in pre]
-    return out if slot is None else [out[i] for i in slot]
+    return out if len(reps) == g.n else [out[i] for i in keys.class_of]
 
 
 def _exact_row(row, what: str, round_index: int) -> Label:
@@ -610,23 +585,20 @@ def run_mpnn(g: LabelledGraph, spec: MpnnSpec) -> RunTrace:
     degrees = g.degrees()
     f_values = degrees if spec.f_mode == "degree" else (0,) * g.n
     for round_index, layer in enumerate(spec.layers, start=1):
-        class_of = partitions[-1].class_of
-        if isinstance(layer, BuiltinLayer):
+        # a lifted layer's label ends in what its per-edge message reads as
+        # the degree; with any other column it takes the per-edge path
+        lifted = isinstance(layer, _LiftedBuiltin) and tuple(x[-1].as_int() for x in labelling.rows) == degrees
+        if isinstance(layer, BuiltinLayer) or lifted:
+            builtin = layer.builtin if lifted else layer
+            rows = [x[:-1] for x in labelling.rows] if lifted else labelling.rows
             try:
-                form = _resolve_layer(layer.family, layer.params)
-                _check_builtin_dims(layer, labelling.dim)
-                new_rows = _closed_form_round(g, labelling.rows, form, degrees, class_of)
+                form = _resolve_layer(builtin.family, builtin.params)
+                _check_builtin_dims(builtin, len(rows[0]))
+                new_rows = _closed_form_round(g, rows, form, degrees, partitions[-1])
             except (SpecValidationError, DimensionError) as exc:  # name the layer, as spec_from_json does
                 raise type(exc)(f"layer {round_index}: {exc}") from exc
-        elif isinstance(layer, _LiftedBuiltin) and tuple(x[-1].as_int() for x in labelling.rows) == degrees:
-            # the label's last component is what the per-edge message reads
-            # as the degree; any other column takes the per-edge path
-            form = _resolve_layer(layer.builtin.family, layer.builtin.params)
-            inner = [x[:-1] for x in labelling.rows]
-            new_rows = [
-                (*row, x[-1])
-                for row, x in zip(_closed_form_round(g, inner, form, degrees, class_of), labelling.rows)
-            ]
+            if lifted:
+                new_rows = [(*row, x[-1]) for row, x in zip(new_rows, labelling.rows)]
         else:
             new_rows = _per_edge_round(g, labelling, layer, f_values, round_index)
         labelling = Labelling(tuple(new_rows))

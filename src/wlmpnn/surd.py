@@ -60,7 +60,6 @@ _MAX_CONJUGATE_PRIMES = 12
 _HASH_MODULUS = sys.hash_info.modulus
 _UNIT = {1: 1}  # the numerators of 1, over the denominator 1
 
-Rational = Fraction
 Coercible = Union["ExactScalar", int, Fraction]
 
 

@@ -88,7 +88,6 @@ from .graphs import (
     Partition,
     format_graph,
     one_hot_labelling,
-    partition_of,
     partition_refines,
     partition_refines_violation,
 )
@@ -98,7 +97,6 @@ from .linalg import (
     as_matrix,
     matrix_to_text,
     nullspace_basis,
-    outer,
     row_mat,
     row_scale,
     rows_linearly_independent,
@@ -135,20 +133,13 @@ class SeparationResult:
     x_row: Row
     below_one: ExactScalar
 
-    @property
-    def x_matrix(self) -> Matrix:
-        """The separation matrix X, derived from its factors as outer(z, x_row)."""
-        return outer(self.z, self.x_row)
-
 
 def _check_separation_preconditions(c: Sequence[Row]) -> None:
     if not c:
         raise ValueError("separation needs at least one row")
-    seen = set()
+    if len(unique_rows(c)[0]) < len(c):
+        raise ValueError("separation rows must be pairwise distinct")
     for row in c:
-        if row in seen:
-            raise ValueError("separation rows must be pairwise distinct")
-        seen.add(row)
         if all(v.is_zero for v in row):
             raise ValueError("separation rows must not be entirely zero")
         for v in row:
@@ -404,10 +395,10 @@ class SynthesisCertificate:
 
 def _prepared_initial(g: LabelledGraph) -> tuple[Labelling, bool]:
     labelling = g.initial_labelling()
-    uniq, _ = unique_rows(labelling.rows)
+    uniq, index = unique_rows(labelling.rows)
     if rows_linearly_independent(uniq):
         return labelling, False
-    return one_hot_labelling(partition_of(labelling)), True
+    return one_hot_labelling(Partition(tuple(index))), True
 
 
 def _uniform_q(n: int) -> ExactScalar:
@@ -561,10 +552,11 @@ def _clamp_repair(
     wl_part: Partition,
     sigma: str,
 ):
-    """Kernel columns plus clamp columns realizing the reference partition.
+    """Clamp columns that, after the kernel columns, realize the reference
+    partition.
 
-    base holds rows times kernel.  Returns (base, [(direction, tau, output
-    values)]) or None when some torn pair admits no legal threshold (nested
+    base holds rows times kernel.  Returns [(direction, tau, output
+    values)], or None when some torn pair admits no legal threshold (nested
     class values) or no set of thresholds makes the class rows independent.
 
     Independence is decided on a proxy: the separated kernel block assigns
@@ -577,7 +569,7 @@ def _clamp_repair(
     again; an empty kernel means the rows are independent.
     """
     n, k_cols = len(rows), len(base[0])
-    prefix = one_hot_labelling(Partition.from_keys([tuple(r) for r in base])).rows
+    prefix = one_hot_labelling(Partition(tuple(unique_rows(base)[1]))).rows
     reps = [members[0] - 1 for members in wl_part.classes()]
     suffix: list[tuple[Row, ExactScalar, list[ExactScalar]]] = []
     # the left kernel of the class rows [one-hot | clamp values | 1] at reps
@@ -603,7 +595,7 @@ def _clamp_repair(
 
     for _ in range(wl_part.num_classes + 6):
         proxy = [prefix[v] + tuple(col[2][v] for col in suffix) + (ONE,) for v in range(n)]
-        violation = partition_refines_violation(Partition.from_keys(proxy), wl_part)
+        violation = partition_refines_violation(Partition(tuple(unique_rows(proxy)[1])), wl_part)
         if violation is not None:
             a, b = violation
             column = _find_clamp_column(rows, wl_part, a - 1, b - 1, kernel, k_cols, sigma)
@@ -612,7 +604,7 @@ def _clamp_repair(
             append(column, kernel_dots(column))
             continue
         if not left_kernel:
-            return base, suffix
+            return suffix
         improved = False
         for i, a in enumerate(reps):
             for b in reps[i + 1 :]:
@@ -674,29 +666,23 @@ def _synthesize_rounds(
         width = len(target[0])
         wl_part = reference[t]
         diffs: list[Row] = []
-        first_of_class: dict[int, int] = {}
-        for v in range(g.n):
-            cls = wl_part.class_of[v]
-            if cls not in first_of_class:
-                first_of_class[cls] = v
-            else:
-                rep = first_of_class[cls]
-                if target[rep] != target[v]:
-                    diffs.append(tuple(a - b for a, b in zip(target[rep], target[v])))
+        for rep, *others in wl_part.classes():
+            for v in others:
+                if target[rep - 1] != target[v - 1]:
+                    diffs.append(tuple(a - b for a, b in zip(target[rep - 1], target[v - 1])))
         # each variant is (repair, kernel or None, base rows, clamp columns)
         variants: list[tuple[str, Matrix | None, list[Row], list]] = []
         if diffs:
             kernel = nullspace_basis(diffs, width)
             k_cols = len(kernel[0])
             projected_rows = [row_mat(row, kernel) for row in target]
-            if k_cols and partition_refines(Partition.from_keys(projected_rows), wl_part):
+            if k_cols and partition_refines(Partition(tuple(unique_rows(projected_rows)[1])), wl_part):
                 variants.append(("projection", kernel, projected_rows, []))
             else:
-                repaired = _clamp_repair(target, kernel, projected_rows, wl_part, sigma)
-                if repaired is not None:
-                    base, clamps = repaired
+                clamps = _clamp_repair(target, kernel, projected_rows, wl_part, sigma)
+                if clamps is not None:
                     pad = ((ZERO,) * width, -ONE, [ONE] * g.n)
-                    variants.append(("clamp", kernel, base, clamps + [pad]))
+                    variants.append(("clamp", kernel, projected_rows, clamps + [pad]))
         variants.append(("none", None, target, []))
         for repair, kernel, base, clamps in variants:
             # the weight columns in row space: z or K z, then the clamp directions

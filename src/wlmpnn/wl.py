@@ -2,7 +2,9 @@
 
 The refinement itself uses deterministic dictionary encoding: the pair
 (own class, sorted neighbour classes) is mapped to dense integer ids by
-first occurrence, so traces are reproducible and diffable.
+first occurrence, so traces are reproducible and diffable.  ``wl_step`` is
+the one such step: the engine takes its per-round evaluation keys from it
+too.
 
 The second half realizes the same computation arithmetically: labels are
 injected into rationals whose base-(n+1) digits recover neighbour multisets
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -57,14 +60,18 @@ class WlTrace:
 
 
 def wl_step(g: LabelledGraph, current: Partition) -> Partition:
-    """One refinement round: split by (own class, sorted neighbour classes)."""
+    """One refinement round: split by (own class, sorted neighbour classes).
+
+    A vertex alone in its class stays alone, so it is keyed by its class
+    and its neighbour classes are not sorted.
+    """
     if current.n != g.n:
         raise ValueError(f"partition covers {current.n} vertices, graph has {g.n}")
+    class_of = current.class_of
+    sizes = Counter(class_of)
     signatures = []
-    for v in range(1, g.n + 1):
-        own = current.class_of[v - 1]
-        neighbour_classes = tuple(sorted(current.class_of[u - 1] for u in g.neighbors(v)))
-        signatures.append((own, neighbour_classes))
+    for v, c in enumerate(class_of, start=1):
+        signatures.append(c if sizes[c] == 1 else (c, tuple(sorted([class_of[u - 1] for u in g.neighbors(v)]))))
     return Partition.from_keys(signatures)
 
 

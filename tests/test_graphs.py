@@ -318,6 +318,11 @@ def test_partition_of_matches_the_hash_reference(values, data):
     width = data.draw(st.integers(1, 3))
     rows = data.draw(st.lists(st.tuples(*[st.sampled_from(pool)] * width), min_size=1, max_size=25))
     rows += rows[::2]  # row objects that several vertices share
-    assert partition_of(Labelling(tuple(rows))) == _hash_partition(rows)
+    reference = _hash_partition(rows)
+    assert partition_of(Labelling(tuple(rows))) == reference
+    uniq, index = unique_rows(rows)
+    assert index == list(reference.class_of)
+    # each distinct row is the object at its first occurrence
+    assert all(row is rows[index.index(i)] for i, row in enumerate(uniq))
     a, b = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
     assert (canonical_key(a) == canonical_key(b)) == (a == b)

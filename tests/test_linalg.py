@@ -1,4 +1,4 @@
-"""Exact linear algebra against sympy: rank, determinant, reduced form,
+"""Exact linear algebra against sympy: rank, determinant, echelon form,
 kernel, right inverse and solve, on seeded rational matrices and small surd
 ones; and the modular independence test against inputs whose image loses
 rank or does not exist."""
@@ -20,7 +20,6 @@ from wlmpnn.linalg import (
     rows_linearly_independent,
     solve,
     unique_rows,
-    zeros,
 )
 from wlmpnn.surd import ONE, RESIDUE_PRIME, RESIDUE_ROOTS, ZERO, ExactScalar, residues
 from wlmpnn.synthesis import _separation
@@ -78,10 +77,14 @@ def test_rational_matrices_match_sympy(seed, n_rows, n_cols, inner):
     sm = _sym_matrix(rows, n_cols)
     assert rank(rows) == sm.rank()
     assert rows_linearly_independent(rows) == (sm.rank() == n_rows)
-    reduced, pivots, _ = linalg._eliminate(rows)
+    echelon, pivots, _ = linalg._eliminate(rows)
     expected, expected_pivots = sm.rref()
     assert tuple(pivots) == tuple(expected_pivots)
-    assert _sym_matrix(reduced, n_cols) == expected
+    # a row echelon form (zero left of each pivot, rows past the rank zero)
+    # of the same row space, so it reduces to sympy's reduced form
+    assert all(echelon[i][c].is_zero for i, pivot in enumerate(pivots) for c in range(pivot))
+    assert all(x.is_zero for row in echelon[len(pivots) :] for x in row)
+    assert _sym_matrix(echelon, n_cols).rref()[0] == expected
     kernel = nullspace_basis(rows, n_cols)
     expected_kernel = sm.nullspace()
     assert len(kernel) == n_cols
@@ -97,7 +100,7 @@ def test_rational_matrices_match_sympy(seed, n_rows, n_cols, inner):
 
 def test_echelon_form_clears_below_pivots_only():
     rows = M([[2, 4, 1], [1, 3, 2], [3, 1, 1]])
-    echelon, pivots, swaps = linalg._eliminate(rows, reduced=False)
+    echelon, pivots, swaps = linalg._eliminate(rows)
     assert pivots == [0, 1, 2] and swaps == 0
     assert echelon[0] == list(rows[0])  # pivot row left unscaled
     assert all(echelon[r][c].is_zero for c in range(3) for r in range(c + 1, 3))
@@ -116,9 +119,9 @@ def test_leading_zero_column():
 
 def test_forced_row_swap_flips_determinant_sign():
     assert determinant(M([[0, 1], [1, 0]])) == S(-1)
-    assert linalg._eliminate(M([[0, 1], [1, 0]]), reduced=False)[2] == 1
+    assert linalg._eliminate(M([[0, 1], [1, 0]]))[2] == 1
     rows = M([[0, 2, 1], [0, 1, 1], [3, 0, 1]])
-    assert linalg._eliminate(rows, reduced=False)[2] == 1
+    assert linalg._eliminate(rows)[2] == 1
     assert _sym(determinant(rows)) == _sym_matrix(rows, 3).det() == 3
     assert mat_mul(rows, right_inverse(rows)) == identity(3)
 
@@ -135,8 +138,8 @@ def test_empty_and_degenerate_inputs():
     assert rank(()) == 0
     assert rows_linearly_independent(())
     assert determinant(()) == ONE
-    assert rank(zeros(2, 3)) == 0
-    assert nullspace_basis(zeros(2, 3), 3) == identity(3)
+    assert rank(((ZERO,) * 3,) * 2) == 0
+    assert nullspace_basis(((ZERO,) * 3,) * 2, 3) == identity(3)
     full = nullspace_basis(identity(3), 3)
     assert full == ((), (), ())  # width rows, no columns
     with pytest.raises(ValueError, match="square"):
@@ -172,7 +175,7 @@ def test_surd_kernel_and_right_inverse(seed):
     kernel = nullspace_basis(rows, 4)
     k = len(kernel[0])
     assert rank(rows) + k == 4
-    assert mat_mul(rows, kernel) == zeros(3, k)
+    assert mat_mul(rows, kernel) == ((ZERO,) * k,) * 3
     assert rank(tuple(zip(*kernel))) == k  # the columns are independent
     wide = _surd_matrix(rng, 2, 4)
     uniq, _ = unique_rows(wide)
@@ -377,7 +380,7 @@ def test_row_mat_degenerate_shapes_and_width_mismatch():
     row = (S(2), ZERO, S.sqrt(3))
     assert linalg.row_mat(row, ((), (), ())) == ()
     assert linalg.row_mat((), ()) == ()
-    assert linalg.row_mat(row, zeros(3, 2)) == (ZERO, ZERO)
+    assert linalg.row_mat(row, ((ZERO,) * 2,) * 3) == (ZERO, ZERO)
     assert linalg.row_mat((ZERO, ZERO, ZERO), M([[1, 2], [3, 4], [5, 6]])) == (ZERO, ZERO)
     # one live pair per column is a plain product
     assert linalg.row_mat(row, identity(3)) == row

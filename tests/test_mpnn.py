@@ -9,7 +9,7 @@ import pytest
 
 from wlmpnn.cases import builtin_graph, named_spec, sample_degree_spec, sample_graph
 from wlmpnn.graphs import make_graph, partition_of
-from wlmpnn.linalg import identity, zeros
+from wlmpnn.linalg import identity
 from wlmpnn.mpnn import (
     DEGREE_FAMILIES,
     FAMILIES,
@@ -70,7 +70,7 @@ def test_dgnn6_with_r_one_has_identity_diagonals():
 
 def test_identity_layer_keeps_nonnegative_labels():
     g = builtin_graph("fig1")
-    layer = BuiltinLayer("gnn", LayerParams(w1=identity(3), w2=zeros(3, 3), sigma="relu"))
+    layer = BuiltinLayer("gnn", LayerParams(w1=identity(3), w2=((ZERO,) * 3,) * 3, sigma="relu"))
     trace = run_mpnn(g, MpnnSpec(f_mode="zero", layers=(layer, layer)))
     for t in range(3):
         assert trace.labellings[t].rows == g.initial_labelling().rows
@@ -554,6 +554,23 @@ def test_lifted_layers_off_the_degree_column_follow_their_closures():
                 with pytest.raises(error) as raised:
                     run_mpnn(labelled, network)
                 assert type(raised.value) is error
+
+
+def test_lifted_builtin_rounds_are_guarded_as_builtin_rounds():
+    # a lifted builtin layer runs through the same guarded closed form as
+    # the layer itself: its value and width errors name the layer
+    g = builtin_graph("fig1")
+    tiny_r = BuiltinLayer("dgnn6", LayerParams(w2=identity(3), r=S(Fraction(1, 2**100)), p=S(Fraction(1, 2))))
+    narrow = BuiltinLayer("dgnn1", LayerParams(w2=identity(2)))
+    for layer, error, message in (
+        (tiny_r, SpecValidationError, f"blend_inv_sqrt(1/{2**100}) at degree 2: "),
+        (narrow, DimensionError, "dgnn1 W has 2 rows but incoming labels have width 3"),
+    ):
+        spec = MpnnSpec("degree", (layer,))
+        with pytest.raises(error, match=re.escape(f"layer 1: {message}")):
+            run_mpnn(g, spec)
+        with pytest.raises(error, match=re.escape(f"layer 2: {message}")):
+            run_mpnn(g, lift_plus_one(spec))
 
 
 # -- builtin rounds once per key, on graphs where keys repeat -------------------------------

@@ -106,13 +106,13 @@ def test_relu_separation_worked_example():
     assert sep.base == S(3)
     assert sep.q == S(Fraction(2, 3))
     assert sep.x_row == (S(Fraction(1, 3)), S(Fraction(1, 2)))
-    assert sep.x_matrix == M([["1/3", "1/2"], [1, "3/2"]]) == as_matrix(
+    assert outer(sep.z, sep.x_row) == M([["1/3", "1/2"], [1, "3/2"]]) == as_matrix(
         [[parse_scalar("1/3"), parse_scalar("1/2")], [parse_scalar("1"), parse_scalar("3/2")]]
     )
     c = M([[2, 0], [0, 1]])
     activated = tuple(
         tuple(max(ZERO, v - sep.q, key=lambda s: s.sign()) for v in row)
-        for row in mat_mul(c, sep.x_matrix)
+        for row in mat_mul(c, outer(sep.z, sep.x_row))
     )
     assert activated == M([[0, "1/3"], ["1/3", "5/6"]])
     assert determinant(activated) == S(Fraction(-1, 9))
@@ -121,7 +121,7 @@ def test_relu_separation_worked_example():
 def test_relu_separation_single_row():
     sep = relu_separation(M([[5]]))
     assert sep.q == ZERO
-    assert mat_mul(M([[5]]), sep.x_matrix) == M([[1]])
+    assert mat_mul(M([[5]]), outer(sep.z, sep.x_row)) == M([[1]])
 
 
 def test_base_escalation_on_integer_rows_starts_past_collision():
@@ -150,7 +150,7 @@ def test_sign_separation_midpoint_threshold():
     sep = sign_separation(M([[2, 0], [0, 1]]))
     assert sep.q == S(Fraction(5, 6))  # midpoint of 2/3 and 1
     signed = tuple(
-        tuple(S((v - sep.q).sign()) for v in row) for row in mat_mul(M([[2, 0], [0, 1]]), sep.x_matrix)
+        tuple(S((v - sep.q).sign()) for v in row) for row in mat_mul(M([[2, 0], [0, 1]]), outer(sep.z, sep.x_row))
     )
     assert determinant(signed) == S(-2)
     # rows in descending-mix order show the strict triangular sign pattern
@@ -162,7 +162,7 @@ def test_sign_separation_midpoint_threshold():
 def test_sign_pattern_three_rows():
     sep = sign_separation(M([[1], [2], [4]]))
     signed = tuple(
-        tuple(S((v - sep.q).sign()) for v in row) for row in mat_mul(M([[1], [2], [4]]), sep.x_matrix)
+        tuple(S((v - sep.q).sign()) for v in row) for row in mat_mul(M([[1], [2], [4]]), outer(sep.z, sep.x_row))
     )
     ordered = tuple(signed[i] for i in sep.permutation)
     assert ordered == M([[1, 1, 1], [-1, 1, 1], [-1, -1, 1]])
@@ -228,12 +228,11 @@ def test_factored_weights_match_the_materialized_products():
     kernel = seeded(3, 2)
     v_map = seeded(3, 3) + ((S.sqrt(3), ZERO, ONE),)
     x_matrix = outer(sep.z, sep.x_row)
-    assert sep.x_matrix == x_matrix
     kernel_z = synthesis._mat_vec(kernel, sep.z)
     assert outer(kernel_z, sep.x_row) == mat_mul(kernel, x_matrix)
     assert outer(synthesis._mat_vec(v_map, kernel_z), sep.x_row) == mat_mul(v_map, mat_mul(kernel, x_matrix))
     wide = relu_separation(M([[2, 1, 0], [0, 1, 1], [3, 5, 2]]))
-    assert outer(synthesis._mat_vec(v_map, wide.z), wide.x_row) == mat_mul(v_map, wide.x_matrix)
+    assert outer(synthesis._mat_vec(v_map, wide.z), wide.x_row) == mat_mul(v_map, outer(wide.z, wide.x_row))
     # the paper route solves the column list [K z | clamp directions | 0]
     # once, then spreads its first column over x_row
     uniq = M([[2, 1, 0], [0, 1, 1], [3, 5, 2]])

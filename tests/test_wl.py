@@ -45,6 +45,20 @@ def test_wl_step_fixpoint_on_discrete_partition():
     assert wl_step(g, discrete) == discrete
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_wl_step_matches_the_full_signature_reference(seed):
+    # wl_step keys a vertex alone in its class by that class alone; the
+    # partition must still be the one full signatures give, on partitions
+    # of (class, degree) pairs as the engine steps them, on all-singleton
+    # ones (ids in and out of first-occurrence order) and on one class
+    g = sample_graph(12, Fraction(1, 3), seed, alphabet=2)
+    initial = partition_of(g.initial_labelling())
+    pairs = Partition.from_keys(list(zip(initial.class_of, g.degrees())))
+    singletons = [Partition(tuple(range(g.n))), Partition(tuple(reversed(range(g.n))))]
+    for current in (initial, pairs, *wl_run(g).rounds[1:], *singletons, Partition((0,) * g.n)):
+        assert wl_step(g, current).class_of == brute_force_step(g, current.class_of)
+
+
 def test_wl_run_stabilizes_immediately_on_distinct_labels():
     trace = wl_run(builtin_graph("g2"))
     assert trace.stabilized_at == 1
