@@ -118,11 +118,12 @@ def _eliminate(rows: Sequence[Row], ncols: int | None = None):
     unscaled; a pivot is inverted only when some row below needs clearing,
     so a triangular matrix is reduced without a single inversion.  Stops
     once every row has a pivot.  Returns (rows, pivot columns, number of
-    row swaps).
+    row swaps, the inverse of each pivot or None where none was taken).
     """
     work = [list(r) for r in rows]
     n_rows = len(work)
     pivots: list[int] = []
+    inverses: list[ExactScalar | None] = []
     swaps = 0
     if ncols is None:
         ncols = len(work[0]) if work else 0
@@ -147,18 +148,20 @@ def _eliminate(rows: Sequence[Row], ncols: int | None = None):
             factor = factor * inv
             work[r] = [x - factor * y for x, y in zip(work[r], prow)]
         pivots.append(col)
-    return work, pivots, swaps
+        inverses.append(inv)
+    return work, pivots, swaps, inverses
 
 
-def _back_substitute(work: Sequence[Sequence[ExactScalar]], pivots: Sequence[int], rhs, width: int):
+def _back_substitute(work: Sequence[Sequence[ExactScalar]], pivots: Sequence[int], inverses, rhs, width: int):
     """x with work[i][:width] . x = rhs[i][j] in column j for every pivot row
     i of the echelon form, the non-pivot (free) variables zero.  rhs has a
     row for every row of work, at least one.  Returns x as width lists of
-    len(rhs[0]) entries, each one exact_dot times the pivot's inverse."""
+    len(rhs[0]) entries, each one exact_dot times the pivot's inverse, which
+    is inverted here only where the elimination's inverses hold None."""
     out = [[ZERO] * len(rhs[0]) for _ in range(width)]
     for i in range(len(pivots) - 1, -1, -1):
         row, col = work[i], pivots[i]
-        inv = row[col].invert()
+        inv = row[col].invert() if inverses[i] is None else inverses[i]
         later = [(row[c], out[c]) for c in pivots[i + 1 :] if not row[c].is_zero]
         out[col] = [inv * (b - exact_dot((a, y[j]) for a, y in later)) for j, b in enumerate(rhs[i])]
     return out
@@ -225,10 +228,10 @@ def solve(matrix: Sequence[Row], rhs: Sequence[Row]) -> Matrix:
     if len(rhs) != m:
         raise ValueError(f"right-hand side has {len(rhs)} rows for {m} unique rows")
     width = len(uniq[0])
-    work, pivots, _ = _eliminate([row + b for row, b in zip(uniq, rhs)], ncols=width)
+    work, pivots, _, inverses = _eliminate([row + b for row, b in zip(uniq, rhs)], ncols=width)
     if len(pivots) < m:
         raise DependentRowsError("unique rows are linearly dependent; no solution for every right-hand side")
-    y = tuple(map(tuple, _back_substitute(work, pivots, [row[width:] for row in work], width)))
+    y = tuple(map(tuple, _back_substitute(work, pivots, inverses, [row[width:] for row in work], width)))
     if mat_mul(tuple(uniq), y) != rhs:
         raise ArithmeticError("solve verification failed")
     return y
@@ -246,7 +249,7 @@ def determinant(matrix: Sequence[Row]) -> ExactScalar:
     n = len(matrix)
     if any(len(r) != n for r in matrix):
         raise ValueError("determinant requires a square matrix")
-    work, pivots, swaps = _eliminate(matrix)
+    work, pivots, swaps, _ = _eliminate(matrix)
     if len(pivots) < n:
         return ZERO
     det = -ONE if swaps % 2 else ONE
@@ -268,9 +271,9 @@ def nullspace_basis(rows: Sequence[Row], width: int) -> Matrix:
         return identity(width)
     if len(rows) >= width and _residue_rank(rows) == width:
         return tuple(() for _ in range(width))
-    work, pivots, _ = _eliminate(rows, ncols=width)
+    work, pivots, _, inverses = _eliminate(rows, ncols=width)
     free = [c for c in range(width) if c not in pivots]
-    out = _back_substitute(work, pivots, [[-row[f] for f in free] for row in work], width)
+    out = _back_substitute(work, pivots, inverses, [[-row[f] for f in free] for row in work], width)
     for j, f in enumerate(free):
         out[f][j] = ONE
     return tuple(map(tuple, out))

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .graphs import Label, LabelledGraph, Labelling, Partition, partition_of
 from .linalg import Matrix, Row, matrix_from_text, matrix_to_text, row_add, row_mat, row_scale
@@ -70,48 +70,46 @@ class DimensionError(ValueError):
 # -- degree-determined scalar functions ---------------------------------------
 
 
+# the plain kinds of DegreeFn: name -> value at degree d
+_PLAIN_KINDS: dict[str, Callable[[int], ExactScalar]] = {
+    "one": lambda d: ONE,
+    "inv_d": reciprocal,
+    "inv_sqrt_d": inv_sqrt,
+    "inv_1pd": lambda d: reciprocal(1 + d),
+    "inv_sqrt_1pd": lambda d: inv_sqrt(1 + d),
+}
+
+
 @dataclass(frozen=True)
 class DegreeFn:
     """A positive scalar function of the vertex degree, exact on every degree.
 
-    Named kinds keep specs serializable; ``blend_inv_sqrt`` is
-    (r + (1-r)d)**(-1/2) and requires a rational r in (0, 1] so values stay
-    inside the surd field.  Its value at a degree whose radicand has a
-    prime factor above MAX_RADICAND_PRIME raises SpecValidationError.
+    Named kinds keep specs serializable: those of _PLAIN_KINDS, ``table``
+    (positive values per degree) and ``blend_inv_sqrt``, (r + (1-r)d)**(-1/2)
+    for a rational r in (0, 1], so values stay inside the surd field.  Making
+    one refuses any other kind, r or table value, and ``value`` and ``on``
+    refuse a degree the table lacks or whose radicand has a prime factor
+    above MAX_RADICAND_PRIME, each with a SpecValidationError.
     """
 
     kind: str
     r: ExactScalar | None = None
     table: tuple[tuple[int, ExactScalar], ...] | None = None
 
-    @staticmethod
-    def one() -> "DegreeFn":
-        return DegreeFn("one")
-
-    @staticmethod
-    def inv_d() -> "DegreeFn":
-        return DegreeFn("inv_d")
-
-    @staticmethod
-    def inv_sqrt_d() -> "DegreeFn":
-        return DegreeFn("inv_sqrt_d")
-
-    @staticmethod
-    def inv_1pd() -> "DegreeFn":
-        return DegreeFn("inv_1pd")
-
-    @staticmethod
-    def inv_sqrt_1pd() -> "DegreeFn":
-        return DegreeFn("inv_sqrt_1pd")
+    def __post_init__(self):
+        if self.kind == "blend_inv_sqrt":
+            _require(self.r.is_rational, "blend parameter r must be rational to stay in the surd field")
+            _require(ZERO < self.r <= ONE, "blend parameter r must satisfy 0 < r <= 1")
+        elif self.kind == "table":
+            for d, v in self.table:
+                if v.sign() <= 0:
+                    raise SpecValidationError(f"{self.descriptor()}: value {v.to_text()} at degree {d} is not positive")
+        elif self.kind not in _PLAIN_KINDS:
+            raise SpecValidationError(f"unknown degree function kind {self.kind!r}")
 
     @staticmethod
     def blend_inv_sqrt(r: ExactScalar) -> "DegreeFn":
-        r = ExactScalar(r) if not isinstance(r, ExactScalar) else r
-        if not r.is_rational:
-            raise SpecValidationError("blend parameter r must be rational to stay in the surd field")
-        if not (ZERO < r <= ONE):
-            raise SpecValidationError("blend parameter r must satisfy 0 < r <= 1")
-        return DegreeFn("blend_inv_sqrt", r=r)
+        return DegreeFn("blend_inv_sqrt", r=r if isinstance(r, ExactScalar) else ExactScalar(r))
 
     @staticmethod
     def from_table(values: dict[int, ExactScalar]) -> "DegreeFn":
@@ -120,37 +118,28 @@ class DegreeFn:
     def value(self, degree: int) -> ExactScalar:
         if degree < 1:
             raise ValueError(f"degree must be positive, got {degree}")
-        if self.kind == "one":
-            return ONE
-        if self.kind == "inv_d":
-            return reciprocal(degree)
-        if self.kind == "inv_sqrt_d":
-            return inv_sqrt(degree)
-        if self.kind == "inv_1pd":
-            return reciprocal(1 + degree)
-        if self.kind == "inv_sqrt_1pd":
-            return inv_sqrt(1 + degree)
-        if self.kind == "blend_inv_sqrt":
-            # r + (1-r)d = (a + (b-a)d)/b for r = a/b
-            a, b = self.r.as_fraction().as_integer_ratio()
-            try:
+        try:
+            if self.kind == "blend_inv_sqrt":
+                # r + (1-r)d = (a + (b-a)d)/b for r = a/b
+                a, b = self.r.as_fraction().as_integer_ratio()
                 return inv_sqrt(a + (b - a) * degree, b)
-            except ValueError as exc:  # a prime factor above MAX_RADICAND_PRIME
-                raise SpecValidationError(f"{self.descriptor()} at degree {degree}: {exc}") from exc
-        if self.kind == "table":
-            for d, v in self.table:
-                if d == degree:
-                    return v
-            raise ValueError(f"degree {degree} missing from tabulated function")
-        raise ValueError(f"unknown DegreeFn kind {self.kind!r}")
+            if self.kind == "table":
+                for d, v in self.table:
+                    if d == degree:
+                        return v
+                raise ValueError("missing from the table")
+            return _PLAIN_KINDS[self.kind](degree)
+        except ValueError as exc:  # a prime factor above MAX_RADICAND_PRIME, or no entry
+            raise SpecValidationError(f"{self.descriptor()} at degree {degree}: {exc}") from exc
+
+    def on(self, degrees: Iterable[int]) -> dict[int, ExactScalar] | None:
+        """The value at each distinct degree, or None when it is 1 on all of them."""
+        table = {d: self.value(d) for d in set(degrees)}
+        return None if all(v == ONE for v in table.values()) else table
 
     @property
     def is_one(self) -> bool:
-        if self.kind == "one":
-            return True
-        if self.kind == "table":
-            return all(v == ONE for _, v in self.table)
-        return False
+        return self.kind == "one" or self.kind == "table" and all(v == ONE for _, v in self.table)
 
     def descriptor(self) -> str:
         if self.kind == "blend_inv_sqrt":
@@ -161,7 +150,7 @@ class DegreeFn:
 
 
 def degree_fn_from_name(name: str) -> DegreeFn:
-    if name in ("one", "inv_d", "inv_sqrt_d", "inv_1pd", "inv_sqrt_1pd"):
+    if name in _PLAIN_KINDS:
         return DegreeFn(name)
     if name.startswith("blend_inv_sqrt(") and name.endswith(")"):
         return DegreeFn.blend_inv_sqrt(parse_scalar(name[len("blend_inv_sqrt(") : -1]))
@@ -281,20 +270,20 @@ class Family(NamedTuple):
 # are not in the table: dgnn5 ties W1 to W2, gnn-minus's B is -q in every
 # entry, and dgnn6's g = h is blend_inv_sqrt(r).
 FAMILIES = {
-    "gnn": Family(("w1", "w2"), ("bias",), ZERO, DegreeFn.one(), DegreeFn.one()),
-    "gnn-minus": Family(("w2", "p", "q"), (), None, DegreeFn.one(), DegreeFn.one()),
-    "gcn-kipf": Family(("w2",), (), ONE, DegreeFn.inv_sqrt_1pd(), DegreeFn.inv_sqrt_1pd()),
-    "dgnn1": Family(("w2",), ("bias",), ZERO, DegreeFn.inv_d(), DegreeFn.one()),
-    "dgnn2": Family(("w2",), ("bias",), ZERO, DegreeFn.inv_sqrt_d(), DegreeFn.inv_sqrt_d()),
-    "dgnn3": Family(("w2",), ("bias",), ONE, DegreeFn.inv_1pd(), DegreeFn.one()),
-    "dgnn4": Family(("w2",), ("bias",), ONE, DegreeFn.inv_sqrt_1pd(), DegreeFn.inv_sqrt_1pd()),
-    "dgnn5": Family(("w2",), ("bias",), ZERO, DegreeFn.inv_sqrt_d(), DegreeFn.inv_sqrt_d()),
+    "gnn": Family(("w1", "w2"), ("bias",), ZERO, DegreeFn("one"), DegreeFn("one")),
+    "gnn-minus": Family(("w2", "p", "q"), (), None, DegreeFn("one"), DegreeFn("one")),
+    "gcn-kipf": Family(("w2",), (), ONE, DegreeFn("inv_sqrt_1pd"), DegreeFn("inv_sqrt_1pd")),
+    "dgnn1": Family(("w2",), ("bias",), ZERO, DegreeFn("inv_d"), DegreeFn("one")),
+    "dgnn2": Family(("w2",), ("bias",), ZERO, DegreeFn("inv_sqrt_d"), DegreeFn("inv_sqrt_d")),
+    "dgnn3": Family(("w2",), ("bias",), ONE, DegreeFn("inv_1pd"), DegreeFn("one")),
+    "dgnn4": Family(("w2",), ("bias",), ONE, DegreeFn("inv_sqrt_1pd"), DegreeFn("inv_sqrt_1pd")),
+    "dgnn5": Family(("w2",), ("bias",), ZERO, DegreeFn("inv_sqrt_d"), DegreeFn("inv_sqrt_d")),
     "dgnn6": Family(("w2", "r", "p"), ("bias",), None, None, None),
     "general-dgnn": Family(("w2", "p", "g_fn", "h_fn"), ("w1", "bias"), None, None, None),
 }
 
 # the families whose g or h depends on the degree
-DEGREE_FAMILIES = frozenset(f for f, row in FAMILIES.items() if (row.g, row.h) != (DegreeFn.one(), DegreeFn.one()))
+DEGREE_FAMILIES = frozenset(f for f, row in FAMILIES.items() if (row.g, row.h) != (DegreeFn("one"), DegreeFn("one")))
 
 
 def _json_names(family: str) -> dict[str, str]:
@@ -467,12 +456,6 @@ def propagate(
     return out
 
 
-def _tabulate(fn: DegreeFn, degrees: Sequence[int]) -> dict[int, ExactScalar] | None:
-    """fn on each distinct degree, or None when it is 1 on all of them."""
-    table = {d: fn.value(d) for d in set(degrees)}
-    return None if all(v == ONE for v in table.values()) else table
-
-
 def _closed_form_round(
     g: LabelledGraph, rows: Sequence[Label], form, degrees: Sequence[int], partition: Partition
 ) -> list[Label]:
@@ -490,7 +473,7 @@ def _closed_form_round(
     """
     w1, w2, bias, p, g_fn, h_fn, sigma = form
     class_of = partition.class_of
-    g_of, h_of = _tabulate(g_fn, degrees), _tabulate(h_fn, degrees)
+    g_of, h_of = g_fn.on(degrees), h_fn.on(degrees)
     own = partition if g_of is None and h_of is None else Partition.from_keys(list(zip(class_of, degrees)))
     keys = wl_step(g, own)
     reps = [members[0] for members in keys.classes()]
@@ -731,15 +714,23 @@ def _json_texts(value, what: str) -> list[str]:
 
 
 def _json_field(entry: dict, name: str, index: int):
-    """The value of the layer field name, its JSON type checked."""
+    """The value of the layer field name, its JSON type checked; an error in
+    the value names the layer and the field."""
     value = entry[name]
     if name in ("W", "W1", "W2"):
         _require(isinstance(value, list), f"layer {index}: {name} must be a list of rows, not {type(value).__name__}")
-        return matrix_from_text([_json_texts(row, f"layer {index}: each row of {name}") for row in value])
-    if name == "bias":
-        return tuple(map(parse_scalar, _json_texts(value, f"layer {index}: bias")))
-    text = _json_text(entry, name, index)
-    return degree_fn_from_name(text) if name in ("g", "h") else parse_scalar(text)
+        text = [_json_texts(row, f"layer {index}: each row of {name}") for row in value]
+        parse = matrix_from_text
+    elif name == "bias":
+        text = _json_texts(value, f"layer {index}: bias")
+        parse = lambda cells: tuple(map(parse_scalar, cells))
+    else:
+        text = _json_text(entry, name, index)
+        parse = degree_fn_from_name if name in ("g", "h") else parse_scalar
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise SpecValidationError(f"layer {index}: {name}: {exc}") from exc
 
 
 def spec_to_json(spec: MpnnSpec) -> dict:

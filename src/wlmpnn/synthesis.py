@@ -104,7 +104,8 @@ from .linalg import (
     unique_rows,
 )
 from .mpnn import BuiltinLayer, DegreeFn, LayerParams, MpnnSpec, propagate
-from .surd import ONE, ZERO, ExactScalar, activate, exact_dot, exact_max, exact_min, exact_order, floor_exact
+from .surd import ONE, ZERO, ExactScalar, activate, canonical_key, exact_dot, exact_max, exact_min, exact_order
+from .surd import floor_exact
 from .wl import wl_partitions
 
 
@@ -205,7 +206,7 @@ def _separation(c: Sequence[Row], sigma: str) -> tuple[SeparationResult, list[Ex
             powers.append(powers[-1] * base)
         z = tuple(powers)
         mixed = [_dot(row, z) for row in c]
-        if len({v for v in mixed}) == m:
+        if len({canonical_key(v) for v in mixed}) == m:
             break
         base = base + ONE
         attempts -= 1
@@ -251,22 +252,20 @@ def compute_mp(g: LabelledGraph, g_fn: DegreeFn) -> ExactScalar:
     taken for alpha < 1 only.  For fixed alpha and j each remaining form
     lands in [0, 1) on an interval of i whose best end is a floor of
     alpha*j or alpha*(j+1), so the work is O(n) per ratio, not O(n^2).
+    g's values come from ``DegreeFn.on``, positive by its contract; each
+    distinct one is inverted once, and no scalar is hashed.
     """
-    degrees = tuple(sorted(set(g.degrees())))
-    values = {}
-    for d in degrees:
-        value = g_fn.value(d)
-        if value.sign() <= 0:
-            raise ValueError(f"g must be positive on present degrees; g({d}) = {value}")
-        values[d] = value
-    ratios: dict[ExactScalar, None] = {}
-    for a in degrees:
-        for b in degrees:
-            if values[a] != values[b]:
-                ratios[values[b] * values[a].invert()] = None
+    values = g_fn.on(g.degrees()) or {}
+    distinct = list({canonical_key(v): v for _, v in sorted(values.items())}.values())  # in degree order
+    ratios: dict[tuple, ExactScalar] = {}  # canonical key -> ratio of two distinct g values
+    for i, inverse in enumerate([v.invert() for v in distinct]):
+        for j, v in enumerate(distinct):
+            if i != j:
+                ratio = v * inverse
+                ratios.setdefault(canonical_key(ratio), ratio)
     candidates = [ZERO]
     n = g.n
-    for alpha in ratios:
+    for alpha in ratios.values():
         below_one = alpha < ONE
         inv_one_minus = (ONE - alpha).invert() if below_one else None
         multiples = [alpha * k for k in range(n + 2)]
@@ -646,15 +645,14 @@ def _synthesize_rounds(
     its equivalence verdict; unit g and h scale nothing.
     """
     degrees = g.degrees()
-    g_values = None if g_fn.is_one else [g_fn.value(d) for d in degrees]
-    h_values = None if h_fn.is_one else [h_fn.value(d) for d in degrees]
+    g_of, h_of = g_fn.on(degrees), h_fn.on(degrees)
     labelling, reencoded = _prepared_initial(g)
     reference = wl_partitions(g, rounds)
     q_override = _uniform_q(g.n) if uniform_q else None
     synthesized: list[RoundSynthesis] = []
     rows = list(labelling.rows)
     for t in range(1, rounds + 1):
-        scaled = rows if h_values is None else [row_scale(rows[v], h_values[v]) for v in range(g.n)]
+        scaled = rows if h_of is None else [row_scale(rows[v], h_of[degrees[v]]) for v in range(g.n)]
         uniq_scaled, scaled_class = unique_rows(scaled)
         if rows_linearly_independent(uniq_scaled):
             route = "paper"
@@ -662,7 +660,7 @@ def _synthesize_rounds(
         else:
             route = "direct"
             pre = propagate(g, scaled, p)
-        target = pre if g_values is None else [row_scale(pre[v], g_values[v]) for v in range(g.n)]
+        target = pre if g_of is None else [row_scale(pre[v], g_of[degrees[v]]) for v in range(g.n)]
         width = len(target[0])
         wl_part = reference[t]
         diffs: list[Row] = []
@@ -748,7 +746,7 @@ def synthesize_gnn_minus(
     p = ExactScalar(Fraction(1, 2)) if p is None else ExactScalar(p)
     if p.sign() <= 0 or (p - ONE).sign() >= 0:
         raise ValueError(f"p = {p} must lie strictly between 0 and 1")
-    unit = DegreeFn.one()
+    unit = DegreeFn("one")
     synthesized, reencoded = _synthesize_rounds(g, rounds, sigma, p, unit, unit, uniform_q)
     for t, r in enumerate(synthesized, start=1):
         if r.repair != "none" or not r.shift.is_zero or not r.equivalent_to_wl:
@@ -789,15 +787,13 @@ def synthesize_dgnn6(
     partition) and row independence are enforced; the per-round equivalence
     verdict is recorded in the certificate and holds whenever every label
     class the round starts from is pure in h-degree terms, or the projection
-    repair restores it.
+    repair restores it.  g and h default to ``inv_sqrt_1pd``; DegreeFn
+    guarantees that they are positive, and a degree at which either
+    refuses a value raises its SpecValidationError.
     """
     _check_arguments(sigma, rounds)
-    g_fn = g_fn or DegreeFn.inv_sqrt_1pd()
-    h_fn = h_fn or DegreeFn.inv_sqrt_1pd()
-    for d in sorted(set(g.degrees())):
-        for fn, name in ((g_fn, "g"), (h_fn, "h")):
-            if fn.value(d).sign() <= 0:
-                raise ValueError(f"{name}({d}) must be positive")
+    g_fn = g_fn or DegreeFn("inv_sqrt_1pd")
+    h_fn = h_fn or DegreeFn("inv_sqrt_1pd")
     m_p = compute_mp(g, g_fn)
     p = (m_p + ONE) * ExactScalar(Fraction(1, 2))
     if not m_p < p < ONE:

@@ -66,7 +66,7 @@ def test_pre_weight_rejects_two_weight_families():
             builtin_graph("g2"),
             "general-dgnn",
             LayerParams(w1=identity(2), w2=identity(2), p=S(0),
-                        g_fn=DegreeFn.one(), h_fn=DegreeFn.one()),
+                        g_fn=DegreeFn("one"), h_fn=DegreeFn("one")),
         )
 
 

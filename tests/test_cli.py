@@ -293,6 +293,12 @@ def test_spec_field_unknown_or_not_taken_exit_2(tmp_path, capsys, edit, message)
     assert captured.out == ""
 
 
+def _general_dgnn_spec(g):
+    identity = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+    layer = {"family": "general-dgnn", "p": "1/2", "g": g, "h": "one", "W2": identity}
+    return {"f_mode": "degree", "layers": [layer]}
+
+
 def _named_spec_with(family, rounds, edit):
     spec = spec_to_json(named_spec(family, 3, rounds=rounds))
     edit(spec["layers"][-1])
@@ -332,8 +338,19 @@ def _named_spec_with(family, rounds, edit):
             f"layer 1: blend_inv_sqrt(1/10000019) at degree 1: radicand {10000019**2} "
             "has a prime factor above MAX_RADICAND_PRIME = 65536",
         ),
+        # fig1 has degrees 1, 2 and 3, and the table has degree 1 only
+        (_general_dgnn_spec("table(1:1)"), "layer 1: table(1:1) at degree 2: missing from the table"),
     ],
-    ids=["missing-r", "p-out-of-range", "dgnn6-W-rows", "gnn-W1-rows", "gnn-W2-rows", "r-2^-100", "r-1/10000019"],
+    ids=[
+        "missing-r",
+        "p-out-of-range",
+        "dgnn6-W-rows",
+        "gnn-W1-rows",
+        "gnn-W2-rows",
+        "r-2^-100",
+        "r-1/10000019",
+        "g-table-missing-degree",
+    ],
 )
 def test_run_time_spec_errors_name_their_layer_exit_2(tmp_path, capsys, spec, message):
     # required fields, ranges, widths and degree factors are checked when
@@ -344,6 +361,36 @@ def test_run_time_spec_errors_name_their_layer_exit_2(tmp_path, capsys, spec, me
     start = time.perf_counter()
     assert run(["mpnn", "run", "--graph", "fig1", "--spec", str(path)]) == 2
     assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (
+            _named_spec_with("dgnn6", 2, lambda layer: layer.update(p="abc")),
+            "layer 2: p: malformed term 'abc' in scalar 'abc'",
+        ),
+        (_general_dgnn_spec("inv_sqrt_x"), "layer 1: g: unknown degree function 'inv_sqrt_x'"),
+        (
+            _general_dgnn_spec("table(1:-1; 2:1; 3:1)"),
+            "layer 1: g: table(1:-1; 2:1; 3:1): value -1 at degree 1 is not positive",
+        ),
+        (
+            _general_dgnn_spec("table(1:1; 2:0; 3:1)"),
+            "layer 1: g: table(1:1; 2:0; 3:1): value 0 at degree 2 is not positive",
+        ),
+    ],
+    ids=["malformed-scalar", "unknown-degree-function", "negative-table-value", "zero-table-value"],
+)
+def test_spec_field_value_errors_name_their_layer_and_field_exit_2(tmp_path, capsys, spec, message):
+    # a field value that does not parse, or that its degree function
+    # refuses, is refused as the spec is read
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run(["mpnn", "run", "--graph", "fig1", "--spec", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""

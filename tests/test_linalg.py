@@ -77,7 +77,7 @@ def test_rational_matrices_match_sympy(seed, n_rows, n_cols, inner):
     sm = _sym_matrix(rows, n_cols)
     assert rank(rows) == sm.rank()
     assert rows_linearly_independent(rows) == (sm.rank() == n_rows)
-    echelon, pivots, _ = linalg._eliminate(rows)
+    echelon, pivots, _, _ = linalg._eliminate(rows)
     expected, expected_pivots = sm.rref()
     assert tuple(pivots) == tuple(expected_pivots)
     # a row echelon form (zero left of each pivot, rows past the rank zero)
@@ -100,7 +100,7 @@ def test_rational_matrices_match_sympy(seed, n_rows, n_cols, inner):
 
 def test_echelon_form_clears_below_pivots_only():
     rows = M([[2, 4, 1], [1, 3, 2], [3, 1, 1]])
-    echelon, pivots, swaps = linalg._eliminate(rows)
+    echelon, pivots, swaps, _ = linalg._eliminate(rows)
     assert pivots == [0, 1, 2] and swaps == 0
     assert echelon[0] == list(rows[0])  # pivot row left unscaled
     assert all(echelon[r][c].is_zero for c in range(3) for r in range(c + 1, 3))
@@ -257,6 +257,33 @@ def test_triangular_matrices_are_ranked_without_inversion(monkeypatch):
     assert rank(surd_block) == 4
     assert rows_linearly_independent(surd_block)
     assert not determinant(surd_block).is_zero
+
+
+def test_each_pivot_is_inverted_once(monkeypatch):
+    # elimination clears a row below every pivot but the last, so it inverts
+    # those pivots, and back substitution reuses their inverses
+    inverted = []
+    invert = ExactScalar.invert
+
+    def counting(self):
+        inverted.append(surd.canonical_key(self))
+        return invert(self)
+
+    monkeypatch.setattr(ExactScalar, "invert", counting)
+    dense = M([[2, 1, 1], [1, 3, 2], [1, 1, 4]])
+    surd_dense = tuple(tuple(x + S.sqrt(2) for x in row) for row in dense)
+    for rows in (dense, surd_dense):
+        inverted.clear()
+        assert mat_mul(rows, solve(rows, identity(3))) == identity(3)
+        assert len(inverted) == 3 and len(set(inverted)) == 3
+    wide = M([[1, 2, 3, 4], [2, 1, 1, 3]])
+    inverted.clear()
+    kernel = nullspace_basis(wide, 4)
+    assert len(kernel[0]) == 2 and all(x.is_zero for row in mat_mul(wide, kernel) for x in row)
+    assert len(inverted) == 2 and len(set(inverted)) == 2
+    inverted.clear()
+    assert rank(M([[1, 2, 3], [0, 4, 5], [0, 0, 6]])) == 3
+    assert inverted == []
 
 
 # -- solve ----------------------------------------------------------------------

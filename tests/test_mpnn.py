@@ -266,7 +266,7 @@ FIELD_VALUES = {
     "p": S(Fraction(1, 2)),
     "q": S(Fraction(1, 4)),
     "r": S(Fraction(1, 3)),
-    "g_fn": DegreeFn.inv_sqrt_1pd(),
+    "g_fn": DegreeFn("inv_sqrt_1pd"),
     "h_fn": DegreeFn.blend_inv_sqrt(S(Fraction(2, 3))),
 }
 
@@ -329,8 +329,8 @@ def test_general_dgnn_round_trips_with_degree_functions():
             bias=(ONE, ZERO, ZERO),
             p=S(Fraction(1, 2)),
             sigma="sign",
-            g_fn=DegreeFn.inv_sqrt_1pd(),
-            h_fn=DegreeFn.one(),
+            g_fn=DegreeFn("inv_sqrt_1pd"),
+            h_fn=DegreeFn("one"),
         ),
     )
     tabulated = BuiltinLayer(
@@ -360,6 +360,70 @@ def test_malformed_degree_table_is_a_spec_error(name):
 
 def test_empty_degree_table_round_trips():
     assert degree_fn_from_name(DegreeFn.from_table({}).descriptor()) == DegreeFn.from_table({})
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: DegreeFn.from_table({1: ONE, 2: ZERO}), "table(1:1; 2:0): value 0 at degree 2 is not positive"),
+        (lambda: DegreeFn.from_table({1: -ONE}), "table(1:-1): value -1 at degree 1 is not positive"),
+        (lambda: DegreeFn("inv_sqrt_x"), "unknown degree function kind 'inv_sqrt_x'"),
+        (lambda: DegreeFn.blend_inv_sqrt(ZERO), "blend parameter r must satisfy 0 < r <= 1"),
+        (lambda: DegreeFn.blend_inv_sqrt(S(2)), "blend parameter r must satisfy 0 < r <= 1"),
+        (lambda: DegreeFn.blend_inv_sqrt(S.sqrt(2)), "blend parameter r must be rational"),
+        (lambda: DegreeFn("blend_inv_sqrt", r=S(2)), "blend parameter r must satisfy 0 < r <= 1"),
+    ],
+    ids=["table-0", "table-minus-1", "unknown-kind", "r-0", "r-2", "r-sqrt2", "r-2-without-constructor"],
+)
+def test_degree_function_refused_when_made(make, message):
+    with pytest.raises(SpecValidationError, match=re.escape(message)):
+        make()
+
+
+@pytest.mark.parametrize(
+    "fn, degree, message",
+    [
+        (DegreeFn("inv_sqrt_1pd"), 65536, "radicand 65537 has a prime factor above MAX_RADICAND_PRIME"),
+        (DegreeFn("inv_sqrt_d"), 65537, "radicand 65537 has a prime factor above MAX_RADICAND_PRIME"),
+        (DegreeFn.from_table({1: ONE, 3: ONE}), 2, "missing from the table"),
+    ],
+    ids=["inv_sqrt_1pd", "inv_sqrt_d", "table"],
+)
+def test_degree_function_refusal_at_a_degree_names_it(fn, degree, message):
+    # the same refusal from value and from on, naming the function and the degree
+    expected = re.escape(f"{fn.descriptor()} at degree {degree}: {message}")
+    with pytest.raises(SpecValidationError, match=expected):
+        fn.value(degree)
+    with pytest.raises(SpecValidationError, match=expected):
+        fn.on([1, degree, 1])
+
+
+_HALF_AT_3 = DegreeFn.from_table({1: ONE, 2: ONE, 3: S(Fraction(1, 2))})
+
+
+@pytest.mark.parametrize(
+    "fn, degrees, one_there",
+    [
+        (DegreeFn("one"), (2, 3, 2), True),
+        (DegreeFn("inv_d"), (1, 1), True),
+        (DegreeFn("inv_d"), (1, 2), False),
+        (DegreeFn("inv_sqrt_d"), (1,), True),
+        (DegreeFn("inv_sqrt_d"), (4, 1), False),
+        (DegreeFn("inv_1pd"), (1,), False),
+        (DegreeFn("inv_sqrt_1pd"), (3, 1, 3), False),
+        (DegreeFn.blend_inv_sqrt(S(Fraction(1, 3))), (1, 1), True),
+        (DegreeFn.blend_inv_sqrt(S(Fraction(1, 3))), (1, 2, 3), False),
+        (DegreeFn.blend_inv_sqrt(ONE), (2, 5), True),
+        (_HALF_AT_3, (1, 2, 1), True),
+        (_HALF_AT_3, (1, 2, 3), False),
+    ],
+)
+def test_degree_function_on_matches_value(fn, degrees, one_there):
+    # None exactly when fn is 1 on every present degree, as inv_d is at
+    # degree 1 and the table on degrees 1 and 2 (not on 3)
+    reference = {d: fn.value(d) for d in degrees}
+    assert all(v == ONE for v in reference.values()) == one_there
+    assert fn.on(degrees) == (None if one_there else reference)
 
 
 # -- closed-form evaluation against the per-edge view ---------------------------------------
@@ -395,7 +459,7 @@ def _random_layer(rng, family, width, out, max_degree):
         bias=bias,
         p=S(Fraction(rng.randint(1, 4), 4)),
         sigma=sigma,
-        g_fn=rng.choice([DegreeFn.inv_d(), DegreeFn.inv_sqrt_d(), DegreeFn.blend_inv_sqrt(S(Fraction(1, 3)))]),
+        g_fn=rng.choice([DegreeFn("inv_d"), DegreeFn("inv_sqrt_d"), DegreeFn.blend_inv_sqrt(S(Fraction(1, 3)))]),
         h_fn=DegreeFn.from_table(h_table),
     )
 
@@ -442,11 +506,11 @@ LARGE_DEGREES = (65518, 65519, 65520, 65534, 65535)
 
 # (DegreeFn, rational argument q(d), power of q): the value is q(d) ** power
 DEGREE_VALUE_CASES = [
-    (DegreeFn.one(), lambda d: Fraction(1), 1),
-    (DegreeFn.inv_d(), lambda d: Fraction(1, d), 1),
-    (DegreeFn.inv_1pd(), lambda d: Fraction(1, 1 + d), 1),
-    (DegreeFn.inv_sqrt_d(), lambda d: Fraction(d), -1),
-    (DegreeFn.inv_sqrt_1pd(), lambda d: Fraction(1 + d), -1),
+    (DegreeFn("one"), lambda d: Fraction(1), 1),
+    (DegreeFn("inv_d"), lambda d: Fraction(1, d), 1),
+    (DegreeFn("inv_1pd"), lambda d: Fraction(1, 1 + d), 1),
+    (DegreeFn("inv_sqrt_d"), lambda d: Fraction(d), -1),
+    (DegreeFn("inv_sqrt_1pd"), lambda d: Fraction(1 + d), -1),
     *(
         (DegreeFn.blend_inv_sqrt(S(r)), lambda d, r=r: r + (1 - r) * d, -1)
         for r in BLEND_RS
@@ -660,8 +724,8 @@ def test_anonymize_h_const_reproduces_general_dgnn_labels_exactly():
                 bias=_random_matrix(rng, 1, out)[0],
                 p=S(Fraction(rng.randint(1, 4), 4)),
                 sigma=rng.choice(["relu", "sign", "none"]),
-                g_fn=rng.choice([DegreeFn.inv_d(), DegreeFn.inv_sqrt_d(), g_table]),
-                h_fn=DegreeFn.one(),
+                g_fn=rng.choice([DegreeFn("inv_d"), DegreeFn("inv_sqrt_d"), g_table]),
+                h_fn=DegreeFn("one"),
             )
             layers.append(BuiltinLayer("general-dgnn", params))
             width = out

@@ -248,7 +248,7 @@ def test_factored_weights_match_the_materialized_products():
 
 def test_compute_mp_regular_graph_is_zero():
     g = builtin_graph("g1")  # all degrees 2
-    assert compute_mp(g, DegreeFn.inv_sqrt_1pd()) == ZERO
+    assert compute_mp(g, DegreeFn("inv_sqrt_1pd")) == ZERO
 
 
 def test_compute_mp_two_degree_example():
@@ -299,7 +299,7 @@ def test_compute_mp_cross_checked_by_second_enumeration():
 @pytest.mark.parametrize("seed", range(6))
 def test_compute_mp_cross_checked_on_random_graphs(seed):
     g = sample_graph(7, Fraction(2, 5), seed)
-    g_fn = DegreeFn.inv_sqrt_1pd()
+    g_fn = DegreeFn("inv_sqrt_1pd")
     values = [g_fn.value(d) for d in sorted(set(g.degrees()))]
     assert compute_mp(g, g_fn) == brute_force_mp_exact(g.n, values)
 
@@ -330,7 +330,7 @@ def test_compute_mp_rational_tables_with_edge_maxima():
 
 def test_compute_mp_fig1_gcn_scaling_below_one():
     g = builtin_graph("fig1")
-    value = compute_mp(g, DegreeFn.inv_sqrt_1pd())
+    value = compute_mp(g, DegreeFn("inv_sqrt_1pd"))
     assert (value - ONE).sign() < 0 and value.sign() >= 0
 
 
@@ -433,7 +433,7 @@ def test_dgnn6_unit_scalings_match_gnn_minus():
     # gnn-minus is the degree-normalized construction with g = h = 1 at p = 1/2
     graphs = [builtin_graph(gid) for gid in ("fig1", "g1", "g3")]
     graphs += [sample_graph(7, Fraction(2, 5), seed, require_connected=True) for seed in (3, 8, 21)]
-    unit = DegreeFn.one()
+    unit = DegreeFn("one")
     for g in graphs:
         rounds = max(1, wl_run(g).stabilized_at)
         for sigma in ("relu", "sign"):
@@ -639,6 +639,25 @@ def test_dgnn6_replay_is_exact_on_seeded_graphs():
         for t, r in enumerate(cert.rounds, start=1):
             assert partition_refines(trace.partitions[t], reference[t])
             assert (trace.partitions[t] == reference[t]) == r.equivalent_to_wl
+
+
+def test_synthesis_hashes_no_scalar(monkeypatch):
+    # the separation tests its mixed values for distinctness, and compute_mp
+    # collects its ratios, by canonical keys, so no scalar hash is taken
+    graphs = [builtin_graph("fig1"), sample_graph(7, Fraction(2, 5), 3, require_connected=True)]
+    runs = [
+        (synthesize, g, wl_run(g).stabilized_at, sigma)
+        for synthesize in (synthesize_gnn_minus, synthesize_dgnn6)
+        for g in graphs
+        for sigma in ("relu", "sign")
+    ]
+    expected = [synthesize(g, rounds, sigma).to_json_text() for synthesize, g, rounds, sigma in runs]
+
+    def refuse(self):
+        raise AssertionError("scalar hashed")
+
+    monkeypatch.setattr(ExactScalar, "__hash__", refuse)
+    assert [synthesize(g, rounds, sigma).to_json_text() for synthesize, g, rounds, sigma in runs] == expected
 
 
 def test_thresholds_stay_in_unit_interval():
