@@ -28,7 +28,7 @@ from .cases import (
 from .compare import ShiftSpec, compare_traces, report
 from .graphs import GraphFormatError, LabelledGraph, parse_graph
 from .mpnn import DimensionError, MpnnSpec, SpecValidationError, run_mpnn, spec_from_json
-from .surd import ONE, ZERO, parse_scalar
+from .surd import ONE, ZERO, LimitError, parse_scalar
 from .synthesis import SynthesisError, synthesize_dgnn6, synthesize_gnn_minus
 from .wl import WlTrace, wl_partitions, wl_run
 
@@ -272,9 +272,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (UsageError, GraphFormatError, SpecValidationError, DimensionError) as exc:
+    except (UsageError, GraphFormatError, SpecValidationError, DimensionError, LimitError) as exc:
         # a spec the input describes can break its family's contract or fail
-        # to chain with the graph's label width only when run_mpnn runs it
+        # to chain with the graph's label width only when run_mpnn runs it,
+        # and an input can drive a computation past a size limit
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:  # the program failed, not the input

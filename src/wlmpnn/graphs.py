@@ -141,9 +141,7 @@ class LabelledGraph:
 
 
 def make_graph(n: int, edges: Sequence[tuple[int, int]], labels: Sequence[Sequence]) -> LabelledGraph:
-    rows = tuple(
-        tuple(x if isinstance(x, ExactScalar) else ExactScalar(x) for x in row) for row in labels
-    )
+    rows = tuple(tuple(map(ExactScalar, row)) for row in labels)
     return LabelledGraph(n=n, edges=frozenset((min(u, v), max(u, v)) for u, v in edges), labels=rows)
 
 

@@ -25,7 +25,6 @@ entries, so no scalar is hashed.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .surd import ONE, RESIDUE_PRIME, ZERO, ExactScalar, canonical_key, exact_dot, residues
@@ -39,9 +38,7 @@ class DependentRowsError(ValueError):
 
 
 def as_matrix(rows: Sequence[Sequence]) -> Matrix:
-    out = []
-    for row in rows:
-        out.append(tuple(x if isinstance(x, ExactScalar) else ExactScalar(Fraction(x)) for x in row))
+    out = [tuple(map(ExactScalar, row)) for row in rows]
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged rows")
     return tuple(out)

@@ -40,18 +40,18 @@ Degree-aware messages carry the self term scaled by 1/d_v, once per
 builtin layer keeps its per-edge view, but run_mpnn evaluates it in the
 closed form, with the same checks and error prefix as the layer itself,
 reading the degrees from the label's last component as the per-edge
-message does, whenever that component holds the vertex degrees (the
-classes of the full labels refine those of the inner rows, so the products
-per class id serve there too); the anonymized layers run edge by edge.
+message does, whenever that component holds the vertex degrees.  Its
+round runs on the classes of the inner rows, the full label's classes
+merged where they differ only in the degree, so it multiplies no more rows
+than the unlifted round; the anonymized layers run edge by edge.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .graphs import Label, LabelledGraph, Labelling, Partition, partition_of
-from .linalg import Matrix, Row, matrix_from_text, matrix_to_text, row_add, row_mat, row_scale
+from .linalg import Matrix, Row, matrix_from_text, matrix_to_text, row_add, row_mat, row_scale, unique_rows
 from .surd import ONE, ZERO, ExactScalar, activate, exact_sum, inv_sqrt, parse_scalar, reciprocal
 from .wl import wl_step
 
@@ -109,7 +109,7 @@ class DegreeFn:
 
     @staticmethod
     def blend_inv_sqrt(r: ExactScalar) -> "DegreeFn":
-        return DegreeFn("blend_inv_sqrt", r=r if isinstance(r, ExactScalar) else ExactScalar(r))
+        return DegreeFn("blend_inv_sqrt", r=ExactScalar(r))
 
     @staticmethod
     def from_table(values: dict[int, ExactScalar]) -> "DegreeFn":
@@ -514,11 +514,12 @@ def _exact_row(row, what: str, round_index: int) -> Label:
         return row
     out = []
     for x in row:
-        if not isinstance(x, (ExactScalar, int, Fraction)):
+        try:
+            out.append(ExactScalar(x))
+        except TypeError:
             raise SpecValidationError(
                 f"round {round_index}: {what} entry {x!r} is a {type(x).__name__}, not an exact scalar"
-            )
-        out.append(x if isinstance(x, ExactScalar) else ExactScalar(x))
+            ) from None
     return tuple(out)
 
 
@@ -574,10 +575,14 @@ def run_mpnn(g: LabelledGraph, spec: MpnnSpec) -> RunTrace:
         if isinstance(layer, BuiltinLayer) or lifted:
             builtin = layer.builtin if lifted else layer
             rows = [x[:-1] for x in labelling.rows] if lifted else labelling.rows
+            partition = partitions[-1]
+            if lifted:  # merge the classes whose labels differ only in the degree (ids count from 0)
+                inner = unique_rows(list(dict(zip(partition.class_of, rows)).values()))[1]
+                partition = Partition(tuple(inner[c] for c in partition.class_of))
             try:
                 form = _resolve_layer(builtin.family, builtin.params)
                 _check_builtin_dims(builtin, len(rows[0]))
-                new_rows = _closed_form_round(g, rows, form, degrees, partitions[-1])
+                new_rows = _closed_form_round(g, rows, form, degrees, partition)
             except (SpecValidationError, DimensionError) as exc:  # name the layer, as spec_from_json does
                 raise type(exc)(f"layer {round_index}: {exc}") from exc
             if lifted:

@@ -10,23 +10,25 @@ ring operations, inversion and the sign/ReLU activations used by the engines.
 A value is stored as integer numerators keyed by radicand over one common
 positive denominator, in lowest terms, so each addition, subtraction or
 multiplication works on plain integers and reduces once, by a single
-multi-argument gcd, instead of once per term.  ``exact_sum`` adds any
-number of values over the lcm of their denominators with one reduction,
+multi-argument gcd, instead of once per term.  ``ExactScalar(x)`` is the
+one coercion: it takes an ExactScalar (returned as it is), an int (bool
+included) or a Fraction, and refuses any other type with TypeError, so no
+value silently takes a float's binary expansion or a text grammar other
+than ``parse_scalar``'s.  One combine step adds (denominator, numerators)
+parts over the lcm of their denominators and reduces the sum by a single
+gcd; ``exact_sum`` of three or more values, ``exact_dot``, ``normalize``
+and ``parse_scalar`` all end in it.  ``exact_dot`` adds each product's
+integer numerators into an accumulator keyed by its raw denominator
+x_den*y_den, so products over equal denominators need no rescaling, and
+combines the accumulators.  Multiplication and ``exact_dot`` share one loop
+over radicand products; a product by exactly 1 returns the other factor,
 and ``reciprocal`` and ``inv_sqrt`` build 1/k and (n/d)**(-1/2) straight
-from the integers.  ``exact_dot`` sums the products x*y of any number of
-pairs with one reduction: each product's integer numerators go into an
-accumulator keyed by its raw denominator x_den*y_den, so products over
-equal denominators are added without rescaling, and the accumulators are
-combined over the lcm of their denominators and reduced by a single gcd.
-Multiplication and ``exact_dot`` share one loop over radicand products;
-a product by exactly 1 returns the other factor.
-Text and hashes come from the same integers: ``to_text`` takes one gcd per
-term (integers past the interpreter's int/str digit limit are converted in
-halves split at a power of ten, as ``parse_scalar`` reads them back), and
-``hash`` reproduces the hash of the reduced ``Fraction`` terms
-without building them; ``canonical_key`` keys a value by those integers
-alone, for callers that key each value once.  Only ``ExactScalar.terms``
-presents the coefficients as one reduced ``Fraction`` per radicand.
+from the integers.  ``to_text`` takes one gcd per term (integers past the
+interpreter's int/str digit limit are converted in halves split at a power
+of ten, as ``parse_scalar`` reads them back), and ``canonical_key`` keys a
+value by its integers alone.  ``ExactScalar.terms`` presents the
+coefficients as one reduced ``Fraction`` per radicand, and ``hash`` is that
+of the ``Fraction`` of a rational value, else of its sorted terms.
 
 A value whose numerators all have one sign has that sign, since a sum of
 positive multiples of positive square roots is positive.  The sign of any
@@ -42,25 +44,31 @@ no decision goes through a float.
 ``residues`` maps values into the integers modulo a fixed 66-bit prime in
 which every prime up to 47 has a square root, a ring map that linear
 algebra uses to prove full rank without exact elimination.
+
+A value past a fixed size limit, such as one whose inverse needs the
+conjugates of more than 12 primes, raises ``LimitError``.
 """
 from __future__ import annotations
 
 import math
 import re
-import sys
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Iterable, Sequence, Union
+from typing import Collection, Iterable, Sequence, Union
 
 _SIGN_START_BITS = 64
 _FLOOR_START_BITS = 16  # isqrt(r << 32) of a radicand below 2**32 fits a machine word
 _ORDER_BITS = 64
 _SIGN_MAX_BITS = 1 << 22
 _MAX_CONJUGATE_PRIMES = 12
-_HASH_MODULUS = sys.hash_info.modulus
 _UNIT = {1: 1}  # the numerators of 1, over the denominator 1
 
 Coercible = Union["ExactScalar", int, Fraction]
+
+
+class LimitError(ValueError):
+    """A value outgrew a fixed size limit of the program, such as the 12
+    primes whose conjugates ``invert`` multiplies."""
 
 
 # A parsed radicand or degree factor may have no prime factor above this
@@ -146,18 +154,16 @@ class ExactScalar:
 
     __slots__ = ("_num", "_den", "_hash", "_sign")
 
-    def __init__(self, value: Coercible = 0):
+    def __new__(cls, value: Coercible = 0):
+        """The value of an ExactScalar (itself), an int (bool included) or a
+        Fraction; any other type, float and str included, raises TypeError."""
         if isinstance(value, ExactScalar):
-            num, den = value._num, value._den
-        elif type(value) is int:
-            num, den = ({1: value} if value else {}), 1
-        else:
-            q = Fraction(value)
-            num, den = ({1: q.numerator} if q else {}), q.denominator
-        _set_num(self, num)
-        _set_den(self, den)
-        _set_hash(self, None)
-        _set_sign(self, None)
+            return value
+        if isinstance(value, int):
+            return _make({1: int(value)} if value else {}, 1)
+        if isinstance(value, Fraction):
+            return _make({1: value.numerator} if value else {}, value.denominator)
+        raise TypeError(f"an exact scalar is an ExactScalar, int or Fraction, not {type(value).__name__}")
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("ExactScalar is immutable")
@@ -165,32 +171,24 @@ class ExactScalar:
     @classmethod
     def sqrt(cls, radicand: int, coeff: Coercible = 1) -> "ExactScalar":
         """The value coeff*sqrt(radicand); radicand need not be squarefree."""
-        return cls.normalize([(radicand, Fraction(coeff) if not isinstance(coeff, ExactScalar) else coeff.as_fraction())])
+        return cls.normalize([(radicand, coeff)])
 
     @classmethod
     def normalize(cls, raw_terms: Iterable[tuple[int, Coercible]]) -> "ExactScalar":
         """Canonicalize a raw (radicand, coefficient) list.
 
+        Each coefficient is a rational exact scalar or coerces to one.
         Radicands are reduced to squarefree form (sqrt(12) -> 2*sqrt(3)),
         like radicands merged and zero coefficients dropped.
         """
-        acc: dict[int, Fraction] = {}
+        parts = []
         for radicand, coeff in raw_terms:
-            radicand = int(radicand)
-            coeff = coeff.as_fraction() if isinstance(coeff, ExactScalar) else Fraction(coeff)
-            if not coeff:
-                if radicand <= 0:
-                    raise ValueError(f"radicand must be a positive integer, got {radicand}")
-                continue
-            square, free = _squarefree_split(radicand)
-            newc = acc.get(free, Fraction(0)) + coeff * square
-            if newc:
-                acc[free] = newc
-            else:
-                acc.pop(free, None)
-        # over the lcm of reduced denominators the numerators are already coprime to it
-        den = math.lcm(*(c.denominator for c in acc.values())) if acc else 1
-        return _make({r: c.numerator * (den // c.denominator) for r, c in acc.items()}, den)
+            coeff = ExactScalar(coeff)
+            if not coeff.is_rational:
+                raise ValueError(f"{coeff} is irrational")
+            square, free = _squarefree_split(int(radicand))
+            parts.append((coeff._den, {free: coeff._num.get(1, 0) * square}))
+        return _combine(parts)
 
     # -- inspection -------------------------------------------------------
 
@@ -228,11 +226,10 @@ class ExactScalar:
 
     @staticmethod
     def _coerce(value) -> "ExactScalar | None":
-        if isinstance(value, ExactScalar):
-            return value
-        if isinstance(value, (int, Fraction)):
+        try:
             return ExactScalar(value)
-        return None
+        except TypeError:
+            return None
 
     def __add__(self, other):
         if type(other) is not ExactScalar:
@@ -280,6 +277,7 @@ class ExactScalar:
         else:
             out = {}
             _mul_into(out, n1, n2)
+        # reduced inline, not by a helper: a call per product is measurable on the engine runs
         den = self._den * other._den
         if den != 1:
             g = math.gcd(den, *out.values())
@@ -351,24 +349,10 @@ class ExactScalar:
 
     def __hash__(self):
         """hash(q) for a rational q, else the hash of the sorted (radicand,
-        Fraction) pairs, computed from the integers as Fraction does."""
+        Fraction) pairs of ``terms``."""
         h = self._hash
         if h is None:
-            num, den = self._num, self._den
-            if den % _HASH_MODULUS == 0:  # no inverse of den; Fraction gives such terms inf
-                terms = self.terms
-                h = hash(terms.get(1, 0)) if self.is_rational else hash(tuple(sorted(terms.items())))
-            else:
-                # hash(Fraction(c, den)) is |c| * dinv % modulus with c's
-                # sign, up to -1, which hash() itself maps to -2 as Fraction
-                # does; a tuple's hash depends only on its items' hashes
-                mod = _HASH_MODULUS
-                dinv = 1 if den == 1 else pow(den, -1, mod)
-                terms = [(r, c * dinv % mod if c >= 0 else -(-c * dinv % mod)) for r, c in sorted(num.items())]
-                if self.is_rational:
-                    h = terms[0][1] if terms else 0
-                else:
-                    h = hash(tuple(terms))
+            h = hash(self.rational_part) if self.is_rational else hash(tuple(sorted(self.terms.items())))
             _set_hash(self, h)
         return h
 
@@ -575,28 +559,41 @@ def _add(x: ExactScalar, y: ExactScalar, sign: int) -> ExactScalar:
     return _make(out, den)
 
 
-def exact_sum(values: Iterable[ExactScalar]) -> ExactScalar:
-    """The sum of the given scalars, over the lcm of their denominators,
-    reduced once by one gcd instead of once per pairwise addition."""
-    values = [x for x in values if x._num]
-    if len(values) == 2:  # one pairwise addition also reduces once
-        return _add(values[0], values[1], 1)
-    if len(values) < 2:
-        return values[0] if values else ZERO
-    den = math.lcm(*(x._den for x in values))
-    acc: dict[int, int] = {}
-    get = acc.get
-    for x in values:
-        scale = den // x._den
-        for r, c in x._num.items():
-            acc[r] = get(r, 0) + c * scale
-    out = acc if all(acc.values()) else {r: c for r, c in acc.items() if c}
+def _combine(parts: Collection[tuple[int, dict[int, int]]]) -> ExactScalar:
+    """The sum over the (den, num) parts of the numerators num over den, by
+    radicand: added over the lcm of the denominators, zero sums dropped and
+    reduced by one gcd, so a part need not be in lowest terms."""
+    if len(parts) == 1:
+        ((den, out),) = parts
+    else:
+        den = math.lcm(*[d for d, _ in parts])
+        out = {}
+        get = out.get
+        for d, num in parts:
+            scale = den // d
+            for r, c in num.items():
+                out[r] = get(r, 0) + c * scale
+    if not all(out.values()):
+        out = {r: c for r, c in out.items() if c}
+    if not out:
+        return ZERO
     if den != 1:
         g = math.gcd(den, *out.values())
         if g != 1:
             out = {r: c // g for r, c in out.items()}
             den //= g
     return _make(out, den)
+
+
+def exact_sum(values: Iterable[ExactScalar]) -> ExactScalar:
+    """The sum of the given scalars, over the lcm of their denominators,
+    reduced once by one gcd instead of once per pairwise addition."""
+    values = [x for x in values if x._num]
+    if len(values) > 2:
+        return _combine([(x._den, x._num) for x in values])
+    if len(values) == 2:  # one pairwise addition also reduces once
+        return _add(values[0], values[1], 1)
+    return values[0] if values else ZERO
 
 
 def exact_dot(pairs: Iterable[tuple[ExactScalar, ExactScalar]]) -> ExactScalar:
@@ -617,33 +614,16 @@ def exact_dot(pairs: Iterable[tuple[ExactScalar, ExactScalar]]) -> ExactScalar:
             if acc is None:
                 acc = by_den[den] = {}
             _mul_into(acc, n1, n2)
-    if not by_den:
-        return ZERO
-    if len(by_den) == 1:
-        ((den, out),) = by_den.items()
-    else:
-        den = math.lcm(*by_den)
-        total: dict[int, int] = {}
-        get = total.get
-        for d, acc in by_den.items():
-            scale = den // d
-            for r, c in acc.items():
-                total[r] = get(r, 0) + c * scale
-        out = {r: c for r, c in total.items() if c}
-    if den != 1:
-        g = math.gcd(den, *out.values())
-        if g != 1:
-            out = {r: c // g for r, c in out.items()}
-            den //= g
-    return _make(out, den)
+    return _combine(by_den.items())
 
 
 def canonical_key(x: Coercible) -> tuple[int, frozenset[tuple[int, int]]]:
     """A hashable key of a value's canonical integers: its denominator with
-    the frozen set of its (radicand, numerator) pairs, an int or a Fraction
-    keyed as its ExactScalar value.  Two values share a key exactly when
-    they are equal, and building one hashes only integers, so it costs less
-    than the first ``hash`` of a value with several terms."""
+    the frozen set of its (radicand, numerator) pairs, any other type keyed
+    as ``ExactScalar(x)``, which takes only an int or a Fraction.  Two
+    values share a key exactly when they are equal, and building one hashes
+    only integers, so it costs less than the first ``hash`` of a value with
+    several terms."""
     if type(x) is not ExactScalar:
         x = ExactScalar(x)
     return x._den, frozenset(x._num.items())
@@ -774,12 +754,12 @@ def conjugates(x: ExactScalar) -> list[ExactScalar]:
 
     With p_1..p_k the primes of x's radicands, flip f (a k-bit mask)
     negates each term whose radicand has an odd number of the flipped
-    primes.  More than 12 primes (4,096 conjugates) raises ValueError.
+    primes.  More than 12 primes (4,096 conjugates) raises LimitError.
     """
     num, den = x._num, x._den
     primes = sorted({p for r in num if r != 1 for p in _prime_factors(r)})
     if len(primes) > _MAX_CONJUGATE_PRIMES:
-        raise ValueError(f"radicands span {len(primes)} primes; the conjugate limit is {_MAX_CONJUGATE_PRIMES}")
+        raise LimitError(f"radicands span {len(primes)} primes; the conjugate limit is {_MAX_CONJUGATE_PRIMES}")
     masked = [
         (r, c, sum(1 << i for i, p in enumerate(primes) if r % p == 0))
         for r, c in num.items()
@@ -899,26 +879,25 @@ def parse_scalar(text: str) -> ExactScalar:
     if depth != 0:
         raise ValueError(f"unbalanced parentheses in scalar {text!r}")
     chunks.append(compact[start:])
-    raw: list[tuple[int, Fraction]] = []
+    parts: list[tuple[int, dict[int, int]]] = []
     for chunk in chunks:
         if chunk in ("", "+", "-"):
             raise ValueError(f"malformed term in scalar {text!r}")
         m = _TERM_RE.match(chunk)
         if not m or (m.group("coeff") is None and m.group("radicand") is None):
             raise ValueError(f"malformed term {chunk!r} in scalar {text!r}")
-        coeff = Fraction(1)
+        num, den = 1, 1
         if m.group("coeff"):
-            numerator, _, denominator = m.group("coeff").partition("/")
-            denominator = _int_of_text(denominator) if denominator else 1
-            if denominator == 0:
+            top, _, bottom = m.group("coeff").partition("/")
+            num, den = _int_of_text(top), _int_of_text(bottom) if bottom else 1
+            if den == 0:
                 raise ValueError(f"zero denominator in term {chunk!r} of scalar {text!r}")
-            coeff = Fraction(_int_of_text(numerator), denominator)
         if m.group("sign"):
-            coeff = -coeff
+            num = -num
         radicand = _int_of_text(m.group("radicand")) if m.group("radicand") else 1
         square, free = _squarefree_split(radicand, bounded=True)
-        raw.append((free, coeff * square))
-    return ExactScalar.normalize(raw)
+        parts.append((den, {free: num * square}))
+    return _combine(parts)
 
 
 def activate(value: ExactScalar, sigma: str) -> ExactScalar:

@@ -22,12 +22,12 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .graphs import Label, LabelledGraph, Partition, partition_of
-from .surd import ExactScalar, conjugates, floor_exact
+from .surd import ExactScalar, LimitError, conjugates, floor_exact
 
 ENCODING_GUARD = 10**6
 
 
-class EncodingLimitError(ValueError):
+class EncodingLimitError(LimitError):
     """The injection index outgrew the desk-scale magnitude guard."""
 
 

@@ -416,6 +416,19 @@ def test_graph_file_radicand_above_the_bound_exit_2(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("target", ["gnn-minus", "dgnn6"])
+def test_conjugate_limit_reached_from_a_graph_file_exit_2(tmp_path, capsys, target):
+    # inverting a label whose radicands span 13 primes needs 8,192 conjugates,
+    # past the limit of 12 primes: a limit the input reaches, not a program fault
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    path = tmp_path / "graph.txt"
+    path.write_text("n 2\nv 1 1: " + " + ".join(f"sqrt({p})" for p in primes) + "\nv 2 1: 1\ne 1 2\n")
+    assert run(["synth", "--graph", str(path), "--target", target, "--sigma", "relu", "--rounds", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: radicands span 13 primes; the conjugate limit is 12\n"
+    assert captured.out == ""
+
+
 _GRAPH_FILE = "n 2\nv 1 1: 1\nv 2 1: 1\ne 1 2\n"
 
 

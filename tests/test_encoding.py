@@ -7,7 +7,7 @@ import pytest
 
 from wlmpnn.cases import make_graph, sample_graph
 from wlmpnn.mpnn import run_mpnn
-from wlmpnn.surd import ExactScalar
+from wlmpnn.surd import ExactScalar, LimitError
 from wlmpnn.wl import (
     EncodingLimitError,
     NotInImageError,
@@ -83,6 +83,7 @@ def test_scalar_representation_of_surds_is_injective():
 
 
 def test_label_tau_guard():
+    assert issubclass(EncodingLimitError, LimitError)  # the CLI reports it as an input error
     with pytest.raises(EncodingLimitError):
         label_tau((ExactScalar(20),))
     with pytest.raises(EncodingLimitError):

@@ -9,6 +9,7 @@ import pytest
 
 from wlmpnn.cases import builtin_graph, named_spec, sample_degree_spec, sample_graph
 from wlmpnn.graphs import make_graph, partition_of
+from wlmpnn import mpnn
 from wlmpnn.linalg import identity
 from wlmpnn.mpnn import (
     DEGREE_FAMILIES,
@@ -775,6 +776,22 @@ def test_builtin_and_lifted_rounds_hash_no_scalar(monkeypatch, graph_name, spec_
             hash(S(2))
         trace = run_mpnn(g, spec)
     assert trace.to_json() == reference.to_json()
+
+
+def test_lifted_rounds_multiply_no_more_than_unlifted(monkeypatch):
+    # a lifted round keys its weight products by the classes of the inner
+    # rows, not of the full labels, whose degree column splits equal rows
+    calls = []
+    row_mat = mpnn.row_mat
+    monkeypatch.setattr(mpnn, "row_mat", lambda x, w: calls.append(1) or row_mat(x, w))
+    counts = {}
+    for lift in (False, True):
+        calls.clear()
+        for seed in range(40):
+            spec = sample_degree_spec(random.Random(seed), 2)
+            run_mpnn(sample_graph(8, 0.4, seed, alphabet=2), lift_plus_one(spec) if lift else spec)
+        counts[lift] = len(calls)
+    assert counts[True] == counts[False] > 0
 
 
 # -- custom layers returning plain numbers --------------------------------------------------

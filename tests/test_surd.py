@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wlmpnn.graphs import make_graph
+from wlmpnn.linalg import as_matrix
 from wlmpnn.surd import (
     _int_text,
     _squarefree_split,
@@ -15,7 +17,9 @@ from wlmpnn.surd import (
     ONE,
     ZERO,
     ExactScalar,
+    LimitError,
     activate,
+    canonical_key,
     conjugates,
     exact_dot,
     exact_sum,
@@ -95,6 +99,42 @@ def test_invert_rejects_radicands_spanning_many_primes():
     value = ONE + sqrt(radicand)
     with pytest.raises(ValueError, match="primes"):
         value.invert()
+    with pytest.raises(LimitError, match="radicands span 13 primes; the conjugate limit is 12"):
+        conjugates(value)
+
+
+# -- one coercion rule ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [0.5, 0.1, float("nan"), "3/4", "1", Decimal("0.5"), None, 1j])
+def test_only_exact_scalars_ints_and_fractions_coerce(value):
+    refusals = [
+        lambda: S(value),
+        lambda: S.normalize([(2, value)]),
+        lambda: S.sqrt(2, value),
+        lambda: canonical_key(value),
+        lambda: as_matrix([[value]]),
+        lambda: make_graph(2, [(1, 2)], [[value], [1]]),
+    ]
+    for refused in refusals:
+        with pytest.raises(TypeError, match=f"an ExactScalar, int or Fraction, not {type(value).__name__}"):
+            refused()
+    with pytest.raises(TypeError):  # an operator leaves a foreign type to that type, which refuses too
+        S(1) + value
+    assert (S(Fraction(1, 2)) == value) is False
+
+
+@pytest.mark.parametrize(
+    "value, text", [(3, "3"), (-2, "-2"), (0, "0"), (True, "1"), (False, "0"), (Fraction(-3, 4), "-3/4")]
+)
+def test_ints_bools_and_fractions_coerce_exactly(value, text):
+    x = S(value)
+    assert x.to_text() == text and type(x._num.get(1, 0)) is int
+    assert S(x) is x
+    assert S.normalize([(8, value)]) == S.sqrt(8, value) == x * sqrt(2, 2)
+    assert canonical_key(value) == canonical_key(x)
+    assert as_matrix([[value, x]]) == ((x, x),)
+    assert make_graph(2, [(1, 2)], [[value], [1]]).labels[0] == (x,)
 
 
 def test_sign_examples():
@@ -514,6 +554,8 @@ def test_exact_sum_edge_cases():
     assert exact_sum(cancel)._num == {} and exact_sum(cancel)._den == 1
     assert exact_sum([sqrt(2, Fraction(1, 4)), sqrt(2, Fraction(3, 4)), ZERO]) == sqrt(2)
     assert exact_sum([sqrt(2, Fraction(1, 4)), sqrt(2, Fraction(3, 4))])._den == 1
+    one_den = [sqrt(5, Fraction(1, 6)), S(Fraction(5, 6)), sqrt(5, Fraction(-1, 6)), S(Fraction(-5, 6))]
+    assert exact_sum(one_den)._num == {} and exact_sum(one_den)._den == 1
 
 
 def _left_fold_dot(pairs):
