@@ -28,7 +28,7 @@ from .mpnn import (
     wrap_comb_aggr,
     _resolve_layer,
 )
-from .surd import ONE, ZERO, ExactScalar, activate
+from .surd import ONE, ZERO, ExactScalar, InputError, LimitError, activate
 from .wl import WlTrace, wl_partitions
 
 CASE_IDS = ("fig1-gcn", "g1-dgnn12", "g2-dgnn34", "g3-dgnn5", "fig1-dgnn6")
@@ -38,25 +38,25 @@ _E2 = (0, 1, 0)
 _E3 = (0, 0, 1)
 
 
+# the four case graphs by id, as the arguments of make_graph
+_GRAPHS = {
+    "fig1": (6, [(1, 3), (2, 3), (3, 4), (4, 5), (5, 6)], [_E1, _E1, _E2, _E3, _E3, _E2]),
+    "g1": (4, [(1, 2), (1, 3), (4, 2), (4, 3)], [_E1, _E2, _E2, _E3]),
+    "g2": (2, [(1, 2)], [(1, 0), (0, 1)]),
+    "g3": (
+        10,
+        [(1, 2), (1, 3), (1, 4), (1, 5), (6, 7), (6, 8), (6, 9), (6, 10)],
+        [_E1, _E2, _E2, _E3, _E3, _E2, _E1, _E1, _E3, _E3],
+    ),
+}
+GRAPH_IDS = tuple(_GRAPHS)
+
+
 def builtin_graph(graph_id: str) -> LabelledGraph:
-    """The four case graphs by id: fig1, g1, g2, g3."""
-    if graph_id == "fig1":
-        return make_graph(
-            6,
-            [(1, 3), (2, 3), (3, 4), (4, 5), (5, 6)],
-            [_E1, _E1, _E2, _E3, _E3, _E2],
-        )
-    if graph_id == "g1":
-        return make_graph(4, [(1, 2), (1, 3), (4, 2), (4, 3)], [_E1, _E2, _E2, _E3])
-    if graph_id == "g2":
-        return make_graph(2, [(1, 2)], [(1, 0), (0, 1)])
-    if graph_id == "g3":
-        return make_graph(
-            10,
-            [(1, 2), (1, 3), (1, 4), (1, 5), (6, 7), (6, 8), (6, 9), (6, 10)],
-            [_E1, _E2, _E2, _E3, _E3, _E2, _E1, _E1, _E3, _E3],
-        )
-    raise ValueError(f"unknown builtin graph {graph_id!r} (expected fig1, g1, g2 or g3)")
+    """The case graph of an id of GRAPH_IDS: fig1, g1, g2, g3."""
+    if graph_id not in _GRAPHS:
+        raise InputError(f"unknown builtin graph {graph_id!r} (expected fig1, g1, g2 or g3)")
+    return make_graph(*_GRAPHS[graph_id])
 
 
 def pre_weight_matrix(g: LabelledGraph, family: str, params: LayerParams) -> tuple[Row, ...]:
@@ -224,9 +224,9 @@ def verify_counterexample(case: CaseSpec, raise_on_failure: bool = True) -> Case
     layer splits a pair refinement still merges.
     """
     if case.case_id not in _CASE_TABLE:
-        raise ValueError(f"unknown case {case.case_id!r} (known: {', '.join(CASE_IDS)})")
+        raise InputError(f"unknown case {case.case_id!r} (known: {', '.join(CASE_IDS)})")
     if case.trials < 1:
-        raise ValueError(f"a verification needs at least one trial, got {case.trials}")
+        raise InputError(f"a verification needs at least one trial, got {case.trials}")
     table = _CASE_TABLE[case.case_id]
     g = builtin_graph(table["graph"])
     v, w = table["pair"]
@@ -341,12 +341,12 @@ def sample_graph(
 
     Resamples until no vertex is isolated (and, optionally, the graph is
     connected); fails after max_attempts.  n above SAMPLE_GRAPH_MAX_N
-    raises ValueError at once.
+    raises LimitError at once.
     """
     if n < 2:
         raise ValueError("need at least two vertices")
     if n > SAMPLE_GRAPH_MAX_N:
-        raise ValueError(f"n = {n} exceeds SAMPLE_GRAPH_MAX_N = {SAMPLE_GRAPH_MAX_N}")
+        raise LimitError(f"n = {n} exceeds SAMPLE_GRAPH_MAX_N = {SAMPLE_GRAPH_MAX_N}")
     threshold = Fraction(edge_prob)
     rng = random.Random(seed)
     for _ in range(max_attempts):
@@ -441,14 +441,22 @@ def sample_degree_spec(rng: random.Random, s0: int) -> MpnnSpec:
     return MpnnSpec(f_mode="degree", layers=tuple(layers))
 
 
+# the names of named_spec: gcn for gcn-kipf, and each family that requires
+# no more than its weights and p, q or r
+NETWORK_NAMES = tuple(
+    "gcn" if family == "gcn-kipf" else family
+    for family, row in FAMILIES.items()
+    if set(row.requires) <= {"w1", "w2", "p", "q", "r"}
+)
+
+
 def named_spec(name: str, s0: int, rounds: int, sigma: str = "relu") -> MpnnSpec:
-    """Identity-weight network for a family name (CLI shorthand): ``gcn``
-    for gcn-kipf, or a family that requires no more than its weights and
-    p, q or r, which are set to 1/2."""
+    """Identity-weight network for a name of NETWORK_NAMES (CLI shorthand),
+    its p, q and r set to 1/2."""
+    if name not in NETWORK_NAMES:
+        raise InputError(f"unknown network name {name!r}")
     family = "gcn-kipf" if name == "gcn" else name
-    row = FAMILIES.get(family) if name != "gcn-kipf" else None
-    if row is None or not set(row.requires) <= {"w1", "w2", "p", "q", "r"}:
-        raise ValueError(f"unknown network name {name!r}")
+    row = FAMILIES[family]
     eye = identity(s0)
     params = LayerParams(sigma=sigma, **{field: eye if field[0] == "w" else _HALF for field in row.requires})
     f_mode = "degree" if family in DEGREE_FAMILIES else "zero"

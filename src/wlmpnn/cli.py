@@ -2,12 +2,11 @@
 
 Subcommands: ``wl run``, ``mpnn run``, ``compare``, ``synth``,
 ``cases verify``, ``cases list``.  Exit codes: 0 success, 1 a verdict or
-verification failed, 2 usage or input errors: an unparseable scalar, a
-``--p`` outside (0, 1), a malformed graph or spec file (invalid JSON
-included), an unknown name, a ``--rounds`` or ``--trials`` below 1 and a
-negative ``--max-rounds``.  Any other failure is the program's, not the
-input's: it prints ``internal error: ...`` and exits 1.  Graph
-arguments accept a builtin id (fig1, g1, g2, g3) or a graph file path.
+verification failed, 2 the input is at fault: argparse's own usage errors,
+and every ``surd.InputError`` the library or the reading of a named file
+raises.  Any other failure is the program's: it prints
+``internal error: ...`` and exits 1.  Graph arguments accept a builtin id
+(fig1, g1, g2, g3) or a graph file path.
 """
 from __future__ import annotations
 
@@ -15,10 +14,11 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable, TypeVar
 
 from .cases import (
     CASE_IDS,
+    GRAPH_IDS,
+    NETWORK_NAMES,
     CaseSpec,
     CaseVerificationError,
     builtin_graph,
@@ -26,72 +26,46 @@ from .cases import (
     verify_counterexample,
 )
 from .compare import ShiftSpec, compare_traces, report
-from .graphs import GraphFormatError, LabelledGraph, parse_graph
-from .mpnn import DimensionError, MpnnSpec, SpecValidationError, run_mpnn, spec_from_json
-from .surd import ONE, ZERO, LimitError, parse_scalar
+from .graphs import LabelledGraph, parse_graph
+from .mpnn import MpnnSpec, run_mpnn, spec_from_json
+from .surd import InputError, parse_scalar
 from .synthesis import SynthesisError, synthesize_dgnn6, synthesize_gnn_minus
 from .wl import WlTrace, wl_partitions, wl_run
 
-T = TypeVar("T")
 
-
-class UsageError(ValueError):
-    """The command line or an input file is malformed or names nothing known."""
-
-
-def _parsed(parse: Callable[[], T]) -> T:
-    """parse(), reporting any ValueError it raises as an input error."""
+def _read(ref: str, what: str, names: str, as_json: bool = False):
+    """The text of the file ref, or the JSON value it holds; a missing or
+    unreadable file, undecodable text and invalid JSON are input errors."""
     try:
-        return parse()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _count(minimum: int, what: str) -> Callable[[str], int]:
-    """argparse type of an integer count of at least minimum."""
-
-    def parse(text: str) -> int:
-        try:
-            count = int(text)
-        except ValueError:
-            count = minimum - 1
-        if count < minimum:
-            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
-        return count
-
-    return parse
-
-
-_round_count = _count(1, "a positive round count")
+        text = Path(ref).read_text()
+        return json.loads(text) if as_json else text
+    except FileNotFoundError as exc:
+        raise InputError(f"{what} {ref!r} is neither {names} nor an existing file") from exc
+    except (OSError, ValueError) as exc:  # ValueError: UnicodeDecodeError, or json's (int digit limit included)
+        raise InputError(str(exc)) from exc
 
 
 def _load_graph(ref: str) -> LabelledGraph:
-    try:
+    if ref in GRAPH_IDS:
         return builtin_graph(ref)
-    except ValueError:
-        pass
-    path = Path(ref)
-    if not path.exists():
-        raise UsageError(f"graph {ref!r} is neither a builtin id nor an existing file")
-    return _parsed(lambda: parse_graph(path.read_text()))
+    return parse_graph(_read(ref, "graph", "a builtin id"))
 
 
 def _load_spec(ref: str, graph: LabelledGraph, rounds: int, sigma: str) -> MpnnSpec:
-    try:
+    if ref in NETWORK_NAMES:
         return named_spec(ref, graph.label_dim, rounds, sigma)
-    except ValueError:
-        pass
-    path = Path(ref)
-    if not path.exists():
-        raise UsageError(f"spec {ref!r} is neither a known family nor an existing file")
-    return _parsed(lambda: spec_from_json(json.loads(path.read_text())))
+    return spec_from_json(_read(ref, "spec", "a known family", as_json=True))
 
 
 def _emit(text: str, path: str | None):
-    if path:
-        Path(path).write_text(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
+    text = text if text.endswith("\n") else text + "\n"
+    if not path:
+        print(text, end="")
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _cmd_wl(args) -> int:
@@ -125,7 +99,7 @@ def _cmd_mpnn(args) -> int:
 
 def _cmd_compare(args) -> int:
     g = _load_graph(args.graph)
-    shift = _parsed(lambda: ShiftSpec.from_text(args.shift))
+    shift = ShiftSpec.from_text(args.shift)
     left_rounds = args.rounds
     right_rounds = shift.apply(left_rounds)
 
@@ -145,13 +119,11 @@ def _cmd_synth(args) -> int:
     g = _load_graph(args.graph)
     try:
         if args.target == "gnn-minus":
-            p = _parsed(lambda: parse_scalar(args.p)) if args.p else None
-            if p is not None and not ZERO < p < ONE:
-                raise UsageError(f"--p {p.to_text()} must lie strictly between 0 and 1")
+            p = parse_scalar(args.p) if args.p else None
             cert = synthesize_gnn_minus(g, args.rounds, args.sigma, p=p, uniform_q=args.uniform_q)
         else:
             if args.p:
-                raise UsageError("--p applies to the gnn-minus target only")
+                raise InputError("--p applies to the gnn-minus target only")
             cert = synthesize_dgnn6(g, args.rounds, args.sigma, uniform_q=args.uniform_q)
     except SynthesisError as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
@@ -211,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     wl_sub = wl.add_subparsers(dest="wl_command", required=True)
     wl_runp = wl_sub.add_parser("run", help="run refinement on a graph")
     wl_runp.add_argument("--graph", required=True)
-    wl_runp.add_argument("--max-rounds", type=_count(0, "a non-negative round count"), default=None)
+    wl_runp.add_argument("--max-rounds", type=int, default=None)
     wl_runp.add_argument("--format", choices=("text", "json"), default="text")
     wl_runp.add_argument("--emit")
     wl_runp.set_defaults(func=_cmd_wl)
@@ -221,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     mp_runp = mp_sub.add_parser("run", help="run a network on a graph")
     mp_runp.add_argument("--graph", required=True)
     mp_runp.add_argument("--spec", required=True, help="family name or spec JSON file")
-    mp_runp.add_argument("--rounds", type=_round_count, default=1)
+    mp_runp.add_argument("--rounds", type=int, default=1)
     mp_runp.add_argument("--sigma", choices=("relu", "sign", "none"), default="relu")
     mp_runp.add_argument("--format", choices=("text", "json"), default="text")
     mp_runp.add_argument("--emit")
@@ -232,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--left", required=True, help="family name, spec file, or 'wl'")
     cmp_p.add_argument("--right", required=True, help="family name, spec file, or 'wl'")
     cmp_p.add_argument("--shift", default="0", help="0, +1 or x<c>")
-    cmp_p.add_argument("--rounds", type=_round_count, required=True)
+    cmp_p.add_argument("--rounds", type=int, required=True)
     cmp_p.add_argument("--sigma", choices=("relu", "sign", "none"), default="relu")
     cmp_p.add_argument("--format", choices=("text", "json"), default="text")
     cmp_p.add_argument("--emit")
@@ -242,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--graph", required=True)
     synth.add_argument("--target", choices=("gnn-minus", "dgnn6"), required=True)
     synth.add_argument("--sigma", choices=("relu", "sign"), required=True)
-    synth.add_argument("--rounds", type=_round_count, required=True)
+    synth.add_argument("--rounds", type=int, required=True)
     synth.add_argument("--p", help="trade-off parameter for gnn-minus (scalar text)")
     synth.add_argument("--uniform-q", action="store_true")
     synth.add_argument("--format", choices=("text", "json"), default="text")
@@ -253,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     cases_sub = cases.add_subparsers(dest="cases_command", required=True)
     verify = cases_sub.add_parser("verify", help="verify a case claim")
     verify.add_argument("--case", required=True, choices=CASE_IDS)
-    verify.add_argument("--trials", type=_count(1, "a positive trial count"), default=100)
+    verify.add_argument("--trials", type=int, default=100)
     verify.add_argument("--seed", type=int, default=1)
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--emit")
@@ -272,10 +244,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (UsageError, GraphFormatError, SpecValidationError, DimensionError, LimitError) as exc:
-        # a spec the input describes can break its family's contract or fail
-        # to chain with the graph's label width only when run_mpnn runs it,
-        # and an input can drive a computation past a size limit
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:  # the program failed, not the input

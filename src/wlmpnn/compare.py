@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 from .graphs import Partition, partition_refines_violation
+from .surd import InputError
 
 
 class Traceable(Protocol):
@@ -30,9 +31,9 @@ class ShiftSpec:
 
     def __post_init__(self):
         if self.kind not in ("identity", "plus_one", "times_c"):
-            raise ValueError(f"unknown shift kind {self.kind!r}")
+            raise InputError(f"unknown shift kind {self.kind!r}")
         if self.kind == "times_c" and self.c < 1:
-            raise ValueError("linear factor must be a positive integer")
+            raise InputError("linear factor must be a positive integer")
 
     def apply(self, t: int) -> int:
         if self.kind == "identity":
@@ -47,9 +48,9 @@ class ShiftSpec:
             return ShiftSpec("identity")
         if text in ("+1", "plus_one"):
             return ShiftSpec("plus_one")
-        if text.startswith("x") and text[1:].isdigit():
+        if text.startswith("x") and text[1:].isdecimal():
             return ShiftSpec("times_c", int(text[1:]))
-        raise ValueError(f"unknown shift {text!r} (expected 0, +1 or x<c>)")
+        raise InputError(f"unknown shift {text!r} (expected 0, +1 or x<c>)")
 
     def to_text(self) -> str:
         if self.kind == "identity":

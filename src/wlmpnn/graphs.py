@@ -14,12 +14,12 @@ from itertools import islice
 from typing import Sequence
 
 from .linalg import unique_rows
-from .surd import ONE, ZERO, ExactScalar, parse_scalar
+from .surd import ONE, ZERO, ExactScalar, InputError, parse_scalar
 
 Label = tuple[ExactScalar, ...]
 
 
-class GraphFormatError(ValueError):
+class GraphFormatError(InputError):
     """Raised for malformed graph files or invariant violations."""
 
 

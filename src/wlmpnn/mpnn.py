@@ -52,18 +52,18 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .graphs import Label, LabelledGraph, Labelling, Partition, partition_of
 from .linalg import Matrix, Row, matrix_from_text, matrix_to_text, row_add, row_mat, row_scale, unique_rows
-from .surd import ONE, ZERO, ExactScalar, activate, exact_sum, inv_sqrt, parse_scalar, reciprocal
+from .surd import ONE, ZERO, ExactScalar, InputError, activate, exact_sum, inv_sqrt, parse_scalar, reciprocal
 from .wl import wl_step
 
 MsgFn = Callable[[Label, Label, int, int], Label]
 UpdFn = Callable[[Label, Label], Label]
 
 
-class SpecValidationError(ValueError):
+class SpecValidationError(InputError):
     """A network description violates its family's contract."""
 
 
-class DimensionError(ValueError):
+class DimensionError(InputError):
     """Matrix or label widths do not chain."""
 
 
@@ -422,15 +422,20 @@ def builtin_layer(family: str, params: LayerParams) -> tuple[MsgFn, UpdFn]:
 
 
 def _check_builtin_dims(layer: BuiltinLayer, width: int) -> None:
-    """Refuse weights that do not take labels of this width or disagree on
-    their output width; a weight is named as its spec field is."""
+    """Refuse weights that do not take labels of this width, have no
+    columns or disagree on their output width; a weight is named as its
+    spec field is."""
     params = layer.params
     for field, m in (("w1", params.w1), ("w2", params.w2)):
-        if m is not None and len(m) != width:
-            name = _json_names(layer.family)[field]
+        if m is None:
+            continue
+        name = _json_names(layer.family)[field]
+        if len(m) != width:
             raise DimensionError(
                 f"{layer.family} {name} has {len(m)} rows but incoming labels have width {width}"
             )
+        if not m[0]:
+            raise DimensionError(f"{layer.family} {name} has no columns, so its output width is 0")
     out_widths = {len(m[0]) for m in (params.w1, params.w2) if m is not None}
     if len(out_widths) > 1:
         raise DimensionError(f"{layer.family} weight matrices disagree on output width: {out_widths}")

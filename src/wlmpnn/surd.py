@@ -45,12 +45,16 @@ no decision goes through a float.
 which every prime up to 47 has a square root, a ring map that linear
 algebra uses to prove full rank without exact elimination.
 
-A value past a fixed size limit, such as one whose inverse needs the
-conjugates of more than 12 primes, raises ``LimitError``.
+``InputError`` is the one class of refused outside input: every module
+raises it, or a subclass, where a value, name or file it was given is at
+fault.  A value past a fixed size limit of the program, such as one whose
+inverse needs the conjugates of more than 12 primes or whose sign is still
+undecided at 2**22 bits, raises its subclass ``LimitError``.
 """
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from functools import cmp_to_key
@@ -66,7 +70,12 @@ _UNIT = {1: 1}  # the numerators of 1, over the denominator 1
 Coercible = Union["ExactScalar", int, Fraction]
 
 
-class LimitError(ValueError):
+class InputError(ValueError):
+    """Outside input is at fault: a malformed or unknown value, name or
+    file, or one that drives a computation past a limit."""
+
+
+class LimitError(InputError):
     """A value outgrew a fixed size limit of the program, such as the 12
     primes whose conjugates ``invert`` multiplies."""
 
@@ -82,7 +91,7 @@ MAX_RADICAND_PRIME = 1 << 16
 def _squarefree_split(radicand: int, bounded: bool = False) -> tuple[int, int]:
     """Write radicand = square**2 * free with free squarefree.  When bounded,
     a radicand with a prime factor above MAX_RADICAND_PRIME raises
-    ValueError, after trial division up to that bound only."""
+    LimitError, after trial division up to that bound only."""
     if radicand <= 0:
         raise ValueError(f"radicand must be a positive integer, got {radicand}")
     square, free = 1, 1
@@ -98,7 +107,7 @@ def _squarefree_split(radicand: int, bounded: bool = False) -> tuple[int, int]:
         p += 1 if p == 2 else 2
     if r > limit:  # every prime up to the limit is divided out of r
         shown = _int_text(radicand) if radicand.bit_length() <= 256 else f"of {radicand.bit_length()} bits"
-        raise ValueError(f"radicand {shown} has a prime factor above MAX_RADICAND_PRIME = {limit}")
+        raise LimitError(f"radicand {shown} has a prime factor above MAX_RADICAND_PRIME = {limit}")
     return square, free * r
 
 
@@ -177,16 +186,17 @@ class ExactScalar:
     def normalize(cls, raw_terms: Iterable[tuple[int, Coercible]]) -> "ExactScalar":
         """Canonicalize a raw (radicand, coefficient) list.
 
-        Each coefficient is a rational exact scalar or coerces to one.
-        Radicands are reduced to squarefree form (sqrt(12) -> 2*sqrt(3)),
-        like radicands merged and zero coefficients dropped.
+        Each coefficient is a rational exact scalar or coerces to one, and
+        each radicand an int (``operator.index``).  Radicands are reduced to
+        squarefree form (sqrt(12) -> 2*sqrt(3)), like radicands merged and
+        zero coefficients dropped.
         """
         parts = []
         for radicand, coeff in raw_terms:
             coeff = ExactScalar(coeff)
             if not coeff.is_rational:
                 raise ValueError(f"{coeff} is irrational")
-            square, free = _squarefree_split(int(radicand))
+            square, free = _squarefree_split(operator.index(radicand))
             parts.append((coeff._den, {free: coeff._num.get(1, 0) * square}))
         return _combine(parts)
 
@@ -385,7 +395,7 @@ class ExactScalar:
             if hi < 0:
                 return -1
             bits <<= 1
-        raise ArithmeticError(f"sign of {self} undecided at {_SIGN_MAX_BITS} bits")
+        raise LimitError(f"sign of {self} undecided at {_SIGN_MAX_BITS} bits")
 
     def _compare(self, other):
         """The sign of self - other, or NotImplemented for a foreign type."""
@@ -741,7 +751,7 @@ def inv_sqrt(num: int, den: int = 1) -> ExactScalar:
     """(num/den)**(-1/2) = sqrt(num*den)/num for positive integers num and
     den, which need not be coprime: one squarefree split and one gcd.  As
     in ``parse_scalar``, num*den with a prime factor above
-    MAX_RADICAND_PRIME raises ValueError after bounded trial division."""
+    MAX_RADICAND_PRIME raises LimitError after bounded trial division."""
     if num <= 0 or den <= 0:
         raise ValueError(f"cannot take an inverse square root of {num}/{den}")
     square, free = _squarefree_split(num * den, bounded=True)
@@ -846,7 +856,7 @@ def floor_exact(x: ExactScalar) -> int:
         if floor == hi // scale:
             return floor
         bits <<= 1
-    raise ArithmeticError(f"floor of {x} undecided at {_SIGN_MAX_BITS} bits")
+    raise LimitError(f"floor of {x} undecided at {_SIGN_MAX_BITS} bits")
 
 
 _TERM_RE = re.compile(r"^(?P<sign>-)?(?:(?P<coeff>\d+(?:/\d+)?)\*?)?(?:sqrt\((?P<radicand>\d+)\))?$")
@@ -857,12 +867,13 @@ def parse_scalar(text: str) -> ExactScalar:
 
     Accepted terms: ``a``, ``a/b``, ``a/b*sqrt(r)``, ``sqrt(r)`` with
     optional signs, e.g. ``1/2 + 1/4*sqrt(2)``.  Non-squarefree radicands
-    are reduced, so printing the result re-canonicalizes the input.  A
-    radicand with a prime factor above MAX_RADICAND_PRIME raises ValueError.
+    are reduced, so printing the result re-canonicalizes the input.  Text
+    that is not a scalar raises InputError, and a radicand with a prime
+    factor above MAX_RADICAND_PRIME its subclass LimitError.
     """
     compact = "".join(text.split())
     if not compact:
-        raise ValueError("empty scalar")
+        raise InputError("empty scalar")
     chunks: list[str] = []
     depth = 0
     start = 0
@@ -872,29 +883,31 @@ def parse_scalar(text: str) -> ExactScalar:
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise ValueError(f"unbalanced parentheses in scalar {text!r}")
+                raise InputError(f"unbalanced parentheses in scalar {text!r}")
         elif ch in "+-" and depth == 0 and i > start:
             chunks.append(compact[start:i])
             start = i + 1 if ch == "+" else i
     if depth != 0:
-        raise ValueError(f"unbalanced parentheses in scalar {text!r}")
+        raise InputError(f"unbalanced parentheses in scalar {text!r}")
     chunks.append(compact[start:])
     parts: list[tuple[int, dict[int, int]]] = []
     for chunk in chunks:
         if chunk in ("", "+", "-"):
-            raise ValueError(f"malformed term in scalar {text!r}")
+            raise InputError(f"malformed term in scalar {text!r}")
         m = _TERM_RE.match(chunk)
         if not m or (m.group("coeff") is None and m.group("radicand") is None):
-            raise ValueError(f"malformed term {chunk!r} in scalar {text!r}")
+            raise InputError(f"malformed term {chunk!r} in scalar {text!r}")
         num, den = 1, 1
         if m.group("coeff"):
             top, _, bottom = m.group("coeff").partition("/")
             num, den = _int_of_text(top), _int_of_text(bottom) if bottom else 1
             if den == 0:
-                raise ValueError(f"zero denominator in term {chunk!r} of scalar {text!r}")
+                raise InputError(f"zero denominator in term {chunk!r} of scalar {text!r}")
         if m.group("sign"):
             num = -num
         radicand = _int_of_text(m.group("radicand")) if m.group("radicand") else 1
+        if radicand == 0:
+            raise InputError(f"zero radicand in term {chunk!r} of scalar {text!r}")
         square, free = _squarefree_split(radicand, bounded=True)
         parts.append((den, {free: num * square}))
     return _combine(parts)
@@ -905,7 +918,7 @@ def activate(value: ExactScalar, sigma: str) -> ExactScalar:
     if sigma == "relu":
         return value if value.sign() > 0 else ZERO
     if sigma == "sign":
-        return ExactScalar(value.sign())
+        return (ZERO, ONE, MINUS_ONE)[value.sign()]  # index -1 is the last
     if sigma == "none":
         return value
     raise ValueError(f"unknown activation {sigma!r}")
@@ -913,3 +926,4 @@ def activate(value: ExactScalar, sigma: str) -> ExactScalar:
 
 ZERO = ExactScalar(0)
 ONE = ExactScalar(1)
+MINUS_ONE = ExactScalar(-1)

@@ -104,8 +104,8 @@ from .linalg import (
     unique_rows,
 )
 from .mpnn import BuiltinLayer, DegreeFn, LayerParams, MpnnSpec, propagate
-from .surd import ONE, ZERO, ExactScalar, activate, canonical_key, exact_dot, exact_max, exact_min, exact_order
-from .surd import floor_exact
+from .surd import MINUS_ONE, ONE, ZERO, ExactScalar, InputError, activate, canonical_key, exact_dot, exact_max
+from .surd import exact_min, exact_order, floor_exact
 from .wl import wl_partitions
 
 
@@ -156,9 +156,6 @@ def _mat_vec(m: Matrix, col: Row) -> Row:
     return tuple(_dot(row, col) for row in m)
 
 
-_MINUS_ONE = ExactScalar(-1)
-
-
 def _activated(
     mixed: Sequence[ExactScalar],
     order: Sequence[int],
@@ -183,7 +180,7 @@ def _activated(
         pos[i] = k
     relu = sigma == "relu"
     settled = q >= below_one if relu else q > below_one
-    low = ZERO if relu else _MINUS_ONE
+    low = ZERO if relu else MINUS_ONE
     out = []
     for m, k in zip(mixed, pos):
         below = (low,) * k if settled else tuple(activate(m * xj - q, sigma) for xj in x_row[:k])
@@ -540,7 +537,7 @@ def _find_clamp_column(
         tau = (distinct[k] + distinct[k + 1]) * ExactScalar(Fraction(1, 2))
         if sigma == "relu":
             return direction, tau, [x - tau if at > k else ZERO for x, at in zip(u, position)]
-        return direction, tau, [ONE if at > k else _MINUS_ONE for at in position]
+        return direction, tau, [ONE if at > k else MINUS_ONE for at in position]
     return None
 
 
@@ -624,9 +621,9 @@ def _clamp_repair(
 
 def _check_arguments(sigma: str, rounds: int) -> None:
     if sigma not in ("relu", "sign"):
-        raise ValueError(f"activation must be 'relu' or 'sign', got {sigma!r}")
+        raise InputError(f"activation must be 'relu' or 'sign', got {sigma!r}")
     if rounds < 1:
-        raise ValueError("need at least one round")
+        raise InputError("need at least one round")
 
 
 def _synthesize_rounds(
@@ -745,7 +742,7 @@ def synthesize_gnn_minus(
     _check_arguments(sigma, rounds)
     p = ExactScalar(Fraction(1, 2)) if p is None else ExactScalar(p)
     if p.sign() <= 0 or (p - ONE).sign() >= 0:
-        raise ValueError(f"p = {p} must lie strictly between 0 and 1")
+        raise InputError(f"p = {p} must lie strictly between 0 and 1")
     unit = DegreeFn("one")
     synthesized, reencoded = _synthesize_rounds(g, rounds, sigma, p, unit, unit, uniform_q)
     for t, r in enumerate(synthesized, start=1):

@@ -22,13 +22,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .graphs import Label, LabelledGraph, Partition, partition_of
-from .surd import ExactScalar, LimitError, conjugates, floor_exact
+from .surd import ExactScalar, InputError, LimitError, conjugates, floor_exact
 
 ENCODING_GUARD = 10**6
-
-
-class EncodingLimitError(LimitError):
-    """The injection index outgrew the desk-scale magnitude guard."""
 
 
 class NotInImageError(ValueError):
@@ -78,7 +74,7 @@ def wl_step(g: LabelledGraph, current: Partition) -> Partition:
 def wl_run(g: LabelledGraph, max_rounds: int | None = None) -> WlTrace:
     """Iterate wl_step until the class count stops growing (or max_rounds)."""
     if max_rounds is not None and max_rounds < 0:
-        raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
+        raise InputError(f"max_rounds must be non-negative, got {max_rounds}")
     rounds = [partition_of(g.initial_labelling())]
     stabilized = None
     t = 0
@@ -203,13 +199,13 @@ def label_tau(row: Label, guard: int = ENCODING_GUARD) -> int:
     for x in row:
         idx = scalar_index(x)
         if idx > guard:
-            raise EncodingLimitError(f"component index {idx} exceeds the guard {guard}")
+            raise LimitError(f"component index {idx} exceeds the guard {guard}")
         indices.append(idx)
     tau = indices[0]
     for nxt in indices[1:]:
         tau = cantor_pair(tau, nxt)
         if tau > guard:
-            raise EncodingLimitError(f"tuple index {tau} exceeds the guard {guard}")
+            raise LimitError(f"tuple index {tau} exceeds the guard {guard}")
     return tau
 
 

@@ -20,7 +20,7 @@ from wlmpnn.cases import (
 from wlmpnn.graphs import format_graph
 from wlmpnn.linalg import identity
 from wlmpnn.mpnn import DegreeFn, LayerParams, run_mpnn
-from wlmpnn.surd import ExactScalar
+from wlmpnn.surd import ExactScalar, LimitError
 
 S = ExactScalar
 
@@ -148,7 +148,7 @@ def test_sample_graph_gives_up_eventually():
 
 
 def test_sample_graph_stops_at_its_size_limit():
-    with pytest.raises(ValueError, match=f"exceeds SAMPLE_GRAPH_MAX_N = {SAMPLE_GRAPH_MAX_N}"):
+    with pytest.raises(LimitError, match=f"exceeds SAMPLE_GRAPH_MAX_N = {SAMPLE_GRAPH_MAX_N}"):
         sample_graph(SAMPLE_GRAPH_MAX_N + 1, Fraction(2, 5), seed=7)
 
 

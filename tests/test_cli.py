@@ -4,11 +4,14 @@ import time
 
 import pytest
 
-from wlmpnn.cases import builtin_graph
+from wlmpnn.cases import NETWORK_NAMES, CaseSpec, builtin_graph, named_spec, verify_counterexample
 from wlmpnn.cli import main
-from wlmpnn.graphs import format_graph
-from wlmpnn.mpnn import spec_to_json
-from wlmpnn.cases import named_spec
+from wlmpnn.compare import ShiftSpec
+from wlmpnn.graphs import GraphFormatError, format_graph
+from wlmpnn.mpnn import DimensionError, SpecValidationError, spec_to_json
+from wlmpnn.surd import ONE, InputError, LimitError, parse_scalar
+from wlmpnn.synthesis import synthesize_dgnn6, synthesize_gnn_minus
+from wlmpnn.wl import wl_run
 
 
 def run(argv):
@@ -200,9 +203,9 @@ def test_internal_value_error_exits_1(monkeypatch, capsys):
     "argv, message",
     [
         (["synth", "--graph", "fig1", "--target", "gnn-minus", "--sigma", "relu", "--rounds", "3",
-          "--p", "3/2"], "error: --p 3/2 must lie strictly between 0 and 1"),
+          "--p", "3/2"], "error: p = 3/2 must lie strictly between 0 and 1"),
         (["synth", "--graph", "fig1", "--target", "gnn-minus", "--sigma", "relu", "--rounds", "3",
-          "--p", "0"], "error: --p 0 must lie strictly between 0 and 1"),
+          "--p", "0"], "error: p = 0 must lie strictly between 0 and 1"),
         (["synth", "--graph", "fig1", "--target", "gnn-minus", "--sigma", "relu", "--rounds", "3",
           "--p", "half"], "error: "),
         (["compare", "--graph", "fig1", "--left", "gcn", "--right", "wl", "--shift", "x0",
@@ -216,22 +219,33 @@ def test_input_errors_exit_2(capsys, argv, message):
 
 
 def test_round_count_must_be_positive(capsys):
+    # the library refuses the count, and the CLI prints the library's message
     assert run(["synth", "--graph", "fig1", "--target", "gnn-minus", "--sigma", "relu", "--rounds", "0"]) == 2
-    assert "not a positive round count" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: need at least one round\n"
+    assert run(["mpnn", "run", "--graph", "fig1", "--spec", "gcn", "--rounds", "0"]) == 2
+    assert capsys.readouterr().err == "error: a network needs at least one round\n"
 
 
-@pytest.mark.parametrize("trials", ["0", "-3", "three"])
-def test_trial_count_must_be_positive(capsys, trials):
+@pytest.mark.parametrize(
+    "trials, message",
+    [
+        ("0", "error: a verification needs at least one trial, got 0\n"),
+        ("-3", "error: a verification needs at least one trial, got -3\n"),
+        ("three", "argument --trials: invalid int value: 'three'\n"),
+    ],
+    ids=["0", "-3", "three"],
+)
+def test_trial_count_must_be_positive(capsys, trials, message):
     assert run(["cases", "verify", "--case", "g2-dgnn34", "--trials", trials]) == 2
     captured = capsys.readouterr()
-    assert "not a positive trial count" in captured.err
+    assert captured.err.endswith(message)
     assert "passed" not in captured.out
 
 
 def test_max_rounds_must_be_non_negative(capsys):
     assert run(["wl", "run", "--graph", "fig1", "--max-rounds", "-1"]) == 2
     captured = capsys.readouterr()
-    assert "not a non-negative round count" in captured.err
+    assert captured.err == "error: max_rounds must be non-negative, got -1\n"
     assert "stabilized_at" not in captured.out
     assert run(["wl", "run", "--graph", "fig1", "--max-rounds", "0"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "stabilized_at: None"
@@ -340,6 +354,10 @@ def _named_spec_with(family, rounds, edit):
         ),
         # fig1 has degrees 1, 2 and 3, and the table has degree 1 only
         (_general_dgnn_spec("table(1:1)"), "layer 1: table(1:1) at degree 2: missing from the table"),
+        (
+            {"f_mode": "degree", "layers": [{"family": "dgnn1", "W": [[], [], []]}]},
+            "layer 1: dgnn1 W has no columns, so its output width is 0",
+        ),
     ],
     ids=[
         "missing-r",
@@ -350,6 +368,7 @@ def _named_spec_with(family, rounds, edit):
         "r-2^-100",
         "r-1/10000019",
         "g-table-missing-degree",
+        "W-without-columns",
     ],
 )
 def test_run_time_spec_errors_name_their_layer_exit_2(tmp_path, capsys, spec, message):
@@ -397,7 +416,9 @@ def test_spec_field_value_errors_name_their_layer_and_field_exit_2(tmp_path, cap
 
 
 def test_named_networks_are_the_cli_names(capsys):
-    for name in ("gcn", "dgnn1", "dgnn2", "dgnn3", "dgnn4", "dgnn5", "dgnn6", "gnn", "gnn-minus"):
+    names = ("gcn", "dgnn1", "dgnn2", "dgnn3", "dgnn4", "dgnn5", "dgnn6", "gnn", "gnn-minus")
+    assert sorted(NETWORK_NAMES) == sorted(names)
+    for name in names:
         assert run(["mpnn", "run", "--graph", "g1", "--spec", name]) == 0, name
     capsys.readouterr()
     for name in ("gcn-kipf", "general-dgnn"):
@@ -472,3 +493,65 @@ def test_singular_separation_reports_synthesis_failure_exit_1(monkeypatch, capsy
     assert captured.err.startswith("synthesis failed: separation produced a singular activated matrix")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wl", "run", "--graph", "{dir}"],
+        ["mpnn", "run", "--graph", "fig1", "--spec", "{dir}"],
+        ["wl", "run", "--graph", "fig1", "--emit", "{dir}"],
+    ],
+    ids=["graph", "spec", "emit"],
+)
+def test_directory_named_as_a_file_exit_2(tmp_path, capsys, argv):
+    assert run([arg.format(dir=tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert repr(str(tmp_path)) in captured.err
+    assert captured.out == ""
+
+
+def test_sign_past_the_bit_limit_exit_2(tmp_path, monkeypatch, capsys):
+    # sqrt(2) less a convergent of it lies within 10**-24 of 0: the ReLU of
+    # gcn needs its sign, which 64 bits do not decide
+    monkeypatch.setattr("wlmpnn.surd._SIGN_MAX_BITS", 64)
+    label = "sqrt(2) - 886731088897/627013566048"
+    path = tmp_path / "graph.txt"
+    path.write_text(f"n 2\nv 1 1: {label}\nv 2 1: {label}\ne 1 2\n")
+    assert run(["mpnn", "run", "--graph", str(path), "--spec", "gcn"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: sign of -886731088897/627013566048 + sqrt(2) undecided at 64 bits\n"
+    assert captured.out == ""
+
+
+def test_error_classes_of_input_are_input_errors():
+    for cls in (LimitError, GraphFormatError, SpecValidationError, DimensionError):
+        assert issubclass(cls, InputError)
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        lambda: parse_scalar("1/0"),
+        lambda: parse_scalar("sqrt(0)"),
+        lambda: ShiftSpec.from_text("x-1"),
+        lambda: ShiftSpec("times_c", 0),
+        lambda: builtin_graph("g4"),
+        lambda: named_spec("gcn-kipf", 3, rounds=1),
+        lambda: verify_counterexample(CaseSpec("no-such-case", trials=1, seed=1)),
+        lambda: verify_counterexample(CaseSpec("g2-dgnn34", trials=0, seed=1)),
+        lambda: synthesize_dgnn6(builtin_graph("fig1"), 0, "relu"),
+        lambda: synthesize_dgnn6(builtin_graph("fig1"), 1, "none"),
+        lambda: synthesize_gnn_minus(builtin_graph("fig1"), 1, "relu", p=ONE),
+        lambda: wl_run(builtin_graph("fig1"), -1),
+    ],
+    ids=[
+        "scalar", "radicand-0", "shift-text", "shift-factor", "graph-id", "network-name", "case-id",
+        "trials", "synth-rounds", "synth-sigma", "gnn-minus-p", "max-rounds",
+    ],
+)
+def test_library_refusals_of_input_raise_input_error(refuse):
+    # the CLI maps InputError, and only it, to exit 2
+    with pytest.raises(InputError):
+        refuse()

@@ -1,9 +1,10 @@
 """Fuzz test of the network-spec boundary through the command line.
 
 Valid spec files of every family are mutated: a field dropped, renamed or
-given another JSON type, a value nested wrongly, a huge integer, an empty
-file.  Every run must exit 2 with one ``error:`` line and no output, or exit
-0 with exactly the output of the valid spec.
+given another JSON type, a value nested wrongly, a list or the rows of a
+matrix emptied, a huge integer, a blank file.  Every run must exit 2 with
+one ``error:`` line and no output, or exit 0 with exactly the output of the
+valid spec.
 """
 import contextlib
 import copy
@@ -79,8 +80,8 @@ def mutated_specs(draw) -> tuple[str, str]:
     """(family, text of a mutated spec file)."""
     family = draw(st.sampled_from(sorted(VALID)))
     spec = copy.deepcopy(VALID[family])
-    kind = draw(st.sampled_from(["drop", "rename", "retype", "nest", "move", "huge", "empty"]))
-    if kind == "empty":
+    kind = draw(st.sampled_from(["drop", "rename", "retype", "nest", "move", "empty", "huge", "blank"]))
+    if kind == "blank":
         return family, draw(st.sampled_from(["", " \n", "{}", "[]", "null"]))
     layer = spec["layers"][draw(st.integers(0, len(spec["layers"]) - 1))]
     where = spec if draw(st.integers(0, 3)) == 0 else layer  # a layer has more fields
@@ -107,6 +108,11 @@ def mutated_specs(draw) -> tuple[str, str]:
         source, target = (layer, spec) if where is layer else (spec, layer)
         key = draw(st.sampled_from([k for k in sorted(source) if k not in target and k != "layers"]))
         target[key] = source.pop(key)
+    elif kind == "empty":  # a list emptied, or each row of a matrix
+        key = draw(st.sampled_from([k for k in keys if isinstance(where[k], list)]))
+        value = where[key]
+        rows = all(isinstance(row, list) for row in value) and draw(st.booleans())
+        where[key] = [[] for _ in value] if rows else []
     else:
         key = draw(st.sampled_from(keys))
         digits = draw(st.integers(30, 400))
@@ -131,9 +137,14 @@ def spec_path(tmp_path_factory):
 HUGE_ROUNDS = json.dumps({**VALID["dgnn6"], "rounds": 123456789}).replace("123456789", "1" + "0" * 5000)
 
 
+# a weight without columns, whose output width is 0
+NO_COLUMNS = json.dumps({"f_mode": "degree", "layers": [{"family": "dgnn1", "W": [[], [], []]}]})
+
+
 @settings(max_examples=150)
 @example(case=("dgnn6", _misspelled_bias()))
 @example(case=("dgnn6", HUGE_ROUNDS))
+@example(case=("dgnn1", NO_COLUMNS))
 @given(case=mutated_specs())
 def test_mutated_spec_is_refused_or_runs_as_the_valid_one(spec_path, case):
     family, text = case

@@ -14,6 +14,7 @@ from wlmpnn.surd import (
     _int_text,
     _squarefree_split,
     MAX_RADICAND_PRIME,
+    MINUS_ONE,
     ONE,
     ZERO,
     ExactScalar,
@@ -23,6 +24,7 @@ from wlmpnn.surd import (
     conjugates,
     exact_dot,
     exact_sum,
+    floor_exact,
     inv_sqrt,
     parse_scalar,
     reciprocal,
@@ -103,10 +105,23 @@ def test_invert_rejects_radicands_spanning_many_primes():
         conjugates(value)
 
 
+def test_sign_and_floor_past_the_bit_limit_raise_limit_error(monkeypatch):
+    # sqrt(2) less a convergent of it lies within 10**-24 of 0, so its sign
+    # and floor need more than 64 bits
+    x = parse_scalar("sqrt(2) - 886731088897/627013566048")
+    monkeypatch.setattr("wlmpnn.surd._SIGN_MAX_BITS", 64)
+    with pytest.raises(LimitError, match="sign of -886731088897/627013566048 \\+ sqrt\\(2\\) undecided at 64 bits"):
+        x.sign()
+    with pytest.raises(LimitError, match="floor of .* undecided at 64 bits"):
+        floor_exact(x)
+    monkeypatch.undo()
+    assert x.sign() == -1 and floor_exact(x) == -1
+
+
 # -- one coercion rule ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("value", [0.5, 0.1, float("nan"), "3/4", "1", Decimal("0.5"), None, 1j])
+@pytest.mark.parametrize("value", [0.5, 0.1, float("nan"), "3/4", "1", Decimal("0.5"), None, 1j, 2.5, "12"])
 def test_only_exact_scalars_ints_and_fractions_coerce(value):
     refusals = [
         lambda: S(value),
@@ -121,6 +136,9 @@ def test_only_exact_scalars_ints_and_fractions_coerce(value):
             refused()
     with pytest.raises(TypeError):  # an operator leaves a foreign type to that type, which refuses too
         S(1) + value
+    for refused in (lambda: S.sqrt(value), lambda: S.normalize([(value, 1)])):
+        with pytest.raises(TypeError):  # a radicand is an int, taken through operator.index
+            refused()
     assert (S(Fraction(1, 2)) == value) is False
 
 
@@ -161,8 +179,10 @@ def test_sign_close_call():
 def test_activate():
     assert activate(S(Fraction(-3, 2)), "relu") == ZERO
     assert activate(sqrt(2) - ONE, "relu") == sqrt(2) - ONE
-    assert activate(sqrt(2) - ONE, "sign") == ONE
-    assert activate(ZERO, "sign") == ZERO
+    # sign returns the shared constants, not a new scalar per entry
+    assert activate(sqrt(2) - ONE, "sign") is ONE
+    assert activate(S(0), "sign") is ZERO
+    assert activate(ONE - sqrt(2), "sign") is MINUS_ONE
     assert activate(sqrt(2), "none") == sqrt(2)
     with pytest.raises(ValueError):
         activate(ONE, "tanh")
@@ -218,7 +238,7 @@ def test_parse_is_liberal_print_is_canonical():
 )
 def test_parsed_radicand_with_a_prime_above_the_bound_is_refused(radicand, shown):
     # trial division stops at the bound, so even a long radicand fails at once
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(LimitError) as info:
         parse_scalar(f"1 - 1/2*sqrt({radicand})")
     assert str(info.value) == f"radicand {shown} has a prime factor above MAX_RADICAND_PRIME = 65536"
 
