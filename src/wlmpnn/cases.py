@@ -26,10 +26,9 @@ from .mpnn import (
     MpnnSpec,
     run_mpnn,
     wrap_comb_aggr,
-    _resolve_layer,
 )
 from .surd import ONE, ZERO, ExactScalar, InputError, LimitError, activate
-from .wl import WlTrace, wl_partitions
+from .wl import WlTrace, check_round_limit, wl_partitions
 
 CASE_IDS = ("fig1-gcn", "g1-dgnn12", "g2-dgnn34", "g3-dgnn5", "fig1-dgnn6")
 
@@ -59,7 +58,7 @@ def builtin_graph(graph_id: str) -> LabelledGraph:
     return make_graph(*_GRAPHS[graph_id])
 
 
-def pre_weight_matrix(g: LabelledGraph, family: str, params: LayerParams) -> tuple[Row, ...]:
+def pre_weight_matrix(g: LabelledGraph, layer: BuiltinLayer) -> tuple[Row, ...]:
     """The symbolic matrix a single-weight degree-aware layer multiplies by W.
 
     Computed directly from the closed form diag(g) (A + pI) diag(h) L (plus
@@ -67,17 +66,17 @@ def pre_weight_matrix(g: LabelledGraph, family: str, params: LayerParams) -> tup
     message-passing engine, so it doubles as an independent cross-check of
     the engine in the trials.
     """
-    w1, w2, _, p, g_fn, h_fn, _ = _resolve_layer(family, params)
-    if w1 is not None and w1 is not w2:
-        raise ValueError(f"{family} has an independent self weight; no single pre-weight matrix")
-    scaled = [row_scale(g.label_of(v), h_fn.value(g.degree(v))) for v in range(1, g.n + 1)]
+    form = layer.form
+    if form.w1 is not None and form.w1 is not form.w2:
+        raise ValueError(f"{layer.family} has an independent self weight; no single pre-weight matrix")
+    scaled = [row_scale(g.label_of(v), form.h.value(g.degree(v))) for v in range(1, g.n + 1)]
     rows = []
     for v in range(1, g.n + 1):
-        acc = row_scale(scaled[v - 1], p)
+        acc = row_scale(scaled[v - 1], form.p)
         for u in g.neighbors(v):
             acc = row_add(acc, scaled[u - 1])
-        row = row_scale(acc, g_fn.value(g.degree(v)))
-        if w1 is not None:
+        row = row_scale(acc, form.g.value(g.degree(v)))
+        if form.w1 is not None:
             row = row_add(row, g.label_of(v))
         rows.append(row)
     return tuple(rows)
@@ -85,9 +84,17 @@ def pre_weight_matrix(g: LabelledGraph, family: str, params: LayerParams) -> tup
 
 @dataclass(frozen=True)
 class CaseSpec:
+    """A case claim to verify; making one refuses an unknown case id or trials < 1."""
+
     case_id: str
     trials: int = 100
     seed: int = 1
+
+    def __post_init__(self):
+        if self.case_id not in CASE_IDS:
+            raise InputError(f"unknown case {self.case_id!r} (known: {', '.join(CASE_IDS)})")
+        if self.trials < 1:
+            raise InputError(f"a verification needs at least one trial, got {self.trials}")
 
 
 @dataclass(frozen=True)
@@ -152,7 +159,9 @@ class CaseVerificationError(RuntimeError):
 
 _HALF = ExactScalar(Fraction(1, 2))
 
-# case id -> (graph id, architecture layer builders, pair, kind, expected shared row or None)
+# case id -> graph id, the families with their parameters besides W and
+# sigma, the claimed pair, the kind of claim, the refinement round, and for a
+# forced merge the pair's shared pre-weight row from the layer's closed form
 _CASE_TABLE: dict[str, dict] = {
     "g1-dgnn12": {
         "graph": "g1",
@@ -160,6 +169,8 @@ _CASE_TABLE: dict[str, dict] = {
         "pair": (1, 4),
         "kind": "forced-merge",
         "wl_round": 1,
+        # both endpoints see two degree-2 neighbours of the middle label
+        "expected": lambda form: (ZERO, form.g.value(2) * form.h.value(2) * 2, ZERO),
     },
     "g2-dgnn34": {
         "graph": "g2",
@@ -167,6 +178,7 @@ _CASE_TABLE: dict[str, dict] = {
         "pair": (1, 2),
         "kind": "forced-merge",
         "wl_round": 1,
+        "expected": lambda form: (form.g.value(1) * form.h.value(1),) * 2,
     },
     "g3-dgnn5": {
         "graph": "g3",
@@ -174,6 +186,7 @@ _CASE_TABLE: dict[str, dict] = {
         "pair": (1, 6),
         "kind": "forced-merge",
         "wl_round": 1,
+        "expected": lambda form: (ONE, ONE, ONE),
     },
     "fig1-gcn": {
         "graph": "fig1",
@@ -192,21 +205,6 @@ _CASE_TABLE: dict[str, dict] = {
 }
 
 
-def _expected_shared_row(case_id: str, family: str, params: LayerParams, g: LabelledGraph) -> Row:
-    """The claimed common pre-weight row of the forced pair, from the closed form."""
-    _, _, _, p, g_fn, h_fn, _ = _resolve_layer(family, params)
-    if case_id == "g1-dgnn12":
-        # both endpoints see two degree-2 neighbours of the middle label
-        value = g_fn.value(2) * h_fn.value(2) * 2
-        return (ZERO, value, ZERO)
-    if case_id == "g2-dgnn34":
-        value = g_fn.value(1) * h_fn.value(1)
-        return (value, value)
-    if case_id == "g3-dgnn5":
-        return (ONE, ONE, ONE)
-    raise ValueError(case_id)
-
-
 def _sample_matrix(rng: random.Random, rows: int, cols: int, span: int, dens: tuple[int, ...]):
     return tuple(_sample_row(rng, cols, span, dens) for _ in range(rows))
 
@@ -223,10 +221,6 @@ def verify_counterexample(case: CaseSpec, raise_on_failure: bool = True) -> Case
     pair at the stated round; forced-split cases assert the identity-weight
     layer splits a pair refinement still merges.
     """
-    if case.case_id not in _CASE_TABLE:
-        raise InputError(f"unknown case {case.case_id!r} (known: {', '.join(CASE_IDS)})")
-    if case.trials < 1:
-        raise InputError(f"a verification needs at least one trial, got {case.trials}")
     table = _CASE_TABLE[case.case_id]
     g = builtin_graph(table["graph"])
     v, w = table["pair"]
@@ -236,15 +230,13 @@ def verify_counterexample(case: CaseSpec, raise_on_failure: bool = True) -> Case
     expected_rows_ok = True
     merges = 0
     separations = 0
-    families = []
     for family, extra_params in table["families"]:
-        families.append(family)
-        base = LayerParams(w2=identity(g.label_dim), sigma="relu", **extra_params)
-        pre = pre_weight_matrix(g, family, base)
+        base = BuiltinLayer(family, LayerParams(w2=identity(g.label_dim), sigma="relu", **extra_params))
+        pre = pre_weight_matrix(g, base)
         rows_equal = pre[v - 1] == pre[w - 1]
         if kind == "forced-merge":
             structural_ok &= rows_equal
-            expected = _expected_shared_row(case.case_id, family, base, g)
+            expected = table["expected"](base.form)
             expected_rows_ok &= pre[v - 1] == expected and pre[w - 1] == expected
         else:
             structural_ok &= not rows_equal
@@ -284,7 +276,7 @@ def verify_counterexample(case: CaseSpec, raise_on_failure: bool = True) -> Case
         case_id=case.case_id,
         trials=case.trials,
         seed=case.seed,
-        architectures=tuple(families),
+        architectures=tuple(family for family, _ in table["families"]),
         claimed_pair=(v, w),
         kind=kind,
         structural_ok=structural_ok,
@@ -398,27 +390,7 @@ def sample_anonymous_spec(rng: random.Random, s0: int) -> MpnnSpec:
             return tuple(activate(value, sigma) for value in pre)
 
         return wrap_comb_aggr(comb, aggr_h, aggr_g, rounds)
-    layers = []
-    width = s0
-    for _ in range(rounds):
-        out = rng.randint(1, 3)
-        if family == "gnn":
-            params = LayerParams(
-                w1=_weights(rng, width, out),
-                w2=_weights(rng, width, out),
-                bias=_sample_row(rng, out, span=3, dens=(1, 2)),
-                sigma=sigma,
-            )
-        else:
-            params = LayerParams(
-                w2=_weights(rng, width, out),
-                p=ExactScalar(Fraction(rng.randint(0, 4), 4)),
-                q=ExactScalar(Fraction(rng.randint(0, 4), 4)),
-                sigma=sigma,
-            )
-        layers.append(BuiltinLayer(family, params))
-        width = out
-    return MpnnSpec(f_mode="zero", layers=tuple(layers))
+    return MpnnSpec(f_mode="zero", layers=_sample_layers(rng, family, rounds, s0, sigma))
 
 
 def sample_degree_spec(rng: random.Random, s0: int) -> MpnnSpec:
@@ -426,19 +398,30 @@ def sample_degree_spec(rng: random.Random, s0: int) -> MpnnSpec:
     family = rng.choice(["gcn-kipf", "dgnn1", "dgnn2", "dgnn3", "dgnn4", "dgnn5", "dgnn6"])
     rounds = rng.randint(1, 4)
     sigma = rng.choice(["relu", "sign"])
+    return MpnnSpec(f_mode="degree", layers=_sample_layers(rng, family, rounds, s0, sigma))
+
+
+def _sample_layers(rng: random.Random, family: str, rounds: int, width: int, sigma: str) -> tuple[BuiltinLayer, ...]:
+    """rounds layers of family, each of output width 1 to 3 and with every
+    field the family requires or takes: weights and bias at the
+    property-suite scale, p and q in {0, 1/4, ..., 1} and r in {1/4, ..., 1}."""
+    row = FAMILIES[family]
     layers = []
-    width = s0
     for _ in range(rounds):
         out = rng.randint(1, 3)
-        kwargs: dict = {"w2": _weights(rng, width, out), "sigma": sigma}
-        if family == "dgnn6":
-            kwargs["r"] = ExactScalar(Fraction(rng.randint(1, 4), 4))
-            kwargs["p"] = ExactScalar(Fraction(rng.randint(0, 4), 4))
-        if "bias" in FAMILIES[family].takes:
-            kwargs["bias"] = _sample_row(rng, out, span=3, dens=(1, 2))
-        layers.append(BuiltinLayer(family, LayerParams(**kwargs)))
+        fields = {}
+        for attr in ("w1", "w2", "r", "p", "q", "bias"):  # in the order they are drawn
+            if attr not in row.requires + row.takes:
+                continue
+            if attr == "bias":
+                fields[attr] = _sample_row(rng, out, span=3, dens=(1, 2))
+            elif attr in ("w1", "w2"):
+                fields[attr] = _weights(rng, width, out)
+            else:
+                fields[attr] = ExactScalar(Fraction(rng.randint(1 if attr == "r" else 0, 4), 4))
+        layers.append(BuiltinLayer(family, LayerParams(sigma=sigma, **fields)))
         width = out
-    return MpnnSpec(f_mode="degree", layers=tuple(layers))
+    return tuple(layers)
 
 
 # the names of named_spec: gcn for gcn-kipf, and each family that requires
@@ -455,6 +438,7 @@ def named_spec(name: str, s0: int, rounds: int, sigma: str = "relu") -> MpnnSpec
     its p, q and r set to 1/2."""
     if name not in NETWORK_NAMES:
         raise InputError(f"unknown network name {name!r}")
+    check_round_limit(rounds)
     family = "gcn-kipf" if name == "gcn" else name
     row = FAMILIES[family]
     eye = identity(s0)

@@ -86,7 +86,7 @@ def weaker(trace_a: Traceable, trace_b: Traceable, shift: ShiftSpec) -> CompareV
     rounds_b = len(trace_b.partitions) - 1
     needed = shift.apply(rounds_a)
     if rounds_b < needed:
-        raise ValueError(
+        raise InputError(
             f"right trace has {rounds_b} rounds but the shift needs {needed}"
         )
     for t in range(rounds_a + 1):
@@ -101,7 +101,7 @@ def weaker(trace_a: Traceable, trace_b: Traceable, shift: ShiftSpec) -> CompareV
 def equally_strong(trace_a: Traceable, trace_b: Traceable) -> bool:
     """Mutual weakness at identity shift; requires equal round counts."""
     if len(trace_a.partitions) != len(trace_b.partitions):
-        raise ValueError(
+        raise InputError(
             f"round mismatch: {len(trace_a.partitions) - 1} vs {len(trace_b.partitions) - 1}"
         )
     identity = ShiftSpec("identity")

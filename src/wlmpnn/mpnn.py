@@ -14,19 +14,22 @@ Every builtin family is one closed form
 with degree-determined positive g and h.  FAMILIES lists, per family, the
 parameters it requires and may take and the p, g and h it fixes: gnn is the
 case g = h = 1, p = 0, and gnn-minus g = h = 1, W1 = 0, B = -q.  The spec
-reader and writer name the fields from the same table.  run_mpnn evaluates a
-builtin round in that form once per refinement key: a vertex's row depends
-only on its WL signature over (class, degree), its own with the multiset of
-its neighbours', the degrees dropping out when g and h are both 1, so the
-keys are the classes of one ``wl.wl_step``.  The products x W2 and x W1 are
-computed once per class id (rows of one class are equal), h L W2 once per
-(class, degree), g and h once per distinct degree, then one plain neighbour
-sum per key, each pre-activation entry one exact sum.  Nothing in a builtin
-round hashes a scalar: the keys are class ids and degrees, and partitions
-key label rows by the canonical integers of their entries
-(``linalg.unique_rows``).  Custom layers run edge by edge: each vertex sums
-its messages over its neighbourhood and applies the update; int and
-Fraction entries of messages and updates become ExactScalar, as graph
+reader and writer name the fields from the same table.  Making a
+BuiltinLayer checks its family contract and resolves its LayerForm, which
+every evaluator reads; only the widths and degree values wait for run_mpnn.
+Both refusals name the layer (``layer i: ...``) when it comes from a spec
+file.  run_mpnn evaluates a builtin round in that form once per refinement
+key: a vertex's row depends only on its WL signature over (class, degree),
+its own with the multiset of its neighbours', the degrees dropping out when
+g and h are both 1, so the keys are the classes of one ``wl.wl_step``.  The
+products x W2 and x W1 are computed once per class id (rows of one class are
+equal), h L W2 once per (class, degree), g and h once per distinct degree,
+then one plain neighbour sum per key, each pre-activation entry one exact
+sum.  Nothing in a builtin round hashes a scalar: the keys are class ids and
+degrees, and partitions key label rows by the canonical integers of their
+entries (``linalg.unique_rows``).  Custom layers run edge by edge: each
+vertex sums its messages over its neighbourhood and applies the update; int
+and Fraction entries of messages and updates become ExactScalar, as graph
 labels do, and entries of any other type are refused.
 
 The network transformations need per-edge views of a builtin layer: the
@@ -38,7 +41,7 @@ and a finishing step that adds B, sums each entry once and activates.
 Degree-aware messages carry the self term scaled by 1/d_v, once per
 (label, degree), so the d_v messages add it back exactly once.  A lifted
 builtin layer keeps its per-edge view, but run_mpnn evaluates it in the
-closed form, with the same checks and error prefix as the layer itself,
+closed form, with the same run checks and prefix as the layer itself,
 reading the degrees from the label's last component as the per-edge
 message does, whenever that component holds the vertex degrees.  Its
 round runs on the classes of the inner rows, the full label's classes
@@ -47,7 +50,7 @@ than the unlifted round; the anonymized layers run edge by edge.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .graphs import Label, LabelledGraph, Labelling, Partition, partition_of
@@ -193,10 +196,52 @@ class LayerParams:
     h_fn: DegreeFn | None = None
 
 
+class LayerForm(NamedTuple):
+    """A builtin layer's closed form; w1 and bias are None where it has no such term."""
+
+    w1: Matrix | None
+    w2: Matrix
+    bias: Row | None
+    p: ExactScalar
+    g: DegreeFn
+    h: DegreeFn
+    sigma: str
+
+
 @dataclass(frozen=True)
 class BuiltinLayer:
+    """A layer of a family of FAMILIES.  Making one checks the parameters
+    against the family's row, naming each field as a spec file does, and
+    resolves them into ``form``; widths and degree values are checked on run."""
+
     family: str
     params: LayerParams
+    form: LayerForm = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        family, params = self.family, self.params
+        _require(params.sigma in ("relu", "sign", "none"), f"unknown activation {params.sigma!r}")
+        _require(family in FAMILIES, f"unknown family {family!r}")
+        row = FAMILIES[family]
+        values = vars(params)
+        for attr, name in _json_names(family).items():
+            if (values[attr] is None) == (attr in row.requires):  # missing, or given
+                _require(attr not in row.requires, f"{family} requires {name}")
+                _require(attr in row.takes, _not_taken(family, name))
+        for name, v in (("r", params.r), ("p", params.p), ("q", params.q)):  # r in (0, 1], p and q in [0, 1]
+            if v is not None:
+                low_ok = v.sign() > 0 if name == "r" else v.sign() >= 0
+                _require(low_ok and (v - ONE).sign() <= 0, f"{name} = {v} outside the allowed unit-interval range")
+        if family == "dgnn6":
+            g = h = DegreeFn.blend_inv_sqrt(params.r)
+        else:
+            g, h = row.g or params.g_fn, row.h or params.h_fn
+        w1 = params.w2 if family == "dgnn5" else params.w1
+        bias = params.bias
+        if family == "gnn-minus":
+            bias = (-params.q,) * (len(params.w2[0]) if params.w2 else 0)
+        p = params.p if row.p is None else row.p
+        object.__setattr__(self, "form", LayerForm(w1, params.w2, bias, p, g, h, params.sigma))
 
 
 @dataclass(frozen=True)
@@ -232,6 +277,10 @@ class MpnnSpec:
             raise SpecValidationError(f"f_mode must be 'zero' or 'degree', got {self.f_mode!r}")
         if not self.layers:
             raise SpecValidationError("a network needs at least one round")
+        if self.f_mode == "zero":
+            for layer in self.layers:
+                if isinstance(layer, BuiltinLayer) and layer.family in DEGREE_FAMILIES:
+                    raise SpecValidationError(f"family {layer.family!r} uses degree information but f_mode is 'zero'")
 
     @property
     def rounds(self) -> int:
@@ -303,37 +352,6 @@ def _require(condition: bool, message: str):
         raise SpecValidationError(message)
 
 
-def _resolve_layer(family: str, params: LayerParams):
-    """Validate a builtin layer against its row of FAMILIES and normalize it
-    to (w1, w2, bias, p, g, h, sigma).
-
-    The tuple is the closed form sigma(L W1 + diag(g)(A+pI)diag(h) L W2 + B);
-    w1 and bias are None where the layer has no such term.
-    """
-    _require(params.sigma in ("relu", "sign", "none"), f"unknown activation {params.sigma!r}")
-    _require(family in FAMILIES, f"unknown family {family!r}")
-    row = FAMILIES[family]
-    values = vars(params)
-    for field, name in _json_names(family).items():
-        if (values[field] is None) == (field in row.requires):  # missing, or given
-            _require(field not in row.requires, f"{family} requires {name}")
-            _require(field in row.takes, _not_taken(family, name))
-    for name, v in (("r", params.r), ("p", params.p), ("q", params.q)):  # r in (0, 1], p and q in [0, 1]
-        if v is not None:
-            low_ok = v.sign() > 0 if name == "r" else v.sign() >= 0
-            _require(low_ok and (v - ONE).sign() <= 0, f"{name} = {v} outside the allowed unit-interval range")
-    if family == "dgnn6":
-        g = h = DegreeFn.blend_inv_sqrt(params.r)
-    else:
-        g, h = row.g or params.g_fn, row.h or params.h_fn
-    w1 = params.w2 if family == "dgnn5" else params.w1
-    bias = params.bias
-    if family == "gnn-minus":
-        bias = (-params.q,) * (len(params.w2[0]) if params.w2 else 0)
-    p = params.p if row.p is None else row.p
-    return w1, params.w2, bias, p, g, h, params.sigma
-
-
 def _memo(fn: Callable) -> Callable:
     """fn, computed once per distinct tuple of arguments."""
     cache: dict = {}
@@ -347,36 +365,30 @@ def _memo(fn: Callable) -> Callable:
     return memoized
 
 
-def _memo_row_mat(m: Matrix) -> Callable[[Label], Row]:
-    """x -> x @ m, computed once per distinct x."""
-    return _memo(lambda x: row_mat(x, m))
-
-
-def _layer_terms(form):
+def _layer_terms(form: LayerForm):
     """The terms every per-edge view of one builtin layer is built from.
 
-    Returns (xw2, own, finish) for the form of _resolve_layer: xw2(y) is
-    y W2, once per distinct y; own(x, d) is the self term x W1 + p g(d) h(d)
-    x W2, or None when the layer has no self term; finish(*rows) adds B,
-    sums each entry as one exact_sum and applies sigma.
+    Returns (xw2, own, finish): xw2(y) is y W2, once per distinct y; own(x,
+    d) is the self term x W1 + p g(d) h(d) x W2, or None when the layer has
+    no self term; finish(*rows) adds B, sums each entry as one exact_sum and
+    applies sigma.
     """
-    w1, w2, bias, p, g_fn, h_fn, sigma = form
-    xw2 = _memo_row_mat(w2)
-    tail = () if bias is None else (bias,)
+    xw2 = _memo(lambda y: row_mat(y, form.w2))
+    tail = () if form.bias is None else (form.bias,)
 
     def finish(*rows: Row) -> Label:
         rows += tail
         pre = rows[0] if len(rows) == 1 else map(exact_sum, zip(*rows, strict=True))
-        return tuple(activate(v, sigma) for v in pre)
+        return tuple(activate(v, form.sigma) for v in pre)
 
-    if w1 is None and p.is_zero:
+    if form.w1 is None and form.p.is_zero:
         return xw2, None, finish
-    xw1 = None if w1 is None else _memo_row_mat(w1)
-    self_factor = _memo(lambda d: p * g_fn.value(d) * h_fn.value(d))
+    xw1 = None if form.w1 is None else _memo(lambda x: row_mat(x, form.w1))
+    self_factor = _memo(lambda d: form.p * form.g.value(d) * form.h.value(d))
 
     def own(x: Label, d: int) -> Row:
         out = None if xw1 is None else xw1(x)
-        if not p.is_zero:
+        if not form.p.is_zero:
             scaled = row_scale(xw2(x), self_factor(d))
             out = scaled if out is None else row_add(out, scaled)
         return out
@@ -385,17 +397,20 @@ def _layer_terms(form):
 
 
 def builtin_layer(family: str, params: LayerParams) -> tuple[MsgFn, UpdFn]:
-    """Per-edge message/update pair for a builtin family; raises on missing or
-    extra parameters.  run_mpnn itself evaluates builtin layers in closed form.
+    """Per-edge message/update pair for a builtin family; run_mpnn itself
+    evaluates builtin layers in closed form."""
+    return _edge_view(BuiltinLayer(family, params))
 
-    gnn and gnn-minus send y W2 and add the self term in the update (g = h
-    = 1, so any degree will do).  The degree families send g(d_v) h(d_u)
-    y W2 plus the self term scaled by 1/d_v, so the d_v messages add it
-    back exactly once, and the update only finishes.
+
+def _edge_view(layer: BuiltinLayer) -> tuple[MsgFn, UpdFn]:
+    """The message/update pair of a layer.  gnn and gnn-minus send y W2 and
+    add the self term in the update (g = h = 1, so any degree will do).  The
+    degree families send g(d_v) h(d_u) y W2 plus the self term scaled by
+    1/d_v, so the d_v messages add it back exactly once; the update finishes.
     """
-    form = _resolve_layer(family, params)
+    form = layer.form
     xw2, own, finish = _layer_terms(form)
-    if family not in DEGREE_FAMILIES:
+    if layer.family not in DEGREE_FAMILIES:
 
         def msg(x, y, fv, fu):
             return xw2(y)
@@ -405,8 +420,7 @@ def builtin_layer(family: str, params: LayerParams) -> tuple[MsgFn, UpdFn]:
 
         return msg, upd
 
-    g_fn, h_fn = form[4], form[5]
-    pair_factor = _memo(lambda dv, du: g_fn.value(dv) * h_fn.value(du))
+    pair_factor = _memo(lambda dv, du: form.g.value(dv) * form.h.value(du))
     own_share = _memo(lambda x, dv: row_scale(own(x, dv), reciprocal(dv)))
 
     def msg(x, y, dv, du):
@@ -426,10 +440,10 @@ def _check_builtin_dims(layer: BuiltinLayer, width: int) -> None:
     columns or disagree on their output width; a weight is named as its
     spec field is."""
     params = layer.params
-    for field, m in (("w1", params.w1), ("w2", params.w2)):
+    for attr, m in (("w1", params.w1), ("w2", params.w2)):
         if m is None:
             continue
-        name = _json_names(layer.family)[field]
+        name = _json_names(layer.family)[attr]
         if len(m) != width:
             raise DimensionError(
                 f"{layer.family} {name} has {len(m)} rows but incoming labels have width {width}"
@@ -462,7 +476,7 @@ def propagate(
 
 
 def _closed_form_round(
-    g: LabelledGraph, rows: Sequence[Label], form, degrees: Sequence[int], partition: Partition
+    g: LabelledGraph, rows: Sequence[Label], form: LayerForm, degrees: Sequence[int], partition: Partition
 ) -> list[Label]:
     """One builtin round: pre_v = g(d_v) (p hy_v + sum of hy_u over neighbours)
     + x_v W1 + B with hy_u = h(d_u) x_u W2, then the activation.
@@ -476,9 +490,9 @@ def _closed_form_round(
     entry of pre_v is one exact_sum: of every term when g is 1, else of the
     g-scaled sum, x_v W1 and B.
     """
-    w1, w2, bias, p, g_fn, h_fn, sigma = form
+    w1, w2, bias, p = form.w1, form.w2, form.bias, form.p
     class_of = partition.class_of
-    g_of, h_of = g_fn.on(degrees), h_fn.on(degrees)
+    g_of, h_of = form.g.on(degrees), form.h.on(degrees)
     own = partition if g_of is None and h_of is None else Partition.from_keys(list(zip(class_of, degrees)))
     keys = wl_step(g, own)
     reps = [members[0] for members in keys.classes()]
@@ -505,7 +519,7 @@ def _closed_form_round(
                 tuple(map(exact_sum, zip(r, *(extra[v - 1] for extra in plus), strict=True)))
                 for r, v in zip(pre, reps)
             ]
-    out = [tuple(activate(x, sigma) for x in r) for r in pre]
+    out = [tuple(activate(x, form.sigma) for x in r) for r in pre]
     return out if len(reps) == g.n else [out[i] for i in keys.class_of]
 
 
@@ -562,12 +576,6 @@ def _per_edge_round(g: LabelledGraph, labelling: Labelling, layer: CustomLayer, 
 
 def run_mpnn(g: LabelledGraph, spec: MpnnSpec) -> RunTrace:
     """Execute the network on the graph, exactly, recording every round."""
-    if spec.f_mode == "zero":
-        for layer in spec.layers:
-            if isinstance(layer, BuiltinLayer) and layer.family in DEGREE_FAMILIES:
-                raise SpecValidationError(
-                    f"family {layer.family!r} uses degree information but f_mode is 'zero'"
-                )
     labelling = g.initial_labelling()
     labellings = [labelling]
     partitions = [partition_of(labelling)]
@@ -585,9 +593,8 @@ def run_mpnn(g: LabelledGraph, spec: MpnnSpec) -> RunTrace:
                 inner = unique_rows(list(dict(zip(partition.class_of, rows)).values()))[1]
                 partition = Partition(tuple(inner[c] for c in partition.class_of))
             try:
-                form = _resolve_layer(builtin.family, builtin.params)
                 _check_builtin_dims(builtin, len(rows[0]))
-                new_rows = _closed_form_round(g, rows, form, degrees, partition)
+                new_rows = _closed_form_round(g, rows, builtin.form, degrees, partition)
             except (SpecValidationError, DimensionError) as exc:  # name the layer, as spec_from_json does
                 raise type(exc)(f"layer {round_index}: {exc}") from exc
             if lifted:
@@ -628,27 +635,21 @@ def lift_plus_one(spec: MpnnSpec) -> MpnnSpec:
     layer lifted from a builtin one keeps that layer, so run_mpnn can
     evaluate it in closed form.
     """
-    probe = degree_probe_spec().layers[0]
-    lifted: list[Layer] = [probe]
-    for layer in spec.layers:
-        if isinstance(layer, BuiltinLayer):
-            base_msg, base_upd = builtin_layer(layer.family, layer.params)
-        else:
-            base_msg, base_upd = layer.msg, layer.upd
+    return MpnnSpec(f_mode="zero", layers=(degree_probe_spec().layers[0], *map(_lifted, spec.layers)))
 
-        def make(base_msg=base_msg, base_upd=base_upd):
-            def msg(x, y, fv, fu):
-                return base_msg(x[:-1], y[:-1], x[-1].as_int(), y[-1].as_int())
 
-            def upd(x, m):
-                return (*base_upd(x[:-1], m), x[-1])
+def _lifted(layer: Layer) -> CustomLayer:
+    """layer run on labels ending in the vertex degree, which it carries forward."""
+    builtin = isinstance(layer, BuiltinLayer)
+    base_msg, base_upd = _edge_view(layer) if builtin else (layer.msg, layer.upd)
 
-            if isinstance(layer, BuiltinLayer):
-                return _LiftedBuiltin(msg=msg, upd=upd, builtin=layer)
-            return CustomLayer(msg=msg, upd=upd)
+    def msg(x, y, fv, fu):
+        return base_msg(x[:-1], y[:-1], x[-1].as_int(), y[-1].as_int())
 
-        lifted.append(make())
-    return MpnnSpec(f_mode="zero", layers=tuple(lifted))
+    def upd(x, m):
+        return (*base_upd(x[:-1], m), x[-1])
+
+    return _LiftedBuiltin(msg=msg, upd=upd, builtin=layer) if builtin else CustomLayer(msg=msg, upd=upd)
 
 
 def anonymize_h_const(spec: MpnnSpec) -> MpnnSpec:
@@ -662,18 +663,17 @@ def anonymize_h_const(spec: MpnnSpec) -> MpnnSpec:
     for layer in spec.layers:
         if not isinstance(layer, BuiltinLayer) or layer.family not in DEGREE_FAMILIES:
             raise SpecValidationError("anonymization handles builtin degree-aware layers only")
-        form = _resolve_layer(layer.family, layer.params)
-        if not form[5].is_one:
+        if not layer.form.h.is_one:
             raise SpecValidationError(f"{layer.family} does not have h constantly 1")
-        layers.append(_anonymized_layer(form))
+        layers.append(_anonymized_layer(layer.form))
     return MpnnSpec(f_mode="zero", layers=tuple(layers))
 
 
-def _anonymized_layer(form) -> CustomLayer:
+def _anonymized_layer(form: LayerForm) -> CustomLayer:
     """The message (y W2, 1) counts the degree c; the update finishes
     g(c) times the aggregated y W2 plus the self term own(x, c)."""
     xw2, own, finish = _layer_terms(form)
-    g_of = _memo(form[4].value)
+    g_of = _memo(form.g.value)
 
     def msg(x, y, fv, fu):
         return (*xw2(y), ONE)
@@ -746,12 +746,10 @@ def _json_field(entry: dict, name: str, index: int):
 def spec_to_json(spec: MpnnSpec) -> dict:
     layers = []
     for layer in spec.layers:
-        if not isinstance(layer, BuiltinLayer):
-            raise SpecValidationError("custom layers are not serializable")
-        _require(layer.family in FAMILIES, f"unknown family {layer.family!r}")
+        _require(isinstance(layer, BuiltinLayer), "custom layers are not serializable")
         entry: dict = {"family": layer.family, "sigma": layer.params.sigma}
-        for field, name in _json_names(layer.family).items():
-            value = getattr(layer.params, field)
+        for attr, name in _json_names(layer.family).items():
+            value = getattr(layer.params, attr)
             if value is None:
                 continue
             if name in ("W", "W1", "W2"):
@@ -766,9 +764,10 @@ def spec_to_json(spec: MpnnSpec) -> dict:
 
 def spec_from_json(data: dict) -> MpnnSpec:
     """The spec of a ``spec_to_json`` object.  A field of the wrong JSON type
-    raises SpecValidationError first; then so does an unknown field or one
-    the layer's family does not take (its weight is W, or W1 and W2, as
-    spec_to_json names it).  The rest of the contract is checked on run."""
+    raises SpecValidationError first; then so does an unknown field, a
+    weight named W where the family takes W1 and W2 or the other way round,
+    and a layer that breaks its family's contract, each naming its layer as
+    run_mpnn does."""
     _require(isinstance(data, dict), "a network spec must be a JSON object")
     _require(isinstance(data.get("layers"), list), "a network spec needs a list of layers")
     layers = []
@@ -778,14 +777,16 @@ def spec_from_json(data: dict) -> MpnnSpec:
         sigma = _json_text(entry, "sigma", index) if "sigma" in entry else "relu"
         values = {name: _json_field(entry, name, index) for name in _LAYER_FIELDS if name in entry}
         _require(family in FAMILIES, f"layer {index}: unknown family {family!r}")
-        row = FAMILIES[family]
-        fields = {name: field for field, name in _json_names(family).items() if field in row.requires + row.takes}
+        fields = {name: attr for attr, name in _json_names(family).items()}
         for name in entry:
             if name not in fields and name not in ("family", "sigma"):
                 _require(name not in _LAYER_FIELDS, f"layer {index}: {_not_taken(family, name)}")
                 raise SpecValidationError(f"layer {index}: unknown field {name!r}")
         params = LayerParams(sigma=sigma, **{fields[name]: value for name, value in values.items()})
-        layers.append(BuiltinLayer(family=family, params=params))
+        try:
+            layers.append(BuiltinLayer(family=family, params=params))
+        except SpecValidationError as exc:
+            raise SpecValidationError(f"layer {index}: {exc}") from exc
     spec = MpnnSpec(f_mode=data.get("f_mode"), layers=tuple(layers))
     if "rounds" in data:
         rounds = data["rounds"]

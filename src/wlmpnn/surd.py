@@ -88,26 +88,25 @@ class LimitError(InputError):
 MAX_RADICAND_PRIME = 1 << 16
 
 
-def _squarefree_split(radicand: int, bounded: bool = False) -> tuple[int, int]:
-    """Write radicand = square**2 * free with free squarefree.  When bounded,
-    a radicand with a prime factor above MAX_RADICAND_PRIME raises
-    LimitError, after trial division up to that bound only."""
+def _squarefree_split(radicand: int) -> tuple[int, int]:
+    """Write radicand = square**2 * free with free squarefree.  A radicand
+    with a prime factor above MAX_RADICAND_PRIME raises LimitError, after
+    trial division up to that bound only."""
     if radicand <= 0:
         raise ValueError(f"radicand must be a positive integer, got {radicand}")
     square, free = 1, 1
     r = radicand
     p = 2
-    limit = MAX_RADICAND_PRIME if bounded else radicand
-    while p * p <= r and p <= limit:
+    while p * p <= r and p <= MAX_RADICAND_PRIME:
         if r % p == 0:
             r, exp = _strip_prime(r, p)
             square *= p ** (exp // 2)
             if exp % 2:
                 free *= p
         p += 1 if p == 2 else 2
-    if r > limit:  # every prime up to the limit is divided out of r
+    if r > MAX_RADICAND_PRIME:  # every prime up to the bound is divided out of r
         shown = _int_text(radicand) if radicand.bit_length() <= 256 else f"of {radicand.bit_length()} bits"
-        raise LimitError(f"radicand {shown} has a prime factor above MAX_RADICAND_PRIME = {limit}")
+        raise LimitError(f"radicand {shown} has a prime factor above MAX_RADICAND_PRIME = {MAX_RADICAND_PRIME}")
     return square, free * r
 
 
@@ -189,7 +188,8 @@ class ExactScalar:
         Each coefficient is a rational exact scalar or coerces to one, and
         each radicand an int (``operator.index``).  Radicands are reduced to
         squarefree form (sqrt(12) -> 2*sqrt(3)), like radicands merged and
-        zero coefficients dropped.
+        zero coefficients dropped; as in ``parse_scalar``, a radicand with a
+        prime factor above MAX_RADICAND_PRIME raises LimitError.
         """
         parts = []
         for radicand, coeff in raw_terms:
@@ -754,7 +754,7 @@ def inv_sqrt(num: int, den: int = 1) -> ExactScalar:
     MAX_RADICAND_PRIME raises LimitError after bounded trial division."""
     if num <= 0 or den <= 0:
         raise ValueError(f"cannot take an inverse square root of {num}/{den}")
-    square, free = _squarefree_split(num * den, bounded=True)
+    square, free = _squarefree_split(num * den)
     g = math.gcd(square, num)
     return _make({free: square // g}, num // g)
 
@@ -908,7 +908,7 @@ def parse_scalar(text: str) -> ExactScalar:
         radicand = _int_of_text(m.group("radicand")) if m.group("radicand") else 1
         if radicand == 0:
             raise InputError(f"zero radicand in term {chunk!r} of scalar {text!r}")
-        square, free = _squarefree_split(radicand, bounded=True)
+        square, free = _squarefree_split(radicand)
         parts.append((den, {free: num * square}))
     return _combine(parts)
 

@@ -106,7 +106,7 @@ from .linalg import (
 from .mpnn import BuiltinLayer, DegreeFn, LayerParams, MpnnSpec, propagate
 from .surd import MINUS_ONE, ONE, ZERO, ExactScalar, InputError, activate, canonical_key, exact_dot, exact_max
 from .surd import exact_min, exact_order, floor_exact
-from .wl import wl_partitions
+from .wl import check_round_limit, wl_partitions
 
 
 class SynthesisError(RuntimeError):
@@ -624,6 +624,7 @@ def _check_arguments(sigma: str, rounds: int) -> None:
         raise InputError(f"activation must be 'relu' or 'sign', got {sigma!r}")
     if rounds < 1:
         raise InputError("need at least one round")
+    check_round_limit(rounds)
 
 
 def _synthesize_rounds(

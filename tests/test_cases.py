@@ -19,8 +19,8 @@ from wlmpnn.cases import (
 )
 from wlmpnn.graphs import format_graph
 from wlmpnn.linalg import identity
-from wlmpnn.mpnn import DegreeFn, LayerParams, run_mpnn
-from wlmpnn.surd import ExactScalar, LimitError
+from wlmpnn.mpnn import BuiltinLayer, DegreeFn, LayerParams, run_mpnn
+from wlmpnn.surd import ExactScalar, InputError, LimitError
 
 S = ExactScalar
 
@@ -41,7 +41,7 @@ def test_builtin_graph_unknown_id():
 def test_pre_weight_rows_g1_match_closed_form():
     g = builtin_graph("g1")
     for family in ("dgnn1", "dgnn2"):
-        rows = pre_weight_matrix(g, family, LayerParams(w2=identity(3)))
+        rows = pre_weight_matrix(g, BuiltinLayer(family, LayerParams(w2=identity(3))))
         # both normalizations give g(2)h(2) = 1/2, so the shared row is (0, 1, 0)
         assert rows[0] == rows[3] == (S(0), S(1), S(0))
 
@@ -50,13 +50,13 @@ def test_pre_weight_rows_g2_match_closed_form():
     g = builtin_graph("g2")
     half = S(Fraction(1, 2))
     for family in ("dgnn3", "dgnn4"):
-        rows = pre_weight_matrix(g, family, LayerParams(w2=identity(2)))
+        rows = pre_weight_matrix(g, BuiltinLayer(family, LayerParams(w2=identity(2))))
         assert rows[0] == rows[1] == (half, half)
 
 
 def test_pre_weight_rows_g3_match_closed_form():
     g = builtin_graph("g3")
-    rows = pre_weight_matrix(g, "dgnn5", LayerParams(w2=identity(3)))
+    rows = pre_weight_matrix(g, BuiltinLayer("dgnn5", LayerParams(w2=identity(3))))
     assert rows[0] == rows[5] == (S(1), S(1), S(1))
 
 
@@ -64,9 +64,10 @@ def test_pre_weight_rejects_two_weight_families():
     with pytest.raises(ValueError, match="self weight"):
         pre_weight_matrix(
             builtin_graph("g2"),
-            "general-dgnn",
-            LayerParams(w1=identity(2), w2=identity(2), p=S(0),
-                        g_fn=DegreeFn("one"), h_fn=DegreeFn("one")),
+            BuiltinLayer(
+                "general-dgnn",
+                LayerParams(w1=identity(2), w2=identity(2), p=S(0), g_fn=DegreeFn("one"), h_fn=DegreeFn("one")),
+            ),
         )
 
 
@@ -108,6 +109,13 @@ def test_structural_verdicts_ignore_seed():
 def test_unknown_case_id():
     with pytest.raises(ValueError, match="unknown case"):
         verify_counterexample(CaseSpec("fig9-gin"))
+
+
+def test_case_spec_refuses_its_input_when_made():
+    with pytest.raises(InputError, match="^unknown case 'fig9-gin' \\(known: fig1-gcn, "):
+        CaseSpec("fig9-gin")
+    with pytest.raises(InputError, match="^a verification needs at least one trial, got 0$"):
+        CaseSpec("g2-dgnn34", trials=0)
 
 
 def test_sample_graph_single_edge():

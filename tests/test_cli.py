@@ -64,6 +64,57 @@ def test_compare_one_step_ahead_holds(capsys):
     assert "weaker-than" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "sides, rounds, message",
+    [
+        (("{spec}", "wl"), "1", "right trace has 1 rounds but the shift needs 2"),
+        (("wl", "{spec}"), "3", "right trace has 2 rounds but the shift needs 3"),
+    ],
+    ids=["left", "right"],
+)
+def test_compare_with_a_spec_file_of_other_length_exit_2(tmp_path, capsys, sides, rounds, message):
+    # a spec file sets its own round count, which the comparison may not match
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec_to_json(named_spec("gcn", 3, rounds=2))))
+    left, right = (side.format(spec=path) for side in sides)
+    assert run(["compare", "--graph", "fig1", "--left", left, "--right", right, "--rounds", rounds]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["compare", "--graph", "fig1", "--left", "gcn", "--right", "wl", "--rounds", "1",
+             "--shift", "x10000000000000000000000"],
+            "error: 10000000000000000000000 rounds exceed MAX_ROUNDS = 1000\n",
+        ),
+        (
+            ["mpnn", "run", "--graph", "fig1", "--spec", "gcn", "--rounds", "1000000000000000"],
+            "error: 1000000000000000 rounds exceed MAX_ROUNDS = 1000\n",
+        ),
+        (
+            ["synth", "--graph", "fig1", "--target", "dgnn6", "--sigma", "relu", "--rounds", "1001"],
+            "error: 1001 rounds exceed MAX_ROUNDS = 1000\n",
+        ),
+        (
+            ["compare", "--graph", "fig1", "--left", "wl", "--right", "wl", "--rounds", "-1"],
+            "error: rounds must be non-negative, got -1\n",
+        ),
+    ],
+    ids=["huge-shift", "huge-rounds", "synth-rounds", "negative-rounds"],
+)
+def test_round_counts_out_of_range_exit_2(capsys, argv, message):
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
+
+
 def test_compare_json_emit(tmp_path):
     out = tmp_path / "verdict.json"
     code = run(["compare", "--graph", "fig1", "--left", "gcn", "--right", "wl",

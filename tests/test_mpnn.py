@@ -7,7 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from wlmpnn.cases import builtin_graph, named_spec, sample_degree_spec, sample_graph
+from wlmpnn.cases import (
+    CaseSpec,
+    builtin_graph,
+    named_spec,
+    pre_weight_matrix,
+    sample_degree_spec,
+    sample_graph,
+    verify_counterexample,
+)
 from wlmpnn.graphs import make_graph, partition_of
 from wlmpnn import mpnn
 from wlmpnn.linalg import identity
@@ -89,6 +97,15 @@ def test_degree_families_refuse_anonymous_mode():
         run_mpnn(builtin_graph("fig1"), MpnnSpec(f_mode="zero", layers=(layer,)))
 
 
+def test_specs_refuse_a_broken_contract_when_made():
+    # run_mpnn is not needed to refuse an activation or an f_mode
+    with pytest.raises(SpecValidationError, match="^unknown activation 'tanh'$"):
+        BuiltinLayer("gnn", LayerParams(w1=identity(3), w2=identity(3), sigma="tanh"))
+    layer = BuiltinLayer("gcn-kipf", LayerParams(w2=identity(3)))
+    with pytest.raises(SpecValidationError, match="^family 'gcn-kipf' uses degree information but f_mode is 'zero'$"):
+        MpnnSpec(f_mode="zero", layers=(layer,))
+
+
 def test_dgnn6_rejects_r_zero():
     with pytest.raises(SpecValidationError):
         builtin_layer("dgnn6", LayerParams(w2=identity(1), r=ZERO, p=ONE))
@@ -101,13 +118,13 @@ def test_gnn_minus_rejects_out_of_range_parameters():
 
 def test_families_reject_extra_parameters():
     with pytest.raises(SpecValidationError, match="does not take"):
-        builtin_layer("dgnn1", LayerParams(w2=identity(1), p=ONE))
+        BuiltinLayer("dgnn1", LayerParams(w2=identity(1), p=ONE))
     with pytest.raises(SpecValidationError, match="does not take"):
-        builtin_layer("gnn", LayerParams(w1=identity(1), w2=identity(1), q=ZERO))
+        BuiltinLayer("gnn", LayerParams(w1=identity(1), w2=identity(1), q=ZERO))
     with pytest.raises(SpecValidationError, match="no bias"):
-        builtin_layer("gcn-kipf", LayerParams(w2=identity(1), bias=(ZERO,)))
+        BuiltinLayer("gcn-kipf", LayerParams(w2=identity(1), bias=(ZERO,)))
     with pytest.raises(SpecValidationError, match="requires"):
-        builtin_layer("dgnn6", LayerParams(w2=identity(1)))
+        BuiltinLayer("dgnn6", LayerParams(w2=identity(1)))
 
 
 def test_dimension_mismatch_detected():
@@ -294,13 +311,12 @@ def test_family_table():
 def test_family_requires_its_fields_and_refuses_the_rest(family):
     row = FAMILIES[family]
     full = _full_layer(family).params
-    builtin_layer(family, full)
     for field in row.requires:
         with pytest.raises(SpecValidationError, match=f"^{family} requires "):
-            builtin_layer(family, replace(full, **{field: None}))
+            BuiltinLayer(family, replace(full, **{field: None}))
     for field in FIELD_VALUES.keys() - set(row.requires + row.takes):
         with pytest.raises(SpecValidationError, match=f"^{family} does not take "):
-            builtin_layer(family, replace(full, **{field: FIELD_VALUES[field]}))
+            BuiltinLayer(family, replace(full, **{field: FIELD_VALUES[field]}))
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -776,6 +792,32 @@ def test_builtin_and_lifted_rounds_hash_no_scalar(monkeypatch, graph_name, spec_
             hash(S(2))
         trace = run_mpnn(g, spec)
     assert trace.to_json() == reference.to_json()
+
+
+def test_each_layer_is_checked_once_when_it_is_made(monkeypatch):
+    # the contract check runs in BuiltinLayer.__post_init__, once per layer
+    # object; evaluating, lifting or anonymizing a layer reads its form
+    checked = []
+    check = BuiltinLayer.__post_init__
+    monkeypatch.setattr(BuiltinLayer, "__post_init__", lambda layer: checked.append(layer) or check(layer))
+    g = builtin_graph("fig1")
+    gcn = named_spec("gcn", 3, rounds=3)
+    assert len(checked) == 1
+    sampled = [sample_degree_spec(random.Random(seed), 3) for seed in range(6)]
+    assert len(checked) == 1 + sum(spec.rounds for spec in sampled)
+    dgnn1 = named_spec("dgnn1", 3, rounds=2)
+    built = list(checked)
+    for spec in (gcn, dgnn1, *sampled):
+        run_mpnn(g, spec)
+        run_mpnn(g, lift_plus_one(spec))
+    run_mpnn(g, anonymize_h_const(dgnn1))
+    pre_weight_matrix(g, dgnn1.layers[0])
+    assert checked == built
+    # a verification checks each layer it makes once: the identity-weight
+    # layer, one per trial, and fig1-gcn's named 3-round network
+    verify_counterexample(CaseSpec("fig1-gcn", trials=4, seed=1))
+    assert len(checked) == len(built) + 1 + 4 + 1
+    assert len({id(layer) for layer in checked}) == len(checked)
 
 
 def test_lifted_rounds_multiply_no_more_than_unlifted(monkeypatch):

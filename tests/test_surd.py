@@ -1,6 +1,7 @@
 """Exact scalar field: canonical form, arithmetic, sign, inversion, text."""
 import math
 import sys
+import time
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -254,8 +255,9 @@ def test_parse_admits_every_radicand_with_primes_up_to_the_bound():
     product = inv_sqrt(largest) * inv_sqrt(65519) - inv_sqrt(2)
     assert parse_scalar(product.to_text()) == product
     assert parse_scalar(f"sqrt({largest**3 * 65519 * 4})") == S.sqrt(largest * 65519, 2 * largest)
-    # values built in code are not bounded, only parsed text
-    assert S.sqrt(65537).to_text() == "sqrt(65537)"
+    # values built in code are bounded as parsed text is
+    with pytest.raises(LimitError, match="above MAX_RADICAND_PRIME"):
+        S.sqrt(65537)
 
 
 @settings(max_examples=40, deadline=None)
@@ -269,9 +271,19 @@ def test_squarefree_split_of_long_radicands_against_sympy(exponents):
     square = math.prod(p ** (e // 2) for p, e in factors.items())
     free = math.prod(p for p, e in factors.items() if e % 2)
     assert _squarefree_split(radicand) == (square, free)
-    assert _squarefree_split(radicand, bounded=True) == (square, free)
-    with pytest.raises(ValueError, match="above MAX_RADICAND_PRIME"):
-        _squarefree_split(radicand * 65537, bounded=True)
+    with pytest.raises(LimitError, match="above MAX_RADICAND_PRIME"):
+        _squarefree_split(radicand * 65537)
+
+
+def test_square_root_of_a_long_prime_is_refused_at_once():
+    # trial division stops at MAX_RADICAND_PRIME, not at the square root of
+    # the radicand, 2**30.5 here
+    prime = 2**61 - 1
+    for make in (S.sqrt, lambda r: parse_scalar(f"sqrt({r})"), inv_sqrt):
+        start = time.perf_counter()
+        with pytest.raises(LimitError, match=f"radicand {prime} has a prime factor above"):
+            make(prime)
+        assert time.perf_counter() - start < 1
 
 
 def test_squarefree_split_with_the_largest_admitted_primes():
@@ -279,7 +291,7 @@ def test_squarefree_split_with_the_largest_admitted_primes():
     exponents = {2: 700, 3: 699, 65519: 301, 65521: 300}
     radicand = math.prod(p**e for p, e in exponents.items())
     square = math.prod(p ** (e // 2) for p, e in exponents.items())
-    assert _squarefree_split(radicand, bounded=True) == (square, 3 * 65519)
+    assert _squarefree_split(radicand) == (square, 3 * 65519)
 
 
 def test_parse_long_power_radicands():

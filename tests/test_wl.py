@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from wlmpnn.cases import builtin_graph, sample_graph
+from wlmpnn.cases import builtin_graph, named_spec, sample_graph
 from wlmpnn.graphs import Partition, partition_of, partition_refines
-from wlmpnn.wl import wl_partitions, wl_run, wl_step
+from wlmpnn.surd import InputError, LimitError
+from wlmpnn.synthesis import synthesize_dgnn6, synthesize_gnn_minus
+from wlmpnn.wl import MAX_ROUNDS, wl_partitions, wl_run, wl_step
 
 
 def brute_force_step(g, class_of):
@@ -111,6 +113,25 @@ def test_wl_partitions_extends_past_stabilization():
     parts = wl_partitions(g, 5)
     assert len(parts) == 6
     assert all(p == parts[1] for p in parts[1:])
+
+
+def test_round_counts_stop_at_max_rounds():
+    # every count from outside is refused before a list of its length is made
+    g = builtin_graph("g2")
+    assert len(wl_partitions(g, MAX_ROUNDS)) == MAX_ROUNDS + 1
+    assert named_spec("gcn", 2, rounds=MAX_ROUNDS).rounds == MAX_ROUNDS
+    huge = 10**22
+    for refuse in (
+        lambda rounds: wl_partitions(g, rounds),
+        lambda rounds: named_spec("gcn", 2, rounds=rounds),
+        lambda rounds: synthesize_gnn_minus(g, rounds, "relu"),
+        lambda rounds: synthesize_dgnn6(g, rounds, "sign"),
+    ):
+        for rounds in (MAX_ROUNDS + 1, huge):
+            with pytest.raises(LimitError, match=f"^{rounds} rounds exceed MAX_ROUNDS = 1000$"):
+                refuse(rounds)
+    with pytest.raises(InputError, match="^rounds must be non-negative, got -1$"):
+        wl_partitions(g, -1)
 
 
 def test_trace_json_shape():
