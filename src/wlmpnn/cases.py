@@ -84,7 +84,8 @@ def pre_weight_matrix(g: LabelledGraph, layer: BuiltinLayer) -> tuple[Row, ...]:
 
 @dataclass(frozen=True)
 class CaseSpec:
-    """A case claim to verify; making one refuses an unknown case id or trials < 1."""
+    """A case claim to verify; making one refuses an unknown case id, trials
+    < 1 and, with LimitError, trials above MAX_TRIALS."""
 
     case_id: str
     trials: int = 100
@@ -95,6 +96,8 @@ class CaseSpec:
             raise InputError(f"unknown case {self.case_id!r} (known: {', '.join(CASE_IDS)})")
         if self.trials < 1:
             raise InputError(f"a verification needs at least one trial, got {self.trials}")
+        if self.trials > MAX_TRIALS:
+            raise LimitError(f"{self.trials} trials exceed MAX_TRIALS = {MAX_TRIALS}")
 
 
 @dataclass(frozen=True)
@@ -300,6 +303,10 @@ def verify_counterexample(case: CaseSpec, raise_on_failure: bool = True) -> Case
 # up to this limit; larger graphs are built directly, as perfbench's
 # cycle_plus_chords does.
 SAMPLE_GRAPH_MAX_N = 100
+
+# On the same VM, 10,000 trials of verify_counterexample took 2.3 s (fig1-gcn),
+# 3.3 s (g1-dgnn12), 2.6 s (g2-dgnn34), 2.8 s (g3-dgnn5) and 3.1 s (fig1-dgnn6).
+MAX_TRIALS = 10_000
 
 
 def _fraction_draw(rng: random.Random) -> Fraction:

@@ -30,7 +30,7 @@ from .graphs import LabelledGraph, parse_graph
 from .mpnn import MpnnSpec, run_mpnn, spec_from_json
 from .surd import InputError, parse_scalar
 from .synthesis import SynthesisError, synthesize_dgnn6, synthesize_gnn_minus
-from .wl import WlTrace, wl_partitions, wl_run
+from .wl import WlTrace, check_wl_rounds, wl_partitions, wl_run
 
 
 def _read(ref: str, what: str, names: str, as_json: bool = False):
@@ -100,17 +100,13 @@ def _cmd_mpnn(args) -> int:
 def _cmd_compare(args) -> int:
     g = _load_graph(args.graph)
     shift = ShiftSpec.from_text(args.shift)
-    left_rounds = args.rounds
-    right_rounds = shift.apply(left_rounds)
-
-    def side(ref: str, rounds: int):
-        if ref == "wl":
-            return WlTrace(tuple(wl_partitions(g, rounds)), None), "wl"
-        return run_mpnn(g, _load_spec(ref, g, rounds, args.sigma)), ref
-
-    left, left_name = side(args.left, left_rounds)
-    right, right_name = side(args.right, right_rounds)
-    comparison = compare_traces(left, right, shift, left_name, right_name)
+    sides = ((args.left, args.rounds), (args.right, shift.apply(args.rounds)))
+    # make both inputs, in order, before running either: a spec, or refinement's checked round count
+    made = [check_wl_rounds(rounds) if ref == "wl" else _load_spec(ref, g, rounds, args.sigma) for ref, rounds in sides]
+    left, right = (
+        run_mpnn(g, x) if isinstance(x, MpnnSpec) else WlTrace(tuple(wl_partitions(g, x)), None) for x in made
+    )
+    comparison = compare_traces(left, right, shift, args.left, args.right)
     _emit(report([comparison], args.format), args.emit)
     return 0 if comparison.verdict.holds else 1
 

@@ -77,13 +77,18 @@ class Partition:
 
 @dataclass(frozen=True)
 class LabelledGraph:
-    """Undirected simple graph with ExactScalar vertex labels."""
+    """Undirected simple graph with ExactScalar vertex labels.  Making one
+    turns each label entry into an ExactScalar (int and Fraction entries
+    coerce, others raise TypeError) and each edge into an ordered pair, then
+    refuses a graph that breaks the module's invariants."""
 
     n: int
     edges: frozenset[tuple[int, int]]
     labels: tuple[Label, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "labels", tuple(tuple(map(ExactScalar, row)) for row in self.labels))
+        object.__setattr__(self, "edges", frozenset((min(u, v), max(u, v)) for u, v in self.edges))
         if self.n < 1:
             raise GraphFormatError("graph needs at least one vertex")
         if len(self.labels) != self.n:
@@ -97,8 +102,6 @@ class LabelledGraph:
                 raise GraphFormatError(f"edge ({u},{v}) references a vertex outside 1..{self.n}")
             if u == v:
                 raise GraphFormatError(f"self-loop at vertex {u}")
-            if u > v:
-                raise GraphFormatError("edges must be stored as ordered pairs")
             touched.add(u)
             touched.add(v)
         isolated = sorted(set(range(1, self.n + 1)) - touched)
@@ -140,9 +143,7 @@ class LabelledGraph:
             raise GraphFormatError(f"vertex {v} out of range 1..{self.n}")
 
 
-def make_graph(n: int, edges: Sequence[tuple[int, int]], labels: Sequence[Sequence]) -> LabelledGraph:
-    rows = tuple(tuple(map(ExactScalar, row)) for row in labels)
-    return LabelledGraph(n=n, edges=frozenset((min(u, v), max(u, v)) for u, v in edges), labels=rows)
+make_graph = LabelledGraph  # make_graph(n, edges, labels) makes and checks a graph
 
 
 def parse_graph(text: str) -> LabelledGraph:
@@ -154,7 +155,6 @@ def parse_graph(text: str) -> LabelledGraph:
     """
     n: int | None = None
     labels: dict[int, Label] = {}
-    widths: set[int] = set()
     edges: list[tuple[int, int]] = []
     seen_edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -188,7 +188,6 @@ def parse_graph(text: str) -> LabelledGraph:
                 raise GraphFormatError(
                     f"line {lineno}: vertex {vid} declares width {width} but lists {len(row)} scalars"
                 )
-            widths.add(width)
             labels[vid] = row
         elif kind == "e":
             parts = line.split()
@@ -209,8 +208,6 @@ def parse_graph(text: str) -> LabelledGraph:
             raise GraphFormatError(f"line {lineno}: unknown directive {kind!r}")
     if n is None:
         raise GraphFormatError("missing n line")
-    if len(widths) > 1:
-        raise GraphFormatError(f"inconsistent label dimensions: {sorted(widths)}")
     extra = sorted(v for v in labels if not 1 <= v <= n)
     missing = n - len(labels) + len(extra)
     if missing > 0:  # name a few: listing them all could take memory by the declared n
@@ -220,7 +217,7 @@ def parse_graph(text: str) -> LabelledGraph:
     if extra:
         raise GraphFormatError(f"vertex ids out of range 1..{n}: {extra}")
     rows = tuple(labels[v] for v in range(1, n + 1))
-    return LabelledGraph(n=n, edges=frozenset(edges), labels=rows)
+    return LabelledGraph(n=n, edges=edges, labels=rows)
 
 
 def format_graph(g: LabelledGraph) -> str:

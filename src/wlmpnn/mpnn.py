@@ -32,31 +32,31 @@ vertex sums its messages over its neighbourhood and applies the update; int
 and Fraction entries of messages and updates become ExactScalar, as graph
 labels do, and entries of any other type are refused.
 
-The network transformations need per-edge views of a builtin layer: the
-message/update pair of builtin_layer, replayed a round late by
-lift_plus_one, and the anonymized layer of anonymize_h_const.  All of them
-are built from one term set of the closed form, made once per layer: x W2
-and x W1 once per distinct label, the self term x W1 + p g(d) h(d) x W2,
-and a finishing step that adds B, sums each entry once and activates.
-Degree-aware messages carry the self term scaled by 1/d_v, once per
-(label, degree), so the d_v messages add it back exactly once.  A lifted
-builtin layer keeps its per-edge view, but run_mpnn evaluates it in the
-closed form, with the same run checks and prefix as the layer itself,
-reading the degrees from the label's last component as the per-edge
-message does, whenever that component holds the vertex degrees.  Its
-round runs on the classes of the inner rows, the full label's classes
-merged where they differ only in the degree, so it multiplies no more rows
-than the unlifted round; the anonymized layers run edge by edge.
+lift_plus_one replays a network a round late on labels ending in the
+vertex degree.  A lifted builtin layer is a record of the layer and its lift
+depth k, and run_mpnn always evaluates it in the closed form, at any depth,
+after checking that the label's last k components are the vertex degrees;
+other labels are refused with the layer's ``layer i: `` prefix.  Its round
+runs on the classes of the inner rows, the full label's classes merged where
+they differ only in the degree columns, so it multiplies no more rows than
+the unlifted round.  The only per-edge views of a builtin layer are the
+message/update pair of builtin_layer and the anonymized layers of
+anonymize_h_const, both built from one term set of the closed form, made
+once per layer: x W2 and x W1 once per distinct label, the self term x W1 +
+p g(d) h(d) x W2, and a finishing step that adds B, sums each entry once and
+activates.  Degree-aware messages carry the self term scaled by 1/d_v, once
+per (label, degree), so the d_v messages add it back exactly once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .graphs import Label, LabelledGraph, Labelling, Partition, partition_of
 from .linalg import Matrix, Row, matrix_from_text, matrix_to_text, row_add, row_mat, row_scale, unique_rows
 from .surd import ONE, ZERO, ExactScalar, InputError, activate, exact_sum, inv_sqrt, parse_scalar, reciprocal
-from .wl import wl_step
+from .wl import check_round_limit, wl_step
 
 MsgFn = Callable[[Label, Label, int, int], Label]
 UpdFn = Callable[[Label, Label], Label]
@@ -255,16 +255,16 @@ class CustomLayer:
 
 
 @dataclass(frozen=True)
-class _LiftedBuiltin(CustomLayer):
-    """A builtin layer replayed a round late by lift_plus_one.  msg and upd
-    are its per-edge view, reading degrees from the label's last component;
-    run_mpnn evaluates it in closed form when that component holds the
-    vertex degrees."""
+class _LiftedBuiltin:
+    """A builtin layer replayed depth rounds late by lift_plus_one, on labels
+    whose last depth components are the vertex degrees, which it carries
+    forward; run_mpnn evaluates it in the closed form."""
 
     builtin: BuiltinLayer
+    depth: int = 1
 
 
-Layer = BuiltinLayer | CustomLayer
+Layer = BuiltinLayer | _LiftedBuiltin | CustomLayer
 
 
 @dataclass(frozen=True)
@@ -352,19 +352,6 @@ def _require(condition: bool, message: str):
         raise SpecValidationError(message)
 
 
-def _memo(fn: Callable) -> Callable:
-    """fn, computed once per distinct tuple of arguments."""
-    cache: dict = {}
-
-    def memoized(*key):
-        out = cache.get(key)
-        if out is None:
-            out = cache[key] = fn(*key)
-        return out
-
-    return memoized
-
-
 def _layer_terms(form: LayerForm):
     """The terms every per-edge view of one builtin layer is built from.
 
@@ -373,7 +360,7 @@ def _layer_terms(form: LayerForm):
     no self term; finish(*rows) adds B, sums each entry as one exact_sum and
     applies sigma.
     """
-    xw2 = _memo(lambda y: row_mat(y, form.w2))
+    xw2 = cache(lambda y: row_mat(y, form.w2))
     tail = () if form.bias is None else (form.bias,)
 
     def finish(*rows: Row) -> Label:
@@ -383,8 +370,8 @@ def _layer_terms(form: LayerForm):
 
     if form.w1 is None and form.p.is_zero:
         return xw2, None, finish
-    xw1 = None if form.w1 is None else _memo(lambda x: row_mat(x, form.w1))
-    self_factor = _memo(lambda d: form.p * form.g.value(d) * form.h.value(d))
+    xw1 = None if form.w1 is None else cache(lambda x: row_mat(x, form.w1))
+    self_factor = cache(lambda d: form.p * form.g.value(d) * form.h.value(d))
 
     def own(x: Label, d: int) -> Row:
         out = None if xw1 is None else xw1(x)
@@ -397,20 +384,16 @@ def _layer_terms(form: LayerForm):
 
 
 def builtin_layer(family: str, params: LayerParams) -> tuple[MsgFn, UpdFn]:
-    """Per-edge message/update pair for a builtin family; run_mpnn itself
-    evaluates builtin layers in closed form."""
-    return _edge_view(BuiltinLayer(family, params))
-
-
-def _edge_view(layer: BuiltinLayer) -> tuple[MsgFn, UpdFn]:
-    """The message/update pair of a layer.  gnn and gnn-minus send y W2 and
-    add the self term in the update (g = h = 1, so any degree will do).  The
-    degree families send g(d_v) h(d_u) y W2 plus the self term scaled by
-    1/d_v, so the d_v messages add it back exactly once; the update finishes.
+    """Per-edge message/update pair for a builtin family, the reference the
+    closed form that run_mpnn evaluates is tested against.  gnn and gnn-minus
+    send y W2 and add the self term in the update (g = h = 1, so any degree
+    will do).  The degree families send g(d_v) h(d_u) y W2 plus the self term
+    scaled by 1/d_v, so the d_v messages add it back exactly once; the
+    update finishes.
     """
-    form = layer.form
+    form = BuiltinLayer(family, params).form
     xw2, own, finish = _layer_terms(form)
-    if layer.family not in DEGREE_FAMILIES:
+    if family not in DEGREE_FAMILIES:
 
         def msg(x, y, fv, fu):
             return xw2(y)
@@ -420,8 +403,8 @@ def _edge_view(layer: BuiltinLayer) -> tuple[MsgFn, UpdFn]:
 
         return msg, upd
 
-    pair_factor = _memo(lambda dv, du: form.g.value(dv) * form.h.value(du))
-    own_share = _memo(lambda x, dv: row_scale(own(x, dv), reciprocal(dv)))
+    pair_factor = cache(lambda dv, du: form.g.value(dv) * form.h.value(du))
+    own_share = cache(lambda x, dv: row_scale(own(x, dv), reciprocal(dv)))
 
     def msg(x, y, dv, du):
         if dv < 1 or du < 1:
@@ -581,26 +564,28 @@ def run_mpnn(g: LabelledGraph, spec: MpnnSpec) -> RunTrace:
     partitions = [partition_of(labelling)]
     degrees = g.degrees()
     f_values = degrees if spec.f_mode == "degree" else (0,) * g.n
+    degree_row = None  # the degrees as exact scalars, made at the first lifted round
     for round_index, layer in enumerate(spec.layers, start=1):
-        # a lifted layer's label ends in what its per-edge message reads as
-        # the degree; with any other column it takes the per-edge path
-        lifted = isinstance(layer, _LiftedBuiltin) and tuple(x[-1].as_int() for x in labelling.rows) == degrees
-        if isinstance(layer, BuiltinLayer) or lifted:
-            builtin = layer.builtin if lifted else layer
-            rows = [x[:-1] for x in labelling.rows] if lifted else labelling.rows
-            partition = partitions[-1]
-            if lifted:  # merge the classes whose labels differ only in the degree (ids count from 0)
-                inner = unique_rows(list(dict(zip(partition.class_of, rows)).values()))[1]
-                partition = Partition(tuple(inner[c] for c in partition.class_of))
+        if isinstance(layer, CustomLayer):
+            new_rows = _per_edge_round(g, labelling, layer, f_values, round_index)
+        else:
+            builtin, depth = (layer.builtin, layer.depth) if isinstance(layer, _LiftedBuiltin) else (layer, 0)
+            rows, partition = labelling.rows, partitions[-1]
             try:
+                if depth:
+                    degree_row = degree_row or [ExactScalar(d) for d in degrees]
+                    ends = all(x[-depth:] == (d,) * depth for x, d in zip(rows, degree_row))
+                    _require(ends, f"lifted {builtin.family} layer: labels must end in {depth} vertex degree column(s)")
+                    rows = [x[:-depth] for x in rows]
+                    # merge the classes whose labels differ only in the degrees (ids count from 0)
+                    inner = unique_rows(list(dict(zip(partition.class_of, rows)).values()))[1]
+                    partition = Partition(tuple(inner[c] for c in partition.class_of))
                 _check_builtin_dims(builtin, len(rows[0]))
                 new_rows = _closed_form_round(g, rows, builtin.form, degrees, partition)
             except (SpecValidationError, DimensionError) as exc:  # name the layer, as spec_from_json does
                 raise type(exc)(f"layer {round_index}: {exc}") from exc
-            if lifted:
-                new_rows = [(*row, x[-1]) for row, x in zip(new_rows, labelling.rows)]
-        else:
-            new_rows = _per_edge_round(g, labelling, layer, f_values, round_index)
+            if depth:
+                new_rows = [(*row, *x[-depth:]) for row, x in zip(new_rows, labelling.rows)]
         labelling = Labelling(tuple(new_rows))
         labellings.append(labelling)
         partitions.append(partition_of(labelling))
@@ -632,24 +617,27 @@ def lift_plus_one(spec: MpnnSpec) -> MpnnSpec:
     original round-t labelling extended with the vertex degree.  Anonymous
     networks are accepted too (they are degree-aware networks that ignore
     the degree arguments); their lift carries an unused degree column.  A
-    layer lifted from a builtin one keeps that layer, so run_mpnn can
-    evaluate it in closed form.
+    lifted builtin layer, at any lift depth, stays a record of its builtin
+    layer, which run_mpnn evaluates in the closed form on labels ending in
+    the vertex degrees and refuses on any other labels.
     """
     return MpnnSpec(f_mode="zero", layers=(degree_probe_spec().layers[0], *map(_lifted, spec.layers)))
 
 
-def _lifted(layer: Layer) -> CustomLayer:
+def _lifted(layer: Layer) -> Layer:
     """layer run on labels ending in the vertex degree, which it carries forward."""
-    builtin = isinstance(layer, BuiltinLayer)
-    base_msg, base_upd = _edge_view(layer) if builtin else (layer.msg, layer.upd)
+    if isinstance(layer, BuiltinLayer):
+        return _LiftedBuiltin(layer)
+    if isinstance(layer, _LiftedBuiltin):
+        return _LiftedBuiltin(layer.builtin, layer.depth + 1)
 
     def msg(x, y, fv, fu):
-        return base_msg(x[:-1], y[:-1], x[-1].as_int(), y[-1].as_int())
+        return layer.msg(x[:-1], y[:-1], x[-1].as_int(), y[-1].as_int())
 
     def upd(x, m):
-        return (*base_upd(x[:-1], m), x[-1])
+        return (*layer.upd(x[:-1], m), x[-1])
 
-    return _LiftedBuiltin(msg=msg, upd=upd, builtin=layer) if builtin else CustomLayer(msg=msg, upd=upd)
+    return CustomLayer(msg=msg, upd=upd)
 
 
 def anonymize_h_const(spec: MpnnSpec) -> MpnnSpec:
@@ -673,7 +661,7 @@ def _anonymized_layer(form: LayerForm) -> CustomLayer:
     """The message (y W2, 1) counts the degree c; the update finishes
     g(c) times the aggregated y W2 plus the self term own(x, c)."""
     xw2, own, finish = _layer_terms(form)
-    g_of = _memo(form.g.value)
+    g_of = cache(form.g.value)
 
     def msg(x, y, fv, fu):
         return (*xw2(y), ONE)
@@ -763,13 +751,15 @@ def spec_to_json(spec: MpnnSpec) -> dict:
 
 
 def spec_from_json(data: dict) -> MpnnSpec:
-    """The spec of a ``spec_to_json`` object.  A field of the wrong JSON type
-    raises SpecValidationError first; then so does an unknown field, a
+    """The spec of a ``spec_to_json`` object.  More than MAX_ROUNDS layers
+    raise LimitError before any layer is read, and a field of the wrong JSON
+    type raises SpecValidationError first; then so does an unknown field, a
     weight named W where the family takes W1 and W2 or the other way round,
     and a layer that breaks its family's contract, each naming its layer as
     run_mpnn does."""
     _require(isinstance(data, dict), "a network spec must be a JSON object")
     _require(isinstance(data.get("layers"), list), "a network spec needs a list of layers")
+    check_round_limit(len(data["layers"]))
     layers = []
     for index, entry in enumerate(data["layers"], start=1):
         _require(isinstance(entry, dict) and "family" in entry, f"layer {index} has no family")

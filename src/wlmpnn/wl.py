@@ -98,13 +98,19 @@ def check_round_limit(rounds: int) -> None:
         raise LimitError(f"{rounds} rounds exceed MAX_ROUNDS = {MAX_ROUNDS}")
 
 
+def check_wl_rounds(rounds: int) -> int:
+    """rounds, refused if negative (InputError) or above MAX_ROUNDS (LimitError)."""
+    if rounds < 0:
+        raise InputError(f"rounds must be non-negative, got {rounds}")
+    check_round_limit(rounds)
+    return rounds
+
+
 def wl_partitions(g: LabelledGraph, rounds: int) -> list[Partition]:
     """The partitions after 0..rounds refinement steps: those of ``wl_run``
     up to rounds, then its stable partition repeated, since a stable
     partition steps to itself, class ids included."""
-    if rounds < 0:
-        raise InputError(f"rounds must be non-negative, got {rounds}")
-    check_round_limit(rounds)
+    check_wl_rounds(rounds)
     out = list(wl_run(g, rounds).rounds)
     return out + [out[-1]] * (rounds + 1 - len(out))
 

@@ -115,6 +115,55 @@ def test_round_counts_out_of_range_exit_2(capsys, argv, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "left, right, shift, message",
+    [
+        ("gcn", "wl", "x2", "error: 2000 rounds exceed MAX_ROUNDS = 1000\n"),
+        ("gcn", "gcn", "+1", "error: 1001 rounds exceed MAX_ROUNDS = 1000\n"),
+    ],
+    ids=["wl-side", "network-side"],
+)
+def test_compare_makes_both_sides_before_running_either(monkeypatch, capsys, left, right, shift, message):
+    # a right side past MAX_ROUNDS is refused before the left side runs
+    def refuse(*args):
+        raise AssertionError("a network ran before both sides were made")
+
+    monkeypatch.setattr("wlmpnn.cli.run_mpnn", refuse)
+    argv = ["compare", "--graph", "fig1", "--left", left, "--right", right, "--shift", shift, "--rounds", "1000"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["mpnn", "run", "--graph", "fig1", "--spec", "{spec}"], "1001 rounds exceed MAX_ROUNDS = 1000"),
+        (
+            ["cases", "verify", "--case", "g1-dgnn12", "--trials", "100000000"],
+            "100000000 trials exceed MAX_TRIALS = 10000",
+        ),
+    ],
+    ids=["spec-file-layers", "trials"],
+)
+def test_counts_from_outside_stop_at_their_limit_exit_2(monkeypatch, tmp_path, capsys, argv, limit):
+    # a spec file of 1,001 layers is refused by its length, before its layers
+    # are read, and a trial count before any trial runs
+    def refuse(*args):
+        raise AssertionError("a count past its limit was run")
+
+    monkeypatch.setattr("wlmpnn.cli.run_mpnn", refuse)
+    monkeypatch.setattr("wlmpnn.cli.verify_counterexample", refuse)
+    path = tmp_path / "long.json"
+    layer = {"family": "gcn-kipf", "W": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+    path.write_text(json.dumps({"f_mode": "degree", "layers": [layer] * 1001}))
+    start = time.perf_counter()
+    assert run([arg.format(spec=path) for arg in argv]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {limit}\n"
+    assert captured.out == ""
+
+
 def test_compare_json_emit(tmp_path):
     out = tmp_path / "verdict.json"
     code = run(["compare", "--graph", "fig1", "--left", "gcn", "--right", "wl",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from wlmpnn.cases import builtin_graph, named_spec, sample_graph
 from wlmpnn.graphs import (
     GraphFormatError,
+    LabelledGraph,
     Labelling,
     Partition,
     equivalent,
@@ -69,6 +70,18 @@ def test_parse_rejects_isolated_vertex():
 
 def test_parse_rejects_dimension_mismatch():
     with pytest.raises(GraphFormatError):
+        parse_graph("n 2\nv 1 2: 1, 0\nv 2 1: 1\ne 1 2\n")
+
+
+def test_a_graph_made_in_code_is_checked_like_one_read_from_a_file():
+    # the constructor makes int labels exact scalars and a reversed edge an
+    # ordered pair, as make_graph, the same constructor, always did
+    for edge in ((1, 2), (2, 1)):
+        g = LabelledGraph(2, frozenset({edge}), ((1,), (2,)))
+        assert g == make_graph(2, [(1, 2)], [(1,), (2,)]) == parse_graph("n 2\nv 1 1: 1\nv 2 1: 2\ne 2 1\n")
+        assert g.edges == frozenset({(1, 2)}) and g.labels == ((ExactScalar(1),), (ExactScalar(2),))
+        assert run_mpnn(g, named_spec("gcn", 1, 1)).rounds == 1
+    with pytest.raises(GraphFormatError, match="label rows must share a positive width"):
         parse_graph("n 2\nv 1 2: 1, 0\nv 2 1: 1\ne 1 2\n")
 
 

@@ -588,17 +588,18 @@ def test_degree_messages_require_degree_information(family):
             msg((ONE,), (ONE,), dv, du)
 
 
-# -- lifted builtin rounds in closed form, against their per-edge closures --------------------
+# -- lifted builtin rounds in closed form, against the lifts of their per-edge closures ----
 
 
-def _per_edge(spec: MpnnSpec) -> MpnnSpec:
-    """The same network with every layer a plain CustomLayer of its own
-    closures, which run_mpnn evaluates edge by edge."""
-    return MpnnSpec(spec.f_mode, tuple(CustomLayer(layer.msg, layer.upd) for layer in spec.layers))
+def _per_edge_layer(layer: BuiltinLayer) -> CustomLayer:
+    """The layer's per-edge view, which run_mpnn evaluates edge by edge."""
+    return CustomLayer(*builtin_layer(layer.family, layer.params))
 
 
 @pytest.mark.parametrize("family", sorted(DEGREE_FAMILIES) + ["gnn"])
 def test_lifted_closed_form_matches_its_closures(family):
+    # the lifts of a per-edge view run the closures a lifted layer once
+    # carried; a k-fold lift runs its builtin layers at depth k in closed form
     for seed in range(4):
         rng = random.Random(f"lifted:{family}:{seed}")
         g = sample_graph(rng.randint(5, 9), 0.35, 900 + seed, alphabet=2)
@@ -607,34 +608,56 @@ def test_lifted_closed_form_matches_its_closures(family):
             out = rng.randint(1, 3)
             layers.append(BuiltinLayer(family, _random_layer(rng, family, width, out, g.n - 1)))
             width = out
-        lifted = lift_plus_one(MpnnSpec("zero" if family == "gnn" else "degree", tuple(layers)))
-        assert all(isinstance(layer, CustomLayer) for layer in lifted.layers)
-        closed, reference = run_mpnn(g, lifted), run_mpnn(g, _per_edge(lifted))
-        assert closed.labellings == reference.labellings
-        assert closed.partitions == reference.partitions
+        f_mode = "zero" if family == "gnn" else "degree"
+        lifted = MpnnSpec(f_mode, tuple(layers))
+        reference = MpnnSpec(f_mode, tuple(map(_per_edge_layer, layers)))
+        for k in (1, 2, 3):
+            lifted, reference = lift_plus_one(lifted), lift_plus_one(reference)
+            assert all(layer == mpnn._LiftedBuiltin(builtin, k) for layer, builtin in zip(lifted.layers[k:], layers))
+            closed, expected = run_mpnn(g, lifted), run_mpnn(g, reference)
+            assert closed.labellings == expected.labellings
+            assert closed.partitions == expected.partitions
 
 
-def test_lifted_layers_off_the_degree_column_follow_their_closures():
+def test_lifted_layers_off_the_degree_column_are_refused():
     # the lifted layers alone, on labels whose last component is not the
-    # degree: the same labels where the closures run, the same errors where
-    # they raise
+    # degree: the closed form refuses them, naming the layer, while the lift
+    # of the per-edge view runs its closures there, or raises as they do
     g = builtin_graph("fig1")
     rng = random.Random("off-column")
     for family in sorted(DEGREE_FAMILIES) + ["gnn"]:
         layer = BuiltinLayer(family, _random_layer(rng, family, 3, 2, 7))
-        lifted = lift_plus_one(MpnnSpec("zero" if family == "gnn" else "degree", (layer,)))
-        rest = MpnnSpec("zero", lifted.layers[1:])
-        for column in (S(3), S(7)):
+        f_mode = "zero" if family == "gnn" else "degree"
+        rest = MpnnSpec("zero", lift_plus_one(MpnnSpec(f_mode, (layer,))).layers[1:])
+        reference = MpnnSpec("zero", lift_plus_one(MpnnSpec(f_mode, (_per_edge_layer(layer),))).layers[1:])
+        for column, error in ((S(3), None), (S(7), None), (S(Fraction(1, 2)), ValueError), (ZERO, SpecValidationError)):
             labelled = make_graph(g.n, sorted(g.edges), [(*g.label_of(v), column) for v in range(1, g.n + 1)])
-            assert run_mpnn(labelled, rest).labellings == run_mpnn(labelled, _per_edge(rest)).labellings
-        for column, error in ((S(Fraction(1, 2)), ValueError), (ZERO, SpecValidationError)):
-            labelled = make_graph(g.n, sorted(g.edges), [(*g.label_of(v), column) for v in range(1, g.n + 1)])
-            if family == "gnn" and column == ZERO:
-                continue  # gnn ignores the degrees it reads
-            for network in (rest, _per_edge(rest)):
-                with pytest.raises(error) as raised:
-                    run_mpnn(labelled, network)
-                assert type(raised.value) is error
+            with pytest.raises(SpecValidationError, match="^layer 1: "):
+                run_mpnn(labelled, rest)
+            if error is None or family == "gnn" and column == ZERO:  # gnn ignores the degrees it reads
+                run_mpnn(labelled, reference)
+                continue
+            with pytest.raises(error) as raised:
+                run_mpnn(labelled, reference)
+            assert type(raised.value) is error
+
+
+def test_lifting_a_builtin_layer_builds_no_per_edge_view(monkeypatch):
+    # a lifted builtin layer is a record of its layer and lift depth, run in
+    # the closed form: neither lifting nor running it makes per-edge terms
+    def refuse(form):
+        raise AssertionError("per-edge terms made for a lifted builtin layer")
+
+    monkeypatch.setattr(mpnn, "_layer_terms", refuse)
+    g = builtin_graph("fig1")
+    spec = sample_degree_spec(random.Random(5), g.label_dim)
+    original = run_mpnn(g, spec)
+    lifted = run_mpnn(g, lift_plus_one(spec))
+    twice = run_mpnn(g, lift_plus_one(lift_plus_one(spec)))
+    degree = [S(d) for d in g.degrees()]
+    for t, labelling in enumerate(original.labellings):
+        assert lifted.labellings[t + 1].rows == tuple((*row, d) for row, d in zip(labelling.rows, degree))
+        assert twice.labellings[t + 2].rows == tuple((*row, d, d) for row, d in zip(labelling.rows, degree))
 
 
 def test_lifted_builtin_rounds_are_guarded_as_builtin_rounds():
