@@ -25,7 +25,7 @@ from .cases import (
     named_spec,
     verify_counterexample,
 )
-from .compare import ShiftSpec, compare_traces, report
+from .compare import ShiftSpec, check_shift_rounds, compare_traces, report
 from .graphs import LabelledGraph, parse_graph
 from .mpnn import MpnnSpec, run_mpnn, spec_from_json
 from .surd import InputError, parse_scalar
@@ -101,8 +101,10 @@ def _cmd_compare(args) -> int:
     g = _load_graph(args.graph)
     shift = ShiftSpec.from_text(args.shift)
     sides = ((args.left, args.rounds), (args.right, shift.apply(args.rounds)))
-    # make both inputs, in order, before running either: a spec, or refinement's checked round count
+    # make both inputs, in order, and check their round counts against the
+    # shift before running either: a spec, or refinement's checked round count
     made = [check_wl_rounds(rounds) if ref == "wl" else _load_spec(ref, g, rounds, args.sigma) for ref, rounds in sides]
+    check_shift_rounds(*(x.rounds if isinstance(x, MpnnSpec) else x for x in made), shift)
     left, right = (
         run_mpnn(g, x) if isinstance(x, MpnnSpec) else WlTrace(tuple(wl_partitions(g, x)), None) for x in made
     )

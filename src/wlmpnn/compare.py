@@ -79,16 +79,19 @@ class CompareVerdict:
         return out
 
 
+def check_shift_rounds(rounds_a: int, rounds_b: int, shift: ShiftSpec) -> None:
+    """Refuse (InputError) a right side of rounds_b rounds when the shift
+    needs more of a left side of rounds_a."""
+    needed = shift.apply(rounds_a)
+    if rounds_b < needed:
+        raise InputError(f"right trace has {rounds_b} rounds but the shift needs {needed}")
+
+
 def weaker(trace_a: Traceable, trace_b: Traceable, shift: ShiftSpec) -> CompareVerdict:
     """Is A weaker than B under the shift: B's round-g(t) partition must
     refine into A's round-t partition for every 0 <= t <= T_A."""
     rounds_a = len(trace_a.partitions) - 1
-    rounds_b = len(trace_b.partitions) - 1
-    needed = shift.apply(rounds_a)
-    if rounds_b < needed:
-        raise InputError(
-            f"right trace has {rounds_b} rounds but the shift needs {needed}"
-        )
+    check_shift_rounds(rounds_a, len(trace_b.partitions) - 1, shift)
     for t in range(rounds_a + 1):
         fine = trace_b.partitions[shift.apply(t)]
         coarse = trace_a.partitions[t]

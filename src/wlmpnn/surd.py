@@ -41,6 +41,12 @@ two values exactly only when their enclosures overlap.  ``floor_exact``
 doubles the precision of those bounds until both have the same floor, so
 no decision goes through a float.
 
+``invert`` takes a value of k primes down the tower of quadratic
+subfields: multiplying it by its sign-flip conjugate in one prime p removes
+p, so k such steps, each applied to a running numerator too, reach the
+rational norm in 2k products of shrinking values.  ``conjugates`` lists all
+2**k sign-flip conjugates for ``wl``'s characteristic polynomials.
+
 ``residues`` maps values into the integers modulo a fixed 66-bit prime in
 which every prime up to 47 has a square root, a ring map that linear
 algebra uses to prove full rank without exact elimination.
@@ -48,8 +54,9 @@ algebra uses to prove full rank without exact elimination.
 ``InputError`` is the one class of refused outside input: every module
 raises it, or a subclass, where a value, name or file it was given is at
 fault.  A value past a fixed size limit of the program, such as one whose
-inverse needs the conjugates of more than 12 primes or whose sign is still
-undecided at 2**22 bits, raises its subclass ``LimitError``.
+radicands span more than 12 primes, which bounds the term growth of an
+inverse or a conjugate list, or whose sign is still undecided at 2**22
+bits, raises its subclass ``LimitError``.
 """
 from __future__ import annotations
 
@@ -77,7 +84,9 @@ class InputError(ValueError):
 
 class LimitError(InputError):
     """A value outgrew a fixed size limit of the program, such as the 12
-    primes whose conjugates ``invert`` multiplies."""
+    primes of its radicands that ``invert`` and ``conjugates`` accept: the
+    numerator of an inverse can have a term for each of the 2**k products
+    of k primes."""
 
 
 # A parsed radicand or degree factor may have no prime factor above this
@@ -149,6 +158,15 @@ def _prime_factors(squarefree: int) -> tuple[int, ...]:
     if r > 1:
         out.append(r)
     return tuple(out)
+
+
+def _radicand_primes(num: dict[int, int]) -> list[int]:
+    """The primes of the radicands of num, ascending; more than 12 raise
+    LimitError."""
+    primes = sorted({p for r in num if r != 1 for p in _prime_factors(r)})
+    if len(primes) > _MAX_CONJUGATE_PRIMES:
+        raise LimitError(f"radicands span {len(primes)} primes; the conjugate limit is {_MAX_CONJUGATE_PRIMES}")
+    return primes
 
 
 class ExactScalar:
@@ -313,11 +331,15 @@ class ExactScalar:
 
     def invert(self) -> "ExactScalar":
         """Multiplicative inverse.  A single term c*sqrt(r) inverts to
-        sqrt(r)/(c*r); a longer sum to the product of its other sign-flip
-        conjugates divided by the (rational) product of all of them.
+        sqrt(r)/(c*r).  A longer sum goes down the tower of quadratic
+        subfields: for each prime p of its radicands in turn, y (at first
+        self) and a running numerator are both multiplied by y with the
+        sign of every p-term flipped, which removes p from y and keeps
+        self * numerator == y.  After at most k steps for k primes, y is
+        the rational norm N and the inverse is numerator / N.
 
-        The radicands of self may span at most 12 distinct primes (see
-        ``conjugates``).
+        The radicands of self may span at most 12 distinct primes, which
+        bounds the term growth of the numerator (LimitError past it).
         """
         num = self._num
         if not num:
@@ -328,13 +350,17 @@ class ExactScalar:
             n, d = (self._den, c * r) if c > 0 else (-self._den, -c * r)
             g = math.gcd(n, d)
             return _make({r: n // g}, d // g)
-        conj_product = ONE
-        for conj in conjugates(self)[1:]:
-            conj_product = conj_product * conj
-        norm = self * conj_product
-        if not norm.is_rational or norm.is_zero:
-            raise ArithmeticError(f"conjugate norm of {self} is not a nonzero rational: {norm}")
-        return conj_product * ExactScalar(Fraction(1) / norm.rational_part)
+        y, numerator = self, ONE
+        for p in _radicand_primes(num):
+            y_num = y._num
+            if not any(r % p == 0 for r in y_num):
+                continue  # an earlier step took p out of y
+            flipped = _make({r: -c if r % p == 0 else c for r, c in y_num.items()}, y._den)
+            y = y * flipped
+            numerator = numerator * flipped
+        if not y.is_rational or y.is_zero:
+            raise ArithmeticError(f"norm of {self} is not a nonzero rational: {y}")
+        return numerator * ExactScalar(Fraction(1) / y.rational_part)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -767,9 +793,7 @@ def conjugates(x: ExactScalar) -> list[ExactScalar]:
     primes.  More than 12 primes (4,096 conjugates) raises LimitError.
     """
     num, den = x._num, x._den
-    primes = sorted({p for r in num if r != 1 for p in _prime_factors(r)})
-    if len(primes) > _MAX_CONJUGATE_PRIMES:
-        raise LimitError(f"radicands span {len(primes)} primes; the conjugate limit is {_MAX_CONJUGATE_PRIMES}")
+    primes = _radicand_primes(num)
     masked = [
         (r, c, sum(1 << i for i, p in enumerate(primes) if r % p == 0))
         for r, c in num.items()

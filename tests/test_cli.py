@@ -134,6 +134,23 @@ def test_compare_makes_both_sides_before_running_either(monkeypatch, capsys, lef
     assert capsys.readouterr().err == message
 
 
+def test_compare_checks_round_counts_before_running_either(monkeypatch, tmp_path, capsys):
+    # a 1,000-layer spec file on the left needs 2,000 rounds of the right
+    # under x2, and --rounds 1 gives refinement 2: refused before any run
+    def refuse(*args):
+        raise AssertionError("a network ran before the round counts were checked")
+
+    monkeypatch.setattr("wlmpnn.cli.run_mpnn", refuse)
+    path = tmp_path / "long.json"
+    layer = {"family": "gcn-kipf", "W": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+    path.write_text(json.dumps({"f_mode": "degree", "layers": [layer] * 1000}))
+    argv = ["compare", "--graph", "fig1", "--left", str(path), "--right", "wl", "--shift", "x2", "--rounds", "1"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: right trace has 2 rounds but the shift needs 2000\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv, limit",
     [
@@ -539,8 +556,9 @@ def test_graph_file_radicand_above_the_bound_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("target", ["gnn-minus", "dgnn6"])
 def test_conjugate_limit_reached_from_a_graph_file_exit_2(tmp_path, capsys, target):
-    # inverting a label whose radicands span 13 primes needs 8,192 conjugates,
-    # past the limit of 12 primes: a limit the input reaches, not a program fault
+    # inverting a label whose radicands span 13 primes is past the limit of
+    # 12, which bounds the norm tower's term growth: a limit the input
+    # reaches, not a program fault
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     path = tmp_path / "graph.txt"
     path.write_text("n 2\nv 1 1: " + " + ".join(f"sqrt({p})" for p in primes) + "\nv 2 1: 1\ne 1 2\n")

@@ -691,6 +691,60 @@ def test_single_term_invert_matches_conjugates_and_sympy(a):
     assert sympy.expand(_to_sympy(inverse) * _to_sympy(a)) == 1
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_invert_takes_two_products_per_prime(monkeypatch, k):
+    # (2 + sqrt(2)) (3 - 2 sqrt(3)) ... has 2**k terms over k primes: the
+    # norm tower takes 2 products per prime and 1 by the inverse norm
+    primes = (2, 3, 5, 7, 11)[:k]
+    value = ONE
+    for i, p in enumerate(primes):
+        value = value * (S(i + 2) + sqrt(p, (-1) ** i * (i + 1)))
+    assert len(value._num) == 2**k
+    calls = []
+    multiply = ExactScalar.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return multiply(self, other)
+
+    monkeypatch.setattr(ExactScalar, "__mul__", counted)
+    inverse = value.invert()
+    assert len(calls) <= 2 * k + 1
+    monkeypatch.undo()
+    assert value * inverse == ONE
+
+
+def test_invert_raises_when_its_norm_is_irrational(monkeypatch):
+    # a tower that skips the prime 3 leaves sqrt(3) in the norm: invert
+    # raises, under python -O too
+    monkeypatch.setattr("wlmpnn.surd._radicand_primes", lambda num: [2])
+    with pytest.raises(ArithmeticError, match="is not a nonzero rational"):
+        (ONE + sqrt(2) + sqrt(3)).invert()
+
+
+# the 32 divisors of the squarefree 2 * 3 * 5 * 7 * 11
+_tower_radicands = st.sampled_from([r for r in range(1, 2311) if 2310 % r == 0])
+# numerators and their one denominator of up to 2,048 bits
+tower_scalars = st.builds(
+    lambda pairs, den: S.normalize((r, Fraction(c, den)) for r, c in pairs),
+    st.lists(st.tuples(_tower_radicands, st.integers(-(2**2048), 2**2048)), min_size=2, max_size=16),
+    st.integers(1, 2**2048),
+)
+
+
+@settings(max_examples=8, deadline=None)
+@given(tower_scalars)
+def test_invert_in_the_synthesizer_regime_matches_conjugates(a):
+    # up to 16 terms over the primes 2, 3, 5, 7 and 11, coefficients up to
+    # 2,048 bits: the inverse is canonical and equals the conjugate product's
+    if a.is_zero:
+        return
+    inverse = a.invert()
+    assert a * inverse == ONE
+    _assert_canonical(inverse)
+    assert inverse == _invert_by_conjugates(a)
+
+
 # -- same-sign signs and products by exactly 1 ---------------------------------
 
 _radicands = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 14, 15, 21, 30, 105])
