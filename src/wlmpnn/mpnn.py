@@ -23,11 +23,16 @@ key: a vertex's row depends only on its WL signature over (class, degree),
 its own with the multiset of its neighbours', the degrees dropping out when
 g and h are both 1, so the keys are the classes of one ``wl.wl_step``.  The
 products x W2 and x W1 are computed once per class id (rows of one class are
-equal), h L W2 once per (class, degree), g and h once per distinct degree,
-then one plain neighbour sum per key, each pre-activation entry one exact
-sum.  Nothing in a builtin round hashes a scalar: the keys are class ids and
-degrees, and partitions key label rows by the canonical integers of their
-entries (``linalg.unique_rows``).  Custom layers run edge by edge: each
+equal), h L W2 once per (class, degree), g and h once per distinct degree
+(one table when g and h are one function), then one plain neighbour sum per
+key, each pre-activation entry one exact sum.  A sign round needs only the
+sign of each entry: it runs the same form on integer bounds of every value,
+at 64, 128 and then 256 bits, and evaluates exactly only the keys with an
+entry the bounds leave open, multiplying only the rows of the classes those
+keys read.  Relu and ``none`` rounds are exact throughout.  Nothing in a
+builtin round hashes a scalar: the keys are class ids and degrees, and
+partitions key label rows by the canonical integers of their entries
+(``linalg.unique_rows``).  Custom layers run edge by edge: each
 vertex sums its messages over its neighbourhood and applies the update; int
 and Fraction entries of messages and updates become ExactScalar, as graph
 labels do, and entries of any other type are refused.
@@ -55,7 +60,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .graphs import Label, LabelledGraph, Labelling, Partition, partition_of
 from .linalg import Matrix, Row, matrix_from_text, matrix_to_text, row_add, row_mat, row_scale, unique_rows
-from .surd import ONE, ZERO, ExactScalar, InputError, activate, exact_sum, inv_sqrt, parse_scalar, reciprocal
+from .surd import MINUS_ONE, ONE, ZERO, ExactScalar, InputError, activate, enclosure, exact_sum, inv_sqrt, parse_scalar
+from .surd import reciprocal
 from .wl import check_round_limit, wl_step
 
 MsgFn = Callable[[Label, Label, int, int], Label]
@@ -137,6 +143,8 @@ class DegreeFn:
 
     def on(self, degrees: Iterable[int]) -> dict[int, ExactScalar] | None:
         """The value at each distinct degree, or None when it is 1 on all of them."""
+        if self.kind == "one":
+            return None
         table = {d: self.value(d) for d in set(degrees)}
         return None if all(v == ONE for v in table.values()) else table
 
@@ -469,41 +477,154 @@ def _closed_form_round(
     and h are 1 on every degree present: the keys are the classes of
     ``wl_step`` from the partition of those values, and pre_v is evaluated
     once per key, at its first vertex.  x W2 and x W1 are computed once per
-    class id, so no label is hashed, and hy once per (class, degree).  Each
-    entry of pre_v is one exact_sum: of every term when g is 1, else of the
+    class id, so no label is hashed, hy once per (class, degree) and the g
+    and h tables once, one table when g and h are one function.  Each entry
+    of pre_v is one exact_sum: of every term when g is 1, else of the
     g-scaled sum, x_v W1 and B.
+
+    A sign round first settles what it can from bounds (``_sign_bounds``).
+    Only the keys left open are evaluated exactly, and x W2, x W1 and hy
+    only for the classes and (class, degree) pairs that those keys' vertices
+    and their neighbours hold.
     """
     w1, w2, bias, p = form.w1, form.w2, form.bias, form.p
     class_of = partition.class_of
-    g_of, h_of = form.g.on(degrees), form.h.on(degrees)
+    g_of = form.g.on(degrees)
+    h_of = g_of if form.h == form.g else form.h.on(degrees)
     own = partition if g_of is None and h_of is None else Partition.from_keys(list(zip(class_of, degrees)))
     keys = wl_step(g, own)
     reps = [members[0] for members in keys.classes()]
     class_row = dict(zip(class_of, rows))  # class id -> the row its vertices share
-    xw2 = {c: row_mat(x, w2) for c, x in class_row.items()}
-    if h_of is None:
-        hy = [xw2[c] for c in class_of]
+    pairs = None if h_of is None else dict(zip(own.class_of, zip(class_of, degrees)))  # (class, degree) id -> the pair
+    if form.sigma == "sign":
+        out = _sign_bounds(g, reps, form, class_row, class_of, degrees, g_of, h_of, pairs)
+        at = [v for v, r in zip(reps, out) if r is None]
     else:
-        pairs = dict(zip(own.class_of, zip(class_of, degrees)))  # (class, degree) id -> the pair
-        at_own = {o: row_scale(xw2[c], h_of[d]) for o, (c, d) in pairs.items()}
-        hy = [at_own[o] for o in own.class_of]
-    plus = []  # the rows x_v W1 and B
-    if w1 is not None:
-        xw1 = xw2 if w1 is w2 else {c: row_mat(x, w1) for c, x in class_row.items()}
-        plus.append([xw1[c] for c in class_of])
-    if bias is not None:
-        plus.append([bias] * g.n)
-    if g_of is None:
-        pre = propagate(g, hy, p, *plus, at=reps)
-    else:
-        pre = [row_scale(r, g_of[degrees[v - 1]]) for r, v in zip(propagate(g, hy, p, at=reps), reps)]
-        if plus:
-            pre = [
-                tuple(map(exact_sum, zip(r, *(extra[v - 1] for extra in plus), strict=True)))
-                for r, v in zip(pre, reps)
-            ]
-    out = [tuple(activate(x, form.sigma) for x in r) for r in pre]
+        out, at = [None] * len(reps), reps
+    if at:
+        # the vertices whose rows at reads, when that is not every vertex
+        read = None if at is reps else {u for v in at for u in (v, *g.neighbors(v))}
+        classes = class_row if read is None else {class_of[u - 1] for u in read}
+        xw2 = {c: row_mat(class_row[c], w2) for c in classes}
+        if h_of is None:
+            hy = [xw2.get(c) for c in class_of]
+        else:
+            if read is not None:
+                pairs = {o: pairs[o] for o in {own.class_of[u - 1] for u in read}}
+            at_own = {o: row_scale(xw2[c], h_of[d]) for o, (c, d) in pairs.items()}
+            hy = [at_own.get(o) for o in own.class_of]
+        plus = []  # the rows x_v W1 and B
+        if w1 is not None:
+            xw1 = xw2 if w1 is w2 else {c: row_mat(class_row[c], w1) for c in classes}
+            plus.append([xw1.get(c) for c in class_of])
+        if bias is not None:
+            plus.append([bias] * g.n)
+        if g_of is None:
+            pre = propagate(g, hy, p, *plus, at=at)
+        else:
+            pre = [row_scale(r, g_of[degrees[v - 1]]) for r, v in zip(propagate(g, hy, p, at=at), at)]
+            if plus:
+                pre = [
+                    tuple(map(exact_sum, zip(r, *(extra[v - 1] for extra in plus), strict=True)))
+                    for r, v in zip(pre, at)
+                ]
+        exact = iter(pre)
+        out = [tuple(activate(x, form.sigma) for x in next(exact)) if r is None else r for r in out]
     return out if len(reps) == g.n else [out[i] for i in keys.class_of]
+
+
+# Bounds on a row of values y_j * 2**bits: the list of lower and the list of upper bounds.
+Bounds = tuple[list[int], list[int]]
+
+
+def _times_mat(x: list[tuple[int, int]], w: list[list[tuple[int, int]]], bits: int) -> Bounds:
+    """Bounds on the row x W from bounds (lo, hi) on each entry of x and of
+    W, all at bits: each entry sums the least and the greatest corner
+    products of its terms, then floors and ceils the sums over 2**bits.  An
+    exact entry of x (lo = hi) has two corners, and an exact 0 none."""
+    los, his = [0] * len(w[0]), [0] * len(w[0])
+    for (a0, a1), row in zip(x, w):
+        if a0 != a1:
+            for j, (b0, b1) in enumerate(row):
+                ends = (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
+                los[j] += min(ends)
+                his[j] += max(ends)
+        elif a0:
+            for j, (b0, b1) in enumerate(row):
+                lo, hi = (a0 * b0, a0 * b1) if a0 > 0 else (a0 * b1, a0 * b0)
+                los[j] += lo
+                his[j] += hi
+    return [lo >> bits for lo in los], [-(-hi >> bits) for hi in his]
+
+
+def _scale(s: tuple[int, int], row: Bounds, bits: int) -> Bounds:
+    """Bounds on s * row from bounds s = (s0, s1) with s0 >= 0 on a
+    nonnegative scalar: a lower bound l takes s0 when l >= 0, else s1."""
+    s0, s1 = s
+    los, his = row
+    return (
+        [lo * (s0 if lo >= 0 else s1) >> bits for lo in los],
+        [-(-hi * (s1 if hi >= 0 else s0) >> bits) for hi in his],
+    )
+
+
+def _sum_rows(rows: list[Bounds]) -> Bounds:
+    return list(map(sum, zip(*[r[0] for r in rows]))), list(map(sum, zip(*[r[1] for r in rows])))
+
+
+def _sign_bounds(g, reps, form: LayerForm, class_row, class_of, degrees, g_of, h_of, pairs) -> list[Label | None]:
+    """The sign row of each key at reps that integer bounds settle, None
+    where an entry stays open.
+
+    The closed form of ``_closed_form_round`` runs on bounds lo <= y * 2**B
+    <= hi of every value y (``surd.enclosure``): sums add the bounds,
+    products by W take ``_times_mat`` and products by g, h and p, which are
+    nonnegative, ``_scale``.  An entry is +1 when lo > 0, -1 when hi < 0 and
+    0 when lo = hi = 0, the only value such bounds admit.  Keys left open are
+    bounded again at twice the bits, from 64 up to 256.  pairs maps each
+    (class, degree) id to its pair when h is not 1.
+    """
+    out: list[Label | None] = [None] * len(reps)
+    todo = list(range(len(reps)))
+    for bits in (64, 128, 256):
+        roots: dict[int, int] = {}
+
+        def bound(values):
+            return [enclosure(x, bits, roots) for x in values]
+
+        x = {c: bound(row) for c, row in class_row.items()}
+        w2 = [bound(row) for row in form.w2]
+        xw2 = {c: _times_mat(xc, w2, bits) for c, xc in x.items()}
+        xw1 = xw2 if form.w1 is form.w2 else None
+        if form.w1 is not None and xw1 is None:
+            w1 = [bound(row) for row in form.w1]
+            xw1 = {c: _times_mat(xc, w1, bits) for c, xc in x.items()}
+        h_at = None if h_of is None else dict(zip(h_of, bound(h_of.values())))
+        g_at = h_at if g_of is h_of else None if g_of is None else dict(zip(g_of, bound(g_of.values())))
+        if h_at is None:
+            hy = {(c, d): xw2[c] for c, d in zip(class_of, degrees)}
+        else:
+            hy = {(c, d): _scale(h_at[d], xw2[c], bits) for c, d in pairs.values()}
+        p = None if form.p.is_zero else enclosure(form.p, bits, roots)
+        tail = [] if form.bias is None else [tuple(map(list, zip(*bound(form.bias))))]
+        for i in todo:
+            v = reps[i]
+            parts = [hy[class_of[u - 1], degrees[u - 1]] for u in g.neighbors(v)]
+            if p is not None:
+                parts.append(_scale(p, hy[class_of[v - 1], degrees[v - 1]], bits))
+            pre = _sum_rows(parts)
+            if g_at is not None:
+                pre = _scale(g_at[degrees[v - 1]], pre, bits)
+            rest = tail if xw1 is None else [xw1[class_of[v - 1]], *tail]
+            if rest:
+                pre = _sum_rows([pre, *rest])
+            signs = [1 if lo > 0 else -1 if hi < 0 else 0 if lo == hi == 0 else None for lo, hi in zip(*pre)]
+            if None not in signs:
+                out[i] = tuple((ZERO, ONE, MINUS_ONE)[s] for s in signs)
+        todo = [i for i in todo if out[i] is None]
+        if not todo:
+            break
+    return out
 
 
 def _exact_row(row, what: str, round_index: int) -> Label:

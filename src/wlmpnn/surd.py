@@ -693,18 +693,20 @@ def _numerator_bounds(num: dict[int, int], bits: int, roots: dict[int, int]) -> 
     return lo, hi
 
 
+def enclosure(x: ExactScalar, bits: int, roots: dict[int, int]) -> tuple[int, int]:
+    """Integers lo <= x * 2**bits <= hi: the numerator bounds of x divided
+    by its denominator, rounded outward; roots is ``_numerator_bounds``'s
+    cache.  Both are exact, lo = hi, when x * 2**bits is an integer, and
+    lo < x * 2**bits < hi otherwise."""
+    lo, hi = _numerator_bounds(x._num, bits, roots)
+    den = x._den
+    return (lo, hi) if den == 1 else (lo // den, -(-hi // den))
+
+
 def _enclosures(values: list[ExactScalar]) -> list[tuple[int, int]]:
-    """(lo, hi) with lo <= x * 2**_ORDER_BITS <= hi for each value x, the
-    numerator bounds divided by the denominator, rounded outward."""
+    """The enclosures of values at _ORDER_BITS."""
     roots: dict[int, int] = {}
-    out = []
-    for x in values:
-        lo, hi = _numerator_bounds(x._num, _ORDER_BITS, roots)
-        den = x._den
-        if den != 1:
-            lo, hi = lo // den, -(-hi // den)
-        out.append((lo, hi))
-    return out
+    return [enclosure(x, _ORDER_BITS, roots) for x in values]
 
 
 def _order(values: list[ExactScalar], bounds: list[tuple[int, int]], i: int, j: int) -> int:
