@@ -21,15 +21,18 @@ Both refusals name the layer (``layer i: ...``) when it comes from a spec
 file.  run_mpnn evaluates a builtin round in that form once per refinement
 key: a vertex's row depends only on its WL signature over (class, degree),
 its own with the multiset of its neighbours', the degrees dropping out when
-g and h are both 1, so the keys are the classes of one ``wl.wl_step``.  The
-products x W2 and x W1 are computed once per class id (rows of one class are
-equal), h L W2 once per (class, degree), g and h once per distinct degree
-(one table when g and h are one function), then one plain neighbour sum per
-key, each pre-activation entry one exact sum.  A sign round needs only the
-sign of each entry: it runs the same form on integer bounds of every value,
-at 64, 128 and then 256 bits, and evaluates exactly only the keys with an
-entry the bounds leave open, multiplying only the rows of the classes those
-keys read.  Relu and ``none`` rounds are exact throughout.  Nothing in a
+g and h are both 1, so the keys are the classes of one ``wl.wl_step``.
+
+One function, ``propagate``, evaluates g(d_v) (p hy_v + sum of hy_u over
+v's neighbours) + x_v W1 + B at a list of keys, in one of two arithmetics:
+the surd field (SURD), and integer bounds lo <= y * 2**B <= hi of every
+value (BoundArithmetic).  It computes x W2 and x W1 once per class id (rows
+of one class are equal), h L W2 once per (class, degree), and only for the
+classes that the keys and their neighbours read.  A relu or ``none`` round
+runs it once, in the surd field.  A sign round needs only the sign of each
+entry: it runs it on bounds at 64, 128 and then 256 bits, each pass on the
+keys the last one left open, and in the surd field on those still open.
+The synthesizer's pre-weight rows come from the same function.  Nothing in a
 builtin round hashes a scalar: the keys are class ids and degrees, and
 partitions key label rows by the canonical integers of their entries
 (``linalg.unique_rows``).  Custom layers run edge by edge: each
@@ -96,9 +99,11 @@ class DegreeFn:
     Named kinds keep specs serializable: those of _PLAIN_KINDS, ``table``
     (positive values per degree) and ``blend_inv_sqrt``, (r + (1-r)d)**(-1/2)
     for a rational r in (0, 1], so values stay inside the surd field.  Making
-    one refuses any other kind, r or table value, and ``value`` and ``on``
-    refuse a degree the table lacks or whose radicand has a prime factor
-    above MAX_RADICAND_PRIME, each with a SpecValidationError.
+    one makes r and the table values ExactScalar, sorts the table by degree
+    and refuses any other kind, a missing r or table, a table degree that is
+    not a positive int and any other r or table value, and ``value`` and
+    ``on`` refuse a degree the table lacks or whose radicand has a prime
+    factor above MAX_RADICAND_PRIME, each with a SpecValidationError.
     """
 
     kind: str
@@ -107,9 +112,16 @@ class DegreeFn:
 
     def __post_init__(self):
         if self.kind == "blend_inv_sqrt":
+            _require(self.r is not None, "degree function blend_inv_sqrt needs a blend parameter r")
+            object.__setattr__(self, "r", _exact_value(self.r, "degree function blend_inv_sqrt: r"))
             _require(self.r.is_rational, "blend parameter r must be rational to stay in the surd field")
             _require(ZERO < self.r <= ONE, "blend parameter r must satisfy 0 < r <= 1")
         elif self.kind == "table":
+            _require(self.table is not None, "degree function table needs a table of values")
+            for d, _ in self.table:
+                _require(type(d) is int and d >= 1, f"degree function table: degree {d!r} is not a positive int")
+            values = ((d, _exact_value(v, f"degree function table at degree {d}: value")) for d, v in self.table)
+            object.__setattr__(self, "table", tuple(sorted(values)))
             for d, v in self.table:
                 if v.sign() <= 0:
                     raise SpecValidationError(f"{self.descriptor()}: value {v.to_text()} at degree {d} is not positive")
@@ -118,11 +130,11 @@ class DegreeFn:
 
     @staticmethod
     def blend_inv_sqrt(r: ExactScalar) -> "DegreeFn":
-        return DegreeFn("blend_inv_sqrt", r=ExactScalar(r))
+        return DegreeFn("blend_inv_sqrt", r=r)
 
     @staticmethod
     def from_table(values: dict[int, ExactScalar]) -> "DegreeFn":
-        return DegreeFn("table", table=tuple(sorted(values.items())))
+        return DegreeFn("table", table=tuple(values.items()))
 
     def value(self, degree: int) -> ExactScalar:
         if degree < 1:
@@ -180,12 +192,21 @@ def _parse_table(name: str) -> DegreeFn:
             if not sep:
                 raise ValueError("expected degree:value")
             d = int(degree)
-            if d < 1 or d in values:
-                raise ValueError(f"degree {d} is not positive or repeats")
+            if d in values:
+                raise ValueError(f"degree {d} repeats")
             values[d] = parse_scalar(value)
         except ValueError as exc:
             raise SpecValidationError(f"bad entry {entry.strip()!r} in degree function {name!r}: {exc}") from exc
     return DegreeFn.from_table(values)
+
+
+def _exact_value(x, what: str) -> ExactScalar:
+    """x made ExactScalar as make_graph makes labels; another type raises,
+    naming it after what."""
+    try:
+        return ExactScalar(x)
+    except TypeError:
+        raise SpecValidationError(f"{what} {x!r} is a {type(x).__name__}, not an exact scalar") from None
 
 
 # -- layer descriptors ---------------------------------------------------------
@@ -448,46 +469,146 @@ def _check_builtin_dims(layer: BuiltinLayer, width: int) -> None:
         raise DimensionError(f"{layer.family} bias width {len(params.bias)} does not match output")
 
 
+class SurdArithmetic:
+    """``propagate`` in the surd field: values are their own lift, products
+    are linalg's row_mat and row_scale, looked up on each use, and each
+    entry of a sum of rows is one exact_sum."""
+
+    def lift(self, values: Sequence[ExactScalar]) -> Sequence[ExactScalar]:
+        return values
+
+    @property
+    def times(self) -> Callable[[Row, Matrix], Row]:
+        return row_mat
+
+    @property
+    def scale(self) -> Callable[[Row, ExactScalar], Row]:
+        return row_scale
+
+    def sum(self, rows: list[Row]) -> Row:
+        return tuple(map(exact_sum, zip(*rows, strict=True)))
+
+    def settle(self, pre: list[Row], sigma: str) -> list[Label]:
+        return [tuple(activate(x, sigma) for x in row) for row in pre]
+
+
+SURD = SurdArithmetic()
+
+
+class BoundArithmetic:
+    """``propagate`` on integer bounds lo <= y * 2**bits <= hi of every value
+    y (``surd.enclosure``): a row is the list of its entries' (lo, hi).
+    Sums add the bounds.  A product by a matrix sums the least and the
+    greatest corner products of its terms, and a product by a nonnegative
+    scalar (g, h or p) takes one corner per bound; both floor the lower and
+    ceil the upper bounds over 2**bits."""
+
+    def __init__(self, bits: int):
+        self.bits, self.roots = bits, {}
+
+    def lift(self, values: Iterable[ExactScalar]) -> list[tuple[int, int]]:
+        return [enclosure(x, self.bits, self.roots) for x in values]
+
+    def times(self, x, w):
+        """An exact entry of x (lo = hi) has two corners, and an exact 0 none."""
+        los, his = [0] * len(w[0]), [0] * len(w[0])
+        for (a0, a1), row in zip(x, w):
+            if a0 != a1:
+                for j, (b0, b1) in enumerate(row):
+                    ends = (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
+                    los[j] += min(ends)
+                    his[j] += max(ends)
+            elif a0:
+                for j, (b0, b1) in enumerate(row):
+                    lo, hi = (a0 * b0, a0 * b1) if a0 > 0 else (a0 * b1, a0 * b0)
+                    los[j] += lo
+                    his[j] += hi
+        return [(lo >> self.bits, -(-hi >> self.bits)) for lo, hi in zip(los, his)]
+
+    def scale(self, row, s):
+        """s = (s0, s1) with s0 >= 0: a lower bound l takes s0 when l >= 0, else s1."""
+        (s0, s1), bits = s, self.bits
+        return [(lo * (s0 if lo >= 0 else s1) >> bits, -(-hi * (s1 if hi >= 0 else s0) >> bits)) for lo, hi in row]
+
+    def sum(self, rows):
+        return [tuple(map(sum, zip(*column))) for column in zip(*rows)]
+
+    def settle(self, pre, sigma: str) -> list[Label | None]:
+        """Each row's signs when the bounds decide every entry, else None:
+        +1 when lo > 0, -1 when hi < 0 and 0 when lo = hi = 0, the only
+        value such bounds admit."""
+        out = []
+        for row in pre:
+            signs = [1 if lo > 0 else -1 if hi < 0 else 0 if lo == hi == 0 else None for lo, hi in row]
+            out.append(None if None in signs else tuple((ZERO, ONE, MINUS_ONE)[s] for s in signs))
+        return out
+
+
 def propagate(
-    g: LabelledGraph, rows: Sequence[Row], p: ExactScalar, *plus: Sequence[Row], at: Sequence[int] | None = None
-) -> list[Row]:
-    """Row v of (A + pI) @ rows + sum(plus) for each vertex v of at, every
-    vertex when at is None: p * rows[v], the sum of v's neighbour rows and
-    row v of each of plus, each entry one exact_sum (graphs have no
-    isolated vertices)."""
-    p_zero, p_one = p.is_zero, p == ONE
+    g: LabelledGraph, at: Sequence[int], arith, class_of, class_row, degrees, p, g_of, h_of, w2=None, w1=None, bias=None
+) -> list:
+    """Row g(d_v) (p hy_v + sum of hy_u over v's neighbours u) + x_v W1 + B
+    for each vertex v of at, in arith (SURD or a BoundArithmetic), where
+    x_u = class_row[class_of[u - 1]] and hy_u = h(d_u) x_u W2.  g_of and
+    h_of map each degree to the value of g and h, None where it is 1 on
+    every degree; W2, W1 and B are left out where None.
+
+    Only what the vertices of at and their neighbours read is lifted into
+    arith and multiplied: x and x W2 once per class they hold, hy once per
+    (class, degree) they hold, x W1 once per class of at.  With g one, each
+    entry is one sum of every term; else of the g-scaled sum, x_v W1 and B.
+    """
+    lift, scale, total = arith.lift, arith.scale, arith.sum
+    around = list(map(g.neighbors, at))
+    read = set(at).union(*around)
+    x = {c: lift(class_row[c]) for c in {class_of[u - 1] for u in read}}
+
+    def times(w, classes):
+        w, mul = list(map(lift, w)), arith.times
+        return {c: mul(x[c], w) for c in classes}
+
+    xw2 = x if w2 is None else times(w2, x)
+    xw1 = None if w1 is None else xw2 if w1 is w2 else times(w1, {class_of[v - 1] for v in at})
+    h_at = None if h_of is None else dict(zip(h_of, lift(h_of.values())))
+    g_at = h_at if g_of is h_of else None if g_of is None else dict(zip(g_of, lift(g_of.values())))
+    if h_at is None:
+        hy = [xw2.get(c) for c in class_of]
+    else:
+        hy_at = {(c, d): scale(xw2[c], h_at[d]) for c, d in {(class_of[u - 1], degrees[u - 1]) for u in read}}
+        hy = [hy_at.get(pair) for pair in zip(class_of, degrees)]
+    p_zero, p_at = p.is_zero, None if p.is_zero or p == ONE else lift((p,))[0]
+    tail = [] if bias is None else [lift(bias)]
     out = []
-    for v in range(1, g.n + 1) if at is None else at:
-        parts = [rows[u - 1] for u in g.neighbors(v)]
+    for v, ns in zip(at, around):
+        parts = [hy[u - 1] for u in ns]
         if not p_zero:
-            parts.append(rows[v - 1] if p_one else row_scale(rows[v - 1], p))
-        parts.extend(extra[v - 1] for extra in plus)
-        out.append(tuple(map(exact_sum, zip(*parts, strict=True))))
+            parts.append(hy[v - 1] if p_at is None else scale(hy[v - 1], p_at))
+        rest = tail if xw1 is None else [xw1[class_of[v - 1]], *tail]
+        if g_at is None:
+            out.append(total(parts + rest))
+        else:
+            pre = scale(total(parts), g_at[degrees[v - 1]])
+            out.append(total([pre, *rest]) if rest else pre)
     return out
 
 
 def _closed_form_round(
     g: LabelledGraph, rows: Sequence[Label], form: LayerForm, degrees: Sequence[int], partition: Partition
 ) -> list[Label]:
-    """One builtin round: pre_v = g(d_v) (p hy_v + sum of hy_u over neighbours)
-    + x_v W1 + B with hy_u = h(d_u) x_u W2, then the activation.
+    """One builtin round: ``propagate``'s pre-activation rows, activated.
 
     Rows in one class of partition are equal, so pre_v is a function of v's
     WL signature over its (class, degree), with the degrees left out when g
     and h are 1 on every degree present: the keys are the classes of
     ``wl_step`` from the partition of those values, and pre_v is evaluated
-    once per key, at its first vertex.  x W2 and x W1 are computed once per
-    class id, so no label is hashed, hy once per (class, degree) and the g
-    and h tables once, one table when g and h are one function.  Each entry
-    of pre_v is one exact_sum: of every term when g is 1, else of the
-    g-scaled sum, x_v W1 and B.
+    once per key, at its first vertex.  The g and h tables are computed
+    once, one table when g and h are one function, and no label is hashed.
 
-    A sign round first settles what it can from bounds (``_sign_bounds``).
-    Only the keys left open are evaluated exactly, and x W2, x W1 and hy
-    only for the classes and (class, degree) pairs that those keys' vertices
-    and their neighbours hold.
+    A relu or none round runs ``propagate`` once, in the surd field.  A
+    sign round runs it on bounds at 64, 128 and 256 bits, each pass on the
+    keys the last left with an open entry, and then in the surd field on
+    the keys still open.
     """
-    w1, w2, bias, p = form.w1, form.w2, form.bias, form.p
     class_of = partition.class_of
     g_of = form.g.on(degrees)
     h_of = g_of if form.h == form.g else form.h.on(degrees)
@@ -495,136 +616,18 @@ def _closed_form_round(
     keys = wl_step(g, own)
     reps = [members[0] for members in keys.classes()]
     class_row = dict(zip(class_of, rows))  # class id -> the row its vertices share
-    pairs = None if h_of is None else dict(zip(own.class_of, zip(class_of, degrees)))  # (class, degree) id -> the pair
-    if form.sigma == "sign":
-        out = _sign_bounds(g, reps, form, class_row, class_of, degrees, g_of, h_of, pairs)
-        at = [v for v, r in zip(reps, out) if r is None]
-    else:
-        out, at = [None] * len(reps), reps
-    if at:
-        # the vertices whose rows at reads, when that is not every vertex
-        read = None if at is reps else {u for v in at for u in (v, *g.neighbors(v))}
-        classes = class_row if read is None else {class_of[u - 1] for u in read}
-        xw2 = {c: row_mat(class_row[c], w2) for c in classes}
-        if h_of is None:
-            hy = [xw2.get(c) for c in class_of]
-        else:
-            if read is not None:
-                pairs = {o: pairs[o] for o in {own.class_of[u - 1] for u in read}}
-            at_own = {o: row_scale(xw2[c], h_of[d]) for o, (c, d) in pairs.items()}
-            hy = [at_own.get(o) for o in own.class_of]
-        plus = []  # the rows x_v W1 and B
-        if w1 is not None:
-            xw1 = xw2 if w1 is w2 else {c: row_mat(class_row[c], w1) for c in classes}
-            plus.append([xw1.get(c) for c in class_of])
-        if bias is not None:
-            plus.append([bias] * g.n)
-        if g_of is None:
-            pre = propagate(g, hy, p, *plus, at=at)
-        else:
-            pre = [row_scale(r, g_of[degrees[v - 1]]) for r, v in zip(propagate(g, hy, p, at=at), at)]
-            if plus:
-                pre = [
-                    tuple(map(exact_sum, zip(r, *(extra[v - 1] for extra in plus), strict=True)))
-                    for r, v in zip(pre, at)
-                ]
-        exact = iter(pre)
-        out = [tuple(activate(x, form.sigma) for x in next(exact)) if r is None else r for r in out]
-    return out if len(reps) == g.n else [out[i] for i in keys.class_of]
-
-
-# Bounds on a row of values y_j * 2**bits: the list of lower and the list of upper bounds.
-Bounds = tuple[list[int], list[int]]
-
-
-def _times_mat(x: list[tuple[int, int]], w: list[list[tuple[int, int]]], bits: int) -> Bounds:
-    """Bounds on the row x W from bounds (lo, hi) on each entry of x and of
-    W, all at bits: each entry sums the least and the greatest corner
-    products of its terms, then floors and ceils the sums over 2**bits.  An
-    exact entry of x (lo = hi) has two corners, and an exact 0 none."""
-    los, his = [0] * len(w[0]), [0] * len(w[0])
-    for (a0, a1), row in zip(x, w):
-        if a0 != a1:
-            for j, (b0, b1) in enumerate(row):
-                ends = (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
-                los[j] += min(ends)
-                his[j] += max(ends)
-        elif a0:
-            for j, (b0, b1) in enumerate(row):
-                lo, hi = (a0 * b0, a0 * b1) if a0 > 0 else (a0 * b1, a0 * b0)
-                los[j] += lo
-                his[j] += hi
-    return [lo >> bits for lo in los], [-(-hi >> bits) for hi in his]
-
-
-def _scale(s: tuple[int, int], row: Bounds, bits: int) -> Bounds:
-    """Bounds on s * row from bounds s = (s0, s1) with s0 >= 0 on a
-    nonnegative scalar: a lower bound l takes s0 when l >= 0, else s1."""
-    s0, s1 = s
-    los, his = row
-    return (
-        [lo * (s0 if lo >= 0 else s1) >> bits for lo in los],
-        [-(-hi * (s1 if hi >= 0 else s0) >> bits) for hi in his],
-    )
-
-
-def _sum_rows(rows: list[Bounds]) -> Bounds:
-    return list(map(sum, zip(*[r[0] for r in rows]))), list(map(sum, zip(*[r[1] for r in rows])))
-
-
-def _sign_bounds(g, reps, form: LayerForm, class_row, class_of, degrees, g_of, h_of, pairs) -> list[Label | None]:
-    """The sign row of each key at reps that integer bounds settle, None
-    where an entry stays open.
-
-    The closed form of ``_closed_form_round`` runs on bounds lo <= y * 2**B
-    <= hi of every value y (``surd.enclosure``): sums add the bounds,
-    products by W take ``_times_mat`` and products by g, h and p, which are
-    nonnegative, ``_scale``.  An entry is +1 when lo > 0, -1 when hi < 0 and
-    0 when lo = hi = 0, the only value such bounds admit.  Keys left open are
-    bounded again at twice the bits, from 64 up to 256.  pairs maps each
-    (class, degree) id to its pair when h is not 1.
-    """
+    passes = (*map(BoundArithmetic, (64, 128, 256)), SURD) if form.sigma == "sign" else (SURD,)
     out: list[Label | None] = [None] * len(reps)
-    todo = list(range(len(reps)))
-    for bits in (64, 128, 256):
-        roots: dict[int, int] = {}
-
-        def bound(values):
-            return [enclosure(x, bits, roots) for x in values]
-
-        x = {c: bound(row) for c, row in class_row.items()}
-        w2 = [bound(row) for row in form.w2]
-        xw2 = {c: _times_mat(xc, w2, bits) for c, xc in x.items()}
-        xw1 = xw2 if form.w1 is form.w2 else None
-        if form.w1 is not None and xw1 is None:
-            w1 = [bound(row) for row in form.w1]
-            xw1 = {c: _times_mat(xc, w1, bits) for c, xc in x.items()}
-        h_at = None if h_of is None else dict(zip(h_of, bound(h_of.values())))
-        g_at = h_at if g_of is h_of else None if g_of is None else dict(zip(g_of, bound(g_of.values())))
-        if h_at is None:
-            hy = {(c, d): xw2[c] for c, d in zip(class_of, degrees)}
-        else:
-            hy = {(c, d): _scale(h_at[d], xw2[c], bits) for c, d in pairs.values()}
-        p = None if form.p.is_zero else enclosure(form.p, bits, roots)
-        tail = [] if form.bias is None else [tuple(map(list, zip(*bound(form.bias))))]
-        for i in todo:
-            v = reps[i]
-            parts = [hy[class_of[u - 1], degrees[u - 1]] for u in g.neighbors(v)]
-            if p is not None:
-                parts.append(_scale(p, hy[class_of[v - 1], degrees[v - 1]], bits))
-            pre = _sum_rows(parts)
-            if g_at is not None:
-                pre = _scale(g_at[degrees[v - 1]], pre, bits)
-            rest = tail if xw1 is None else [xw1[class_of[v - 1]], *tail]
-            if rest:
-                pre = _sum_rows([pre, *rest])
-            signs = [1 if lo > 0 else -1 if hi < 0 else 0 if lo == hi == 0 else None for lo, hi in zip(*pre)]
-            if None not in signs:
-                out[i] = tuple((ZERO, ONE, MINUS_ONE)[s] for s in signs)
+    todo = range(len(reps))
+    for arith in passes:
+        at = [reps[i] for i in todo]
+        pre = propagate(g, at, arith, class_of, class_row, degrees, form.p, g_of, h_of, form.w2, form.w1, form.bias)
+        for i, row in zip(todo, arith.settle(pre, form.sigma)):
+            out[i] = row
         todo = [i for i in todo if out[i] is None]
         if not todo:
             break
-    return out
+    return out if len(reps) == g.n else [out[i] for i in keys.class_of]
 
 
 def _exact_row(row, what: str, round_index: int) -> Label:
@@ -635,15 +638,8 @@ def _exact_row(row, what: str, round_index: int) -> Label:
             break
     else:
         return row
-    out = []
-    for x in row:
-        try:
-            out.append(ExactScalar(x))
-        except TypeError:
-            raise SpecValidationError(
-                f"round {round_index}: {what} entry {x!r} is a {type(x).__name__}, not an exact scalar"
-            ) from None
-    return tuple(out)
+    where = f"round {round_index}: {what} entry"
+    return tuple(_exact_value(x, where) for x in row)
 
 
 def _per_edge_round(g: LabelledGraph, labelling: Labelling, layer: CustomLayer, f_values, round_index: int):
@@ -855,6 +851,10 @@ def _json_field(entry: dict, name: str, index: int):
 def spec_to_json(spec: MpnnSpec) -> dict:
     layers = []
     for layer in spec.layers:
+        if isinstance(layer, _LiftedBuiltin):
+            raise SpecValidationError(
+                f"a {layer.builtin.family} layer lifted by lift_plus_one (depth {layer.depth}) is not serializable"
+            )
         _require(isinstance(layer, BuiltinLayer), "custom layers are not serializable")
         entry: dict = {"family": layer.family, "sigma": layer.params.sigma}
         for attr, name in _json_names(layer.family).items():

@@ -95,6 +95,7 @@ from .linalg import (
     Matrix,
     Row,
     as_matrix,
+    identity,
     matrix_to_text,
     nullspace_basis,
     row_mat,
@@ -103,7 +104,7 @@ from .linalg import (
     solve,
     unique_rows,
 )
-from .mpnn import BuiltinLayer, DegreeFn, LayerParams, MpnnSpec, propagate
+from .mpnn import SURD, BuiltinLayer, DegreeFn, LayerParams, MpnnSpec, propagate
 from .surd import MINUS_ONE, ONE, ZERO, ExactScalar, InputError, activate, canonical_key, exact_dot, exact_max
 from .surd import exact_min, exact_order, floor_exact
 from .wl import check_round_limit, wl_partitions
@@ -652,13 +653,10 @@ def _synthesize_rounds(
     for t in range(1, rounds + 1):
         scaled = rows if h_of is None else [row_scale(rows[v], h_of[degrees[v]]) for v in range(g.n)]
         uniq_scaled, scaled_class = unique_rows(scaled)
-        if rows_linearly_independent(uniq_scaled):
-            route = "paper"
-            pre = propagate(g, one_hot_labelling(Partition(tuple(scaled_class))).rows, p)
-        else:
-            route = "direct"
-            pre = propagate(g, scaled, p)
-        target = pre if g_of is None else [row_scale(pre[v], g_of[degrees[v]]) for v in range(g.n)]
+        # the paper route sums the count labelling of the unique rows, the direct one the rows
+        route = "paper" if rows_linearly_independent(uniq_scaled) else "direct"
+        basis = identity(len(uniq_scaled)) if route == "paper" else uniq_scaled
+        target = propagate(g, range(1, g.n + 1), SURD, scaled_class, dict(enumerate(basis)), degrees, p, g_of, None)
         width = len(target[0])
         wl_part = reference[t]
         diffs: list[Row] = []

@@ -332,8 +332,13 @@ def test_spec_json_round_trips_every_field_of_every_family(family):
 
 
 def test_spec_json_rejects_custom_layers():
-    with pytest.raises(SpecValidationError):
+    with pytest.raises(SpecValidationError, match="custom layers are not serializable"):
         spec_to_json(degree_probe_spec())
+    # a lifted builtin layer is refused as the lift it is, not as a custom layer
+    layer = BuiltinLayer("dgnn1", LayerParams(w2=identity(3)))
+    lifted = lift_plus_one(lift_plus_one(MpnnSpec("degree", (layer,))))
+    with pytest.raises(SpecValidationError, match=re.escape("a dgnn1 layer lifted by lift_plus_one (depth 2)")):
+        spec_to_json(MpnnSpec("zero", lifted.layers[2:]))
 
 
 def test_general_dgnn_round_trips_with_degree_functions():
@@ -389,12 +394,43 @@ def test_empty_degree_table_round_trips():
         (lambda: DegreeFn.blend_inv_sqrt(S(2)), "blend parameter r must satisfy 0 < r <= 1"),
         (lambda: DegreeFn.blend_inv_sqrt(S.sqrt(2)), "blend parameter r must be rational"),
         (lambda: DegreeFn("blend_inv_sqrt", r=S(2)), "blend parameter r must satisfy 0 < r <= 1"),
+        (lambda: DegreeFn.from_table({1: -1}), "table(1:-1): value -1 at degree 1 is not positive"),
+        (lambda: DegreeFn.from_table({1: 0.5}), "table at degree 1: value 0.5 is a float, not an exact scalar"),
+        (lambda: DegreeFn.from_table({0: ONE}), "degree function table: degree 0 is not a positive int"),
+        (lambda: DegreeFn.from_table({2.0: ONE}), "degree function table: degree 2.0 is not a positive int"),
+        (lambda: DegreeFn.from_table({1: ONE, "2": ONE}), "degree function table: degree '2' is not a positive int"),
+        (lambda: DegreeFn("blend_inv_sqrt"), "degree function blend_inv_sqrt needs a blend parameter r"),
+        (lambda: DegreeFn.blend_inv_sqrt(0.5), "degree function blend_inv_sqrt: r 0.5 is a float, not an exact scalar"),
+        (lambda: DegreeFn("table"), "degree function table needs a table of values"),
     ],
-    ids=["table-0", "table-minus-1", "unknown-kind", "r-0", "r-2", "r-sqrt2", "r-2-without-constructor"],
+    ids=[
+        "table-0",
+        "table-minus-1",
+        "unknown-kind",
+        "r-0",
+        "r-2",
+        "r-sqrt2",
+        "r-2-without-constructor",
+        "table-int-minus-1",
+        "table-float",
+        "table-degree-0",
+        "table-float-degree",
+        "table-str-degree",
+        "blend-without-r",
+        "r-float",
+        "table-without-table",
+    ],
 )
 def test_degree_function_refused_when_made(make, message):
     with pytest.raises(SpecValidationError, match=re.escape(message)):
         make()
+
+
+def test_degree_function_makes_int_and_fraction_values_exact():
+    table = DegreeFn.from_table({1: 1, 2: Fraction(1, 2)})
+    assert table == DegreeFn.from_table({1: ONE, 2: S(Fraction(1, 2))})
+    assert type(table.value(2)) is ExactScalar and table.descriptor() == "table(1:1; 2:1/2)"
+    assert DegreeFn.blend_inv_sqrt(Fraction(1, 2)) == DegreeFn.blend_inv_sqrt(S(Fraction(1, 2)))
 
 
 @pytest.mark.parametrize(

@@ -49,13 +49,15 @@ def _reference(spec: MpnnSpec) -> MpnnSpec:
 
 @pytest.fixture
 def exact_keys(monkeypatch):
-    """The number of keys each call of the exact path evaluated, call by call."""
+    """The number of keys each exact pass of run_mpnn's ``propagate``
+    evaluated, pass by pass; its bound passes are not counted."""
     calls = []
     propagate = mpnn.propagate
 
-    def counting(g, rows, p, *plus, at=None):
-        calls.append(g.n if at is None else len(at))
-        return propagate(g, rows, p, *plus, at=at)
+    def counting(g, at, arith, *args):
+        if arith is mpnn.SURD:
+            calls.append(len(at))
+        return propagate(g, at, arith, *args)
 
     monkeypatch.setattr(mpnn, "propagate", counting)
     return calls
@@ -91,8 +93,12 @@ def test_structurally_zero_rows_settle_as_zero_without_exact_evaluation(monkeypa
     # a zero weight column with no bias, and a zero label row under any
     # weight: every such entry is a sum of products by an exact 0, whose
     # bounds are lo = hi = 0
-    def refuse(*args, **kwargs):
-        raise AssertionError("a structurally zero row went to the exact path")
+    propagate = mpnn.propagate
+
+    def refuse(g, at, arith, *args):
+        if arith is mpnn.SURD:
+            raise AssertionError("a structurally zero row went to the exact pass")
+        return propagate(g, at, arith, *args)
 
     labels = [(S.sqrt(2), ZERO), (ZERO, ZERO), (ONE, S.sqrt(3)), (ZERO, ZERO)]
     g = make_graph(4, [(1, 2), (2, 3), (3, 4), (4, 1)], labels)
@@ -242,12 +248,41 @@ def _criterion_graphs():
 
 
 def test_criterion_sign_certificates_replay_without_exact_evaluation(exact_keys):
-    sign_rounds = 0
-    for g in _criterion_graphs():
-        rounds = wl_run(g).stabilized_at
-        for synthesize in (synthesize_gnn_minus, synthesize_dgnn6):
-            spec = synthesize(g, rounds, "sign").to_spec()
-            sign_rounds += spec.rounds
-            _run_both(g, spec)
-    assert sign_rounds == 226
+    # every certificate is synthesized before the count starts, so the
+    # synthesizer's exact pre-weight rows are not counted
+    replays = [
+        (g, synthesize(g, wl_run(g).stabilized_at, "sign").to_spec())
+        for g in _criterion_graphs()
+        for synthesize in (synthesize_gnn_minus, synthesize_dgnn6)
+    ]
+    exact_keys.clear()
+    for g, spec in replays:
+        _run_both(g, spec)
+    assert sum(spec.rounds for _, spec in replays) == 226
+    assert exact_keys == []
+
+
+def test_a_rebounding_pass_lifts_only_what_its_open_keys_read(monkeypatch, exact_keys):
+    # dgnn1 on a path of distinct labels: pre_v, the sum of x_u over v's
+    # neighbours u divided by d_v, minus 1, is 2**-100 at vertex 1 alone,
+    # open at 64 bits and settled at 128; every other key's is at least 5
+    # and settles at 64 bits
+    enclosed: dict[int, set] = {}
+    enclosure = mpnn.enclosure
+
+    def recording(x, bits, roots):
+        enclosed.setdefault(bits, set()).add(x)
+        return enclosure(x, bits, roots)
+
+    near_one = S(1) + S(Fraction(1, 2**100))
+    labels = [S(5), near_one, S(7), S(11), S(13), S(17)]
+    g = make_graph(6, [(v, v + 1) for v in range(1, 6)], [(x,) for x in labels])
+    spec = MpnnSpec("degree", (BuiltinLayer("dgnn1", LayerParams(w2=((ONE,),), bias=(MINUS_ONE,), sigma="sign")),))
+    monkeypatch.setattr(mpnn, "enclosure", recording)
+    closed = _run_both(g, spec)
+    assert closed.labellings[1].rows == ((ONE,),) * 6
+    parameters = {ONE, MINUS_ONE, S(Fraction(1, 2))}  # W, B and g = 1/d at degrees 1 and 2
+    assert set(enclosed) == {64, 128}
+    assert enclosed[64] - parameters == set(labels)
+    assert enclosed[128] - parameters == {S(5), near_one}  # the labels of vertices 1 and 2
     assert exact_keys == []
