@@ -7,7 +7,10 @@ weights, bias and activation), seeded random weight trials through the
 execution engine, and the refinement side of the claim.
 
 Samplers use ``random.Random`` (MT19937) so every report is reproducible
-from (case id, trials, seed) alone.
+from (case id, trials, seed) alone.  The spec and trial samplers draw their
+entries from one shared exact support, a read-only table built at import
+with one ExactScalar per value: the drawn entries of any number of sampled
+specs are at most 27 scalar objects, not one per entry.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from .compare import ShiftSpec, compare_traces
 from .graphs import LabelledGraph, make_graph
 from .linalg import Row, identity, row_add, row_mat, row_scale
@@ -208,12 +212,35 @@ _CASE_TABLE: dict[str, dict] = {
 }
 
 
-def _sample_matrix(rng: random.Random, rows: int, cols: int, span: int, dens: tuple[int, ...]):
-    return tuple(_sample_row(rng, cols, span, dens) for _ in range(rows))
+# the scales of sampled entries n/d, as (span, dens): n = randint(-span,
+# span), then d = choice(dens); weights and biases of sampled specs use the
+# first, verify_counterexample's trials the second.  p, q and r of sampled
+# layers are k/4 with k = randint(0, 4), randint(1, 4) for r.
+WEIGHT_SCALE = (3, (1, 2))
+TRIAL_SCALE = (5, (1, 2, 3))
 
 
-def _sample_row(rng: random.Random, cols: int, span: int, dens: tuple[int, ...]) -> Row:
-    return tuple(ExactScalar(Fraction(rng.randint(-span, span), rng.choice(dens))) for _ in range(cols))
+def _exact_support() -> MappingProxyType:
+    """Every drawn (n, d) -> the one ExactScalar of n/d, shared by all the
+    pairs of equal value (2/2 and 1/1 map to one object)."""
+    pairs = [(n, d) for span, dens in (WEIGHT_SCALE, TRIAL_SCALE) for n in range(-span, span + 1) for d in dens]
+    pairs += [(k, 4) for k in range(5)]
+    by_value: dict[Fraction, ExactScalar] = {}
+    for n, d in pairs:
+        by_value.setdefault(Fraction(n, d), ExactScalar(Fraction(n, d)))
+    return MappingProxyType({(n, d): by_value[Fraction(n, d)] for n, d in pairs})
+
+
+_SUPPORT = _exact_support()
+
+
+def _sample_matrix(rng: random.Random, rows: int, cols: int, scale: tuple[int, tuple[int, ...]]):
+    return tuple(_sample_row(rng, cols, scale) for _ in range(rows))
+
+
+def _sample_row(rng: random.Random, cols: int, scale: tuple[int, tuple[int, ...]]) -> Row:
+    span, dens = scale
+    return tuple(_SUPPORT[rng.randint(-span, span), rng.choice(dens)] for _ in range(cols))
 
 
 def verify_counterexample(case: CaseSpec, raise_on_failure: bool = True) -> CaseReport:
@@ -245,11 +272,11 @@ def verify_counterexample(case: CaseSpec, raise_on_failure: bool = True) -> Case
             structural_ok &= not rows_equal
         for _ in range(case.trials):
             cols = rng.randint(1, 3)
-            weight = _sample_matrix(rng, g.label_dim, cols, span=5, dens=(1, 2, 3))
+            weight = _sample_matrix(rng, g.label_dim, cols, TRIAL_SCALE)
             sigma = rng.choice(["relu", "sign"])
             kwargs = dict(extra_params)
             if "bias" in FAMILIES[family].takes:
-                kwargs["bias"] = _sample_row(rng, cols, span=5, dens=(1, 2, 3))
+                kwargs["bias"] = _sample_row(rng, cols, TRIAL_SCALE)
             layer = BuiltinLayer(family, LayerParams(w2=weight, sigma=sigma, **kwargs))
             trace = run_mpnn(g, MpnnSpec(f_mode="degree", layers=(layer,)))
             if trace.labellings[1].row_of(v) == trace.labellings[1].row_of(w):
@@ -297,20 +324,16 @@ def verify_counterexample(case: CaseSpec, raise_on_failure: bool = True) -> Case
 
 # -- seeded samplers -----------------------------------------------------------
 
-# sample_graph draws one exact Fraction per vertex pair on every attempt.  On a
-# 2-vCPU Xeon VM under Python 3.11 an attempt took 16 ms at n = 100, 61 ms at
-# n = 200 and 1.6 s at n = 1000, so the default 1,000 attempts stay under 20 s
-# up to this limit; larger graphs are built directly, as perfbench's
+# sample_graph draws one 53-bit integer per vertex pair on every attempt.  On
+# a 2-vCPU Xeon VM under Python 3.11 an attempt took 2.5 ms at n = 100, 9.4 ms
+# at n = 200 and 0.33 s at n = 1000, so the default 1,000 attempts stay under
+# 3 s up to this limit; larger graphs are built directly, as perfbench's
 # cycle_plus_chords does.
 SAMPLE_GRAPH_MAX_N = 100
 
 # On the same VM, 10,000 trials of verify_counterexample took 2.3 s (fig1-gcn),
 # 3.3 s (g1-dgnn12), 2.6 s (g2-dgnn34), 2.8 s (g3-dgnn5) and 3.1 s (fig1-dgnn6).
 MAX_TRIALS = 10_000
-
-
-def _fraction_draw(rng: random.Random) -> Fraction:
-    return Fraction(rng.getrandbits(53), 1 << 53)
 
 
 def _connected(n: int, edges: list[tuple[int, int]]) -> bool:
@@ -346,14 +369,17 @@ def sample_graph(
         raise ValueError("need at least two vertices")
     if n > SAMPLE_GRAPH_MAX_N:
         raise LimitError(f"n = {n} exceeds SAMPLE_GRAPH_MAX_N = {SAMPLE_GRAPH_MAX_N}")
-    threshold = Fraction(edge_prob)
+    # a pair is an edge when its 53-bit draw k has k / 2**53 < a / b, that is k * b < a * 2**53
+    a, b = Fraction(edge_prob).as_integer_ratio()
+    bound = a << 53
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     for _ in range(max_attempts):
         edges = [
             (u, v)
             for u in range(1, n + 1)
             for v in range(u + 1, n + 1)
-            if _fraction_draw(rng) < threshold
+            if getrandbits(53) * b < bound
         ]
         touched = {x for e in edges for x in e}
         if len(touched) != n:
@@ -368,11 +394,6 @@ def sample_graph(
     raise RuntimeError(f"no admissible graph found in {max_attempts} attempts")
 
 
-def _weights(rng: random.Random, rows: int, cols: int):
-    # property-suite weight scale: numerators in [-3, 3], denominators in {1, 2}
-    return _sample_matrix(rng, rows, cols, span=3, dens=(1, 2))
-
-
 def sample_anonymous_spec(rng: random.Random, s0: int) -> MpnnSpec:
     """Random anonymous network: gnn / gnn-minus / comb-aggr, up to 4 rounds."""
     family = rng.choice(["gnn", "gnn-minus", "comb-aggr"])
@@ -380,11 +401,11 @@ def sample_anonymous_spec(rng: random.Random, s0: int) -> MpnnSpec:
     sigma = rng.choice(["relu", "sign"])
     if family == "comb-aggr":
         inner = rng.randint(1, 3)
-        h_matrix = _weights(rng, s0, inner)
-        g_matrix = _weights(rng, inner, inner)
-        self_matrix = _weights(rng, s0, s0)
-        mix = _weights(rng, inner, s0)
-        bias = _sample_row(rng, s0, span=3, dens=(1, 2))
+        h_matrix = _sample_matrix(rng, s0, inner, WEIGHT_SCALE)
+        g_matrix = _sample_matrix(rng, inner, inner, WEIGHT_SCALE)
+        self_matrix = _sample_matrix(rng, s0, s0, WEIGHT_SCALE)
+        mix = _sample_matrix(rng, inner, s0, WEIGHT_SCALE)
+        bias = _sample_row(rng, s0, WEIGHT_SCALE)
 
         def aggr_h(y):
             return row_mat(y, h_matrix)
@@ -421,11 +442,11 @@ def _sample_layers(rng: random.Random, family: str, rounds: int, width: int, sig
             if attr not in row.requires + row.takes:
                 continue
             if attr == "bias":
-                fields[attr] = _sample_row(rng, out, span=3, dens=(1, 2))
+                fields[attr] = _sample_row(rng, out, WEIGHT_SCALE)
             elif attr in ("w1", "w2"):
-                fields[attr] = _weights(rng, width, out)
+                fields[attr] = _sample_matrix(rng, width, out, WEIGHT_SCALE)
             else:
-                fields[attr] = ExactScalar(Fraction(rng.randint(1 if attr == "r" else 0, 4), 4))
+                fields[attr] = _SUPPORT[rng.randint(1 if attr == "r" else 0, 4), 4]
         layers.append(BuiltinLayer(family, LayerParams(sigma=sigma, **fields)))
         width = out
     return tuple(layers)

@@ -80,14 +80,19 @@ class LabelledGraph:
     """Undirected simple graph with ExactScalar vertex labels.  Making one
     turns each label entry into an ExactScalar (int and Fraction entries
     coerce, others raise TypeError) and each edge into an ordered pair, then
-    refuses a graph that breaks the module's invariants."""
+    refuses a graph that breaks the module's invariants.  Equal label rows,
+    whatever the types of their entries, become one shared row: the rows are
+    grouped by ``linalg.unique_rows`` and each distinct row is converted once,
+    so a one-hot graph holds one row per label, not n rows of fresh scalars."""
 
     n: int
     edges: frozenset[tuple[int, int]]
     labels: tuple[Label, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(tuple(map(ExactScalar, row)) for row in self.labels))
+        distinct, index = unique_rows(self.labels)
+        rows = [tuple(map(ExactScalar, row)) for row in distinct]
+        object.__setattr__(self, "labels", tuple([rows[i] for i in index]))
         object.__setattr__(self, "edges", frozenset((min(u, v), max(u, v)) for u, v in self.edges))
         if self.n < 1:
             raise GraphFormatError("graph needs at least one vertex")

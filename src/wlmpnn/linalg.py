@@ -25,7 +25,7 @@ entries, so no scalar is hashed.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .surd import ONE, RESIDUE_PRIME, ZERO, ExactScalar, canonical_key, exact_dot, residues
 
@@ -82,15 +82,18 @@ def outer(col: Row, row: Row) -> Matrix:
     return tuple(tuple(c * r for r in row) for c in col)
 
 
-def unique_rows(rows: Sequence[Row]) -> tuple[list[Row], list[int]]:
+def unique_rows(rows: Iterable[Row]) -> tuple[list[Row], list[int]]:
     """Distinct rows in first-occurrence order plus the row -> index map.
 
     Each row is keyed by the ``canonical_key`` of its entries, so equal
     values of any type share an index and no scalar hash is computed: every
     row is keyed once, and a first ``ExactScalar`` hash costs more than the
     key.  A row object that several positions share, as the vertices of one
-    refinement key do after a builtin round, is keyed once.
+    refinement key do after a builtin round, is keyed once.  Any iterable
+    of rows is taken: it is held as a tuple first, so no row is freed and
+    its id reused by a later row while the ids are keys.
     """
+    rows = tuple(rows)
     by_id: dict[int, tuple] = {}  # id of a row object -> its key
     seen: dict[tuple, int] = {}  # key -> index
     distinct: list[Row] = []

@@ -659,8 +659,11 @@ def canonical_key(x: Coercible) -> tuple[int, frozenset[tuple[int, int]]]:
     as ``ExactScalar(x)``, which takes only an int or a Fraction.  Two
     values share a key exactly when they are equal, and building one hashes
     only integers, so it costs less than the first ``hash`` of a value with
-    several terms."""
+    several terms.  An int, as graph labels are usually written, is keyed
+    without making the scalar."""
     if type(x) is not ExactScalar:
+        if type(x) is int:
+            return 1, frozenset(((1, x),) if x else ())
         x = ExactScalar(x)
     return x._den, frozenset(x._num.items())
 

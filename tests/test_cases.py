@@ -216,3 +216,83 @@ def test_verification_needs_a_trial(trials):
         verify_counterexample(CaseSpec("g2-dgnn34", trials=trials, seed=1), raise_on_failure=False)
     report = verify_counterexample(CaseSpec("g2-dgnn34", trials=1, seed=1))
     assert report.trials == 1 and report.passed
+
+
+class _FreshDraws:
+    """The samplers' per-draw body before they shared one support: a fresh
+    ExactScalar(Fraction(n, d)) for every drawn (n, d)."""
+
+    def __getitem__(self, key):
+        n, d = key
+        return ExactScalar(Fraction(n, d))
+
+
+def _reference_matrix(rng, rows, cols, span, dens):
+    return tuple(
+        tuple(ExactScalar(Fraction(rng.randint(-span, span), rng.choice(dens))) for _ in range(cols))
+        for _ in range(rows)
+    )
+
+
+def _builtin_entries(spec):
+    """Every scalar a sampled spec's builtin layers were given."""
+    for layer in spec.layers:
+        p = layer.params
+        rows = (*(p.w1 or ()), *(p.w2 or ()), p.bias or (), (p.p, p.q, p.r))
+        yield from (x for row in rows for x in row if x is not None)
+
+
+@pytest.mark.parametrize("sample", [sample_degree_spec, sample_anonymous_spec])
+def test_sampled_specs_share_their_values_and_keep_the_stream(sample, monkeypatch):
+    import random
+
+    from wlmpnn import cases
+    from wlmpnn.mpnn import CustomLayer
+
+    fig1 = builtin_graph("fig1")
+    shared = {}
+    for seed in range(200):
+        rng = random.Random(seed)
+        spec = sample(rng, 3)
+        with monkeypatch.context() as patch:
+            patch.setattr(cases, "_SUPPORT", _FreshDraws())
+            reference_rng = random.Random(seed)
+            reference = sample(reference_rng, 3)
+        assert rng.getstate() == reference_rng.getstate()
+        assert spec.f_mode == reference.f_mode
+        if isinstance(spec.layers[0], CustomLayer):  # comb-aggr keeps its draws in closures
+            assert run_mpnn(fig1, spec) == run_mpnn(fig1, reference)
+            continue
+        assert spec.layers == reference.layers  # family and every parameter, by value
+        if seed < 100:
+            shared.update((id(x), x) for x in _builtin_entries(spec))
+    assert 0 < len(shared) <= 27
+
+
+@pytest.mark.parametrize("scale, span, dens", [("WEIGHT_SCALE", 3, (1, 2)), ("TRIAL_SCALE", 5, (1, 2, 3))])
+def test_sampled_matrices_draw_the_same_stream_from_one_object_per_value(scale, span, dens):
+    import random
+
+    from wlmpnn import cases
+
+    objects = {}
+    for seed in range(200):
+        rows, cols = seed % 4 + 1, seed // 4 % 4 + 1
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        matrix = cases._sample_matrix(rng, rows, cols, getattr(cases, scale))
+        assert matrix == _reference_matrix(reference_rng, rows, cols, span, dens)
+        assert rng.getstate() == reference_rng.getstate()
+        objects.update((id(x), x) for row in matrix for x in row)
+    assert len(objects) == len({x.as_fraction() for x in objects.values()})
+
+
+def test_the_sampler_support_is_one_read_only_object_per_value():
+    from wlmpnn import cases
+
+    support = cases._SUPPORT
+    values = {id(x): x for x in support.values()}
+    assert len(values) == len({x.as_fraction() for x in values.values()}) == 27
+    assert all(x == ExactScalar(Fraction(n, d)) for (n, d), x in support.items())
+    assert support[2, 2] is support[1, 1] and support[0, 3] is support[0, 1]
+    with pytest.raises(TypeError):
+        support[7, 1] = ExactScalar(7)

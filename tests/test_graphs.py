@@ -112,6 +112,34 @@ def test_format_parse_round_trip():
     assert format_graph(parse_graph(text)) == text
 
 
+def test_equal_label_rows_are_one_row():
+    half, root = Fraction(1, 2), ExactScalar.sqrt(2)
+    rows = [
+        (1, 0, half),
+        (Fraction(1), ExactScalar(0), ExactScalar(half)),
+        (0, root, 0),
+        (ExactScalar(1), 0, Fraction(2, 4)),
+        (Fraction(0), root, ZERO),
+        (1, 0, 0),
+    ]
+    edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
+    expected = tuple(tuple(map(ExactScalar, row)) for row in rows)
+    # fresh lists from a generator: no row outlives its turn unless the graph keeps it
+    for labels in (rows, (list(row) for row in rows)):
+        g = make_graph(6, edges, labels)
+        assert g.labels == expected and all(type(x) is ExactScalar for row in g.labels for x in row)
+        assert g.labels[0] is g.labels[1] is g.labels[3]
+        assert g.labels[2] is g.labels[4]
+        assert len({id(row) for row in g.labels}) == 3
+        assert partition_of(g.initial_labelling()).class_of == (0, 0, 1, 0, 1, 2)
+        vertex_lines = [f"v {v} 3: {', '.join(x.to_text() for x in row)}" for v, row in enumerate(expected, 1)]
+        edge_lines = [f"e {u} {v}" for u, v in edges]
+        assert format_graph(g) == "\n".join(["n 6", *vertex_lines, *edge_lines]) + "\n"
+    one_hot = make_graph(300, [(v, v % 300 + 1) for v in range(1, 301)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)] * 100)
+    assert len({id(row) for row in one_hot.labels}) == 3
+    assert len({id(x) for row in one_hot.labels for x in row}) <= 9
+
+
 def test_degree_vertex_out_of_range():
     with pytest.raises(GraphFormatError):
         builtin_graph("g2").degree(3)
@@ -293,6 +321,16 @@ def test_canonical_key_ignores_the_order_terms_were_built_in():
     assert canonical_key(Fraction(4, 2)) == canonical_key(2) == canonical_key(ExactScalar(2))
     assert canonical_key(ExactScalar.sqrt(8)) == canonical_key(ExactScalar.sqrt(2, 2))
     assert canonical_key(ExactScalar.sqrt(2)) != canonical_key(ExactScalar.sqrt(3))
+    assert all(canonical_key(v) == canonical_key(ExactScalar(v)) for v in (0, 1, -1, -(2**200), True, False))
+
+
+
+def test_rows_from_an_iterator_of_fresh_rows_get_their_own_keys():
+    # a freed row's id may be reused by a later row, so the ids are keyed only while every row is held
+    for seed in range(50):
+        rng = random.Random(seed)
+        values = [rng.randrange(4) for _ in range(12)]
+        assert unique_rows([v] for v in values)[1] == unique_rows([(v,) for v in values])[1]
 
 
 _RADICANDS = (1, 2, 3, 5, 6)
