@@ -4,14 +4,11 @@ colour refinement on labelled graphs."""
 from .surd import ExactScalar, activate, parse_scalar
 from .graphs import (
     LabelledGraph,
-    Labelling,
     Partition,
-    equivalent,
     format_graph,
     make_graph,
     parse_graph,
     partition_of,
-    refines,
 )
 from .wl import (
     WlTrace,
@@ -51,7 +48,7 @@ from .synthesis import (
     synthesize_gnn_minus,
 )
 from .linalg import right_inverse
-from .compare import CompareVerdict, ShiftSpec, compare_traces, equally_strong, report, weaker
+from .compare import CompareVerdict, ShiftSpec, compare_traces, report, weaker
 from .cases import (
     CaseReport,
     CaseSpec,

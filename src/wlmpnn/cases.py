@@ -278,8 +278,8 @@ def verify_counterexample(case: CaseSpec, raise_on_failure: bool = True) -> Case
             if "bias" in FAMILIES[family].takes:
                 kwargs["bias"] = _sample_row(rng, cols, TRIAL_SCALE)
             layer = BuiltinLayer(family, LayerParams(w2=weight, sigma=sigma, **kwargs))
-            trace = run_mpnn(g, MpnnSpec(f_mode="degree", layers=(layer,)))
-            if trace.labellings[1].row_of(v) == trace.labellings[1].row_of(w):
+            rows = run_mpnn(g, MpnnSpec(f_mode="degree", layers=(layer,))).labellings[1]
+            if rows[v - 1] == rows[w - 1]:
                 merges += 1
             else:
                 separations += 1

@@ -74,7 +74,7 @@ def _cmd_wl(args) -> int:
     if args.format == "json":
         _emit(trace.to_json_text(), args.emit)
     else:
-        lines = [f"round {t}: {p.num_classes} classes {list(p.class_of)}" for t, p in enumerate(trace.rounds)]
+        lines = [f"round {t}: {p.num_classes} classes {list(p.class_of)}" for t, p in enumerate(trace.partitions)]
         lines.append(f"stabilized_at: {trace.stabilized_at}")
         _emit("\n".join(lines), args.emit)
     return 0
@@ -88,11 +88,10 @@ def _cmd_mpnn(args) -> int:
         _emit(json.dumps(trace.to_json(), indent=2, sort_keys=True), args.emit)
     else:
         lines = []
-        for t, labelling in enumerate(trace.labellings):
+        for t, rows in enumerate(trace.labellings):
             lines.append(f"round {t} ({trace.partitions[t].num_classes} classes):")
-            for v in range(1, g.n + 1):
-                row = ", ".join(x.to_text() for x in labelling.row_of(v))
-                lines.append(f"  v{v}: {row}")
+            for v, row in enumerate(rows, start=1):
+                lines.append(f"  v{v}: {', '.join(x.to_text() for x in row)}")
         _emit("\n".join(lines), args.emit)
     return 0
 

@@ -2,8 +2,9 @@
 
 A run A is weaker than a run B under a monotone round shift when, for every
 round t of A, every vertex pair merged by B at the shifted round is also
-merged by A at round t.  Comparisons operate on the induced partitions only,
-so runs of different label widths and number types compare cleanly.  Failed
+merged by A at round t.  Comparisons read only a trace's ``partitions``, so
+runs of different label widths and number types compare cleanly, and two runs
+are equally strong exactly when ``a.partitions == b.partitions``.  Failed
 comparisons carry a self-validating witness: the first (round, v, w) whose
 merge/split genuinely violates the relation.
 """
@@ -11,15 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
-from .graphs import Partition, partition_refines_violation
+from .graphs import partition_refines_violation
+from .mpnn import RunTrace
 from .surd import InputError
-
-
-class Traceable(Protocol):
-    @property
-    def partitions(self) -> Sequence[Partition]: ...
+from .wl import WlTrace
 
 
 @dataclass(frozen=True)
@@ -49,7 +47,11 @@ class ShiftSpec:
         if text in ("+1", "plus_one"):
             return ShiftSpec("plus_one")
         if text.startswith("x") and text[1:].isdecimal():
-            return ShiftSpec("times_c", int(text[1:]))
+            try:
+                c = int(text[1:])
+            except ValueError as exc:  # past the int string conversion limit
+                raise InputError(f"shift x<{len(text) - 1} digits>: {exc}") from exc
+            return ShiftSpec("times_c", c)
         raise InputError(f"unknown shift {text!r} (expected 0, +1 or x<c>)")
 
     def to_text(self) -> str:
@@ -87,7 +89,7 @@ def check_shift_rounds(rounds_a: int, rounds_b: int, shift: ShiftSpec) -> None:
         raise InputError(f"right trace has {rounds_b} rounds but the shift needs {needed}")
 
 
-def weaker(trace_a: Traceable, trace_b: Traceable, shift: ShiftSpec) -> CompareVerdict:
+def weaker(trace_a: RunTrace | WlTrace, trace_b: RunTrace | WlTrace, shift: ShiftSpec) -> CompareVerdict:
     """Is A weaker than B under the shift: B's round-g(t) partition must
     refine into A's round-t partition for every 0 <= t <= T_A."""
     rounds_a = len(trace_a.partitions) - 1
@@ -99,16 +101,6 @@ def weaker(trace_a: Traceable, trace_b: Traceable, shift: ShiftSpec) -> CompareV
         if witness is not None:
             return CompareVerdict(holds=False, first_violation=(t, *witness))
     return CompareVerdict(holds=True)
-
-
-def equally_strong(trace_a: Traceable, trace_b: Traceable) -> bool:
-    """Mutual weakness at identity shift; requires equal round counts."""
-    if len(trace_a.partitions) != len(trace_b.partitions):
-        raise InputError(
-            f"round mismatch: {len(trace_a.partitions) - 1} vs {len(trace_b.partitions) - 1}"
-        )
-    identity = ShiftSpec("identity")
-    return weaker(trace_a, trace_b, identity).holds and weaker(trace_b, trace_a, identity).holds
 
 
 @dataclass(frozen=True)
@@ -134,8 +126,8 @@ class Comparison:
 
 
 def compare_traces(
-    left: Traceable,
-    right: Traceable,
+    left: RunTrace | WlTrace,
+    right: RunTrace | WlTrace,
     shift: ShiftSpec,
     left_name: str = "left",
     right_name: str = "right",

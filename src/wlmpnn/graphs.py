@@ -1,10 +1,11 @@
-"""Labelled undirected graphs, vertex labellings and the coarseness order.
+"""Labelled undirected graphs, partitions and the coarseness order.
 
 Vertices are 1-based integers ``1..n``.  Graphs are simple (no self-loops)
 and have no isolated vertices; both are rejected at construction time, and
-no flag exists to silently drop offenders.  A labelling assigns each vertex
-a row of ExactScalar; two labellings compare only through row equality, so
-labellings of different widths are ordered by the same relation.
+no flag exists to silently drop offenders.  A labelling is a tuple of rows of
+ExactScalar, one per vertex, and labellings compare only through the
+partitions they induce: one refines another when ``partition_refines`` holds
+of their partitions, and two are equivalent when their partitions are equal.
 """
 from __future__ import annotations
 
@@ -21,31 +22,6 @@ Label = tuple[ExactScalar, ...]
 
 class GraphFormatError(InputError):
     """Raised for malformed graph files or invariant violations."""
-
-
-@dataclass(frozen=True)
-class Labelling:
-    """A per-vertex assignment of equal-width label rows."""
-
-    rows: tuple[Label, ...]
-
-    def __post_init__(self):
-        if not self.rows:
-            raise ValueError("labelling must cover at least one vertex")
-        width = len(self.rows[0])
-        if width < 1 or any(len(r) != width for r in self.rows):
-            raise ValueError("label rows must share a positive width")
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows[0])
-
-    def row_of(self, v: int) -> Label:
-        return self.rows[v - 1]
 
 
 @dataclass(frozen=True)
@@ -139,9 +115,6 @@ class LabelledGraph:
     @property
     def label_dim(self) -> int:
         return len(self.labels[0])
-
-    def initial_labelling(self) -> Labelling:
-        return Labelling(self.labels)
 
     def _check_vertex(self, v: int):
         if not (1 <= v <= self.n):
@@ -239,11 +212,11 @@ def format_graph(g: LabelledGraph) -> str:
 # -- the coarseness order ---------------------------------------------------
 
 
-def partition_of(labelling: Labelling) -> Partition:
+def partition_of(rows: Sequence[Label]) -> Partition:
     """The partition by equal label rows, class ids by first occurrence:
     the row index of ``linalg.unique_rows``, which keys each row object
     once by the canonical integers of its entries and hashes no scalar."""
-    return Partition(tuple(unique_rows(labelling.rows)[1]))
+    return Partition(tuple(unique_rows(rows)[1]))
 
 
 def partition_refines(fine: Partition, coarse: Partition) -> bool:
@@ -265,19 +238,7 @@ def partition_refines_violation(fine: Partition, coarse: Partition) -> tuple[int
     return witness
 
 
-def refines(fine: Labelling, coarse: Labelling) -> bool:
-    """True iff coarse is coarser than fine: equal rows in fine imply equal rows in coarse."""
-    return partition_refines(partition_of(fine), partition_of(coarse))
-
-
-def equivalent(a: Labelling, b: Labelling) -> bool:
-    return refines(a, b) and refines(b, a)
-
-
-def one_hot_labelling(partition: Partition) -> Labelling:
+def one_hot_rows(partition: Partition) -> tuple[Label, ...]:
     """Re-encode a partition as one-hot rows (class count columns)."""
     k = partition.num_classes
-    rows = tuple(
-        tuple(ONE if j == c else ZERO for j in range(k)) for c in partition.class_of
-    )
-    return Labelling(rows)
+    return tuple(tuple(ONE if j == c else ZERO for j in range(k)) for c in partition.class_of)

@@ -4,8 +4,8 @@ A network is a declarative MpnnSpec: a round count, an f-mode (``zero``
 erases degree information, ``degree`` passes endpoint degrees to every
 message), and one layer per round.  Layers are either a builtin family with
 exact parameters or custom message/update closures.  Execution runs
-entirely in the surd field and records the labelling and induced partition
-per round.
+entirely in the surd field and records, per round, the label rows (a plain
+tuple of rows, one per vertex) and the partition they induce.
 
 Every builtin family is one closed form
 
@@ -57,11 +57,12 @@ per (label, degree), so the d_v messages add it back exactly once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 from functools import cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .graphs import Label, LabelledGraph, Labelling, Partition, partition_of
+from .graphs import Label, LabelledGraph, Partition, partition_of
 from .linalg import Matrix, Row, matrix_from_text, matrix_to_text, row_add, row_mat, row_scale, unique_rows
 from .surd import MINUS_ONE, ONE, ZERO, ExactScalar, InputError, activate, enclosure, exact_sum, inv_sqrt, parse_scalar
 from .surd import reciprocal
@@ -240,8 +241,9 @@ class LayerForm(NamedTuple):
 @dataclass(frozen=True)
 class BuiltinLayer:
     """A layer of a family of FAMILIES.  Making one checks the parameters
-    against the family's row, naming each field as a spec file does, and
-    resolves them into ``form``; widths and degree values are checked on run."""
+    against the family's row, naming each field as a spec file does, makes
+    their entries ExactScalar as make_graph makes labels, refuses ragged
+    weights and resolves them into ``form``; widths and degrees wait for run."""
 
     family: str
     params: LayerParams
@@ -252,15 +254,21 @@ class BuiltinLayer:
         _require(params.sigma in ("relu", "sign", "none"), f"unknown activation {params.sigma!r}")
         _require(family in FAMILIES, f"unknown family {family!r}")
         row = FAMILIES[family]
-        values = vars(params)
+        exact = {}
         for attr, name in _json_names(family).items():
-            if (values[attr] is None) == (attr in row.requires):  # missing, or given
-                _require(attr not in row.requires, f"{family} requires {name}")
-                _require(attr in row.takes, _not_taken(family, name))
+            value = getattr(params, attr)
+            if (value is None) == (attr in row.requires) and attr not in row.takes:  # missing, or not taken
+                raise SpecValidationError(f"{family} requires {name}" if value is None else _not_taken(family, name))
+            if value is not None and attr not in ("g_fn", "h_fn"):
+                make = _exact_matrix if attr in ("w1", "w2") else _exact_row if attr == "bias" else _exact_value
+                if (made := make(value, f"{family} {name}")) is not value:
+                    exact[attr] = made
+        if exact:
+            params = replace(params, **exact)
+            object.__setattr__(self, "params", params)
         for name, v in (("r", params.r), ("p", params.p), ("q", params.q)):  # r in (0, 1], p and q in [0, 1]
-            if v is not None:
-                low_ok = v.sign() > 0 if name == "r" else v.sign() >= 0
-                _require(low_ok and (v - ONE).sign() <= 0, f"{name} = {v} outside the allowed unit-interval range")
+            if v is not None and not ((v.sign() > 0 if name == "r" else v.sign() >= 0) and (v - ONE).sign() <= 0):
+                raise SpecValidationError(f"{name} = {v} outside the allowed unit-interval range")
         if family == "dgnn6":
             g = h = DegreeFn.blend_inv_sqrt(params.r)
         else:
@@ -318,7 +326,9 @@ class MpnnSpec:
 
 @dataclass(frozen=True)
 class RunTrace:
-    labellings: tuple[Labelling, ...]
+    """The label rows of each round, labellings[0] the graph's, and their partitions."""
+
+    labellings: tuple[tuple[Label, ...], ...]
     partitions: tuple[Partition, ...]
 
     @property
@@ -328,7 +338,7 @@ class RunTrace:
     def to_json(self) -> dict:
         return {
             "rounds": [list(p.class_of) for p in self.partitions],
-            "labels": [[[x.to_text() for x in row] for row in lab.rows] for lab in self.labellings],
+            "labels": [[[x.to_text() for x in row] for row in rows] for rows in self.labellings],
         }
 
 
@@ -630,64 +640,66 @@ def _closed_form_round(
     return out if len(reps) == g.n else [out[i] for i in keys.class_of]
 
 
-def _exact_row(row, what: str, round_index: int) -> Label:
+def _exact_row(row, what: str) -> Label:
     """row with int and Fraction entries made ExactScalar, as make_graph
-    makes labels; a row of ExactScalar entries is returned as it is."""
+    makes labels, naming what; a row of ExactScalar entries is returned as it is."""
     for x in row:
         if type(x) is not ExactScalar:
             break
     else:
         return row
-    where = f"round {round_index}: {what} entry"
-    return tuple(_exact_value(x, where) for x in row)
+    return tuple(_exact_value(x, f"{what} entry") for x in row)
 
 
-def _per_edge_round(g: LabelledGraph, labelling: Labelling, layer: CustomLayer, f_values, round_index: int):
+def _exact_matrix(m, what: str) -> Matrix:
+    """m with every row made exact by _exact_row, the same object when each
+    row already is; rows of unequal widths raise DimensionError."""
+    rows = [_exact_row(row, what) for row in m]
+    if len(set(map(len, rows))) > 1:
+        raise DimensionError(f"{what} has rows of unequal widths")
+    return m if all(map(operator.is_, rows, m)) else tuple(rows)
+
+
+def _per_edge_round(g: LabelledGraph, rows: Sequence[Label], layer: CustomLayer, f_values, round_index: int):
     """One custom round: sum every vertex's messages, each entry one
     exact_sum, then apply the update.  Message and update entries that are
-    int or Fraction become ExactScalar; any other type raises."""
+    int or Fraction become ExactScalar; any other type raises, and so do
+    updates not of one positive width (DimensionError)."""
     aggregated: list[Label] = []
     msg_width: int | None = None
+    message, update = f"round {round_index}: message", f"round {round_index}: update"
     for v in range(1, g.n + 1):
-        x = labelling.row_of(v)
+        x = rows[v - 1]
         parts = []
         for u in g.neighbors(v):
-            part = layer.msg(x, labelling.row_of(u), f_values[v - 1], f_values[u - 1])
-            part = _exact_row(part, "message", round_index)
+            part = layer.msg(x, rows[u - 1], f_values[v - 1], f_values[u - 1])
+            part = _exact_row(part, message)
             if msg_width is None:
                 msg_width = len(part)
             elif len(part) != msg_width:
-                raise DimensionError(
-                    f"round {round_index}: message width {len(part)} != {msg_width}"
-                )
+                raise DimensionError(f"round {round_index}: message width {len(part)} != {msg_width}")
             parts.append(part)
         aggregated.append(tuple(map(exact_sum, zip(*parts))))
-    new_rows: list[Label] = []
-    out_width: int | None = None
-    for v in range(1, g.n + 1):
-        row = tuple(layer.upd(labelling.row_of(v), aggregated[v - 1]))
-        if out_width is None:
-            out_width = len(row)
-        elif len(row) != out_width:
-            raise DimensionError(f"round {round_index}: update width {len(row)} != {out_width}")
-        new_rows.append(_exact_row(row, "update", round_index))
+    new_rows = [_exact_row(tuple(layer.upd(x, m)), update) for x, m in zip(rows, aggregated)]
+    widths = sorted({len(row) for row in new_rows})
+    if widths[0] == 0 or len(widths) > 1:
+        raise DimensionError(f"round {round_index}: update widths {widths}, not one positive width")
     return new_rows
 
 
 def run_mpnn(g: LabelledGraph, spec: MpnnSpec) -> RunTrace:
     """Execute the network on the graph, exactly, recording every round."""
-    labelling = g.initial_labelling()
-    labellings = [labelling]
-    partitions = [partition_of(labelling)]
+    labels = g.labels
+    labellings, partitions = [labels], [partition_of(labels)]
     degrees = g.degrees()
     f_values = degrees if spec.f_mode == "degree" else (0,) * g.n
     degree_row = None  # the degrees as exact scalars, made at the first lifted round
     for round_index, layer in enumerate(spec.layers, start=1):
         if isinstance(layer, CustomLayer):
-            new_rows = _per_edge_round(g, labelling, layer, f_values, round_index)
+            new_rows = _per_edge_round(g, labels, layer, f_values, round_index)
         else:
             builtin, depth = (layer.builtin, layer.depth) if isinstance(layer, _LiftedBuiltin) else (layer, 0)
-            rows, partition = labelling.rows, partitions[-1]
+            rows, partition = labels, partitions[-1]
             try:
                 if depth:
                     degree_row = degree_row or [ExactScalar(d) for d in degrees]
@@ -702,10 +714,10 @@ def run_mpnn(g: LabelledGraph, spec: MpnnSpec) -> RunTrace:
             except (SpecValidationError, DimensionError) as exc:  # name the layer, as spec_from_json does
                 raise type(exc)(f"layer {round_index}: {exc}") from exc
             if depth:
-                new_rows = [(*row, *x[-depth:]) for row, x in zip(new_rows, labelling.rows)]
-        labelling = Labelling(tuple(new_rows))
-        labellings.append(labelling)
-        partitions.append(partition_of(labelling))
+                new_rows = [(*row, *x[-depth:]) for row, x in zip(new_rows, labels)]
+        labels = tuple(new_rows)
+        labellings.append(labels)
+        partitions.append(partition_of(labels))
     return RunTrace(tuple(labellings), tuple(partitions))
 
 

@@ -83,11 +83,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .graphs import (
+    Label,
     LabelledGraph,
-    Labelling,
     Partition,
     format_graph,
-    one_hot_labelling,
+    one_hot_rows,
     partition_refines,
     partition_refines_violation,
 )
@@ -390,12 +390,11 @@ class SynthesisCertificate:
 # -- shared helpers ----------------------------------------------------------------
 
 
-def _prepared_initial(g: LabelledGraph) -> tuple[Labelling, bool]:
-    labelling = g.initial_labelling()
-    uniq, index = unique_rows(labelling.rows)
+def _prepared_initial(g: LabelledGraph) -> tuple[tuple[Label, ...], bool]:
+    uniq, index = unique_rows(g.labels)
     if rows_linearly_independent(uniq):
-        return labelling, False
-    return one_hot_labelling(Partition(tuple(index))), True
+        return g.labels, False
+    return one_hot_rows(Partition(tuple(index))), True
 
 
 def _uniform_q(n: int) -> ExactScalar:
@@ -566,7 +565,7 @@ def _clamp_repair(
     again; an empty kernel means the rows are independent.
     """
     n, k_cols = len(rows), len(base[0])
-    prefix = one_hot_labelling(Partition(tuple(unique_rows(base)[1]))).rows
+    prefix = one_hot_rows(Partition(tuple(unique_rows(base)[1])))
     reps = [members[0] - 1 for members in wl_part.classes()]
     suffix: list[tuple[Row, ExactScalar, list[ExactScalar]]] = []
     # the left kernel of the class rows [one-hot | clamp values | 1] at reps
@@ -645,11 +644,11 @@ def _synthesize_rounds(
     """
     degrees = g.degrees()
     g_of, h_of = g_fn.on(degrees), h_fn.on(degrees)
-    labelling, reencoded = _prepared_initial(g)
+    initial, reencoded = _prepared_initial(g)
     reference = wl_partitions(g, rounds)
     q_override = _uniform_q(g.n) if uniform_q else None
     synthesized: list[RoundSynthesis] = []
-    rows = list(labelling.rows)
+    rows = list(initial)
     for t in range(1, rounds + 1):
         scaled = rows if h_of is None else [row_scale(rows[v], h_of[degrees[v]]) for v in range(g.n)]
         uniq_scaled, scaled_class = unique_rows(scaled)

@@ -4,7 +4,7 @@ The refinement itself uses deterministic dictionary encoding: the pair
 (own class, sorted neighbour classes) is mapped to dense integer ids by
 first occurrence, so traces are reproducible and diffable.  ``wl_step`` is
 the one such step: the engine takes its per-round evaluation keys from it
-too.
+too.  A ``WlTrace`` holds the partitions, as a network's ``RunTrace`` does.
 
 The second half realizes the same computation arithmetically: labels are
 injected into rationals whose base-(n+1) digits recover neighbour multisets
@@ -41,18 +41,14 @@ class NotInImageError(ValueError):
 
 @dataclass(frozen=True)
 class WlTrace:
-    """Refinement history; rounds[0] is the initial partition."""
+    """Refinement history; partitions[0] is the initial partition."""
 
-    rounds: tuple[Partition, ...]
+    partitions: tuple[Partition, ...]
     stabilized_at: int | None
-
-    @property
-    def partitions(self) -> tuple[Partition, ...]:
-        return self.rounds
 
     def to_json(self) -> dict:
         return {
-            "rounds": [list(p.class_of) for p in self.rounds],
+            "rounds": [list(p.class_of) for p in self.partitions],
             "stabilized_at": self.stabilized_at,
         }
 
@@ -80,16 +76,16 @@ def wl_run(g: LabelledGraph, max_rounds: int | None = None) -> WlTrace:
     """Iterate wl_step until the class count stops growing (or max_rounds)."""
     if max_rounds is not None and max_rounds < 0:
         raise InputError(f"max_rounds must be non-negative, got {max_rounds}")
-    rounds = [partition_of(g.initial_labelling())]
+    partitions = [partition_of(g.labels)]
     stabilized = None
     t = 0
     while stabilized is None and (max_rounds is None or t < max_rounds):
-        nxt = wl_step(g, rounds[-1])
-        rounds.append(nxt)
+        nxt = wl_step(g, partitions[-1])
+        partitions.append(nxt)
         t += 1
-        if nxt.num_classes == rounds[-2].num_classes:
+        if nxt.num_classes == partitions[-2].num_classes:
             stabilized = t
-    return WlTrace(tuple(rounds), stabilized)
+    return WlTrace(tuple(partitions), stabilized)
 
 
 def check_round_limit(rounds: int) -> None:
@@ -111,7 +107,7 @@ def wl_partitions(g: LabelledGraph, rounds: int) -> list[Partition]:
     up to rounds, then its stable partition repeated, since a stable
     partition steps to itself, class ids included."""
     check_wl_rounds(rounds)
-    out = list(wl_run(g, rounds).rounds)
+    out = list(wl_run(g, rounds).partitions)
     return out + [out[-1]] * (rounds + 1 - len(out))
 
 

@@ -72,7 +72,7 @@ def test_criterion_01_exact_gcn_matrix():
     ]
     g = builtin_graph("fig1")
     trace = run_mpnn(g, named_spec("gcn", 3, rounds=1))
-    got = [[x.to_text() for x in trace.labellings[1].row_of(v)] for v in range(1, 7)]
+    got = [[x.to_text() for x in trace.labellings[1][v - 1]] for v in range(1, 7)]
     elapsed = time.perf_counter() - started
     _finish(1, "exact degree-normalized matrix reproduction", got == expected and elapsed < 1.0,
             f" ({elapsed:.2f}s)")

@@ -328,6 +328,9 @@ def test_internal_value_error_exits_1(monkeypatch, capsys):
         (["compare", "--graph", "fig1", "--left", "gcn", "--right", "wl", "--shift", "x0",
           "--rounds", "1"], "error: linear factor must be a positive integer"),
         (["mpnn", "run", "--graph", "fig1", "--spec", "no-such-family"], "error: spec 'no-such-family'"),
+        # a factor past Python's int string conversion limit is refused, not an internal error
+        (["compare", "--graph", "fig1", "--left", "gcn", "--right", "wl", "--shift", "x" + "9" * 5000,
+          "--rounds", "1"], "error: shift x<5000 digits>: Exceeds the limit"),
     ],
 )
 def test_input_errors_exit_2(capsys, argv, message):

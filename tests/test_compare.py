@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from wlmpnn.cases import builtin_graph, named_spec, sample_anonymous_spec, sample_graph
-from wlmpnn.compare import ShiftSpec, compare_traces, equally_strong, report, weaker
-from wlmpnn.mpnn import run_mpnn
+from wlmpnn.cases import builtin_graph, named_spec, sample_anonymous_spec, sample_degree_spec, sample_graph
+from wlmpnn.compare import ShiftSpec, compare_traces, report, weaker
+from wlmpnn.mpnn import RunTrace, lift_plus_one, run_mpnn
 from wlmpnn.synthesis import synthesize_gnn_minus
-from wlmpnn.wl import WlTrace, wl_partitions
+from wlmpnn.wl import WlTrace, wl_partitions, wl_run
 
 
 def gcn_trace(rounds):
@@ -76,20 +76,52 @@ def test_equally_strong_with_synthesized_network():
     cert = synthesize_gnn_minus(g, 3, "relu")
     trace = run_mpnn(g, cert.to_spec())
     wl = WlTrace(tuple(wl_partitions(g, 3)), None)
-    assert equally_strong(trace, wl)
-    assert equally_strong(trace, trace)
+    assert trace.partitions == wl.partitions
+    identity = ShiftSpec("identity")
+    assert weaker(trace, wl, identity).holds and weaker(wl, trace, identity).holds
+    assert weaker(trace, trace, identity).holds
 
 
 def test_equally_strong_fails_for_degree_aware_layer():
     g = builtin_graph("fig1")
     trace = run_mpnn(g, named_spec("dgnn2", 3, rounds=1))
     wl = WlTrace(tuple(wl_partitions(g, 1)), None)
-    assert not equally_strong(trace, wl)
+    assert trace.partitions != wl.partitions
+    assert not weaker(trace, wl, ShiftSpec("identity")).holds
 
 
 def test_equally_strong_requires_matching_rounds():
-    with pytest.raises(ValueError, match="mismatch"):
-        equally_strong(gcn_trace(1), WlTrace(tuple(wl_partitions(builtin_graph("fig1"), 2)), None))
+    # partition tuples of unequal lengths are unequal, and mutual weakness
+    # at the identity shift refuses the shorter side as the right one
+    short, long = gcn_trace(1), WlTrace(tuple(wl_partitions(builtin_graph("fig1"), 2)), None)
+    assert short.partitions != long.partitions
+    with pytest.raises(ValueError, match="right trace has 1 rounds but the shift needs 2"):
+        weaker(long, short, ShiftSpec("identity"))
+
+
+def test_mutual_weakness_at_the_identity_is_partition_equality():
+    # equally strong is stated as a.partitions == b.partitions; check it
+    # against mutual weakness on network, lifted and refinement traces
+    identity = ShiftSpec("identity")
+    network_equal = unequal = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        g = sample_graph(rng.randint(4, 8), 0.5, seed, alphabet=2)
+        specs = [sample_anonymous_spec(rng, g.label_dim) for _ in range(3)]
+        specs += [sample_degree_spec(rng, g.label_dim) for _ in range(3)]
+        traces = [run_mpnn(g, spec) for spec in specs]
+        traces += [run_mpnn(g, lift_plus_one(spec)) for spec in specs[3:]]
+        traces += [WlTrace(tuple(wl_partitions(g, rounds)), None) for rounds in range(1, 6)]
+        traces.append(wl_run(g))
+        for a in traces:
+            for b in traces:
+                if a is b or len(a.partitions) != len(b.partitions):
+                    continue
+                equal = a.partitions == b.partitions
+                assert (weaker(a, b, identity).holds and weaker(b, a, identity).holds) == equal
+                network_equal += equal and isinstance(a, RunTrace)
+                unequal += not equal
+    assert network_equal >= 20 and unequal >= 20
 
 
 def test_weaker_identity_preorder_on_samples():

@@ -1,4 +1,4 @@
-"""Graph parsing, invariants, labellings and the coarseness order."""
+"""Graph parsing, invariants, partitions and the coarseness order."""
 import random
 from fractions import Fraction
 
@@ -10,15 +10,13 @@ from wlmpnn.cases import builtin_graph, named_spec, sample_graph
 from wlmpnn.graphs import (
     GraphFormatError,
     LabelledGraph,
-    Labelling,
     Partition,
-    equivalent,
     format_graph,
     make_graph,
-    one_hot_labelling,
+    one_hot_rows,
     parse_graph,
     partition_of,
-    refines,
+    partition_refines,
 )
 from wlmpnn.linalg import unique_rows
 from wlmpnn.mpnn import run_mpnn
@@ -131,7 +129,7 @@ def test_equal_label_rows_are_one_row():
         assert g.labels[0] is g.labels[1] is g.labels[3]
         assert g.labels[2] is g.labels[4]
         assert len({id(row) for row in g.labels}) == 3
-        assert partition_of(g.initial_labelling()).class_of == (0, 0, 1, 0, 1, 2)
+        assert partition_of(g.labels).class_of == (0, 0, 1, 0, 1, 2)
         vertex_lines = [f"v {v} 3: {', '.join(x.to_text() for x in row)}" for v, row in enumerate(expected, 1)]
         edge_lines = [f"e {u} {v}" for u, v in edges]
         assert format_graph(g) == "\n".join(["n 6", *vertex_lines, *edge_lines]) + "\n"
@@ -145,23 +143,24 @@ def test_degree_vertex_out_of_range():
         builtin_graph("g2").degree(3)
 
 
-def _labelling(rows):
-    return Labelling(tuple(tuple(ExactScalar(x) for x in row) for row in rows))
+def _partition(rows):
+    """The partition of a labelling given as rows of int entries."""
+    return partition_of(tuple(tuple(ExactScalar(x) for x in row) for row in rows))
 
 
 def test_refines_reflexive_and_coarsest():
-    lab = _labelling([(1, 0), (0, 1), (1, 0)])
-    constant = _labelling([(7,), (7,), (7,)])
-    assert refines(lab, lab)
-    assert refines(lab, constant)
-    assert not refines(constant, lab)
+    lab = _partition([(1, 0), (0, 1), (1, 0)])
+    constant = _partition([(7,), (7,), (7,)])
+    assert partition_refines(lab, lab)
+    assert partition_refines(lab, constant)
+    assert not partition_refines(constant, lab)
 
 
 def test_refines_across_widths():
-    fine = _labelling([(1, 0, 0), (0, 1, 0), (1, 0, 0)])
-    coarse = _labelling([(2,), (3,), (2,)])
-    assert refines(fine, coarse)
-    assert equivalent(fine, coarse)
+    fine = _partition([(1, 0, 0), (0, 1, 0), (1, 0, 0)])
+    coarse = _partition([(2,), (3,), (2,)])
+    assert partition_refines(fine, coarse)
+    assert fine == coarse
 
 
 def test_refines_fig1_gcn_vs_wl_round1():
@@ -171,28 +170,24 @@ def test_refines_fig1_gcn_vs_wl_round1():
     # refinement round 1 merges v4, v5; the degree-aware layer splits them
     assert wl1.class_of[3] == wl1.class_of[4]
     assert gcn1.class_of[3] != gcn1.class_of[4]
-    from wlmpnn.graphs import partition_refines
-
     assert not partition_refines(wl1, gcn1)
     assert partition_refines(gcn1, wl1)
 
 
 def test_equivalent_one_hot_column_permutation():
-    a = _labelling([(1, 0), (0, 1), (1, 0)])
-    b = _labelling([(0, 1), (1, 0), (0, 1)])
-    assert equivalent(a, b)
+    a = _partition([(1, 0), (0, 1), (1, 0)])
+    b = _partition([(0, 1), (1, 0), (0, 1)])
+    assert a == b
 
 
 def test_vertex_count_mismatch_is_error():
     with pytest.raises(ValueError, match="mismatch"):
-        refines(_labelling([(1,)]), _labelling([(1,), (2,)]))
+        partition_refines(_partition([(1,)]), _partition([(1,), (2,)]))
 
 
 def test_partition_of_examples():
-    distinct = _labelling([(1,), (2,), (3,)])
-    assert partition_of(distinct).num_classes == 3
-    same = _labelling([(1,), (1,)])
-    assert partition_of(same).num_classes == 1
+    assert _partition([(1,), (2,), (3,)]).num_classes == 3
+    assert _partition([(1,), (1,)]).num_classes == 1
 
 
 def test_partition_of_wl_round1_fig1():
@@ -203,19 +198,20 @@ def test_partition_of_wl_round1_fig1():
 
 def test_one_hot_labelling():
     part = Partition((0, 1, 0))
-    lab = one_hot_labelling(part)
-    assert partition_of(lab) == part
-    assert lab.dim == 2
+    rows = one_hot_rows(part)
+    assert partition_of(rows) == part
+    assert rows == ((ExactScalar(1), ZERO), (ZERO, ExactScalar(1)), (ExactScalar(1), ZERO))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000))
 def test_equivalent_iff_same_partition(seed):
+    # refinement both ways is partition equality: class ids by first occurrence
     rng = random.Random(seed)
     n = rng.randint(2, 6)
-    a = _labelling([[rng.randint(0, 2)] for _ in range(n)])
-    b = _labelling([[rng.randint(0, 2), rng.randint(0, 1)] for _ in range(n)])
-    assert equivalent(a, b) == (partition_of(a) == partition_of(b))
+    a = _partition([[rng.randint(0, 2)] for _ in range(n)])
+    b = _partition([[rng.randint(0, 2), rng.randint(0, 1)] for _ in range(n)])
+    assert (partition_refines(a, b) and partition_refines(b, a)) == (a == b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -223,14 +219,10 @@ def test_equivalent_iff_same_partition(seed):
 def test_refines_preorder_on_random_triples(seed):
     rng = random.Random(seed)
     n = rng.randint(2, 6)
-    labs = [
-        _labelling([[rng.randint(0, 2)] for _ in range(n)])
-        for _ in range(3)
-    ]
-    a, b, c = labs
-    assert refines(a, a)
-    if refines(a, b) and refines(b, c):
-        assert refines(a, c)
+    a, b, c = (_partition([[rng.randint(0, 2)] for _ in range(n)]) for _ in range(3))
+    assert partition_refines(a, a)
+    if partition_refines(a, b) and partition_refines(b, c):
+        assert partition_refines(a, c)
 
 
 @settings(max_examples=25, deadline=None)
@@ -370,7 +362,7 @@ def test_partition_of_matches_the_hash_reference(values, data):
     rows = data.draw(st.lists(st.tuples(*[st.sampled_from(pool)] * width), min_size=1, max_size=25))
     rows += rows[::2]  # row objects that several vertices share
     reference = _hash_partition(rows)
-    assert partition_of(Labelling(tuple(rows))) == reference
+    assert partition_of(rows) == reference
     uniq, index = unique_rows(rows)
     assert index == list(reference.class_of)
     # each distinct row is the object at its first occurrence

@@ -56,7 +56,7 @@ GCN_FIG1_ROUND1 = [
 def test_gcn_identity_round_on_fig1_matches_closed_form():
     g = builtin_graph("fig1")
     trace = run_mpnn(g, named_spec("gcn", 3, rounds=1))
-    got = [[x.to_text() for x in trace.labellings[1].row_of(v)] for v in range(1, 7)]
+    got = [[x.to_text() for x in trace.labellings[1][v - 1]] for v in range(1, 7)]
     assert got == GCN_FIG1_ROUND1
 
 
@@ -82,13 +82,13 @@ def test_identity_layer_keeps_nonnegative_labels():
     layer = BuiltinLayer("gnn", LayerParams(w1=identity(3), w2=((ZERO,) * 3,) * 3, sigma="relu"))
     trace = run_mpnn(g, MpnnSpec(f_mode="zero", layers=(layer, layer)))
     for t in range(3):
-        assert trace.labellings[t].rows == g.initial_labelling().rows
+        assert trace.labellings[t] == g.labels
 
 
 def test_dgnn2_merges_v1_v4_on_g1():
     g = builtin_graph("g1")
     trace = run_mpnn(g, named_spec("dgnn2", 3, rounds=1))
-    assert trace.labellings[1].row_of(1) == trace.labellings[1].row_of(4)
+    assert trace.labellings[1][0] == trace.labellings[1][3]
 
 
 def test_degree_families_refuse_anonymous_mode():
@@ -154,7 +154,7 @@ def test_degree_probe_appends_degrees():
     g = builtin_graph("fig1")
     trace = run_mpnn(g, degree_probe_spec())
     for v in range(1, 7):
-        row = trace.labellings[1].row_of(v)
+        row = trace.labellings[1][v - 1]
         assert row[:3] == g.label_of(v)
         assert row[3] == S(g.degree(v))
 
@@ -162,8 +162,8 @@ def test_degree_probe_appends_degrees():
 def test_degree_probe_on_star():
     g = builtin_graph("g3")
     trace = run_mpnn(g, degree_probe_spec())
-    assert trace.labellings[1].row_of(1)[-1] == S(4)
-    assert trace.labellings[1].row_of(2)[-1] == S(1)
+    assert trace.labellings[1][0][-1] == S(4)
+    assert trace.labellings[1][1][-1] == S(1)
 
 
 def test_lift_plus_one_reconstructs_shifted_labels():
@@ -174,8 +174,8 @@ def test_lift_plus_one_reconstructs_shifted_labels():
     assert lifted.rounds == 3
     for t in range(3):
         for v in range(1, 7):
-            row = lifted.labellings[t + 1].row_of(v)
-            assert row[:-1] == original.labellings[t].row_of(v)
+            row = lifted.labellings[t + 1][v - 1]
+            assert row[:-1] == original.labellings[t][v - 1]
             assert row[-1] == S(g.degree(v))
 
 
@@ -200,8 +200,8 @@ def test_lift_of_anonymous_network_carries_unused_degree_column():
 
     for t in range(3):
         for v in range(1, 7):
-            row = lifted.labellings[t + 1].row_of(v)
-            assert row[:-1] == original.labellings[t].row_of(v)
+            row = lifted.labellings[t + 1][v - 1]
+            assert row[:-1] == original.labellings[t][v - 1]
             assert row[-1] == S(g.degree(v))
         assert partition_refines(lifted.partitions[t + 1], original.partitions[t])
 
@@ -227,7 +227,7 @@ def test_anonymize_h_const_reproduces_labels_exactly():
             a = run_mpnn(g, spec)
             b = run_mpnn(g, anonymous)
             for la, lb in zip(a.labellings, b.labellings):
-                assert la.rows == lb.rows
+                assert la == lb
 
 
 def test_anonymize_rejects_nonunit_h():
@@ -249,7 +249,7 @@ def test_wrap_comb_aggr_projection_is_plain_neighbour_sum():
         for u in g.neighbors(v):
             for j in range(3):
                 expected[j] = expected[j] + g.label_of(u)[j]
-        assert trace.labellings[1].row_of(v) == tuple(expected)
+        assert trace.labellings[1][v - 1] == tuple(expected)
 
 
 def test_wrap_comb_aggr_constant_h_ignores_structure():
@@ -264,7 +264,7 @@ def test_wrap_comb_aggr_constant_h_ignores_structure():
     part = partition_of(trace.labellings[1])
     # appended column is degree-independent only through the zero message
     for v in range(1, 7):
-        assert trace.labellings[1].row_of(v)[-1] == ZERO
+        assert trace.labellings[1][v - 1][-1] == ZERO
 
 
 def test_spec_json_round_trip():
@@ -610,9 +610,9 @@ def test_lift_plus_one_replays_labels_exactly(family):
         original = run_mpnn(g, spec)
         lifted = run_mpnn(g, lift_plus_one(spec))
         assert lifted.rounds == spec.rounds + 1
-        for t, labelling in enumerate(original.labellings):
-            extended = tuple((*row, S(g.degree(v))) for v, row in enumerate(labelling.rows, start=1))
-            assert lifted.labellings[t + 1].rows == extended
+        for t, rows in enumerate(original.labellings):
+            extended = tuple((*row, S(g.degree(v))) for v, row in enumerate(rows, start=1))
+            assert lifted.labellings[t + 1] == extended
     assert label_at_several_degrees
 
 
@@ -691,9 +691,9 @@ def test_lifting_a_builtin_layer_builds_no_per_edge_view(monkeypatch):
     lifted = run_mpnn(g, lift_plus_one(spec))
     twice = run_mpnn(g, lift_plus_one(lift_plus_one(spec)))
     degree = [S(d) for d in g.degrees()]
-    for t, labelling in enumerate(original.labellings):
-        assert lifted.labellings[t + 1].rows == tuple((*row, d) for row, d in zip(labelling.rows, degree))
-        assert twice.labellings[t + 2].rows == tuple((*row, d, d) for row, d in zip(labelling.rows, degree))
+    for t, rows in enumerate(original.labellings):
+        assert lifted.labellings[t + 1] == tuple((*row, d) for row, d in zip(rows, degree))
+        assert twice.labellings[t + 2] == tuple((*row, d, d) for row, d in zip(rows, degree))
 
 
 def test_lifted_builtin_rounds_are_guarded_as_builtin_rounds():
@@ -778,7 +778,7 @@ def test_closed_form_once_per_key_matches_per_edge_closures(name, family):
     assert closed.labellings == reference.labellings
     assert closed.partitions == reference.partitions
     # vertices shared a key in round 1, so some rows came out of one evaluation
-    assert len(set(closed.labellings[1].rows)) < g.n
+    assert len(set(closed.labellings[1])) < g.n
 
 
 # -- anonymization through the self term ----------------------------------------------------
@@ -913,7 +913,7 @@ def test_custom_int_and_fraction_entries_become_exact_scalars(msg, upd):
     exact = CustomLayer(msg=lambda x, y, fv, fu: (ONE,), upd=lambda x, m: m)
     trace = run_mpnn(g, MpnnSpec("degree", (CustomLayer(msg=msg, upd=upd), then)))
     reference = run_mpnn(g, MpnnSpec("degree", (exact, then)))
-    assert all(type(x) is ExactScalar for lab in trace.labellings for row in lab.rows for x in row)
+    assert all(type(x) is ExactScalar for rows in trace.labellings for row in rows for x in row)
     assert json.dumps(trace.to_json()) == json.dumps(reference.to_json())
     assert trace.partitions == reference.partitions
 
@@ -928,3 +928,88 @@ def test_custom_entries_of_other_types_are_refused(entry):
     as_message = CustomLayer(msg=lambda x, y, fv, fu: (entry,), upd=lambda x, m: m)
     with pytest.raises(SpecValidationError, match=re.escape(f"round 1: message {named}")):
         run_mpnn(g, MpnnSpec("zero", (as_message,)))
+
+
+def test_a_custom_update_of_width_zero_is_refused_naming_its_round():
+    g = builtin_graph("fig1")
+    empty = CustomLayer(msg=lambda x, y, fv, fu: (ONE,), upd=lambda x, m: ())
+    with pytest.raises(DimensionError, match=re.escape("round 2: update widths [0], not one positive width")):
+        run_mpnn(g, MpnnSpec("zero", (degree_probe_spec().layers[0], empty)))
+
+
+def test_custom_rows_of_unequal_widths_are_refused_naming_their_round():
+    g = builtin_graph("fig1")  # one-hot labels of width 3, v1 and v2 led by 1
+    cut = lambda row: row if row[0] == ONE else row[:1]
+    uneven_update = CustomLayer(msg=lambda x, y, fv, fu: (ONE,), upd=lambda x, m: cut(x))
+    with pytest.raises(DimensionError, match=re.escape("round 1: update widths [1, 3], not one positive width")):
+        run_mpnn(g, MpnnSpec("zero", (uneven_update,)))
+    uneven_message = CustomLayer(msg=lambda x, y, fv, fu: cut(y), upd=lambda x, m: m)
+    with pytest.raises(DimensionError, match=re.escape("round 1: message width 3 != 1")):
+        run_mpnn(g, MpnnSpec("zero", (uneven_message,)))
+
+
+# -- builtin layers given plain numbers ----------------------------------------------------
+
+_PLAIN_LAYERS = [
+    ("gcn-kipf", dict(w2=((1, 0, 0), (0, 1, 0), (0, 0, 1)))),
+    ("gnn", dict(w1=((1, 0), (0, Fraction(1, 2)), (1, 1)), w2=((0, 1), (1, 0), (2, 0)), bias=(-1, Fraction(1, 3)))),
+    ("gnn-minus", dict(w2=((1, -1), (0, 1), (1, 0)), p=Fraction(1, 2), q=0)),
+    ("dgnn6", dict(w2=((1, 0), (0, 1), (1, 1)), r=Fraction(1, 3), p=1, bias=(-1, -1))),
+    ("general-dgnn", dict(w2=((1,), (2,), (3,)), p=Fraction(2, 3), g_fn=DegreeFn("inv_d"), h_fn=DegreeFn("one"))),
+]
+
+
+def _exact(value):
+    if isinstance(value, tuple):
+        return tuple(map(_exact, value))
+    return value if isinstance(value, DegreeFn) else S(value)
+
+
+@pytest.mark.parametrize("family, fields", _PLAIN_LAYERS, ids=[family for family, _ in _PLAIN_LAYERS])
+def test_builtin_int_and_fraction_entries_become_exact_scalars(family, fields):
+    g = builtin_graph("fig1")
+    f_mode = "degree" if family in DEGREE_FAMILIES else "zero"
+    layer = BuiltinLayer(family, LayerParams(**fields))
+    twin = BuiltinLayer(family, LayerParams(**{name: _exact(value) for name, value in fields.items()}))
+    assert layer == twin
+    for name in fields.keys() - {"g_fn", "h_fn"}:
+        value = getattr(layer.params, name)
+        entries = [x for row in value for x in row] if name in ("w1", "w2") else value if name == "bias" else [value]
+        assert all(type(x) is ExactScalar for x in entries)
+    trace = run_mpnn(g, MpnnSpec(f_mode, (layer,)))
+    reference = run_mpnn(g, MpnnSpec(f_mode, (twin,)))
+    assert json.dumps(trace.to_json()) == json.dumps(reference.to_json())
+    assert trace.partitions == reference.partitions
+    # a layer whose entries are all exact keeps its parameters as they are
+    assert BuiltinLayer(family, twin.params).params is twin.params
+
+
+def test_builtin_exact_entries_stay_the_same_objects():
+    half = S(Fraction(1, 2))
+    layer = BuiltinLayer("dgnn6", LayerParams(w2=((half, 1), (0, half), (1, 1)), r=half, p=1, bias=(half, 0)))
+    assert layer.params.w2[0][0] is half and layer.params.w2[1][1] is half
+    assert layer.params.r is half and layer.params.bias[0] is half
+    assert layer.params.w2 == ((half, ONE), (ZERO, half), (ONE, ONE))
+
+
+@pytest.mark.parametrize(
+    "family, fields, named",
+    [
+        ("gcn-kipf", dict(w2=((1.0, 0), (0, 1))), "gcn-kipf W entry 1.0 is a float"),
+        ("gnn", dict(w1=((1,),), w2=(("1",),)), "gnn W2 entry '1' is a str"),
+        ("dgnn1", dict(w2=((1,),), bias=(0.5,)), "dgnn1 bias entry 0.5 is a float"),
+        ("dgnn6", dict(w2=((1,),), r="1/2", p=Fraction(1, 2)), "dgnn6 r '1/2' is a str"),
+        ("gnn-minus", dict(w2=((1,),), p=0.5, q=0), "gnn-minus p 0.5 is a float"),
+    ],
+)
+def test_builtin_entries_of_other_types_are_refused(family, fields, named):
+    with pytest.raises(SpecValidationError, match=re.escape(f"{named}, not an exact scalar")):
+        BuiltinLayer(family, LayerParams(**fields))
+
+
+@pytest.mark.parametrize("w2", [((1, 0), (1,)), ((ONE,), (ONE, ZERO))], ids=["int", "exact"])
+def test_builtin_ragged_weights_are_refused(w2):
+    with pytest.raises(DimensionError, match="gcn-kipf W has rows of unequal widths"):
+        BuiltinLayer("gcn-kipf", LayerParams(w2=w2))
+    with pytest.raises(DimensionError, match="gnn W1 has rows of unequal widths"):
+        BuiltinLayer("gnn", LayerParams(w1=w2, w2=((1, 0), (0, 1))))

@@ -108,9 +108,9 @@ def test_structurally_zero_rows_settle_as_zero_without_exact_evaluation(monkeypa
     monkeypatch.setattr(mpnn, "propagate", refuse)
     closed = run_mpnn(g, spec)
     assert closed.labellings == reference.labellings
-    assert all(row[1] is ZERO for row in closed.labellings[1].rows)
-    assert closed.labellings[1].rows[0] == (ZERO, ZERO)  # its neighbours 2 and 4 have zero rows
-    assert closed.labellings[1].rows[1] == (ONE, ZERO)  # sqrt(2) sqrt(5) + sqrt(5) - sqrt(21)
+    assert all(row[1] is ZERO for row in closed.labellings[1])
+    assert closed.labellings[1][0] == (ZERO, ZERO)  # its neighbours 2 and 4 have zero rows
+    assert closed.labellings[1][1] == (ONE, ZERO)  # sqrt(2) sqrt(5) + sqrt(5) - sqrt(21)
 
 
 def test_zero_by_irrational_cancellation_goes_exact(exact_keys, bits_used):
@@ -118,7 +118,7 @@ def test_zero_by_irrational_cancellation_goes_exact(exact_keys, bits_used):
     # products straddle zero at every precision, so the key goes exact
     g = _cycle(4, [(S.sqrt(2),)] * 4)
     closed = _run_both(g, _gnn(((S.sqrt(2),),), (S(-4),)))
-    assert closed.labellings[1].rows == ((ZERO,),) * 4
+    assert closed.labellings[1] == ((ZERO,),) * 4
     assert bits_used == {64, 128, 256}
     assert exact_keys == [1]  # one key: the cycle's vertices are alike
 
@@ -129,7 +129,7 @@ def test_values_near_zero_settle_only_after_doubling(exact_keys, bits_used, sign
     # bounds at 64 bits are [0, 1] or [-1, 0] and at 128 bits exact
     g = _cycle(5, [(S(Fraction(1, 2**50)),)] * 5)
     closed = _run_both(g, _gnn(((S(Fraction(sign, 2**50)),),), (ZERO,)))
-    assert closed.labellings[1].rows == (((ONE if sign > 0 else MINUS_ONE),),) * 5
+    assert closed.labellings[1] == (((ONE if sign > 0 else MINUS_ONE),),) * 5
     assert bits_used == {64, 128}
     assert exact_keys == []
 
@@ -140,7 +140,7 @@ def test_irrational_values_near_zero_settle_only_after_doubling(exact_keys, bits
     # no bound of an irrational factor is exact, and 64 bits cannot decide it
     g = _cycle(3, [(S.sqrt(2, Fraction(1, 2**50)),)] * 3)
     closed = _run_both(g, _gnn(((S.sqrt(3, Fraction(sign, 2**50)),),), (ZERO,)))
-    assert closed.labellings[1].rows == (((ONE if sign > 0 else MINUS_ONE),),) * 3
+    assert closed.labellings[1] == (((ONE if sign > 0 else MINUS_ONE),),) * 3
     assert bits_used == {64, 128}
     assert exact_keys == []
 
@@ -154,7 +154,7 @@ def test_scaled_values_near_zero_settle_only_after_doubling(exact_keys, bits_use
     g = _cycle(5, [(S(Fraction(1, 2**50)),)] * 5)
     layer = BuiltinLayer(family, LayerParams(w2=((S(Fraction(sign, 2**50)),),), sigma="sign"))
     closed = _run_both(g, MpnnSpec("degree", (layer,)))
-    assert closed.labellings[1].rows == (((ONE if sign > 0 else MINUS_ONE),),) * 5
+    assert closed.labellings[1] == (((ONE if sign > 0 else MINUS_ONE),),) * 5
     assert bits_used == {64, 128}
     assert exact_keys == []
 
@@ -164,7 +164,7 @@ def test_values_past_the_precision_cap_go_exact(exact_keys, bits_used, sign):
     # pre = +-2 * 2**-3000: open at 256 bits, so the key is evaluated exactly
     g = _cycle(4, [(S(Fraction(1, 2**1500)),)] * 4)
     closed = _run_both(g, _gnn(((S(Fraction(sign, 2**1500)),),), (ZERO,)))
-    assert closed.labellings[1].rows == (((ONE if sign > 0 else MINUS_ONE),),) * 4
+    assert closed.labellings[1] == (((ONE if sign > 0 else MINUS_ONE),),) * 4
     assert bits_used == {64, 128, 256}
     assert exact_keys == [1]
 
@@ -175,7 +175,7 @@ def test_only_open_keys_go_exact(exact_keys):
     # bounds, and exactly 0 inside, which goes exact
     g = make_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)], [(S.sqrt(2),)] * 5)
     closed = _run_both(g, _gnn(((S.sqrt(2),),), (S(-4),)))
-    assert [row[0] for row in closed.labellings[1].rows] == [MINUS_ONE, ZERO, ZERO, ZERO, MINUS_ONE]
+    assert [row[0] for row in closed.labellings[1]] == [MINUS_ONE, ZERO, ZERO, ZERO, MINUS_ONE]
     assert exact_keys == [1]
 
 
@@ -280,7 +280,7 @@ def test_a_rebounding_pass_lifts_only_what_its_open_keys_read(monkeypatch, exact
     spec = MpnnSpec("degree", (BuiltinLayer("dgnn1", LayerParams(w2=((ONE,),), bias=(MINUS_ONE,), sigma="sign")),))
     monkeypatch.setattr(mpnn, "enclosure", recording)
     closed = _run_both(g, spec)
-    assert closed.labellings[1].rows == ((ONE,),) * 6
+    assert closed.labellings[1] == ((ONE,),) * 6
     parameters = {ONE, MINUS_ONE, S(Fraction(1, 2))}  # W, B and g = 1/d at degrees 1 and 2
     assert set(enclosed) == {64, 128}
     assert enclosed[64] - parameters == set(labels)

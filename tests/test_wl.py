@@ -27,7 +27,7 @@ def brute_force_step(g, class_of):
 
 def test_wl_step_fig1_round1():
     g = builtin_graph("fig1")
-    initial = partition_of(g.initial_labelling())
+    initial = partition_of(g.labels)
     assert initial.classes() == [[1, 2], [3, 6], [4, 5]]
     step1 = wl_step(g, initial)
     assert step1.classes() == [[1, 2], [3], [4, 5], [6]]
@@ -54,30 +54,30 @@ def test_wl_step_matches_the_full_signature_reference(seed):
     # of (class, degree) pairs as the engine steps them, on all-singleton
     # ones (ids in and out of first-occurrence order) and on one class
     g = sample_graph(12, Fraction(1, 3), seed, alphabet=2)
-    initial = partition_of(g.initial_labelling())
+    initial = partition_of(g.labels)
     pairs = Partition.from_keys(list(zip(initial.class_of, g.degrees())))
     singletons = [Partition(tuple(range(g.n))), Partition(tuple(reversed(range(g.n))))]
-    for current in (initial, pairs, *wl_run(g).rounds[1:], *singletons, Partition((0,) * g.n)):
+    for current in (initial, pairs, *wl_run(g).partitions[1:], *singletons, Partition((0,) * g.n)):
         assert wl_step(g, current).class_of == brute_force_step(g, current.class_of)
 
 
 def test_wl_run_stabilizes_immediately_on_distinct_labels():
     trace = wl_run(builtin_graph("g2"))
     assert trace.stabilized_at == 1
-    assert [p.num_classes for p in trace.rounds] == [2, 2]
+    assert [p.num_classes for p in trace.partitions] == [2, 2]
 
 
 def test_wl_run_g1_separates_v1_v4_at_round1():
     g = builtin_graph("g1")
     trace = wl_run(g)
-    part = trace.rounds[1]
+    part = trace.partitions[1]
     assert part.class_of[0] != part.class_of[3]
 
 
 def test_wl_run_respects_max_rounds():
     g = builtin_graph("fig1")
     trace = wl_run(g, max_rounds=1)
-    assert len(trace.rounds) == 2
+    assert len(trace.partitions) == 2
     assert trace.stabilized_at is None
 
 
@@ -86,7 +86,7 @@ def test_wl_run_rejects_a_negative_max_rounds():
     with pytest.raises(ValueError, match="non-negative"):
         wl_run(g, max_rounds=-1)
     trace = wl_run(g, max_rounds=0)
-    assert len(trace.rounds) == 1 and trace.stabilized_at is None
+    assert len(trace.partitions) == 1 and trace.stabilized_at is None
 
 
 def test_wl_termination_within_n_on_seeded_graphs():
@@ -103,9 +103,9 @@ def test_monotone_refinement():
     for seed in range(30):
         g = sample_graph(6, 0.5, seed)
         trace = wl_run(g)
-        for t in range(1, len(trace.rounds)):
-            assert partition_refines(trace.rounds[t], trace.rounds[t - 1])
-            assert trace.rounds[t].num_classes >= trace.rounds[t - 1].num_classes
+        for t in range(1, len(trace.partitions)):
+            assert partition_refines(trace.partitions[t], trace.partitions[t - 1])
+            assert trace.partitions[t].num_classes >= trace.partitions[t - 1].num_classes
 
 
 def test_wl_partitions_extends_past_stabilization():
