@@ -28,17 +28,21 @@ v's neighbours) + x_v W1 + B at a list of keys, in one of two arithmetics:
 the surd field (SURD), and integer bounds lo <= y * 2**B <= hi of every
 value (BoundArithmetic).  It computes x W2 and x W1 once per class id (rows
 of one class are equal), h L W2 once per (class, degree), and only for the
-classes that the keys and their neighbours read.  A relu or ``none`` round
-runs it once, in the surd field.  A sign round needs only the sign of each
-entry: it runs it on bounds at 64, 128 and then 256 bits, each pass on the
-keys the last one left open, and in the surd field on those still open.
-The synthesizer's pre-weight rows come from the same function.  Nothing in a
-builtin round hashes a scalar: the keys are class ids and degrees, and
-partitions key label rows by the canonical integers of their entries
-(``linalg.unique_rows``).  Custom layers run edge by edge: each
-vertex sums its messages over its neighbourhood and applies the update; int
-and Fraction entries of messages and updates become ExactScalar, as graph
-labels do, and entries of any other type are refused.
+classes that the keys and their neighbours read.  In the surd field a row
+is unreduced, integer numerators keyed by (column, radicand) over one
+denominator: sums, scalings and products by integer weights take no gcd,
+a product by any other weight is row_mat on the class's exact row, and
+each emitted entry is reduced once.  A relu or ``none`` round runs it
+once, in the surd field.  A sign round needs only the sign of each entry:
+it runs it on bounds at 64, 128 and then 256 bits, each pass on the keys
+the last one left open, and in the surd field on those still open.  The
+synthesizer's pre-weight rows come from the same function, settled with
+``none``.  Nothing in a builtin round hashes a scalar: the keys are class
+ids and degrees, and partitions key label rows by the canonical integers
+of their entries (``linalg.unique_rows``).  Custom layers run edge by
+edge: each vertex sums its messages over its neighbourhood and applies the
+update; int and Fraction entries of messages and updates become
+ExactScalar, as graph labels do, and entries of any other type are refused.
 
 lift_plus_one replays a network a round late on labels ending in the
 vertex degree.  A lifted builtin layer is a record of the layer and its lift
@@ -57,6 +61,7 @@ per (label, degree), so the d_v messages add it back exactly once.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field, replace
 from functools import cache
@@ -65,7 +70,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .graphs import Label, LabelledGraph, Partition, partition_of
 from .linalg import Matrix, Row, matrix_from_text, matrix_to_text, row_add, row_mat, row_scale, unique_rows
 from .surd import MINUS_ONE, ONE, ZERO, ExactScalar, InputError, activate, enclosure, exact_sum, inv_sqrt, parse_scalar
-from .surd import reciprocal
+from .surd import from_numerators, numerators, reciprocal
 from .wl import check_round_limit, wl_step
 
 MsgFn = Callable[[Label, Label, int, int], Label]
@@ -255,7 +260,7 @@ class BuiltinLayer:
         _require(family in FAMILIES, f"unknown family {family!r}")
         row = FAMILIES[family]
         exact = {}
-        for attr, name in _json_names(family).items():
+        for attr, name in _JSON_NAMES[family].items():
             value = getattr(params, attr)
             if (value is None) == (attr in row.requires) and attr not in row.takes:  # missing, or not taken
                 raise SpecValidationError(f"{family} requires {name}" if value is None else _not_taken(family, name))
@@ -374,12 +379,13 @@ FAMILIES = {
 DEGREE_FAMILIES = frozenset(f for f, row in FAMILIES.items() if (row.g, row.h) != (DegreeFn("one"), DegreeFn("one")))
 
 
-def _json_names(family: str) -> dict[str, str]:
-    """LayerParams field -> its name in a JSON layer; the weight W2 is named
-    W in the families that take no self weight W1."""
-    row = FAMILIES[family]
-    w2 = "W2" if "w1" in row.requires + row.takes else "W"
-    return {"w1": "W1", "w2": w2, "bias": "bias", "p": "p", "q": "q", "r": "r", "g_fn": "g", "h_fn": "h"}
+# per family, LayerParams field -> its name in a JSON layer; the weight W2
+# is named W in the families that take no self weight W1
+_JSON_NAMES = {
+    family: {"w1": "W1", "w2": "W2" if "w1" in row.requires + row.takes else "W"}
+    | {"bias": "bias", "p": "p", "q": "q", "r": "r", "g_fn": "g", "h_fn": "h"}
+    for family, row in FAMILIES.items()
+}
 
 
 def _not_taken(family: str, name: str) -> str:
@@ -465,7 +471,7 @@ def _check_builtin_dims(layer: BuiltinLayer, width: int) -> None:
     for attr, m in (("w1", params.w1), ("w2", params.w2)):
         if m is None:
             continue
-        name = _json_names(layer.family)[attr]
+        name = _JSON_NAMES[layer.family][attr]
         if len(m) != width:
             raise DimensionError(
                 f"{layer.family} {name} has {len(m)} rows but incoming labels have width {width}"
@@ -480,29 +486,99 @@ def _check_builtin_dims(layer: BuiltinLayer, width: int) -> None:
 
 
 class SurdArithmetic:
-    """``propagate`` in the surd field: values are their own lift, products
-    are linalg's row_mat and row_scale, looked up on each use, and each
-    entry of a sum of rows is one exact_sum."""
+    """``propagate`` in the surd field, on unreduced rows.
 
-    def lift(self, values: Sequence[ExactScalar]) -> Sequence[ExactScalar]:
-        return values
+    A row is (den, num, width): integer numerators num keyed by (column,
+    radicand) over one positive denominator den, neither in lowest terms,
+    and num may hold zeros.  Lifting puts a row's entries over the lcm of
+    their denominators, a sum adds numerators over the lcm of its rows'
+    denominators, and a product by a scalar (g, h or p) multiplies the
+    numerators term by term and the denominators, so none of them takes a
+    gcd.  A product by a weight whose entries are all integers runs in the
+    same form and keeps the denominator; by any other weight it is linalg's
+    row_mat, looked up on each use, on the exact row, lifted after.
+    ``settle`` makes each entry a value with one gcd and activates it.
+    """
 
-    @property
-    def times(self) -> Callable[[Row, Matrix], Row]:
-        return row_mat
+    def lift(self, values: Sequence[ExactScalar]) -> tuple[int, dict[tuple[int, int], int], int]:
+        parts = list(map(numerators, values))
+        den = math.lcm(*[d for d, _ in parts])
+        out = {}
+        for j, (d, num) in enumerate(parts):
+            s = den // d
+            for r, c in num.items():
+                out[j, r] = c * s
+        return den, out, len(parts)
 
-    @property
-    def scale(self) -> Callable[[Row, ExactScalar], Row]:
-        return row_scale
+    scalar = staticmethod(numerators)
 
-    def sum(self, rows: list[Row]) -> Row:
-        return tuple(map(exact_sum, zip(*rows, strict=True)))
+    def times(self, w: Matrix) -> Callable[[Row], tuple]:
+        """The product by w of an exact row, lifted."""
+        lift, terms = self.lift, _integer_terms(w)
+        if terms is None:
+            return lambda x: lift(row_mat(x, w))
+        width = len(w[0])
 
-    def settle(self, pre: list[Row], sigma: str) -> list[Label]:
-        return [tuple(activate(x, sigma) for x in row) for row in pre]
+        def product(x):
+            den, num, _ = lift(x)
+            out = {}
+            get = out.get
+            for (j, r), c in num.items():
+                for k, wk in terms[j]:
+                    key = k, r
+                    out[key] = get(key, 0) + c * wk
+            return den, out, width
+
+        return product
+
+    def scale(self, row, s):
+        (den, num, width), (s_den, s_num) = row, s
+        if len(s_num) == 1 and 1 in s_num:
+            k = s_num[1]
+            return den * s_den, num if k == 1 else {key: c * k for key, c in num.items()}, width
+        out = {}
+        get, gcd = out.get, math.gcd
+        for (j, r), c in num.items():
+            for rs, cs in s_num.items():
+                if r == 1 or rs == 1:
+                    key, t = (j, r * rs), c * cs
+                elif r == rs:
+                    key, t = (j, 1), c * cs * r
+                else:
+                    g = gcd(r, rs)
+                    key, t = (j, (r // g) * (rs // g)), c * cs * g
+                out[key] = get(key, 0) + t
+        return den * s_den, out, width
+
+    def sum(self, rows: list) -> tuple:
+        den, out = math.lcm(*{d for d, _, _ in rows}), {}
+        get = out.get
+        for d, num, _ in rows:
+            s = den // d
+            for key, c in num.items():
+                out[key] = get(key, 0) + c * s
+        return den, out, rows[0][2]
+
+    def settle(self, pre: list, sigma: str) -> list[Label]:
+        out = []
+        for den, num, width in pre:
+            columns = [{} for _ in range(width)]
+            for (j, r), c in num.items():
+                columns[j][r] = c
+            out.append(tuple(activate(from_numerators(den, column), sigma) for column in columns))
+        return out
 
 
 SURD = SurdArithmetic()
+
+
+def _integer_terms(w: Matrix) -> list[list[tuple[int, int]]] | None:
+    """Per row of w, the (column, entry) of its nonzero entries as ints;
+    None when an entry is not an integer."""
+    try:
+        return [[(k, x.as_int()) for k, x in enumerate(row) if x] for row in w]
+    except ValueError:
+        return None
 
 
 class BoundArithmetic:
@@ -519,21 +595,31 @@ class BoundArithmetic:
     def lift(self, values: Iterable[ExactScalar]) -> list[tuple[int, int]]:
         return [enclosure(x, self.bits, self.roots) for x in values]
 
-    def times(self, x, w):
-        """An exact entry of x (lo = hi) has two corners, and an exact 0 none."""
-        los, his = [0] * len(w[0]), [0] * len(w[0])
-        for (a0, a1), row in zip(x, w):
-            if a0 != a1:
-                for j, (b0, b1) in enumerate(row):
-                    ends = (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
-                    los[j] += min(ends)
-                    his[j] += max(ends)
-            elif a0:
-                for j, (b0, b1) in enumerate(row):
-                    lo, hi = (a0 * b0, a0 * b1) if a0 > 0 else (a0 * b1, a0 * b0)
-                    los[j] += lo
-                    his[j] += hi
-        return [(lo >> self.bits, -(-hi >> self.bits)) for lo, hi in zip(los, his)]
+    def scalar(self, x: ExactScalar) -> tuple[int, int]:
+        return enclosure(x, self.bits, self.roots)
+
+    def times(self, w: Matrix) -> Callable[[Row], list[tuple[int, int]]]:
+        """The product by w of an exact row, lifted first.  An exact entry
+        of the row (lo = hi) has two corners, and an exact 0 none."""
+        lift, bits = self.lift, self.bits
+        w = list(map(lift, w))
+
+        def product(x):
+            los, his = [0] * len(w[0]), [0] * len(w[0])
+            for (a0, a1), row in zip(lift(x), w):
+                if a0 != a1:
+                    for j, (b0, b1) in enumerate(row):
+                        ends = (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
+                        los[j] += min(ends)
+                        his[j] += max(ends)
+                elif a0:
+                    for j, (b0, b1) in enumerate(row):
+                        lo, hi = (a0 * b0, a0 * b1) if a0 > 0 else (a0 * b1, a0 * b0)
+                        los[j] += lo
+                        his[j] += hi
+            return [(lo >> bits, -(-hi >> bits)) for lo, hi in zip(los, his)]
+
+        return product
 
     def scale(self, row, s):
         """s = (s0, s1) with s0 >= 0: a lower bound l takes s0 when l >= 0, else s1."""
@@ -564,29 +650,36 @@ def propagate(
     every degree; W2, W1 and B are left out where None.
 
     Only what the vertices of at and their neighbours read is lifted into
-    arith and multiplied: x and x W2 once per class they hold, hy once per
-    (class, degree) they hold, x W1 once per class of at.  With g one, each
-    entry is one sum of every term; else of the g-scaled sum, x_v W1 and B.
+    arith and multiplied: x W2, or x where W2 is None, once per class they
+    hold, hy once per (class, degree) they hold, x W1 once per class of at;
+    when at is every vertex, those are the classes and (class, degree)
+    pairs of the whole graph.  With g one, each entry is one sum of every
+    term; else of the g-scaled sum, x_v W1 and B.
     """
-    lift, scale, total = arith.lift, arith.scale, arith.sum
+    lift, scalar, scale, total = arith.lift, arith.scalar, arith.scale, arith.sum
     around = list(map(g.neighbors, at))
-    read = set(at).union(*around)
-    x = {c: lift(class_row[c]) for c in {class_of[u - 1] for u in read}}
+    if len(at) == g.n:
+        classes = at_classes = set(class_of)
+        held = zip(class_of, degrees)
+    else:
+        read = set(at).union(*around)
+        classes, at_classes = {class_of[u - 1] for u in read}, {class_of[v - 1] for v in at}
+        held = ((class_of[u - 1], degrees[u - 1]) for u in read)
 
     def times(w, classes):
-        w, mul = list(map(lift, w)), arith.times
-        return {c: mul(x[c], w) for c in classes}
+        mul = arith.times(w)
+        return {c: mul(class_row[c]) for c in classes}
 
-    xw2 = x if w2 is None else times(w2, x)
-    xw1 = None if w1 is None else xw2 if w1 is w2 else times(w1, {class_of[v - 1] for v in at})
-    h_at = None if h_of is None else dict(zip(h_of, lift(h_of.values())))
-    g_at = h_at if g_of is h_of else None if g_of is None else dict(zip(g_of, lift(g_of.values())))
+    xw2 = {c: lift(class_row[c]) for c in classes} if w2 is None else times(w2, classes)
+    xw1 = None if w1 is None else xw2 if w1 is w2 else times(w1, at_classes)
+    h_at = None if h_of is None else {d: scalar(v) for d, v in h_of.items()}
+    g_at = h_at if g_of is h_of else None if g_of is None else {d: scalar(v) for d, v in g_of.items()}
     if h_at is None:
         hy = [xw2.get(c) for c in class_of]
     else:
-        hy_at = {(c, d): scale(xw2[c], h_at[d]) for c, d in {(class_of[u - 1], degrees[u - 1]) for u in read}}
+        hy_at = {(c, d): scale(xw2[c], h_at[d]) for c, d in set(held)}
         hy = [hy_at.get(pair) for pair in zip(class_of, degrees)]
-    p_zero, p_at = p.is_zero, None if p.is_zero or p == ONE else lift((p,))[0]
+    p_zero, p_at = p.is_zero, None if p.is_zero or p == ONE else scalar(p)
     tail = [] if bias is None else [lift(bias)]
     out = []
     for v, ns in zip(at, around):
@@ -869,7 +962,7 @@ def spec_to_json(spec: MpnnSpec) -> dict:
             )
         _require(isinstance(layer, BuiltinLayer), "custom layers are not serializable")
         entry: dict = {"family": layer.family, "sigma": layer.params.sigma}
-        for attr, name in _json_names(layer.family).items():
+        for attr, name in _JSON_NAMES[layer.family].items():
             value = getattr(layer.params, attr)
             if value is None:
                 continue
@@ -900,7 +993,7 @@ def spec_from_json(data: dict) -> MpnnSpec:
         sigma = _json_text(entry, "sigma", index) if "sigma" in entry else "relu"
         values = {name: _json_field(entry, name, index) for name in _LAYER_FIELDS if name in entry}
         _require(family in FAMILIES, f"layer {index}: unknown family {family!r}")
-        fields = {name: attr for attr, name in _json_names(family).items()}
+        fields = {name: attr for attr, name in _JSON_NAMES[family].items()}
         for name in entry:
             if name not in fields and name not in ("family", "sigma"):
                 _require(name not in _LAYER_FIELDS, f"layer {index}: {_not_taken(family, name)}")

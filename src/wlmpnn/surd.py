@@ -17,8 +17,11 @@ value silently takes a float's binary expansion or a text grammar other
 than ``parse_scalar``'s.  One combine step adds (denominator, numerators)
 parts over the lcm of their denominators and reduces the sum by a single
 gcd; ``exact_sum`` of three or more values, ``exact_dot``, ``normalize``
-and ``parse_scalar`` all end in it.  ``exact_dot`` adds each product's
-integer numerators into an accumulator keyed by its raw denominator
+and ``parse_scalar`` all end in it.  Its last step, ``from_numerators``,
+drops zero numerators and takes that gcd; ``mpnn`` reads values with
+``numerators`` and makes its unreduced rows values with it, one gcd per
+entry.  ``exact_dot`` adds each product's integer numerators into an
+accumulator keyed by its raw denominator
 x_den*y_den, so products over equal denominators need no rescaling, and
 combines the accumulators.  Multiplication and ``exact_dot`` share one loop
 over radicand products; a product by exactly 1 returns the other factor,
@@ -609,16 +612,30 @@ def _combine(parts: Collection[tuple[int, dict[int, int]]]) -> ExactScalar:
             scale = den // d
             for r, c in num.items():
                 out[r] = get(r, 0) + c * scale
-    if not all(out.values()):
-        out = {r: c for r, c in out.items() if c}
-    if not out:
+    return from_numerators(den, out)
+
+
+def numerators(x: ExactScalar) -> tuple[int, dict[int, int]]:
+    """x's denominator and its numerators by radicand, in the canonical form
+    of ``ExactScalar``; the dict is x's own and is only to be read."""
+    return x._den, x._num
+
+
+def from_numerators(den: int, num: dict[int, int]) -> ExactScalar:
+    """The value of the integer numerators num, by squarefree radicand, over
+    the positive den: zero numerators dropped and the rest reduced with den
+    by one gcd, so neither need be in lowest terms.  The value may keep num
+    as its own, so it is not to be changed afterwards."""
+    if not all(num.values()):
+        num = {r: c for r, c in num.items() if c}
+    if not num:
         return ZERO
     if den != 1:
-        g = math.gcd(den, *out.values())
+        g = math.gcd(den, *num.values())
         if g != 1:
-            out = {r: c // g for r, c in out.items()}
+            num = {r: c // g for r, c in num.items()}
             den //= g
-    return _make(out, den)
+    return _make(num, den)
 
 
 def exact_sum(values: Iterable[ExactScalar]) -> ExactScalar:

@@ -655,7 +655,8 @@ def _synthesize_rounds(
         # the paper route sums the count labelling of the unique rows, the direct one the rows
         route = "paper" if rows_linearly_independent(uniq_scaled) else "direct"
         basis = identity(len(uniq_scaled)) if route == "paper" else uniq_scaled
-        target = propagate(g, range(1, g.n + 1), SURD, scaled_class, dict(enumerate(basis)), degrees, p, g_of, None)
+        pre = propagate(g, range(1, g.n + 1), SURD, scaled_class, dict(enumerate(basis)), degrees, p, g_of, None)
+        target = SURD.settle(pre, "none")
         width = len(target[0])
         wl_part = reference[t]
         diffs: list[Row] = []
