@@ -54,18 +54,24 @@ class Partition:
 @dataclass(frozen=True)
 class LabelledGraph:
     """Undirected simple graph with ExactScalar vertex labels.  Making one
-    turns each label entry into an ExactScalar (int and Fraction entries
-    coerce, others raise TypeError) and each edge into an ordered pair, then
-    refuses a graph that breaks the module's invariants.  Equal label rows,
-    whatever the types of their entries, become one shared row: the rows are
-    grouped by ``linalg.unique_rows`` and each distinct row is converted once,
-    so a one-hot graph holds one row per label, not n rows of fresh scalars."""
+    refuses a vertex count or id not of type int (a bool included), turns
+    each label entry into an ExactScalar (int and Fraction entries coerce,
+    others raise TypeError) and each edge into an ordered pair, then refuses
+    a graph that breaks the module's invariants.  Equal label rows, whatever
+    the types of their entries, become one shared row: the rows are grouped
+    by ``linalg.unique_rows`` and each distinct row is converted once, so a
+    one-hot graph holds one row per label, not n rows of fresh scalars."""
 
     n: int
     edges: frozenset[tuple[int, int]]
     labels: tuple[Label, ...]
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise GraphFormatError(f"vertex count {self.n!r} is a {type(self.n).__name__}, not an int")
+        for u, v in self.edges:
+            if type(u) is not int or type(v) is not int:
+                raise GraphFormatError(f"edge ({u!r}, {v!r}): vertex ids must be of type int")
         distinct, index = unique_rows(self.labels)
         rows = [tuple(map(ExactScalar, row)) for row in distinct]
         object.__setattr__(self, "labels", tuple([rows[i] for i in index]))

@@ -15,8 +15,9 @@ with degree-determined positive g and h.  FAMILIES lists, per family, the
 parameters it requires and may take and the p, g and h it fixes: gnn is the
 case g = h = 1, p = 0, and gnn-minus g = h = 1, W1 = 0, B = -q.  The spec
 reader and writer name the fields from the same table.  Making a
-BuiltinLayer checks its family contract and resolves its LayerForm, which
-every evaluator reads; only the widths and degree values wait for run_mpnn.
+BuiltinLayer checks its family contract and the shapes of its weights and
+bias, and resolves its LayerForm, which every evaluator reads; only the
+incoming label width and the degree values wait for run_mpnn.
 Both refusals name the layer (``layer i: ...``) when it comes from a spec
 file.  run_mpnn evaluates a builtin round in that form once per refinement
 key: a vertex's row depends only on its WL signature over (class, degree),
@@ -168,7 +169,10 @@ class DegreeFn:
 
     @property
     def is_one(self) -> bool:
-        return self.kind == "one" or self.kind == "table" and all(v == ONE for _, v in self.table)
+        """1 at every degree: kind one, a table of ones, or blend_inv_sqrt(1) = (1 + 0 d)**(-1/2)."""
+        if self.kind == "table":
+            return all(v == ONE for _, v in self.table)
+        return self.kind == "one" or self.kind == "blend_inv_sqrt" and self.r == ONE
 
     def descriptor(self) -> str:
         if self.kind == "blend_inv_sqrt":
@@ -248,7 +252,9 @@ class BuiltinLayer:
     """A layer of a family of FAMILIES.  Making one checks the parameters
     against the family's row, naming each field as a spec file does, makes
     their entries ExactScalar as make_graph makes labels, refuses ragged
-    weights and resolves them into ``form``; widths and degrees wait for run."""
+    weights, a weight with rows but no columns, W1 and W2 of different
+    output widths and a bias of another width (DimensionError) and resolves
+    them into ``form``; the incoming width and degrees wait for run_mpnn."""
 
     family: str
     params: LayerParams
@@ -274,6 +280,16 @@ class BuiltinLayer:
         for name, v in (("r", params.r), ("p", params.p), ("q", params.q)):  # r in (0, 1], p and q in [0, 1]
             if v is not None and not ((v.sign() > 0 if name == "r" else v.sign() >= 0) and (v - ONE).sign() <= 0):
                 raise SpecValidationError(f"{name} = {v} outside the allowed unit-interval range")
+        out_widths = set()
+        for attr, name in (("w1", "W1"), ("w2", _JSON_NAMES[family]["w2"])):
+            if m := getattr(params, attr):  # a weight without rows is left to run_mpnn's width check
+                if not m[0]:
+                    raise DimensionError(f"{family} {name} has no columns, so its output width is 0")
+                out_widths.add(len(m[0]))
+        if len(out_widths) > 1:
+            raise DimensionError(f"{family} weight matrices disagree on output width: {out_widths}")
+        if params.bias is not None and out_widths and len(params.bias) not in out_widths:
+            raise DimensionError(f"{family} bias width {len(params.bias)} does not match output")
         if family == "dgnn6":
             g = h = DegreeFn.blend_inv_sqrt(params.r)
         else:
@@ -464,25 +480,14 @@ def builtin_layer(family: str, params: LayerParams) -> tuple[MsgFn, UpdFn]:
 
 
 def _check_builtin_dims(layer: BuiltinLayer, width: int) -> None:
-    """Refuse weights that do not take labels of this width, have no
-    columns or disagree on their output width; a weight is named as its
-    spec field is."""
-    params = layer.params
-    for attr, m in (("w1", params.w1), ("w2", params.w2)):
-        if m is None:
-            continue
-        name = _JSON_NAMES[layer.family][attr]
-        if len(m) != width:
-            raise DimensionError(
-                f"{layer.family} {name} has {len(m)} rows but incoming labels have width {width}"
-            )
-        if not m[0]:
-            raise DimensionError(f"{layer.family} {name} has no columns, so its output width is 0")
-    out_widths = {len(m[0]) for m in (params.w1, params.w2) if m is not None}
-    if len(out_widths) > 1:
-        raise DimensionError(f"{layer.family} weight matrices disagree on output width: {out_widths}")
-    if params.bias is not None and out_widths and len(params.bias) not in out_widths:
-        raise DimensionError(f"{layer.family} bias width {len(params.bias)} does not match output")
+    """Refuse weights that do not take labels of this width, the one shape
+    fact that depends on the graph (BuiltinLayer checks the others); a
+    weight is named as its spec field is."""
+    for attr in ("w1", "w2"):
+        m = getattr(layer.params, attr)
+        if m is not None and len(m) != width:
+            name = _JSON_NAMES[layer.family][attr]
+            raise DimensionError(f"{layer.family} {name} has {len(m)} rows but incoming labels have width {width}")
 
 
 class SurdArithmetic:
@@ -981,8 +986,9 @@ def spec_from_json(data: dict) -> MpnnSpec:
     raise LimitError before any layer is read, and a field of the wrong JSON
     type raises SpecValidationError first; then so does an unknown field, a
     weight named W where the family takes W1 and W2 or the other way round,
-    and a layer that breaks its family's contract, each naming its layer as
-    run_mpnn does."""
+    and a layer that breaks its family's contract, and DimensionError a
+    layer whose weights and bias do not fit together, each naming its layer
+    as run_mpnn does."""
     _require(isinstance(data, dict), "a network spec must be a JSON object")
     _require(isinstance(data.get("layers"), list), "a network spec needs a list of layers")
     check_round_limit(len(data["layers"]))
@@ -1001,8 +1007,8 @@ def spec_from_json(data: dict) -> MpnnSpec:
         params = LayerParams(sigma=sigma, **{fields[name]: value for name, value in values.items()})
         try:
             layers.append(BuiltinLayer(family=family, params=params))
-        except SpecValidationError as exc:
-            raise SpecValidationError(f"layer {index}: {exc}") from exc
+        except (SpecValidationError, DimensionError) as exc:
+            raise type(exc)(f"layer {index}: {exc}") from exc
     spec = MpnnSpec(f_mode=data.get("f_mode"), layers=tuple(layers))
     if "rounds" in data:
         rounds = data["rounds"]

@@ -16,9 +16,12 @@ g = h = 1 at its given p, which never needs a repair or a shift, so its bias
 is -q J.  Each round tests the current unique label rows for independence,
 forms the neighbourhood count labelling through (A + pI), separates its
 unique rows with a provably non-singular activated matrix, and verifies the
-result against the refinement reference.  Verification is mandatory: a
-failed round raises SynthesisError with a dump instead of emitting a
-certificate.
+result against the refinement reference (for gnn-minus, also that it took
+no repair and no shift).  Verification is mandatory: a failed round raises
+SynthesisError with a dump, and no later round is synthesized.  A
+certificate is the network plus claims: each round holds its layer, made
+once (``gnn-minus`` or ``general-dgnn``), which ``to_spec`` returns and
+whose W and bias the JSON writes.
 
 Exact elimination runs only where a certificate needs its result:
 independence is first tested on the rows' image modulo a prime, with the
@@ -285,8 +288,10 @@ def compute_mp(g: LabelledGraph, g_fn: DegreeFn) -> ExactScalar:
 
 @dataclass(frozen=True)
 class RoundSynthesis:
-    weight: Matrix
-    bias: Row
+    """One synthesized round: its layer, made once (``gnn-minus``, or
+    ``general-dgnn`` for dgnn6), and the claims about it."""
+
+    layer: BuiltinLayer
     q: ExactScalar
     shift: ExactScalar
     route: str
@@ -298,8 +303,8 @@ class RoundSynthesis:
 
     def to_json(self) -> dict:
         return {
-            "W": matrix_to_text(self.weight),
-            "bias": [v.to_text() for v in self.bias],
+            "W": matrix_to_text(self.layer.params.w2),
+            "bias": [v.to_text() for v in self.layer.form.bias],
             "q": self.q.to_text(),
             "shift": self.shift.to_text(),
             "route": self.route,
@@ -337,31 +342,8 @@ class SynthesisCertificate:
         return all(r.row_independent for r in self.rounds)
 
     def to_spec(self) -> MpnnSpec:
-        """The synthesized network itself, replayable through run_mpnn."""
-        if self.target == "gnn-minus":
-            layers = tuple(
-                BuiltinLayer(
-                    "gnn-minus",
-                    LayerParams(w2=r.weight, p=self.p, q=r.q, sigma=self.sigma),
-                )
-                for r in self.rounds
-            )
-            return MpnnSpec(f_mode="zero", layers=layers)
-        layers = tuple(
-            BuiltinLayer(
-                "general-dgnn",
-                LayerParams(
-                    w2=r.weight,
-                    bias=r.bias,
-                    p=self.p,
-                    sigma=self.sigma,
-                    g_fn=self.g_fn,
-                    h_fn=self.h_fn,
-                ),
-            )
-            for r in self.rounds
-        )
-        return MpnnSpec(f_mode="degree", layers=layers)
+        """The synthesized network itself, the rounds' layers, replayable through run_mpnn."""
+        return MpnnSpec("zero" if self.target == "gnn-minus" else "degree", tuple(r.layer for r in self.rounds))
 
     def to_json(self) -> dict:
         out = {
@@ -635,12 +617,15 @@ def _synthesize_rounds(
     g_fn: DegreeFn,
     h_fn: DegreeFn,
     uniform_q: bool,
+    family: str,
 ) -> tuple[tuple[RoundSynthesis, ...], bool]:
     """The verified rounds of sigma(diag(g) (A + pI) diag(h) L W + B) at this p.
 
     Returns the rounds and whether the initial labels were re-encoded.  Each
-    round enforces the refinement bound and row independence and records
-    its equivalence verdict; unit g and h scale nothing.
+    round enforces the refinement bound and row independence, records its
+    equivalence verdict and makes its layer of family (``gnn-minus``, which
+    must take no repair or shift and match the reference, or
+    ``general-dgnn``) once; unit g and h scale nothing.
     """
     degrees = g.degrees()
     g_of, h_of = g_fn.on(degrees), h_fn.on(degrees)
@@ -706,15 +691,25 @@ def _synthesize_rounds(
             weight = solve(uniq_scaled, weight)
         if x_row:
             weight = tuple(tuple(r[0] * xj for xj in x_row) + r[1:] for r in weight)
+        equivalent = new_partition == wl_part
+        if family == "gnn-minus":
+            if repair != "none" or not shift.is_zero or not equivalent:
+                reason = "gnn-minus round needs a repair or a shift, or misses the refinement reference"
+                raise SynthesisError(
+                    f"round {t} verification failed (repair={repair}, shift={shift}, equivalent={equivalent})",
+                    _dump(g, t, reason, repair=repair, shift=shift.to_text(), wl_class_count=wl_part.num_classes),
+                )
+            params = LayerParams(w2=weight, p=p, q=q, sigma=sigma)
+        else:
+            params = LayerParams(w2=weight, bias=bias, p=p, sigma=sigma, g_fn=g_fn, h_fn=h_fn)
         synthesized.append(
             RoundSynthesis(
-                weight=weight,
-                bias=bias,
+                layer=BuiltinLayer(family, params),
                 q=q,
                 shift=shift,
                 route=route,
                 repair=repair,
-                equivalent_to_wl=new_partition == wl_part,
+                equivalent_to_wl=equivalent,
                 refines_wl=True,
                 row_independent=True,
                 wl_class_count=wl_part.num_classes,
@@ -736,28 +731,14 @@ def synthesize_gnn_minus(
     p defaults to 1/2 and must lie strictly inside (0, 1).  The rounds are
     the degree-normalized ones with g = h = 1 at this p; each must also need
     no repair and no shift, so that its bias is -q*1, and match the
-    refinement reference exactly.  Failures raise.
+    refinement reference exactly, or synthesis raises at that round.
     """
     _check_arguments(sigma, rounds)
     p = ExactScalar(Fraction(1, 2)) if p is None else ExactScalar(p)
     if p.sign() <= 0 or (p - ONE).sign() >= 0:
         raise InputError(f"p = {p} must lie strictly between 0 and 1")
     unit = DegreeFn("one")
-    synthesized, reencoded = _synthesize_rounds(g, rounds, sigma, p, unit, unit, uniform_q)
-    for t, r in enumerate(synthesized, start=1):
-        if r.repair != "none" or not r.shift.is_zero or not r.equivalent_to_wl:
-            raise SynthesisError(
-                f"round {t} verification failed (repair={r.repair}, shift={r.shift}, "
-                f"equivalent={r.equivalent_to_wl})",
-                _dump(
-                    g,
-                    t,
-                    "gnn-minus round needs a repair or a shift, or misses the refinement reference",
-                    repair=r.repair,
-                    shift=r.shift.to_text(),
-                    wl_class_count=r.wl_class_count,
-                ),
-            )
+    synthesized, reencoded = _synthesize_rounds(g, rounds, sigma, p, unit, unit, uniform_q, "gnn-minus")
     return SynthesisCertificate(
         target="gnn-minus",
         sigma=sigma,
@@ -794,7 +775,7 @@ def synthesize_dgnn6(
     p = (m_p + ONE) * ExactScalar(Fraction(1, 2))
     if not m_p < p < ONE:
         raise ArithmeticError(f"trade-off parameter p = {p} is not strictly between m_p = {m_p} and 1")
-    synthesized, reencoded = _synthesize_rounds(g, rounds, sigma, p, g_fn, h_fn, uniform_q)
+    synthesized, reencoded = _synthesize_rounds(g, rounds, sigma, p, g_fn, h_fn, uniform_q, "general-dgnn")
     return SynthesisCertificate(
         target="dgnn6",
         sigma=sigma,

@@ -151,6 +151,27 @@ def test_compare_checks_round_counts_before_running_either(monkeypatch, tmp_path
     assert captured.out == ""
 
 
+def test_compare_refuses_a_malformed_right_spec_before_running_either(monkeypatch, tmp_path, capsys):
+    # a layer's shape is checked when the spec file is read, so a 1,000-layer
+    # left spec does not run before the right one's last layer is refused
+    def refuse(*args):
+        raise AssertionError("a network ran before both sides were made")
+
+    monkeypatch.setattr("wlmpnn.cli.run_mpnn", refuse)
+    layer = {"family": "gcn-kipf", "W": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+    left, right = tmp_path / "left.json", tmp_path / "right.json"
+    left.write_text(json.dumps({"f_mode": "degree", "layers": [layer] * 1000}))
+    malformed = {"family": "dgnn1", "W": [[], [], []]}
+    right.write_text(json.dumps({"f_mode": "degree", "layers": [layer] * 999 + [malformed]}))
+    argv = ["compare", "--graph", "fig1", "--left", str(left), "--right", str(right), "--rounds", "1"]
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: layer 1000: dgnn1 W has no columns, so its output width is 0\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv, limit",
     [
@@ -478,6 +499,11 @@ def _named_spec_with(family, rounds, edit):
             {"f_mode": "degree", "layers": [{"family": "dgnn1", "W": [[], [], []]}]},
             "layer 1: dgnn1 W has no columns, so its output width is 0",
         ),
+        # a weight without rows has no column count to check when it is made
+        (
+            {"f_mode": "degree", "layers": [{"family": "dgnn1", "W": []}]},
+            "layer 1: dgnn1 W has 0 rows but incoming labels have width 3",
+        ),
     ],
     ids=[
         "missing-r",
@@ -489,6 +515,7 @@ def _named_spec_with(family, rounds, edit):
         "r-1/10000019",
         "g-table-missing-degree",
         "W-without-columns",
+        "W-without-rows",
     ],
 )
 def test_run_time_spec_errors_name_their_layer_exit_2(tmp_path, capsys, spec, message):

@@ -1,5 +1,6 @@
 """Graph parsing, invariants, partitions and the coarseness order."""
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,22 @@ def test_a_graph_made_in_code_is_checked_like_one_read_from_a_file():
         assert run_mpnn(g, named_spec("gcn", 1, 1)).rounds == 1
     with pytest.raises(GraphFormatError, match="label rows must share a positive width"):
         parse_graph("n 2\nv 1 2: 1, 0\nv 2 1: 1\ne 1 2\n")
+
+
+@pytest.mark.parametrize(
+    "n, edge, message",
+    [
+        (2, (1.0, 2), "edge (1.0, 2): vertex ids must be of type int"),
+        (2.0, (1, 2), "vertex count 2.0 is a float, not an int"),
+        (2, (True, 2), "edge (True, 2): vertex ids must be of type int"),
+        (2, (1, "2"), "edge (1, '2'): vertex ids must be of type int"),
+    ],
+    ids=["float-id", "float-n", "bool-id", "str-id"],
+)
+def test_make_graph_refuses_vertex_ids_and_counts_that_are_not_ints(n, edge, message):
+    # a float id would break wl_run's list indexing, and True would pass as vertex 1
+    with pytest.raises(GraphFormatError, match=re.escape(message)):
+        make_graph(n, [edge], [(1,), (2,)])
 
 
 def test_parse_rejects_bad_vertex_id():

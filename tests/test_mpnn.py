@@ -235,6 +235,24 @@ def test_anonymize_rejects_nonunit_h():
         anonymize_h_const(named_spec("dgnn4", 2, rounds=1))
 
 
+def test_blend_inv_sqrt_of_one_is_one_and_anonymizes():
+    # blend_inv_sqrt(1) is (1 + 0 d)**(-1/2) = 1 at every degree, so a dgnn6
+    # layer with r = 1 and a general-dgnn layer with that h have h = 1
+    g = builtin_graph("fig1")
+    unit = DegreeFn.blend_inv_sqrt(ONE)
+    assert unit.is_one and unit.on(g.degrees()) is None
+    assert not DegreeFn.blend_inv_sqrt(S(Fraction(1, 2))).is_one
+    half, w = S(Fraction(1, 2)), identity(g.label_dim)
+    for layer in (
+        BuiltinLayer("dgnn6", LayerParams(w2=w, r=ONE, p=half, bias=(-half,) * g.label_dim)),
+        BuiltinLayer("general-dgnn", LayerParams(w2=w, w1=w, p=half, g_fn=DegreeFn("inv_sqrt_1pd"), h_fn=unit)),
+    ):
+        spec = MpnnSpec("degree", (layer, layer))
+        original, anonymous = run_mpnn(g, spec), run_mpnn(g, anonymize_h_const(spec))
+        assert anonymous.labellings == original.labellings
+        assert anonymous.partitions == original.partitions
+
+
 def test_wrap_comb_aggr_projection_is_plain_neighbour_sum():
     g = builtin_graph("fig1")
     spec = wrap_comb_aggr(
@@ -881,10 +899,17 @@ def test_each_layer_is_checked_once_when_it_is_made(monkeypatch):
 
 def test_lifted_rounds_multiply_no_more_than_unlifted(monkeypatch):
     # a lifted round keys its weight products by the classes of the inner
-    # rows, not of the full labels, whose degree column splits equal rows
+    # rows, not of the full labels, whose degree column splits equal rows;
+    # every product in the surd field is one that SurdArithmetic.times
+    # returns, an integer weight's included
     calls = []
-    row_mat = mpnn.row_mat
-    monkeypatch.setattr(mpnn, "row_mat", lambda x, w: calls.append(1) or row_mat(x, w))
+    times = mpnn.SurdArithmetic.times
+
+    def counted(self, w):
+        product, integer = times(self, w), mpnn._integer_terms(w) is not None
+        return lambda x: calls.append(integer) or product(x)
+
+    monkeypatch.setattr(mpnn.SurdArithmetic, "times", counted)
     counts = {}
     for lift in (False, True):
         calls.clear()
@@ -892,6 +917,7 @@ def test_lifted_rounds_multiply_no_more_than_unlifted(monkeypatch):
             spec = sample_degree_spec(random.Random(seed), 2)
             run_mpnn(sample_graph(8, 0.4, seed, alphabet=2), lift_plus_one(spec) if lift else spec)
         counts[lift] = len(calls)
+        assert any(calls) and not all(calls)  # integer and other weights both counted
     assert counts[True] == counts[False] > 0
 
 
@@ -1005,6 +1031,38 @@ def test_builtin_exact_entries_stay_the_same_objects():
 def test_builtin_entries_of_other_types_are_refused(family, fields, named):
     with pytest.raises(SpecValidationError, match=re.escape(f"{named}, not an exact scalar")):
         BuiltinLayer(family, LayerParams(**fields))
+
+
+W3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
+@pytest.mark.parametrize(
+    "family, params, fields, message",
+    [
+        ("dgnn1", dict(w2=((), (), ())), {"W": [[], [], []]}, "dgnn1 W has no columns, so its output width is 0"),
+        (
+            "gnn",
+            dict(w1=((1, 0),) * 3, w2=identity(3)),
+            {"W1": [["1", "0"]] * 3, "W2": W3},
+            "gnn weight matrices disagree on output width: {2, 3}",
+        ),
+        (
+            "dgnn6",
+            dict(w2=identity(3), r=Fraction(1, 2), p=Fraction(1, 2), bias=(1, 1)),
+            {"W": W3, "r": "1/2", "p": "1/2", "bias": ["1", "1"]},
+            "dgnn6 bias width 2 does not match output",
+        ),
+    ],
+    ids=["no-columns", "W1-W2-widths", "bias-width"],
+)
+def test_bad_shapes_are_refused_when_the_layer_is_made(family, params, fields, message):
+    # the shape facts that need no graph are checked once, when the layer
+    # is made, and a spec file names the layer
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        BuiltinLayer(family, LayerParams(**params))
+    data = {"f_mode": "degree", "layers": [{"family": "gcn-kipf", "W": W3}, {"family": family, **fields}]}
+    with pytest.raises(DimensionError, match=re.escape(f"layer 2: {message}")):
+        spec_from_json(data)
 
 
 @pytest.mark.parametrize("w2", [((1, 0), (1,)), ((ONE,), (ONE, ZERO))], ids=["int", "exact"])

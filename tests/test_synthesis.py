@@ -464,6 +464,44 @@ def test_gnn_minus_rejects_a_round_that_needs_a_repair(monkeypatch):
         assert info.value.dump["repair"] == "projection"
 
 
+def test_gnn_minus_round_forced_to_need_a_shift_raises_at_that_round(monkeypatch):
+    # the gnn-minus contract is checked as each round's layer is made, so
+    # a round that needs a shift stops synthesis before the next round
+    real, seen = synthesis._separated_block, []
+
+    def shifted(rows, sigma, q_override, g, t):
+        seen.append(t)
+        columns, bias, values, q, shift = real(rows, sigma, q_override, g, t)
+        return columns, bias, values, q, ONE if t == 2 else shift
+
+    monkeypatch.setattr(synthesis, "_separated_block", shifted)
+    with pytest.raises(synthesis.SynthesisError, match=r"round 2 verification failed \(repair=none, shift=1,") as info:
+        synthesize_gnn_minus(builtin_graph("fig1"), 3, "relu")
+    assert info.value.dump["round"] == 2 and info.value.dump["shift"] == "1"
+    assert max(seen) == 2
+
+
+@pytest.mark.parametrize("target", ["gnn-minus", "dgnn6"])
+@pytest.mark.parametrize("sigma", ["relu", "sign"])
+def test_certificate_rounds_hold_the_layers_of_its_spec(target, sigma):
+    # each round's layer is made once, and to_spec returns those objects;
+    # the certificate's W and bias are the layer's, -q in every entry for gnn-minus
+    g = builtin_graph("fig1")
+    synthesize = synthesize_gnn_minus if target == "gnn-minus" else synthesize_dgnn6
+    cert = synthesize(g, 3, sigma)
+    spec = cert.to_spec()
+    assert spec.f_mode == ("zero" if target == "gnn-minus" else "degree")
+    for t, r in enumerate(cert.rounds):
+        assert spec.layers[t] is r.layer
+        assert r.layer.family == ("gnn-minus" if target == "gnn-minus" else "general-dgnn")
+        assert r.layer.params.p == cert.p and r.layer.params.sigma == sigma
+        if target == "gnn-minus":
+            assert r.layer.params.q is r.q and r.to_json()["bias"] == [(-r.q).to_text()] * len(r.layer.params.w2[0])
+        else:
+            assert (r.layer.params.g_fn, r.layer.params.h_fn) == (cert.g_fn, cert.h_fn)
+    assert run_mpnn(g, spec).partitions == tuple(wl_partitions(g, 3))
+
+
 def test_uniform_q_failure_carries_the_round_dump(monkeypatch):
     # q = 0 leaves sigma(C X) = C X of rank one, so separation must fail
     monkeypatch.setattr(synthesis, "_uniform_q", lambda n: ZERO)
