@@ -9,6 +9,7 @@ of their partitions, and two are equivalent when their partitions are equal.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -51,10 +52,18 @@ class Partition:
         return out
 
 
+def _iterable(value, what: str):
+    """value, refused with GraphFormatError unless it is iterable."""
+    if not isinstance(value, Iterable):
+        raise GraphFormatError(f"{what} must be iterable, not of type {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class LabelledGraph:
     """Undirected simple graph with ExactScalar vertex labels.  Making one
-    refuses a vertex count or id not of type int (a bool included), turns
+    refuses a vertex count or id not of type int (a bool included), an edge
+    that is not a pair and labels that are not an iterable of rows, turns
     each label entry into an ExactScalar (int and Fraction entries coerce,
     others raise TypeError) and each edge into an ordered pair, then refuses
     a graph that breaks the module's invariants.  Equal label rows, whatever
@@ -69,13 +78,24 @@ class LabelledGraph:
     def __post_init__(self):
         if type(self.n) is not int:
             raise GraphFormatError(f"vertex count {self.n!r} is a {type(self.n).__name__}, not an int")
-        for u, v in self.edges:
+        pairs = []
+        for edge in _iterable(self.edges, "edges"):
+            if type(edge) is not tuple:
+                edge = tuple(_iterable(edge, "an edge"))
+            if len(edge) != 2:
+                raise GraphFormatError(f"edge {edge!r} is not a pair of vertices")
+            u, v = edge
             if type(u) is not int or type(v) is not int:
                 raise GraphFormatError(f"edge ({u!r}, {v!r}): vertex ids must be of type int")
-        distinct, index = unique_rows(self.labels)
+            pairs.append((u, v) if u < v else (v, u))
+        labels = tuple(_iterable(self.labels, "labels"))
+        for row in labels:
+            if type(row) is not tuple:
+                _iterable(row, "a label row")
+        distinct, index = unique_rows(labels)
         rows = [tuple(map(ExactScalar, row)) for row in distinct]
         object.__setattr__(self, "labels", tuple([rows[i] for i in index]))
-        object.__setattr__(self, "edges", frozenset((min(u, v), max(u, v)) for u, v in self.edges))
+        object.__setattr__(self, "edges", frozenset(pairs))
         if self.n < 1:
             raise GraphFormatError("graph needs at least one vertex")
         if len(self.labels) != self.n:

@@ -78,10 +78,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(row_mat(row, b) for row in a)
 
 
-def outer(col: Row, row: Row) -> Matrix:
-    return tuple(tuple(c * r for r in row) for c in col)
-
-
 def unique_rows(rows: Iterable[Row]) -> tuple[list[Row], list[int]]:
     """Distinct rows in first-occurrence order plus the row -> index map.
 

@@ -47,8 +47,7 @@ no decision goes through a float.
 ``invert`` takes a value of k primes down the tower of quadratic
 subfields: multiplying it by its sign-flip conjugate in one prime p removes
 p, so k such steps, each applied to a running numerator too, reach the
-rational norm in 2k products of shrinking values.  ``conjugates`` lists all
-2**k sign-flip conjugates for ``wl``'s characteristic polynomials.
+rational norm in 2k products of shrinking values.
 
 ``residues`` maps values into the integers modulo a fixed 66-bit prime in
 which every prime up to 47 has a square root, a ring map that linear
@@ -58,8 +57,8 @@ algebra uses to prove full rank without exact elimination.
 raises it, or a subclass, where a value, name or file it was given is at
 fault.  A value past a fixed size limit of the program, such as one whose
 radicands span more than 12 primes, which bounds the term growth of an
-inverse or a conjugate list, or whose sign is still undecided at 2**22
-bits, raises its subclass ``LimitError``.
+inverse, or whose sign is still undecided at 2**22 bits, raises its
+subclass ``LimitError``.
 """
 from __future__ import annotations
 
@@ -87,9 +86,9 @@ class InputError(ValueError):
 
 class LimitError(InputError):
     """A value outgrew a fixed size limit of the program, such as the 12
-    primes of its radicands that ``invert`` and ``conjugates`` accept: the
-    numerator of an inverse can have a term for each of the 2**k products
-    of k primes."""
+    primes of its radicands that ``invert`` accepts (the numerator of an
+    inverse can have a term for each of the 2**k products of k primes), or
+    ``wl.ENCODING_GUARD``, which no irrational label entry's index fits."""
 
 
 # A parsed radicand or degree factor may have no prime factor above this
@@ -805,25 +804,6 @@ def inv_sqrt(num: int, den: int = 1) -> ExactScalar:
     square, free = _squarefree_split(num * den)
     g = math.gcd(square, num)
     return _make({free: square // g}, num // g)
-
-
-def conjugates(x: ExactScalar) -> list[ExactScalar]:
-    """Every sign-flip conjugate of x, x itself first.
-
-    With p_1..p_k the primes of x's radicands, flip f (a k-bit mask)
-    negates each term whose radicand has an odd number of the flipped
-    primes.  More than 12 primes (4,096 conjugates) raises LimitError.
-    """
-    num, den = x._num, x._den
-    primes = _radicand_primes(num)
-    masked = [
-        (r, c, sum(1 << i for i, p in enumerate(primes) if r % p == 0))
-        for r, c in num.items()
-    ]
-    out = [x]
-    for flip in range(1, 1 << len(primes)):
-        out.append(_make({r: -c if (mask & flip).bit_count() & 1 else c for r, c, mask in masked}, den))
-    return out
 
 
 # The prime 1 + 224 * (3 * 5 * 7 * ... * 47): it is 1 mod 8 and 1 mod every

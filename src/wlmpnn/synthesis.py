@@ -400,9 +400,9 @@ def _separated_block(
     """Shift-to-positive + separation over a row block of round t.
 
     Returns (z, x_row), the bias entries, the per-row output values, q and
-    the shift.  The weight columns are outer(z, x_row) in row space; the
-    shift is folded into the bias through the all-ones image of the mixing
-    column 1_w X = (sum z) x.  A row's output is the activated separation
+    the shift.  The weight columns are the rank-one X = z x_row^T in row
+    space; the shift is folded into the bias through the all-ones image of
+    the mixing column 1_w X = (sum z) x.  A row's output is the activated separation
     row of its unique index: (row + shift 1) . z is that row's mixed value.
     """
     uniq, index = unique_rows(rows)

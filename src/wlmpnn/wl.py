@@ -8,9 +8,12 @@ too.  A ``WlTrace`` holds the partitions, as a network's ``RunTrace`` does.
 
 The second half realizes the same computation arithmetically: labels are
 injected into rationals whose base-(n+1) digits recover neighbour multisets
-after summation.  The injection goes scalar -> (integer polynomial, two
-rationals) -> prime-power product -> Cantor tuple; it explodes quickly and
-is guarded, so it is exercised on micro domains only.
+after summation.  A rational entry goes to the paper's prime-power product
+of (no polynomial, two rationals), and a row's entries to a Cantor tuple;
+the index explodes quickly and is guarded by ENCODING_GUARD, so it is
+exercised on micro domains only.  An irrational entry, whose index would
+multiply in primes for its characteristic polynomial and its isolating
+interval, can never lie within the guard and is refused at once.
 """
 from __future__ import annotations
 
@@ -22,9 +25,12 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .graphs import Label, LabelledGraph, Partition, partition_of
-from .surd import ExactScalar, InputError, LimitError, conjugates, floor_exact
+from .surd import ExactScalar, InputError, LimitError
 
 ENCODING_GUARD = 10**6
+# Every base of an index is at least 2, so an exponent above this alone puts
+# the index past ENCODING_GUARD.
+_GUARD_EXPONENT = ENCODING_GUARD.bit_length()
 
 # A round count from outside may not exceed this.  On a 2-vCPU Xeon VM under
 # Python 3.11, `mpnn run --spec gcn` on fig1 took 2.4 s at 1,000 rounds and
@@ -149,64 +155,19 @@ def cantor_pair(a: int, b: int) -> int:
     return (a + b) * (a + b + 1) // 2 + b
 
 
-def _simplest_in_open(lo: ExactScalar, hi: ExactScalar) -> Fraction:
-    """Smallest-denominator rational strictly between lo and hi (Stern-Brocot walk)."""
-    if not lo < hi:
-        raise ValueError("empty interval")
-    if lo.sign() < 0 and hi.sign() > 0:
-        return Fraction(0)
-    if hi.sign() <= 0:
-        return -_simplest_in_open(-hi, -lo)
-    floor_lo = floor_exact(lo)
-    candidate = floor_lo + 1
-    if lo < candidate < hi:
-        return Fraction(candidate)
-    # both strictly inside (floor_lo, floor_lo + 1); recurse on reciprocals
-    shifted_lo = lo - candidate + 1  # lo - floor_lo
-    shifted_hi = hi - candidate + 1
-    if shifted_lo.is_zero:  # 1/k < shifted_hi first for the least integer k above 1/shifted_hi
-        return floor_lo + Fraction(1, floor_exact(shifted_hi.invert()) + 1)
-    inner = _simplest_in_open(shifted_hi.invert(), shifted_lo.invert())
-    return floor_lo + 1 / inner
-
-
-def scalar_representation(x: ExactScalar) -> tuple[tuple[int, ...], int, int, int, int]:
-    """Canonical (polynomial coefficients, n1, n2, d1, d2) encoding of a scalar.
-
-    Rationals n/d use no polynomial terms and the pair (n/d, 0/1).  Irrational
-    values use the expanded product of (T - conjugate) over all sign-flip
-    conjugates, made integral and primitive, plus the simplest rational
-    interval isolating the value from its other conjugates.
-    """
-    if x.is_rational:
-        q = x.rational_part
-        return ((), q.numerator, 0, q.denominator, 1)
-    roots = conjugates(x)
-    poly: list[ExactScalar] = [ExactScalar(1)]
-    for root in roots:
-        shifted = [ExactScalar(0)] + poly  # multiply by T
-        for i, coeff in enumerate(poly):
-            shifted[i] = shifted[i] - root * coeff
-        poly = shifted
-    fracs = [c.as_fraction() for c in poly]
-    denom_lcm = math.lcm(*(f.denominator for f in fracs))
-    ints = [int(f * denom_lcm) for f in fracs]
-    content = math.gcd(*ints)
-    ints = [a // content for a in ints]
-    if ints[-1] < 0:
-        ints = [-a for a in ints]
-    distinct = sorted(set(roots))
-    pos = distinct.index(x)
-    below = distinct[pos - 1] if pos > 0 else x - 1
-    above = distinct[pos + 1] if pos + 1 < len(distinct) else x + 1
-    r1 = _simplest_in_open(below, x)
-    r2 = _simplest_in_open(x, above)
-    return (tuple(ints), r1.numerator, r2.numerator, r1.denominator, r2.denominator)
-
-
 def scalar_index(x: ExactScalar) -> int:
-    coeffs, n1, n2, d1, d2 = scalar_representation(x)
-    return alpha_encode(coeffs, n1, n2, d1, d2)
+    """alpha_encode((), n, 0, d, 1) = b**|n| * 13**d * 19 of a rational entry
+    n/d, with b = 3 for n >= 0 and 5 for n < 0.  An irrational entry, whose
+    index is at least 247 * 43 * 29**2, and an |n| or d above the guard's
+    bit length are refused with LimitError before any power is taken."""
+    if not x.is_rational:
+        raise LimitError(f"an irrational component has no index within the guard {ENCODING_GUARD}")
+    n, d = x.rational_part.as_integer_ratio()
+    if abs(n) > _GUARD_EXPONENT or d > _GUARD_EXPONENT:
+        raise LimitError(
+            f"component index exceeds the guard {ENCODING_GUARD}: |n| or d of n/d is above {_GUARD_EXPONENT}"
+        )
+    return alpha_encode((), n, 0, d, 1)
 
 
 def label_tau(row: Label) -> int:

@@ -6,11 +6,12 @@ library, so the module also runs under ``python -O``.
 """
 import math
 import random
+import time
 import timeit
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wlmpnn import synthesis
@@ -20,6 +21,7 @@ from wlmpnn.surd import (
     ONE,
     ZERO,
     ExactScalar,
+    LimitError,
     activate,
     exact_max,
     exact_min,
@@ -28,7 +30,7 @@ from wlmpnn.surd import (
     floor_exact,
     parse_scalar,
 )
-from wlmpnn.wl import _simplest_in_open, scalar_representation, wl_run
+from wlmpnn.wl import scalar_index, wl_run
 
 S = ExactScalar
 
@@ -221,47 +223,15 @@ def test_floor_and_representation_of_a_large_value_are_fast():
     # 10**23 lies 23 bits past a float's precision, so a floor stepped one
     # unit at a time from a float guess would take millions of steps
     x = parse_scalar("100000000000000000000000 + sqrt(2)")
-    for fn in (floor_exact, scalar_representation):
-        assert min(timeit.repeat(lambda: fn(x), number=1, repeat=3)) < 0.01
+    assert min(timeit.repeat(lambda: floor_exact(x), number=1, repeat=3)) < 0.01
     assert floor_exact(x) == 10**23 + 1
-
-
-def _brute_simplest(lo, hi, k):
-    """The smallest-denominator rational in (lo, hi), an interval of [k, k + 1]."""
-    q = 1
-    while True:
-        for p in range(k * q, (k + 1) * q + 1):
-            if lo < S(Fraction(p, q)) < hi:
-                return Fraction(p, q)
-        q += 1
-
-
-unit_points = st.one_of(
-    st.builds(Fraction, st.integers(0, 40), st.integers(40, 41)),
-    st.builds(lambda r, t: (S.sqrt(r) - ONE) * S(t), st.sampled_from((2, 3)), st.fractions(0, 1, max_denominator=20)),
-    st.builds(lambda r, t: (S(2) - S.sqrt(r)) * S(t), st.sampled_from((2, 3)), st.fractions(0, 1, max_denominator=20)),
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(-4, 4), unit_points, unit_points)
-def test_simplest_in_open_matches_brute_force(k, a, b):
-    lo, hi = sorted((S(k) + S(a), S(k) + S(b)))
-    assume(hi - lo > S(Fraction(1, 60)))
-    assert _simplest_in_open(lo, hi) == _brute_simplest(lo, hi, k)
-
-
-def test_simplest_in_open_recurses_inside_one_unit():
-    # no integer between the endpoints: the walk recurses on reciprocals
-    x = S(Fraction(7, 2)) + S.sqrt(2, Fraction(1, 100))
-    below = S(Fraction(7, 2)) - S.sqrt(2, Fraction(1, 100))
-    assert _simplest_in_open(below, x) == Fraction(7, 2)
-    assert _simplest_in_open(S(3), S(Fraction(17, 5))) == Fraction(10, 3)
-    assert _simplest_in_open(-x, -below) == Fraction(-7, 2)
-    # x and its conjugate 7/2 - sqrt(2)/100 are the roots of 5000 T**2 -
-    # 35000 T + 61249 and both lie in (3, 4): 7/2 isolates x from below, 4
-    # from above
-    assert scalar_representation(x) == ((61249, -35000, 5000), 7, 4, 2, 1)
+    # the encoding index of x, or of 10**23, would lie far past its guard,
+    # so it is refused at once
+    for y in (x, S(10**23)):
+        start = time.perf_counter()
+        with pytest.raises(LimitError, match="guard 1000000"):
+            scalar_index(y)
+        assert time.perf_counter() - start < 0.01
 
 
 # -- the separated block read off the exact order ------------------------------

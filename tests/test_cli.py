@@ -254,6 +254,9 @@ def test_cases_verify_and_list(capsys):
     assert "g2-dgnn34" in capsys.readouterr().out
     assert run(["cases", "verify", "--case", "g2-dgnn34", "--trials", "100", "--seed", "1"]) == 0
     assert "passed: True" in capsys.readouterr().out
+    assert run(["cases", "verify", "--case", "g2-dgnn34", "--trials", "100", "--seed", "1", "--format", "json"]) == 0
+    report = verify_counterexample(CaseSpec(case_id="g2-dgnn34", trials=100, seed=1))
+    assert capsys.readouterr().out == report.to_json_text() + "\n"
 
 
 def test_usage_errors_exit_2(capsys):
@@ -352,6 +355,8 @@ def test_internal_value_error_exits_1(monkeypatch, capsys):
         # a factor past Python's int string conversion limit is refused, not an internal error
         (["compare", "--graph", "fig1", "--left", "gcn", "--right", "wl", "--shift", "x" + "9" * 5000,
           "--rounds", "1"], "error: shift x<5000 digits>: Exceeds the limit"),
+        (["synth", "--graph", "fig1", "--target", "dgnn6", "--sigma", "relu", "--rounds", "1",
+          "--p", "1/2"], "error: --p applies to the gnn-minus target only"),
     ],
 )
 def test_input_errors_exit_2(capsys, argv, message):

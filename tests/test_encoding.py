@@ -1,14 +1,17 @@
 """The label-injection encoding: prime powers, digit sums, decoding, and the
 message-passing realization of refinement."""
 import itertools
+import re
+import time
 from fractions import Fraction
 
 import pytest
 
 from wlmpnn.cases import make_graph, sample_graph
 from wlmpnn.mpnn import run_mpnn
-from wlmpnn.surd import ExactScalar, LimitError
+from wlmpnn.surd import ExactScalar, LimitError, parse_scalar
 from wlmpnn.wl import (
+    ENCODING_GUARD,
     NotInImageError,
     _prime,
     alpha_encode,
@@ -19,7 +22,6 @@ from wlmpnn.wl import (
     phi_inverse,
     phi_sum,
     scalar_index,
-    scalar_representation,
     wl_partitions,
     wl_run,
 )
@@ -66,19 +68,28 @@ def test_alpha_injective_on_micro_domain():
 
 
 def test_scalar_representation_of_rationals():
-    assert scalar_representation(ExactScalar(Fraction(3, 4))) == ((), 3, 0, 4, 1)
+    # n/d is (no polynomial, n/d, 0/1): 3**3 * 13**4 * 19 for 3/4
+    assert scalar_index(ExactScalar(Fraction(3, 4))) == alpha_encode((), 3, 0, 4, 1) == 3**3 * 13**4 * 19
     assert scalar_index(ExactScalar(0)) == 13 * 19 == 247
     assert scalar_index(ExactScalar(1)) == 741
     assert scalar_index(ExactScalar(2)) == 3 * 741
-
-
-def test_scalar_representation_of_surds_is_injective():
-    root2 = ExactScalar.sqrt(2)
-    coeffs, n1, n2, d1, d2 = scalar_representation(root2)
-    assert coeffs == (-2, 0, 1)  # T**2 - 2, primitive with positive lead
-    assert Fraction(n1, d1) < 2**0.5 < Fraction(n2, d2)
-    neg = scalar_representation(-root2)
-    assert neg[0] == coeffs and (neg[1:]) != (n1, n2, d1, d2)
+    # every n/d in lowest terms with |n| <= 24 and d <= 24 keeps alpha's
+    # index where it lies within the guard and is refused where it does
+    # not, with |n| or d past 20 refused before the index is computed
+    within = 0
+    for n in range(-24, 25):
+        for d in range(1, 25):
+            if Fraction(n, d).denominator != d:
+                continue
+            x = ExactScalar(Fraction(n, d))
+            index = alpha_encode((), n, 0, d, 1)
+            if index <= ENCODING_GUARD:
+                assert label_tau((x,)) == index
+                within += 1
+            else:
+                with pytest.raises(LimitError, match="exceeds the guard 1000000"):
+                    label_tau((x,))
+    assert within == 21
 
 
 def test_label_tau_guard():
@@ -86,9 +97,34 @@ def test_label_tau_guard():
         label_tau((ExactScalar(20),))
     with pytest.raises(LimitError, match="tuple index 1099644 exceeds the guard 1000000"):
         label_tau((ExactScalar(1), ExactScalar(1), ExactScalar(1)))
-    # irrational components are representable but blow up the index
-    with pytest.raises(LimitError):
-        label_tau((ExactScalar.sqrt(2),))
+
+
+IRRATIONAL = "an irrational component has no index within the guard 1000000"
+PAST_EXPONENT = "component index exceeds the guard 1000000: |n| or d of n/d is above 20"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("sqrt(2)", IRRATIONAL),
+        ("sqrt(2) + sqrt(3) + sqrt(5) + sqrt(7)", IRRATIONAL),
+        ("30000000", PAST_EXPONENT),
+        ("100000", PAST_EXPONENT),
+        ("-100000", PAST_EXPONENT),
+        ("1/30000000", PAST_EXPONENT),
+        ("9" * 5000, PAST_EXPONENT),
+    ],
+    ids=["sqrt2", "four-primes", "3e7", "1e5", "-1e5", "1/3e7", "5000-digits"],
+)
+def test_label_tau_refuses_an_entry_past_the_guard_at_once(text, message):
+    # the index of an irrational entry, or of an integer or denominator past
+    # the guard's bit length, is never computed: no power is taken, and the
+    # message names no number past Python's int string conversion limit
+    x = parse_scalar(text)
+    start = time.perf_counter()
+    with pytest.raises(LimitError, match=re.escape(message)):
+        label_tau((ExactScalar(1), x))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_h_inject_formula_with_stubbed_index():

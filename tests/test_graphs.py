@@ -85,19 +85,42 @@ def test_a_graph_made_in_code_is_checked_like_one_read_from_a_file():
 
 
 @pytest.mark.parametrize(
-    "n, edge, message",
+    "n, edges, labels, message",
     [
-        (2, (1.0, 2), "edge (1.0, 2): vertex ids must be of type int"),
-        (2.0, (1, 2), "vertex count 2.0 is a float, not an int"),
-        (2, (True, 2), "edge (True, 2): vertex ids must be of type int"),
-        (2, (1, "2"), "edge (1, '2'): vertex ids must be of type int"),
+        (2, [(1.0, 2)], [(1,), (2,)], "edge (1.0, 2): vertex ids must be of type int"),
+        (2.0, [(1, 2)], [(1,), (2,)], "vertex count 2.0 is a float, not an int"),
+        (2, [(True, 2)], [(1,), (2,)], "edge (True, 2): vertex ids must be of type int"),
+        (2, [(1, "2")], [(1,), (2,)], "edge (1, '2'): vertex ids must be of type int"),
+        (3, [(1, 2, 3)], [(1,)] * 3, "edge (1, 2, 3) is not a pair of vertices"),
+        (3, [(1,)], [(1,)] * 3, "edge (1,) is not a pair of vertices"),
+        (3, [1], [(1,)] * 3, "an edge must be iterable, not of type int"),
+        (2, 12, [(1,), (2,)], "edges must be iterable, not of type int"),
+        (2, [(1, 2)], 5, "labels must be iterable, not of type int"),
+        (2, [(1, 2)], [(1,), 2], "a label row must be iterable, not of type int"),
+        (3, [(1, 2), (2, 3)], [(1,), (2,)], "expected 3 label rows, got 2"),
+        (2, [(1, 2), (2, 2)], [(1,), (2,)], "self-loop at vertex 2"),
     ],
-    ids=["float-id", "float-n", "bool-id", "str-id"],
+    ids=[
+        "float-id",
+        "float-n",
+        "bool-id",
+        "str-id",
+        "triple-edge",
+        "single-edge",
+        "int-edge",
+        "int-edges",
+        "int-labels",
+        "int-row",
+        "label-count",
+        "self-loop",
+    ],
 )
-def test_make_graph_refuses_vertex_ids_and_counts_that_are_not_ints(n, edge, message):
-    # a float id would break wl_run's list indexing, and True would pass as vertex 1
+def test_make_graph_refuses_vertex_ids_and_counts_that_are_not_ints(n, edges, labels, message):
+    # a float id would break wl_run's list indexing, and True would pass as
+    # vertex 1; an edge, a label set or a row of the wrong shape is refused
+    # before it is unpacked or iterated
     with pytest.raises(GraphFormatError, match=re.escape(message)):
-        make_graph(n, [edge], [(1,), (2,)])
+        make_graph(n, edges, labels)
 
 
 def test_parse_rejects_bad_vertex_id():

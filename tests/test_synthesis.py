@@ -13,7 +13,6 @@ from wlmpnn.linalg import (
     determinant,
     identity,
     mat_mul,
-    outer,
     right_inverse,
     row_mat,
     solve,
@@ -35,6 +34,10 @@ S = ExactScalar
 
 def M(rows):
     return as_matrix([[S(Fraction(x)) for x in row] for row in rows])
+
+
+def outer(col, row):
+    return tuple(tuple(c * r for r in row) for c in col)
 
 
 # -- right inverses -------------------------------------------------------------
