@@ -13,6 +13,7 @@ from .graphs import (
 from .wl import (
     WlTrace,
     alpha_encode,
+    degree_aware_partitions,
     encoded_wl_spec,
     h_inject,
     phi_inverse,

@@ -30,7 +30,10 @@ from .graphs import LabelledGraph, parse_graph
 from .mpnn import MpnnSpec, run_mpnn, spec_from_json
 from .surd import InputError, parse_scalar
 from .synthesis import SynthesisError, synthesize_dgnn6, synthesize_gnn_minus
-from .wl import WlTrace, check_wl_rounds, wl_partitions, wl_run
+from .wl import WlTrace, check_wl_rounds, degree_aware_partitions, wl_partitions, wl_run
+
+# the refinement sides of a comparison: WL, and WL from (label, degree)
+_REFINEMENTS = {"wl": wl_partitions, "wl+deg": degree_aware_partitions}
 
 
 def _read(ref: str, what: str, names: str, as_json: bool = False):
@@ -102,10 +105,14 @@ def _cmd_compare(args) -> int:
     sides = ((args.left, args.rounds), (args.right, shift.apply(args.rounds)))
     # make both inputs, in order, and check their round counts against the
     # shift before running either: a spec, or refinement's checked round count
-    made = [check_wl_rounds(rounds) if ref == "wl" else _load_spec(ref, g, rounds, args.sigma) for ref, rounds in sides]
+    made = [
+        check_wl_rounds(rounds) if ref in _REFINEMENTS else _load_spec(ref, g, rounds, args.sigma)
+        for ref, rounds in sides
+    ]
     check_shift_rounds(*(x.rounds if isinstance(x, MpnnSpec) else x for x in made), shift)
     left, right = (
-        run_mpnn(g, x) if isinstance(x, MpnnSpec) else WlTrace(tuple(wl_partitions(g, x)), None) for x in made
+        run_mpnn(g, x) if isinstance(x, MpnnSpec) else WlTrace(tuple(_REFINEMENTS[ref](g, x)), None)
+        for (ref, _), x in zip(sides, made)
     )
     comparison = compare_traces(left, right, shift, args.left, args.right)
     _emit(report([comparison], args.format), args.emit)
@@ -198,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmp_p = sub.add_parser("compare", help="distinguishing-power comparison")
     cmp_p.add_argument("--graph", required=True)
-    cmp_p.add_argument("--left", required=True, help="family name, spec file, or 'wl'")
-    cmp_p.add_argument("--right", required=True, help="family name, spec file, or 'wl'")
+    cmp_p.add_argument("--left", required=True, help="family name, spec file, 'wl' or 'wl+deg'")
+    cmp_p.add_argument("--right", required=True, help="family name, spec file, 'wl' or 'wl+deg'")
     cmp_p.add_argument("--shift", default="0", help="0, +1 or x<c>")
     cmp_p.add_argument("--rounds", type=int, required=True)
     cmp_p.add_argument("--sigma", choices=("relu", "sign", "none"), default="relu")

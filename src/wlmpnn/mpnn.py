@@ -31,10 +31,16 @@ value (BoundArithmetic).  It computes x W2 and x W1 once per class id (rows
 of one class are equal), h L W2 once per (class, degree), and only for the
 classes that the keys and their neighbours read.  In the surd field a row
 is unreduced, integer numerators keyed by (column, radicand) over one
-denominator: sums, scalings and products by integer weights take no gcd,
-a product by any other weight is row_mat on the class's exact row, and
-each emitted entry is reduced once.  A relu or ``none`` round runs it
-once, in the surd field.  A sign round needs only the sign of each entry:
+denominator: sums, scalings and products by integer weights take no gcd
+of numerators, a product by any other weight is row_mat on the class's
+exact row, and each emitted entry is reduced once.  A scaling by one term
+k sqrt(s), as every value of a DegreeFn but a table is, maps each key to
+one key, since r -> r s / gcd(r, s)**2 permutes the squarefree radicands;
+only a scalar of several terms merges products into shared keys.  A relu row with no
+negative numerator is its own relu and is settled with no sign test, and
+run_mpnn makes each degree function's table on the degrees once per run,
+one table where g == h.  A relu or ``none`` round runs it once, in the
+surd field.  A sign round needs only the sign of each entry:
 it runs it on bounds at 64, 128 and then 256 bits, each pass on the keys
 the last one left open, and in the surd field on those still open.  The
 synthesizer's pre-weight rows come from the same function, settled with
@@ -497,12 +503,17 @@ class SurdArithmetic:
     radicand) over one positive denominator den, neither in lowest terms,
     and num may hold zeros.  Lifting puts a row's entries over the lcm of
     their denominators, a sum adds numerators over the lcm of its rows'
-    denominators, and a product by a scalar (g, h or p) multiplies the
-    numerators term by term and the denominators, so none of them takes a
-    gcd.  A product by a weight whose entries are all integers runs in the
-    same form and keeps the denominator; by any other weight it is linalg's
-    row_mat, looked up on each use, on the exact row, lifted after.
-    ``settle`` makes each entry a value with one gcd and activates it.
+    denominators, rescaling only the rows over another denominator, and a
+    product by a scalar (g, h or p) multiplies the numerators term by term
+    and the denominators, so none of them takes a gcd of numerators.  A
+    scalar of one term k sqrt(s) sends key (j, r) to (j, r s / g**2), g =
+    gcd(r, s), a permutation of the squarefree radicands, so the product is
+    one comprehension; only a scalar of several terms merges products.  A
+    product by a weight whose entries are all integers runs in the same form
+    and keeps the denominator; by any other weight it is linalg's row_mat,
+    looked up on each use, on the exact row, lifted after.  ``settle`` makes
+    each entry a value with one gcd and activates it, except in a relu row
+    with no negative numerator, every entry of which is its own relu.
     """
 
     def lift(self, values: Sequence[ExactScalar]) -> tuple[int, dict[tuple[int, int], int], int]:
@@ -538,9 +549,15 @@ class SurdArithmetic:
 
     def scale(self, row, s):
         (den, num, width), (s_den, s_num) = row, s
-        if len(s_num) == 1 and 1 in s_num:
-            k = s_num[1]
-            return den * s_den, num if k == 1 else {key: c * k for key, c in num.items()}, width
+        if len(s_num) == 1:
+            ((rs, k),) = s_num.items()
+            if rs == 1:
+                return den * s_den, num if k == 1 else {key: c * k for key, c in num.items()}, width
+            # sqrt(r) sqrt(rs) = g sqrt(r rs / g**2) for g = gcd(r, rs), and r -> r rs / g**2
+            # permutes the squarefree radicands, so each key goes to its own key
+            gcd = math.gcd
+            out = {(j, r // (g := gcd(r, rs)) * (rs // g)): c * k * g for (j, r), c in num.items()}
+            return den * s_den, out, width
         out = {}
         get, gcd = out.get, math.gcd
         for (j, r), c in num.items():
@@ -559,9 +576,13 @@ class SurdArithmetic:
         den, out = math.lcm(*{d for d, _, _ in rows}), {}
         get = out.get
         for d, num, _ in rows:
-            s = den // d
-            for key, c in num.items():
-                out[key] = get(key, 0) + c * s
+            if d == den:
+                for key, c in num.items():
+                    out[key] = get(key, 0) + c
+            else:
+                s = den // d
+                for key, c in num.items():
+                    out[key] = get(key, 0) + c * s
         return den, out, rows[0][2]
 
     def settle(self, pre: list, sigma: str) -> list[Label]:
@@ -570,7 +591,10 @@ class SurdArithmetic:
             columns = [{} for _ in range(width)]
             for (j, r), c in num.items():
                 columns[j][r] = c
-            out.append(tuple(activate(from_numerators(den, column), sigma) for column in columns))
+            if sigma == "relu" and min(num.values(), default=0) >= 0:  # every entry is 0 or positive
+                out.append(tuple(from_numerators(den, column) for column in columns))
+            else:
+                out.append(tuple(activate(from_numerators(den, column), sigma) for column in columns))
         return out
 
 
@@ -701,16 +725,16 @@ def propagate(
 
 
 def _closed_form_round(
-    g: LabelledGraph, rows: Sequence[Label], form: LayerForm, degrees: Sequence[int], partition: Partition
+    g: LabelledGraph, rows: Sequence[Label], form: LayerForm, degrees: Sequence[int], partition: Partition, g_of, h_of
 ) -> list[Label]:
-    """One builtin round: ``propagate``'s pre-activation rows, activated.
+    """One builtin round: ``propagate``'s pre-activation rows, activated,
+    with g_of and h_of the tables of g and h on the degrees (``DegreeFn.on``).
 
     Rows in one class of partition are equal, so pre_v is a function of v's
     WL signature over its (class, degree), with the degrees left out when g
     and h are 1 on every degree present: the keys are the classes of
     ``wl_step`` from the partition of those values, and pre_v is evaluated
-    once per key, at its first vertex.  The g and h tables are computed
-    once, one table when g and h are one function, and no label is hashed.
+    once per key, at its first vertex, and no label is hashed.
 
     A relu or none round runs ``propagate`` once, in the surd field.  A
     sign round runs it on bounds at 64, 128 and 256 bits, each pass on the
@@ -718,8 +742,6 @@ def _closed_form_round(
     the keys still open.
     """
     class_of = partition.class_of
-    g_of = form.g.on(degrees)
-    h_of = g_of if form.h == form.g else form.h.on(degrees)
     own = partition if g_of is None and h_of is None else Partition.from_keys(list(zip(class_of, degrees)))
     keys = wl_step(g, own)
     reps = [members[0] for members in keys.classes()]
@@ -792,6 +814,13 @@ def run_mpnn(g: LabelledGraph, spec: MpnnSpec) -> RunTrace:
     degrees = g.degrees()
     f_values = degrees if spec.f_mode == "degree" else (0,) * g.n
     degree_row = None  # the degrees as exact scalars, made at the first lifted round
+    tables = {}  # id of a DegreeFn -> its table on the degrees, made at the first round that reads it
+
+    def table(fn: DegreeFn) -> dict[int, ExactScalar] | None:
+        if id(fn) not in tables:
+            tables[id(fn)] = fn.on(degrees)
+        return tables[id(fn)]
+
     for round_index, layer in enumerate(spec.layers, start=1):
         if isinstance(layer, CustomLayer):
             new_rows = _per_edge_round(g, labels, layer, f_values, round_index)
@@ -808,7 +837,10 @@ def run_mpnn(g: LabelledGraph, spec: MpnnSpec) -> RunTrace:
                     inner = unique_rows(list(dict(zip(partition.class_of, rows)).values()))[1]
                     partition = Partition(tuple(inner[c] for c in partition.class_of))
                 _check_builtin_dims(builtin, len(rows[0]))
-                new_rows = _closed_form_round(g, rows, builtin.form, degrees, partition)
+                form = builtin.form
+                g_of = table(form.g)
+                h_of = g_of if form.h == form.g else table(form.h)
+                new_rows = _closed_form_round(g, rows, form, degrees, partition, g_of, h_of)
             except (SpecValidationError, DimensionError) as exc:  # name the layer, as spec_from_json does
                 raise type(exc)(f"layer {round_index}: {exc}") from exc
             if depth:

@@ -5,15 +5,19 @@ The refinement itself uses deterministic dictionary encoding: the pair
 first occurrence, so traces are reproducible and diffable.  ``wl_step`` is
 the one such step: the engine takes its per-round evaluation keys from it
 too.  A ``WlTrace`` holds the partitions, as a network's ``RunTrace`` does.
+``degree_aware_partitions`` runs the same steps from the partition of
+(label, degree): its round t, W^(t), refines every degree-aware network's
+round t, and lies between WL^(t) and WL^(t+1).
 
 The second half realizes the same computation arithmetically: labels are
 injected into rationals whose base-(n+1) digits recover neighbour multisets
 after summation.  A rational entry goes to the paper's prime-power product
 of (no polynomial, two rationals), and a row's entries to a Cantor tuple;
-the index explodes quickly and is guarded by ENCODING_GUARD, so it is
-exercised on micro domains only.  An irrational entry, whose index would
-multiply in primes for its characteristic polynomial and its isolating
-interval, can never lie within the guard and is refused at once.
+the index explodes quickly and is guarded by ENCODING_GUARD, and the digit
+1/(n+1)**tau by MAX_DIGIT_BITS, so it is exercised on micro domains only.
+An irrational entry, whose index would multiply in primes for its
+characteristic polynomial and its isolating interval, can never lie within
+the guard and is refused at once.
 """
 from __future__ import annotations
 
@@ -31,6 +35,12 @@ ENCODING_GUARD = 10**6
 # Every base of an index is at least 2, so an exponent above this alone puts
 # the index past ENCODING_GUARD.
 _GUARD_EXPONENT = ENCODING_GUARD.bit_length()
+
+# A digit 1/(n+1)**tau may not need more bits than this.  The index guard
+# alone admits a 2-Mbit digit, tau = 540,189 at n = 13, whose digit sums
+# take seconds; the encoded refinement of a 5-vertex graph can build a
+# digit of 465,457 bits (tau = 180,063), which stays admitted.
+MAX_DIGIT_BITS = 1 << 19
 
 # A round count from outside may not exceed this.  On a 2-vCPU Xeon VM under
 # Python 3.11, `mpnn run --spec gcn` on fig1 took 2.4 s at 1,000 rounds and
@@ -82,7 +92,11 @@ def wl_run(g: LabelledGraph, max_rounds: int | None = None) -> WlTrace:
     """Iterate wl_step until the class count stops growing (or max_rounds)."""
     if max_rounds is not None and max_rounds < 0:
         raise InputError(f"max_rounds must be non-negative, got {max_rounds}")
-    partitions = [partition_of(g.labels)]
+    return _refine(g, partition_of(g.labels), max_rounds)
+
+
+def _refine(g: LabelledGraph, start: Partition, max_rounds: int | None) -> WlTrace:
+    partitions = [start]
     stabilized = None
     t = 0
     while stabilized is None and (max_rounds is None or t < max_rounds):
@@ -113,7 +127,24 @@ def wl_partitions(g: LabelledGraph, rounds: int) -> list[Partition]:
     up to rounds, then its stable partition repeated, since a stable
     partition steps to itself, class ids included."""
     check_wl_rounds(rounds)
-    out = list(wl_run(g, rounds).partitions)
+    return _padded(wl_run(g, rounds), rounds)
+
+
+def degree_aware_partitions(g: LabelledGraph, rounds: int) -> list[Partition]:
+    """W^(0), ..., W^(rounds): refinement from the partition of (label,
+    degree), through wl_step, padded as wl_partitions pads.
+
+    A degree-aware network's round t is a function of its round t-1 label,
+    the degree and the multiset of neighbour (round t-1 label, degree), so
+    by induction W^(t) refines it.  W^(t) refines WL^(t), and WL^(t+1)
+    refines W^(t), since WL's round 1 knows the degree."""
+    check_wl_rounds(rounds)
+    start = Partition.from_keys(list(zip(partition_of(g.labels).class_of, g.degrees())))
+    return _padded(_refine(g, start, rounds), rounds)
+
+
+def _padded(trace: WlTrace, rounds: int) -> list[Partition]:
+    out = list(trace.partitions)
     return out + [out[-1]] * (rounds + 1 - len(out))
 
 
@@ -189,9 +220,22 @@ def label_tau(row: Label) -> int:
 TauFn = Callable[[Label], int]
 
 
+def _check_digit(tau: int, n: int) -> None:
+    """Refuse with LimitError, before the power is taken, a digit
+    1/(n+1)**tau whose denominator may need more than MAX_DIGIT_BITS bits:
+    tau times the bits of (n+1)**64 over 64 is at least that bit length
+    and less than tau/64 above it."""
+    bits = -(-tau * ((n + 1) ** 64).bit_length() // 64)
+    if bits > MAX_DIGIT_BITS:
+        raise LimitError(f"digit 1/{n + 1}**{tau} needs up to {bits} bits, past MAX_DIGIT_BITS = {MAX_DIGIT_BITS}")
+
+
 def h_inject(row: Label, n: int, tau: TauFn = label_tau) -> Fraction:
-    """The injection row -> 1/(n+1)**tau(row); a single base-(n+1) digit."""
-    return Fraction(1, (n + 1) ** tau(row))
+    """The injection row -> 1/(n+1)**tau(row); a single base-(n+1) digit,
+    refused by _check_digit past MAX_DIGIT_BITS."""
+    t = tau(row)
+    _check_digit(t, n)
+    return Fraction(1, (n + 1) ** t)
 
 
 def phi_sum(bag: Iterable[Label], n: int, tau: TauFn = label_tau) -> Fraction:
@@ -214,7 +258,9 @@ def phi_inverse(
     """Recover the multiset from its digit sum, given the candidate labels.
 
     Raises NotInImageError when the value has a digit at a position no
-    dictionary label occupies, or is otherwise not an exact digit sum.
+    dictionary label occupies, or is otherwise not an exact digit sum, and
+    LimitError, before any power is taken, when the lowest position's digit
+    is past MAX_DIGIT_BITS (``_check_digit``).
     """
     value = Fraction(value)
     if value < 0 or value >= 1:
@@ -231,6 +277,7 @@ def phi_inverse(
         raise NotInImageError("nonzero value with an empty dictionary")
     base = n + 1
     max_tau = max(positions)
+    _check_digit(max_tau, n)
     scaled = value * base**max_tau
     if scaled.denominator != 1:
         raise NotInImageError(f"{value} is not supported on the dictionary digit positions")

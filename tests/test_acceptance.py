@@ -31,7 +31,7 @@ from wlmpnn.mpnn import (
 )
 from wlmpnn.surd import ONE, ExactScalar
 from wlmpnn.synthesis import synthesize_dgnn6, synthesize_gnn_minus
-from wlmpnn.wl import WlTrace, encoded_wl_spec, phi_inverse, phi_sum, wl_partitions, wl_run
+from wlmpnn.wl import WlTrace, degree_aware_partitions, encoded_wl_spec, phi_inverse, phi_sum, wl_partitions, wl_run
 
 
 def _finish(number: int, name: str, ok: bool, detail: str = ""):
@@ -176,7 +176,7 @@ def test_criterion_06_anonymous_upper_bound():
 
 def test_criterion_07_degree_aware_one_step_bound():
     started = time.perf_counter()
-    violations = lift_violations = 0
+    violations = lift_violations = exact_violations = 0
     graphs = _property_graphs()
     for i in range(50):
         spec = sample_degree_spec(random.Random(4444 + i), 3)
@@ -184,16 +184,20 @@ def test_criterion_07_degree_aware_one_step_bound():
         for g in graphs:
             trace = run_mpnn(g, spec)
             reference = wl_partitions(g, spec.rounds + 1)
+            exact = degree_aware_partitions(g, spec.rounds)
             lifted_trace = run_mpnn(g, lifted)
             for t in range(spec.rounds + 1):
                 if not partition_refines(reference[t + 1], trace.partitions[t]):
                     violations += 1
+                # the exact bound: WL from (label, degree) at the same round
+                if not partition_refines(exact[t], trace.partitions[t]):
+                    exact_violations += 1
                 if not partition_refines(lifted_trace.partitions[t + 1], trace.partitions[t]):
                     lift_violations += 1
     elapsed = time.perf_counter() - started
-    _finish(7, "one-step-ahead bound and lift contract, 50 specs x 20 graphs",
-            violations == 0 and lift_violations == 0,
-            f" ({elapsed:.1f}s, violations={violations}/{lift_violations})")
+    _finish(7, "one-step-ahead bound, exact degree-aware bound and lift contract, 50 specs x 20 graphs",
+            violations == 0 and exact_violations == 0 and lift_violations == 0,
+            f" ({elapsed:.1f}s, violations={violations}/{exact_violations}/{lift_violations})")
 
 
 def test_criterion_08_injection_encoding():

@@ -65,6 +65,24 @@ def test_compare_one_step_ahead_holds(capsys):
 
 
 @pytest.mark.parametrize(
+    "left, right, shift, code",
+    [
+        ("gcn", "wl+deg", "0", 0),  # the exact bound holds at the same round
+        ("wl", "wl+deg", "0", 0),  # W^(t) refines WL^(t)
+        ("wl+deg", "wl", "+1", 0),  # WL^(t+1) refines W^(t)
+        ("wl+deg", "wl", "0", 1),  # on fig1, W^(1) is strictly finer than WL^(1)
+    ],
+)
+def test_compare_degree_aware_refinement_side(capsys, left, right, shift, code):
+    argv = ["compare", "--graph", "fig1", "--left", left, "--right", right, "--shift", shift, "--rounds", "3",
+            "--format", "json"]
+    assert run(argv) == code
+    payload = json.loads(capsys.readouterr().out)
+    (comparison,) = payload["comparisons"]
+    assert (comparison["left"], comparison["right"], comparison["holds"]) == (left, right, code == 0)
+
+
+@pytest.mark.parametrize(
     "sides, rounds, message",
     [
         (("{spec}", "wl"), "1", "right trace has 1 rounds but the shift needs 2"),
@@ -119,9 +137,10 @@ def test_round_counts_out_of_range_exit_2(capsys, argv, message):
     "left, right, shift, message",
     [
         ("gcn", "wl", "x2", "error: 2000 rounds exceed MAX_ROUNDS = 1000\n"),
+        ("gcn", "wl+deg", "x2", "error: 2000 rounds exceed MAX_ROUNDS = 1000\n"),
         ("gcn", "gcn", "+1", "error: 1001 rounds exceed MAX_ROUNDS = 1000\n"),
     ],
-    ids=["wl-side", "network-side"],
+    ids=["wl-side", "wl+deg-side", "network-side"],
 )
 def test_compare_makes_both_sides_before_running_either(monkeypatch, capsys, left, right, shift, message):
     # a right side past MAX_ROUNDS is refused before the left side runs

@@ -12,6 +12,7 @@ from wlmpnn.mpnn import run_mpnn
 from wlmpnn.surd import ExactScalar, LimitError, parse_scalar
 from wlmpnn.wl import (
     ENCODING_GUARD,
+    MAX_DIGIT_BITS,
     NotInImageError,
     _prime,
     alpha_encode,
@@ -131,6 +132,47 @@ def test_h_inject_formula_with_stubbed_index():
     tau = lambda row: {("a",): 1, ("b",): 2}[row]
     assert h_inject(("a",), 3, tau) == Fraction(1, 4)
     assert h_inject(("b",), 3, tau) == Fraction(1, 16)
+
+
+PAST_DIGIT = "needs up to {bits} bits, past MAX_DIGIT_BITS = 524288"
+
+
+@pytest.mark.parametrize(
+    "call, bits",
+    [
+        (lambda rows: h_inject(rows[1], 13), 686491),
+        (lambda rows: h_inject(rows[2], 13), 2059471),
+        (lambda rows: phi_sum(rows, 13), 686491),
+        (lambda rows: phi_inverse(Fraction(1, 14), 13, rows), 2059471),
+    ],
+    ids=["inject-6", "inject-7", "phi-sum", "phi-inverse"],
+)
+def test_digits_past_the_bit_limit_are_refused_at_once(call, bits):
+    # the rows (5,), (6,) and (7,) pass the index guard (taus 60,021,
+    # 180,063 and 540,189), but at n = 13 the digits of (6,) and (7,) need
+    # about 686 kbit and 2.06 Mbit: refused before the power is taken
+    rows = [(ExactScalar(k),) for k in (5, 6, 7)]
+    assert [label_tau(row) for row in rows] == [60021, 180063, 540189]
+    start = time.perf_counter()
+    with pytest.raises(LimitError, match=re.escape(PAST_DIGIT.format(bits=bits))):
+        call(rows)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_digit_bit_limit_bounds_the_exact_bit_length():
+    # the bound is at least the digit's bit length and less than tau/64
+    # above it, so a digit within the limit has at most MAX_DIGIT_BITS bits
+    for n, tau in [(1, 1), (1, 524287), (5, 180063), (13, 60021), (13, 137711), (255, 65535)]:
+        bits = ((n + 1) ** tau).bit_length()
+        bound = -(-tau * ((n + 1) ** 64).bit_length() // 64)
+        assert bits <= bound < bits + tau / 64 + 1
+        if bound <= MAX_DIGIT_BITS:
+            assert h_inject(("x",), n, lambda row: tau) == Fraction(1, (n + 1) ** tau)
+        else:
+            with pytest.raises(LimitError, match="past MAX_DIGIT_BITS"):
+                h_inject(("x",), n, lambda row: tau)
+    # the encoded refinement's largest digit, tau 180,063 at n = 5, is admitted
+    assert h_inject((ExactScalar(6),), 5) == Fraction(1, 6**180063)
 
 
 def test_h_inject_injective_on_micro_labels():

@@ -15,6 +15,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wlmpnn import mpnn
 from wlmpnn.graphs import make_graph
@@ -31,7 +33,7 @@ from wlmpnn.mpnn import (
     propagate,
     run_mpnn,
 )
-from wlmpnn.surd import ONE, ZERO, ExactScalar, from_numerators, numerators
+from wlmpnn.surd import ONE, ZERO, ExactScalar, activate, from_numerators, numerators
 
 S = ExactScalar
 SIGMAS = ("relu", "sign", "none")
@@ -193,3 +195,102 @@ def test_from_numerators_drops_zeros_and_reduces_once():
     x = from_numerators(12, {1: 6, 7: 18})
     assert numerators(x) == (2, {1: 1, 7: 3})
     assert _canonical(x)
+
+
+# squarefree radicands over the primes 2, 3, 5 and 7, 1 included, so that
+# radicands often share a prime or are equal
+RADICANDS = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 14, 15, 21, 30, 35, 42, 70, 105, 210])
+
+
+@st.composite
+def unreduced_rows(draw, signs=st.integers(-9, 9), widths=st.integers(1, 4)):
+    """An unreduced surd row (den, num, width): zero numerators included."""
+    width = draw(widths)
+    keys = st.tuples(st.integers(0, width - 1), RADICANDS)
+    num = draw(st.dictionaries(keys, signs, max_size=8))
+    return draw(st.integers(1, 12)), num, width
+
+
+def _merged_scale(row, s):
+    """The product of a row by a scalar (den, num) as the merging loop forms
+    it: every pair of terms, sqrt(r) sqrt(rs) = g sqrt(r rs / g**2) for
+    g = gcd(r, rs), added into its key."""
+    (den, num, width), (s_den, s_num) = row, s
+    out = {}
+    for (j, r), c in num.items():
+        for rs, cs in s_num.items():
+            g = math.gcd(r, rs)
+            key = j, r * rs // g**2
+            out[key] = out.get(key, 0) + c * cs * g
+    return den * s_den, out, width
+
+
+@given(unreduced_rows(), RADICANDS, st.integers(-5, 5).filter(bool), st.integers(1, 6))
+def test_one_term_scale_permutes_radicands_as_the_merging_loop_would(row, rs, k, s_den):
+    # k sqrt(rs) / s_den sends each (column, radicand) key to one key, so the
+    # one-term product has the merging loop's numerators, zeros included
+    scaled = mpnn.SURD.scale(row, (s_den, {rs: k}))
+    assert scaled == _merged_scale(row, (s_den, {rs: k}))
+    den, num, width = row
+    assert len(scaled[1]) == len(num)
+    factor = from_numerators(s_den, {rs: k})
+    for j in range(width):
+        column = {r: c for (i, r), c in num.items() if i == j}
+        scaled_column = {r: c for (i, r), c in scaled[1].items() if i == j}
+        assert from_numerators(scaled[0], scaled_column) == from_numerators(den, column) * factor
+
+
+@given(unreduced_rows(), st.dictionaries(RADICANDS, st.integers(-5, 5).filter(bool), min_size=2, max_size=4))
+def test_multi_term_scale_merges_the_products_of_its_terms(row, s_num):
+    assert mpnn.SURD.scale(row, (3, s_num)) == _merged_scale(row, (3, s_num))
+
+
+@given(st.lists(unreduced_rows(widths=st.just(3)), min_size=1, max_size=5))
+def test_sum_adds_rows_over_the_lcm_of_their_denominators(rows):
+    den, num, width = mpnn.SURD.sum(rows)
+    assert den == math.lcm(*[d for d, _, _ in rows]) and width == 3
+    for j in range(3):
+        column = {r: c for (i, r), c in num.items() if i == j}
+        parts = [from_numerators(d, {r: c for (i, r), c in n.items() if i == j}) for d, n, _ in rows]
+        assert from_numerators(den, column) == sum(parts, ZERO)
+
+
+@given(unreduced_rows(signs=st.integers(0, 9)))
+def test_a_nonnegative_relu_row_settles_to_its_activated_entries(row):
+    _check_settle(row)
+
+
+@given(unreduced_rows(signs=st.integers(-3, 3)))
+def test_any_row_settles_to_its_activated_entries(row):
+    _check_settle(row)
+
+
+def _check_settle(row):
+    # every settled entry is the activation of its column's value, in lowest terms
+    den, num, width = row
+    columns = [{r: c for (j, r), c in num.items() if j == i} for i in range(width)]
+    for sigma in SIGMAS:
+        (settled,) = mpnn.SURD.settle([row], sigma)
+        assert settled == tuple(activate(from_numerators(den, column), sigma) for column in columns)
+        assert all(map(_canonical, settled))
+
+
+def test_each_degree_table_is_made_once_per_run(monkeypatch):
+    # run_mpnn makes each degree function's table once per run, at the first
+    # round that reads it, one table when g and h are equal, and keeps none
+    # across runs
+    made = []
+    on = DegreeFn.on
+    monkeypatch.setattr(DegreeFn, "on", lambda fn, degrees: made.append(fn.descriptor()) or on(fn, degrees))
+    g = _ring_graph(12, 5)
+    eye = tuple(tuple(S(int(i == j)) for j in range(3)) for i in range(3))
+    gcn = BuiltinLayer("gcn-kipf", LayerParams(w2=eye))
+    run_mpnn(g, MpnnSpec("degree", (gcn,) * 3))
+    assert made == ["inv_sqrt_1pd"]
+    made.clear()
+    dgnn1 = BuiltinLayer("dgnn1", LayerParams(w2=eye))
+    dgnn6 = BuiltinLayer("dgnn6", LayerParams(w2=eye, r=S(Fraction(1, 2)), p=S(Fraction(1, 2))))
+    spec = MpnnSpec("degree", (gcn, dgnn1, dgnn6, BuiltinLayer("gcn-kipf", LayerParams(w2=eye)), dgnn1))
+    run_mpnn(g, spec)
+    run_mpnn(g, lift_plus_one(spec))
+    assert made == ["inv_sqrt_1pd", "inv_d", "one", "blend_inv_sqrt(1/2)"] * 2

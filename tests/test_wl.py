@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from wlmpnn.cases import builtin_graph, named_spec, sample_graph
+from wlmpnn.cases import builtin_graph, make_graph, named_spec, sample_graph
 from wlmpnn.graphs import Partition, partition_of, partition_refines
+from wlmpnn.mpnn import DEGREE_FAMILIES, BuiltinLayer, DegreeFn, LayerParams, MpnnSpec, run_mpnn
 from wlmpnn.surd import InputError, LimitError
 from wlmpnn.synthesis import synthesize_dgnn6, synthesize_gnn_minus
-from wlmpnn.wl import MAX_ROUNDS, wl_partitions, wl_run, wl_step
+from wlmpnn.wl import MAX_ROUNDS, degree_aware_partitions, wl_partitions, wl_run, wl_step
 
 
 def brute_force_step(g, class_of):
@@ -157,3 +158,76 @@ def test_wl_partitions_match_networkx_subgraph_hashes():
         for t in range(1, rounds + 1):
             theirs = Partition.from_keys([hashes[v][t - 1] for v in range(1, g.n + 1)])
             assert theirs == reference[t], (seed, t)
+
+
+def test_degree_aware_partitions_match_networkx_subgraph_hashes():
+    # W^(t) is WL from the colours (label, degree): networkx's hashes from
+    # those initial colours give the same partitions
+    nx = pytest.importorskip("networkx")
+    rounds = 4
+    for seed in range(8):
+        g = sample_graph(6 + seed, Fraction(2, 5), seed=700 + seed, alphabet=2)
+        ours = degree_aware_partitions(g, rounds)
+        graph = nx.Graph()
+        degrees = g.degrees()
+        for v, cls in enumerate(partition_of(g.labels).class_of, start=1):
+            graph.add_node(v, colour=f"{cls:04d}{degrees[v - 1]:04d}")
+        graph.add_edges_from(g.edges)
+        hashes = nx.weisfeiler_lehman_subgraph_hashes(graph, node_attr="colour", iterations=rounds)
+        assert ours[0] == Partition.from_keys([graph.nodes[v]["colour"] for v in range(1, g.n + 1)])
+        for t in range(1, rounds + 1):
+            theirs = Partition.from_keys([hashes[v][t - 1] for v in range(1, g.n + 1)])
+            assert theirs == ours[t], (seed, t)
+
+
+def test_degree_aware_partitions_lie_between_wl_rounds():
+    # WL^(t) <= W^(t) <= WL^(t+1), and W pads past its stable round as WL does
+    for seed in range(12):
+        g = sample_graph(5 + seed % 6, Fraction(2, 5), seed=800 + seed, alphabet=2)
+        wl = wl_partitions(g, 6)
+        ours = degree_aware_partitions(g, 5)
+        assert len(ours) == 6
+        for t in range(6):
+            assert partition_refines(ours[t], wl[t]), (seed, t)
+            assert partition_refines(wl[t + 1], ours[t]), (seed, t)
+        assert wl_step(g, ours[-1]) == ours[-1]
+    fig1 = builtin_graph("fig1")
+    start = Partition.from_keys(list(zip(partition_of(fig1.labels).class_of, fig1.degrees())))
+    assert degree_aware_partitions(fig1, 0) == [start]
+    with pytest.raises(InputError, match="rounds must be non-negative"):
+        degree_aware_partitions(builtin_graph("fig1"), -1)
+    with pytest.raises(LimitError, match="MAX_ROUNDS"):
+        degree_aware_partitions(builtin_graph("fig1"), MAX_ROUNDS + 1)
+
+
+def test_degree_aware_bound_lies_strictly_between_wl_rounds_on_a_marked_path():
+    # the path 1-2-3-4-5-6 with vertex 3 marked: at round 1, WL has 4
+    # classes, W 5 and WL at round 2 has 6, so W^(1) is strictly finer than
+    # WL^(1) and strictly coarser than WL^(2)
+    g = make_graph(6, [(v, v + 1) for v in range(1, 6)], [(0,), (0,), (1,), (0,), (0,), (0,)])
+    wl, ours = wl_partitions(g, 2), degree_aware_partitions(g, 1)
+    assert [p.num_classes for p in (wl[1], ours[1], wl[2])] == [4, 5, 6]
+    assert partition_refines(ours[1], wl[1]) and ours[1] != wl[1]
+    assert partition_refines(wl[2], ours[1]) and wl[2] != ours[1]
+
+
+def _degree_spec(family: str, width: int, sigma: str) -> MpnnSpec:
+    """Three rounds of family with identity weights: the CLI's named network,
+    or a general-dgnn layer with g = 1/sqrt(d), h = 1/(1 + d) and p = 1/2."""
+    if family != "general-dgnn":
+        return named_spec("gcn" if family == "gcn-kipf" else family, width, rounds=3, sigma=sigma)
+    eye = tuple(tuple(int(i == j) for j in range(width)) for i in range(width))
+    fns = {"g_fn": DegreeFn("inv_sqrt_d"), "h_fn": DegreeFn("inv_1pd")}
+    layer = BuiltinLayer(family, LayerParams(w1=eye, w2=eye, p=Fraction(1, 2), sigma=sigma, **fns))
+    return MpnnSpec("degree", (layer,) * 3)
+
+
+@pytest.mark.parametrize("sigma", ["relu", "sign", "none"])
+@pytest.mark.parametrize("family", sorted(DEGREE_FAMILIES))
+def test_degree_aware_partitions_refine_every_builtin_degree_family(family, sigma):
+    for seed in range(6):
+        g = sample_graph(5 + seed, Fraction(1, 2), seed=900 + seed, alphabet=2)
+        trace = run_mpnn(g, _degree_spec(family, g.label_dim, sigma))
+        bound = degree_aware_partitions(g, 3)
+        for t in range(4):
+            assert partition_refines(bound[t], trace.partitions[t]), (seed, t)
